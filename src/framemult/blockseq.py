@@ -31,7 +31,15 @@ CLASS_FRAME = "frame"
 CLASS_NOT_BESSEL = "not_bessel"
 CLASS_BESSEL_NOT_FRAME = "bessel_not_frame"
 
-SIDES = ("phi", "psi", "mphi", "mbar_psi")
+# The template family each side uses and the weight applied to it: none,
+# the symbol m, or its conjugate.
+_SIDE_TABLE = {
+    "phi": ("phi", None),
+    "psi": ("psi", None),
+    "mphi": ("phi", lambda m: m),
+    "mbar_psi": ("psi", np.conj),
+}
+SIDES = tuple(_SIDE_TABLE)
 
 SWEEP_HORIZON = 1000        # default per-block sweep depth
 SPOT_CHECK_BLOCKS = 64      # prefix length for metadata spot checks
@@ -164,31 +172,27 @@ class BlockSystem:
         """Base vectors and exponents of the requested weighted side."""
         if self._closed_form is None:
             raise MetadataMissing(f"no closed form available for system {self.name!r}")
-        phi_b, phi_e = self._closed_form["phi"]
-        psi_b, psi_e = self._closed_form["psi"]
+        family, weight = _side_entry(side)
+        base, exponents = self._closed_form[family]
+        if weight is None:
+            return base, exponents
         m_b, m_e = self._closed_form["m"]
-        if side == "phi":
-            return phi_b, phi_e
-        if side == "psi":
-            return psi_b, psi_e
-        if side == "mphi":
-            return m_b[:, None] * phi_b, m_e + phi_e
-        if side == "mbar_psi":
-            return np.conj(m_b)[:, None] * psi_b, m_e + psi_e
-        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
+        return weight(m_b)[:, None] * base, m_e + exponents
 
     def side_templates(self, side: str, k: int) -> np.ndarray:
         """Weighted template vectors of block k for one side."""
+        family, weight = _side_entry(side)
         phi, psi, m = self.block(k)
-        if side == "phi":
-            return phi
-        if side == "psi":
-            return psi
-        if side == "mphi":
-            return m[:, None] * phi
-        if side == "mbar_psi":
-            return np.conj(m)[:, None] * psi
-        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
+        base = phi if family == "phi" else psi
+        return base if weight is None else weight(m)[:, None] * base
+
+
+def _side_entry(side: str):
+    """(template family, weight) of one side; ValueError for an unknown side."""
+    try:
+        return _SIDE_TABLE[side]
+    except KeyError:
+        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}") from None
 
 
 def _as_templates(vectors) -> np.ndarray:
@@ -281,8 +285,7 @@ def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
     """
     if isinstance(sys, InterleavedSystem):
         return sys.side_bounds(side, horizon, tol)
-    if side not in SIDES:
-        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
+    _side_entry(side)  # ValueError for an unknown side
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     sweep_min = math.inf
@@ -453,19 +456,13 @@ class InterleavedSystem:
 
     def _side_params(self, side: str) -> tuple[complex, complex, complex]:
         """(head, ratio, transient coefficient) of one weighted side."""
-        if side == "phi":
-            return self.phi_head, self.phi_ratio, self.transient_phi
-        if side == "psi":
-            return self.psi_head, self.psi_ratio, self.transient_psi
-        if side == "mphi":
-            return (self.m_head * self.phi_head,
-                    self.m_ratio * self.phi_ratio,
-                    self.transient_m * self.transient_phi)
-        if side == "mbar_psi":
-            return (complex(np.conj(self.m_head)) * self.psi_head,
-                    complex(np.conj(self.m_ratio)) * self.psi_ratio,
-                    complex(np.conj(self.transient_m)) * self.transient_psi)
-        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}")
+        family, weight = _side_entry(side)
+        params = (getattr(self, f"{family}_head"), getattr(self, f"{family}_ratio"),
+                  getattr(self, f"transient_{family}"))
+        if weight is None:
+            return params
+        weights = (self.m_head, self.m_ratio, self.transient_m)
+        return tuple(complex(weight(w)) * p for w, p in zip(weights, params))
 
     def side_bounds(self, side: str, horizon: int = SWEEP_HORIZON,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SystemBounds:
@@ -475,11 +472,14 @@ class InterleavedSystem:
         every transient direction contributes |transient|^2 once.
         """
         head, ratio, transient = self._side_params(side)
-        head_sq = abs(head) ** 2
-        ratio_sq = abs(ratio) ** 2
+        head_sq = float(abs(head)) ** 2
+        ratio_sq = float(abs(ratio)) ** 2
         transient_sq = abs(transient) ** 2
 
-        partial = head_sq * sum(ratio_sq ** k for k in range(horizon + 1))
+        try:
+            partial = head_sq * sum(ratio_sq ** k for k in range(horizon + 1))
+        except OverflowError:  # ratio_sq > 1: the partial sum leaves float range
+            partial = math.inf if head_sq > 0.0 else 0.0
         lam_min = min(partial, transient_sq)
         lam_max = max(partial, transient_sq)
 

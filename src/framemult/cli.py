@@ -36,7 +36,7 @@ from .numerics import (
     DEFAULT_COND_MAX,
     DEFAULT_REL_EPS,
     ToleranceConfig,
-    condition_number,
+    condition_number,  # noqa: F401 - perfbench/worker.py calls cli.condition_number
 )
 
 USAGE_ERROR = 2
@@ -77,14 +77,13 @@ def _file_digest(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(args, command: str, inputs: dict, findings: list[dict],
-          verdict: str | None = None) -> int:
+def _emit(args, command: str, inputs: dict, findings: list[dict]) -> int:
     report = {
         "command": command,
         "inputs": inputs,
         "tolerances": {"rel_eps": args.tol_rel, "cond_max": args.cond_max},
         "findings": findings,
-        "verdict": verdict if verdict is not None else _verdict(findings),
+        "verdict": _verdict(findings),
     }
     text = json.dumps(report, sort_keys=True, indent=2 if args.pretty else None) + "\n"
     sys.stdout.write(text)
@@ -141,19 +140,20 @@ def cmd_frame_info(args) -> int:
 # ------------------------------------------------------------------ multiplier
 
 
+def _induced_dual_findings(mult: mp.Multiplier, tol: ToleranceConfig,
+                           findings: list[dict]) -> None:
+    duals = mp.induced_duals(mult, tol)
+    findings.append(_finding("induced_dual_of_input_side_is_dual",
+                             frames.is_dual(duals.psi_dagger, mult.psi, tol), asserted=True))
+    findings.append(_finding("induced_dual_of_output_side_is_dual",
+                             frames.is_dual(duals.phi_dagger, mult.phi, tol), asserted=True))
+
+
 def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
                    findings: list[dict]) -> None:
     """The asserted verification chain for an invertible multiplier."""
-    cond = condition_number(mult.matrix)
-    identity_tol = tol.rel_eps * max(1.0, cond)
-
-    duals = mp.induced_duals(mult, tol)
-    findings.append(_finding("induced_dual_of_input_side_is_dual",
-                             frames.is_dual(duals.psi_dagger, mult.psi, tol),
-                             asserted=True))
-    findings.append(_finding("induced_dual_of_output_side_is_dual",
-                             frames.is_dual(duals.phi_dagger, mult.phi, tol),
-                             asserted=True))
+    identity_tol = tol.rel_eps * max(1.0, mult.condition_number)
+    _induced_dual_findings(mult, tol, findings)
 
     cert1 = mp.certify_minv1_all_duals(mult, tol)
     cert2 = mp.certify_minv2_all_duals(mult, tol)
@@ -236,7 +236,7 @@ def cmd_multiplier(args) -> int:
         try:
             mp.invert(mult, tol)
             findings.append(_finding("invertible", True, asserted=False,
-                                     value={"condition": condition_number(mult.matrix)}))
+                                     value={"condition": mult.condition_number}))
         except NotInvertible as exc:
             invertible = False
             findings.append(_finding("invertible", False,
@@ -253,13 +253,7 @@ def cmd_multiplier(args) -> int:
                 findings.append(_finding("verification_bundle", False, asserted=True,
                                          detail=f"one side is not a frame: {exc}"))
         else:
-            duals = mp.induced_duals(mult, tol)
-            findings.append(_finding("induced_dual_of_input_side_is_dual",
-                                     frames.is_dual(duals.psi_dagger, mult.psi, tol),
-                                     asserted=True))
-            findings.append(_finding("induced_dual_of_output_side_is_dual",
-                                     frames.is_dual(duals.phi_dagger, mult.phi, tol),
-                                     asserted=True))
+            _induced_dual_findings(mult, tol, findings)
 
     return _emit(args, "multiplier", inputs, findings)
 
@@ -298,19 +292,10 @@ def cmd_examples(args) -> int:
         return USAGE_ERROR
 
     findings: list[dict] = []
-    verdicts = []
     for name in names:
-        run = blockseq.run_example(name, tol, horizon=args.horizon)
-        findings.extend(_example_findings(run))
-        verdicts.append(run.verdict)
-    if "fail" in verdicts:
-        overall = "fail"
-    elif "flagged" in verdicts:
-        overall = "flagged"
-    else:
-        overall = "pass"
+        findings.extend(_example_findings(blockseq.run_example(name, tol, horizon=args.horizon)))
     inputs = {"action": "run", "examples": names, "horizon": args.horizon}
-    return _emit(args, "examples", inputs, findings, verdict=overall)
+    return _emit(args, "examples", inputs, findings)
 
 
 # --------------------------------------------------------------------- parser

@@ -22,8 +22,8 @@ from .numerics import (
     ToleranceConfig,
     adjoint,
     as_vector,
+    check_hermitian,
     pseudoinverse,
-    spectrum_hermitian,
     try_invert,
 )
 
@@ -33,9 +33,14 @@ class FiniteFrame:
 
     The sequence need not actually satisfy the frame (spanning) property;
     predicates below decide that. Instances are immutable.
+
+    The frame operator, its eigenvalues and the canonical dual are lazy
+    per-instance caches, each computed at most once and free of any
+    tolerance; the NotHermitian and NotAFrame decisions are made afresh on
+    every call.
     """
 
-    __slots__ = ("_syn",)
+    __slots__ = ("_syn", "_operator", "_eigs", "_dual")
 
     def __init__(self, vectors) -> None:
         arr = np.array(list(vectors), dtype=np.complex128)
@@ -49,6 +54,7 @@ class FiniteFrame:
         syn = arr.T.copy()
         syn.setflags(write=False)
         self._syn = syn
+        self._operator = self._eigs = self._dual = None
 
     @classmethod
     def from_synthesis(cls, matrix) -> "FiniteFrame":
@@ -137,8 +143,12 @@ def synthesis(frame: FiniteFrame, c) -> np.ndarray:
 
 
 def frame_operator(frame: FiniteFrame) -> np.ndarray:
-    """The d x d positive semidefinite operator f -> sum_n <f, phi_n> phi_n."""
-    return frame.synthesis @ frame.analysis_matrix
+    """The d x d positive semidefinite operator f -> sum_n <f, phi_n> phi_n (read-only)."""
+    if frame._operator is None:
+        s = frame.synthesis @ frame.analysis_matrix
+        s.setflags(write=False)
+        frame._operator = s
+    return frame._operator
 
 
 def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float]:
@@ -147,7 +157,11 @@ def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     Raises NotAFrame when the lower bound is zero to within rel_eps of the
     upper bound, i.e. the vectors do not span.
     """
-    eigs = spectrum_hermitian(frame_operator(frame), tol)
+    s = frame_operator(frame)
+    check_hermitian(s, tol)
+    if frame._eigs is None:
+        frame._eigs = np.linalg.eigvalsh(s)
+    eigs = frame._eigs
     lower = float(eigs[0].real)
     upper = float(eigs[-1].real)
     if lower <= tol.rel_eps * upper:
@@ -168,33 +182,26 @@ def is_frame(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def canonical_dual(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> FiniteFrame:
     """The canonical dual, vector n being S^-1 phi_n for the frame operator S."""
     frame_bounds(frame, tol)  # NotAFrame for rank-deficient input
-    s = frame_operator(frame)
-    dual_syn = np.linalg.solve(s, frame.synthesis)
-    return FiniteFrame.from_synthesis(dual_syn)
-
-
-def _reconstruction_defect(left: FiniteFrame, right: FiniteFrame) -> tuple[float, float]:
-    """Residual and scale of Syn_left * Ana_right against the identity."""
-    product = left.synthesis @ right.analysis_matrix
-    residual = float(np.linalg.norm(product - np.eye(left.dim)))
-    scale = 1.0 + float(np.linalg.norm(left.synthesis)) * float(np.linalg.norm(right.synthesis))
-    return residual, scale
+    if frame._dual is None:
+        dual_syn = np.linalg.solve(frame_operator(frame), frame.synthesis)
+        frame._dual = FiniteFrame.from_synthesis(dual_syn)
+    return frame._dual
 
 
 def is_s_pseudo_dual(candidate: FiniteFrame, frame: FiniteFrame,
                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when f = sum_n <f, phi_n> c_n holds, i.e. Syn_C * Ana_Phi = I."""
     _require_same_shape(candidate, frame)
-    residual, scale = _reconstruction_defect(candidate, frame)
+    product = candidate.synthesis @ frame.analysis_matrix
+    residual = float(np.linalg.norm(product - np.eye(candidate.dim)))
+    scale = 1.0 + float(np.linalg.norm(candidate.synthesis)) * float(np.linalg.norm(frame.synthesis))
     return residual <= tol.rel_eps * scale
 
 
 def is_a_pseudo_dual(candidate: FiniteFrame, frame: FiniteFrame,
                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when f = sum_n <f, c_n> phi_n holds, i.e. Syn_Phi * Ana_C = I."""
-    _require_same_shape(candidate, frame)
-    residual, scale = _reconstruction_defect(frame, candidate)
-    return residual <= tol.rel_eps * scale
+    return is_s_pseudo_dual(frame, candidate, tol)
 
 
 def is_dual(candidate: FiniteFrame, frame: FiniteFrame,

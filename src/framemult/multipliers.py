@@ -17,11 +17,17 @@ Phi, Minv = Syn_{psi_dagger} diag(1/m) Ana_{Phi_d}. The for-every
 quantifier is certified exactly: the identity defect is affine in the dual
 parametrization, so vanishing at the canonical dual plus a vanishing
 linear term settles all duals at once.
+
+The two formulas are one identity read through the adjoint
+M* = M_{conj m, Psi, Phi}, whose inverse is Minv* and whose induced duals
+are those of M swapped: the adjoint of the second formula is the first
+formula for M*. So every output-side check below is its input-side twin
+applied to ``Multiplier.adjoint()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +43,14 @@ from .errors import (
     ZeroSymbolEntry,
 )
 from .frames import FiniteFrame
-from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, relative_residual, try_invert
+from .numerics import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    adjoint,
+    check_invertible,
+    condition_from_sigmas,
+    relative_residual,
+)
 
 
 class Symbol:
@@ -116,8 +129,11 @@ def weighted_frame(frame: FiniteFrame, weights) -> FiniteFrame:
 class Multiplier:
     """Realized multiplier (symbol, output side, input side) with its matrix.
 
-    The inverse, once computed under a given tolerance policy, is cached on
-    the instance keyed by that policy.
+    The singular values, the inverse, the induced duals and the adjoint are
+    lazy per-instance caches, each computed at most once and free of any
+    tolerance; NotInvertible is decided afresh on every call. An adjoint
+    takes its derived values from the multiplier it came from, so the two
+    share one SVD and one inverse.
     """
 
     def __init__(self, symbol: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> None:
@@ -132,8 +148,9 @@ class Multiplier:
         self.phi = phi
         self.psi = psi
         self.matrix = _multiplier_matrix(symbol.values, phi, psi)
-        self._inverse_tol: ToleranceConfig | None = None
-        self._inverse: np.ndarray | None = None
+
+    # lazy caches; _origin is the multiplier an adjoint was derived from
+    _origin = _adjoint = _sigmas = _inverse = _duals = None
 
     @property
     def dim(self) -> int:
@@ -142,6 +159,34 @@ class Multiplier:
     @property
     def size(self) -> int:
         return self.phi.size
+
+    def adjoint(self) -> "Multiplier":
+        """M* = M_{conj m, Psi, Phi}, derived without a factorization or a matrix loop."""
+        if self._adjoint is None:
+            adj = Multiplier.__new__(Multiplier)
+            adj.symbol = self.symbol.conjugate()
+            adj.phi, adj.psi = self.psi, self.phi
+            adj.matrix = adjoint(self.matrix)
+            adj._origin = adj._adjoint = self
+            self._adjoint = adj
+        return self._adjoint
+
+    def _singular_values(self) -> np.ndarray:
+        if self._sigmas is None:
+            self._sigmas = (np.linalg.svd(self.matrix, compute_uv=False) if self._origin is None
+                            else self._origin._singular_values())
+        return self._sigmas
+
+    def _inverse_matrix(self) -> np.ndarray:
+        if self._inverse is None:
+            self._inverse = (np.linalg.inv(self.matrix) if self._origin is None
+                             else adjoint(self._origin._inverse_matrix()))
+        return self._inverse
+
+    @property
+    def condition_number(self) -> float:
+        """sigma_max / sigma_min of the matrix; +inf when sigma_min is zero."""
+        return condition_from_sigmas(self._singular_values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Multiplier(dim={self.dim}, size={self.size})"
@@ -188,12 +233,8 @@ def apply_termwise(m: Symbol, phi: FiniteFrame, psi: FiniteFrame, f) -> np.ndarr
 
 def invert(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Matrix inverse of the multiplier under the invertibility policy."""
-    if mult._inverse is not None and mult._inverse_tol == tol:
-        return mult._inverse
-    inverse = try_invert(mult.matrix, tol)
-    mult._inverse = inverse
-    mult._inverse_tol = tol
-    return inverse
+    check_invertible(mult._singular_values(), tol)
+    return mult._inverse_matrix()
 
 
 @dataclass(frozen=True)
@@ -214,17 +255,26 @@ def induced_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> Induc
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("induced duals need a symbol without zero entries")
     minv = invert(mult, tol)
-    m = mult.symbol.values
-    psi_dagger = FiniteFrame.from_synthesis(minv @ (mult.phi.synthesis * m[None, :]))
-    phi_dagger = FiniteFrame.from_synthesis(
-        adjoint(minv) @ (mult.psi.synthesis * np.conj(m)[None, :])
-    )
-    return InducedDuals(psi_dagger=psi_dagger, phi_dagger=phi_dagger)
+    if mult._duals is None:
+        if mult._origin is not None:
+            duals = induced_duals(mult._origin, tol)
+            mult._duals = InducedDuals(psi_dagger=duals.phi_dagger, phi_dagger=duals.psi_dagger)
+        else:
+            m = mult.symbol.values
+            psi_dagger = FiniteFrame.from_synthesis(minv @ (mult.phi.synthesis * m[None, :]))
+            phi_dagger = FiniteFrame.from_synthesis(
+                adjoint(minv) @ (mult.psi.synthesis * np.conj(m)[None, :])
+            )
+            mult._duals = InducedDuals(psi_dagger=psi_dagger, phi_dagger=phi_dagger)
+    return mult._duals
 
 
-def _inverse_as_multiplier(out_side: FiniteFrame, reciprocal: np.ndarray,
-                           in_side: FiniteFrame) -> np.ndarray:
-    return _multiplier_matrix(reciprocal, out_side, in_side)
+def _minv1_residual(mult: Multiplier, psi_dual: FiniteFrame, tol: ToleranceConfig) -> float:
+    """||Syn_{psi_dual} diag(1/m) Ana_{phi_dagger} - Minv|| / ||Minv||, unchecked."""
+    minv = invert(mult, tol)
+    recip = mult.symbol.reciprocal().values
+    candidate = _multiplier_matrix(recip, psi_dual, induced_duals(mult, tol).phi_dagger)
+    return relative_residual(candidate, minv)
 
 
 def verify_identity_minv1(mult: Multiplier, psi_dual: FiniteFrame,
@@ -236,29 +286,20 @@ def verify_identity_minv1(mult: Multiplier, psi_dual: FiniteFrame,
     returned residual is relative to ||Minv||; at or below rel_eps the
     identity is verified.
     """
-    minv = invert(mult, tol)
+    invert(mult, tol)  # NotInvertible takes precedence over NotADual
     if not frames.is_s_pseudo_dual(psi_dual, mult.psi, tol):
         raise NotADual("the supplied sequence does not reconstruct through the input side")
-    recip = mult.symbol.reciprocal().values
-    duals = induced_duals(mult, tol)
-    candidate = _inverse_as_multiplier(psi_dual, recip, duals.phi_dagger)
-    return relative_residual(candidate, minv)
+    return _minv1_residual(mult, psi_dual, tol)
 
 
 def verify_identity_minv2(mult: Multiplier, phi_dual: FiniteFrame,
                           tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Residual of Minv against Syn_{psi_dagger} diag(1/m) Ana_{phi_dual}.
 
-    Mirror of verify_identity_minv1 with the roles of the two sides
-    swapped; ``phi_dual`` must reconstruct through the output side.
+    verify_identity_minv1 on the adjoint; ``phi_dual`` must reconstruct
+    through the output side.
     """
-    minv = invert(mult, tol)
-    if not frames.is_a_pseudo_dual(phi_dual, mult.phi, tol):
-        raise NotADual("the supplied sequence does not reconstruct through the output side")
-    recip = mult.symbol.reciprocal().values
-    duals = induced_duals(mult, tol)
-    candidate = _inverse_as_multiplier(duals.psi_dagger, recip, phi_dual)
-    return relative_residual(candidate, minv)
+    return verify_identity_minv1(mult.adjoint(), phi_dual, tol)
 
 
 @dataclass(frozen=True)
@@ -293,14 +334,12 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     """
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
-    duals = induced_duals(mult, tol)
     tilde_psi = frames.canonical_dual(mult.psi, tol)
-
-    base = _inverse_as_multiplier(tilde_psi, recip, duals.phi_dagger)
-    base_residual = relative_residual(base, minv)
+    base_residual = _minv1_residual(mult, tilde_psi, tol)
 
     cross = mult.psi.analysis_matrix @ tilde_psi.synthesis
-    slope = (np.eye(mult.size) - cross) @ (recip[:, None] * duals.phi_dagger.analysis_matrix)
+    phi_dagger = induced_duals(mult, tol).phi_dagger
+    slope = (np.eye(mult.size) - cross) @ (recip[:, None] * phi_dagger.analysis_matrix)
     cap = 1.0 + float(np.linalg.norm(tilde_psi.synthesis))
     linear_residual = float(np.linalg.norm(slope)) * cap / float(np.linalg.norm(minv))
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
@@ -308,21 +347,7 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
 
 def certify_minv2_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> DualsCertificate:
     """Certify Minv = Syn_{psi_dagger} diag(1/m) Ana_{Phi_d} for ALL duals Phi_d."""
-    minv = invert(mult, tol)
-    recip = mult.symbol.reciprocal().values
-    duals = induced_duals(mult, tol)
-    tilde_phi = frames.canonical_dual(mult.phi, tol)
-
-    base = _inverse_as_multiplier(duals.psi_dagger, recip, tilde_phi)
-    base_residual = relative_residual(base, minv)
-
-    cross = mult.phi.analysis_matrix @ tilde_phi.synthesis
-    # Ana of the perturbed dual contributes (I - C)* H*, so the fixed factor
-    # sits on the left this time.
-    slope = (duals.psi_dagger.synthesis * recip[None, :]) @ adjoint(np.eye(mult.size) - cross)
-    cap = 1.0 + float(np.linalg.norm(tilde_phi.synthesis))
-    linear_residual = float(np.linalg.norm(slope)) * cap / float(np.linalg.norm(minv))
-    return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
+    return certify_minv1_all_duals(mult.adjoint(), tol)
 
 
 def _as_rng(seed) -> np.random.Generator:
@@ -341,14 +366,13 @@ def sampled_dual_residuals(mult: Multiplier, draws: int, *, seed,
     random duals of the input side and of the output side respectively.
     """
     rng = _as_rng(seed)
-    worst1 = 0.0
-    worst2 = 0.0
+    sides = (mult, mult.adjoint())
+    worst = [0.0, 0.0]
     for _ in range(draws):
-        psi_d = frames.random_dual(mult.psi, rng, tol)
-        phi_d = frames.random_dual(mult.phi, rng, tol)
-        worst1 = max(worst1, verify_identity_minv1(mult, psi_d, tol))
-        worst2 = max(worst2, verify_identity_minv2(mult, phi_d, tol))
-    return worst1, worst2
+        drawn = [frames.random_dual(side.psi, rng, tol) for side in sides]
+        worst = [max(w, verify_identity_minv1(side, dual, tol))
+                 for w, side, dual in zip(worst, sides, drawn)]
+    return worst[0], worst[1]
 
 
 def _stacked_nullity(dual_list: list[FiniteFrame], recip: np.ndarray,
@@ -369,10 +393,11 @@ def uniqueness_kernel(mult: Multiplier, dual_samples: int, *, seed,
     as a variable, each sampled dual Psi_d contributes linear constraints;
     the homogeneous system's numerical kernel dimension counts the leftover
     freedom. Zero certifies that the induced dual is the only length-N
-    solution (the mirrored system with sampled duals of Phi is included,
-    and the larger of the two nullities is returned). The first sample is
-    always the canonical dual; the remaining ``dual_samples - 1`` are
-    random draws, which is why a seed is required.
+    solution (the same system for the adjoint, with sampled duals of Phi, is
+    included, and the larger of the two nullities is returned). The first
+    sample is always the canonical dual; the remaining ``dual_samples - 1``
+    are random draws, one dual of Psi then one of Phi per draw, which is
+    why a seed is required.
 
     Uniqueness is certified among length-N sequences only; nothing is
     claimed about longer sequences.
@@ -380,16 +405,14 @@ def uniqueness_kernel(mult: Multiplier, dual_samples: int, *, seed,
     if dual_samples < 1:
         raise ValueError("dual_samples must be at least 1")
     invert(mult, tol)  # NotInvertible propagates
-    recip = mult.symbol.reciprocal().values
+    sides = (mult, mult.adjoint())
+    recips = [side.symbol.reciprocal().values for side in sides]
     rng = _as_rng(seed)
-    psi_duals = [frames.canonical_dual(mult.psi, tol)]
-    phi_duals = [frames.canonical_dual(mult.phi, tol)]
+    duals = [[frames.canonical_dual(side.psi, tol)] for side in sides]
     for _ in range(dual_samples - 1):
-        psi_duals.append(frames.random_dual(mult.psi, rng, tol))
-        phi_duals.append(frames.random_dual(mult.phi, rng, tol))
-    nullity_input = _stacked_nullity(psi_duals, recip, tol)
-    nullity_output = _stacked_nullity(phi_duals, np.conj(recip), tol)
-    return max(nullity_input, nullity_output)
+        for side, found in zip(sides, duals):
+            found.append(frames.random_dual(side.psi, rng, tol))
+    return max(_stacked_nullity(found, recip, tol) for found, recip in zip(duals, recips))
 
 
 def recover_pseudo_dual_F(mult: Multiplier, candidate: FiniteFrame,
@@ -400,11 +423,7 @@ def recover_pseudo_dual_F(mult: Multiplier, candidate: FiniteFrame,
     fails; when it holds, returns the synthesis-side reconstruction
     predicate for the input side, which the identity forces to be true.
     """
-    minv = invert(mult, tol)
-    recip = mult.symbol.reciprocal().values
-    duals = induced_duals(mult, tol)
-    candidate_matrix = _inverse_as_multiplier(candidate, recip, duals.phi_dagger)
-    residual = relative_residual(candidate_matrix, minv)
+    residual = _minv1_residual(mult, candidate, tol)
     if residual > tol.rel_eps:
         raise IdentityDoesNotHold(
             f"inverse identity fails for the candidate (residual {residual:.3e})",
@@ -417,20 +436,9 @@ def recover_pseudo_dual_G(mult: Multiplier, candidate: FiniteFrame,
                           tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """If Minv = Syn_{psi_dagger} diag(1/m) Ana_G holds, G reconstructs Phi.
 
-    Mirror of recover_pseudo_dual_F for the output side (analysis-side
-    reconstruction predicate).
+    recover_pseudo_dual_F on the adjoint.
     """
-    minv = invert(mult, tol)
-    recip = mult.symbol.reciprocal().values
-    duals = induced_duals(mult, tol)
-    candidate_matrix = _inverse_as_multiplier(duals.psi_dagger, recip, candidate)
-    residual = relative_residual(candidate_matrix, minv)
-    if residual > tol.rel_eps:
-        raise IdentityDoesNotHold(
-            f"inverse identity fails for the candidate (residual {residual:.3e})",
-            residual=residual,
-        )
-    return frames.is_a_pseudo_dual(candidate, mult.phi, tol)
+    return recover_pseudo_dual_F(mult.adjoint(), candidate, tol)
 
 
 def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -445,7 +453,7 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     recip = mult.symbol.reciprocal().values
     tilde_psi = frames.canonical_dual(mult.psi, tol)
     tilde_phi = frames.canonical_dual(mult.phi, tol)
-    candidate = _inverse_as_multiplier(tilde_psi, recip, tilde_phi)
+    candidate = _multiplier_matrix(recip, tilde_psi, tilde_phi)
     return relative_residual(candidate, minv)
 
 
@@ -461,22 +469,22 @@ class PropQReport:
     constant_symbol: bool
 
     def as_dict(self) -> dict:
-        return {
-            "eq1_holds": self.eq1_holds,
-            "psi_equiv_mphi": self.psi_equiv_mphi,
-            "phi_equiv_mbar_psi": self.phi_equiv_mbar_psi,
-            "psi_dagger_is_canonical": self.psi_dagger_is_canonical,
-            "phi_dagger_is_canonical": self.phi_dagger_is_canonical,
-            "constant_symbol": self.constant_symbol,
-        }
+        return asdict(self)
 
 
-def _equivalent(a: FiniteFrame, b: FiniteFrame, tol: ToleranceConfig) -> bool:
+def _input_equiv_weighted_output(mult: Multiplier, tol: ToleranceConfig) -> bool:
+    """Is Psi equivalent to (m_n phi_n)? On the adjoint: is Phi equivalent to (conj(m_n) psi_n)?"""
     try:
-        frames.equivalence_operator(a, b, tol)
+        frames.equivalence_operator(weighted_frame(mult.phi, mult.symbol), mult.psi, tol)
     except NotEquivalent:
         return False
     return True
+
+
+def _psi_dagger_is_canonical(mult: Multiplier, tol: ToleranceConfig) -> bool:
+    """Does psi_dagger equal the canonical dual of Psi? On the adjoint: phi_dagger and Phi."""
+    return frames.frames_equal(induced_duals(mult, tol).psi_dagger,
+                               frames.canonical_dual(mult.psi, tol), tol)
 
 
 def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQReport:
@@ -499,28 +507,14 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("the equivalence criteria need a zero-free symbol")
     eq1 = verify_canonical_inversion(mult, tol) <= tol.rel_eps
-
-    m_phi = weighted_frame(mult.phi, mult.symbol)
-    mbar_psi = weighted_frame(mult.psi, mult.symbol.conjugate())
-    psi_equiv_mphi = _equivalent(m_phi, mult.psi, tol)
-    phi_equiv_mbar_psi = _equivalent(mbar_psi, mult.phi, tol)
-
-    duals = induced_duals(mult, tol)
-    psi_dagger_is_canonical = frames.frames_equal(
-        duals.psi_dagger, frames.canonical_dual(mult.psi, tol), tol
-    )
-    phi_dagger_is_canonical = frames.frames_equal(
-        duals.phi_dagger, frames.canonical_dual(mult.phi, tol), tol
-    )
-    constant = mult.symbol.is_constant(tol)
-
+    adj = mult.adjoint()
     report = PropQReport(
         eq1_holds=eq1,
-        psi_equiv_mphi=psi_equiv_mphi,
-        phi_equiv_mbar_psi=phi_equiv_mbar_psi,
-        psi_dagger_is_canonical=psi_dagger_is_canonical,
-        phi_dagger_is_canonical=phi_dagger_is_canonical,
-        constant_symbol=constant,
+        psi_equiv_mphi=_input_equiv_weighted_output(mult, tol),
+        phi_equiv_mbar_psi=_input_equiv_weighted_output(adj, tol),
+        psi_dagger_is_canonical=_psi_dagger_is_canonical(mult, tol),
+        phi_dagger_is_canonical=_psi_dagger_is_canonical(adj, tol),
+        constant_symbol=mult.symbol.is_constant(tol),
     )
     _assert_prop_q_consistency(report)
     return report
@@ -596,12 +590,7 @@ class ConstantModulusReport:
         return self.invertible_and_eq1 and self.psi_equiv_mphi and self.phi_equiv_mbar_psi
 
     def as_dict(self) -> dict:
-        return {
-            "invertible_and_eq1": self.invertible_and_eq1,
-            "psi_equiv_mphi": self.psi_equiv_mphi,
-            "phi_equiv_mbar_psi": self.phi_equiv_mbar_psi,
-            "all_agree": self.all_agree,
-        }
+        return {**asdict(self), "all_agree": self.all_agree}
 
 
 def check_constant_modulus(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> ConstantModulusReport:
@@ -619,12 +608,10 @@ def check_constant_modulus(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL)
     except NotInvertible:
         invertible_and_eq1 = False
 
-    m_phi = weighted_frame(mult.phi, m)
-    mbar_psi = weighted_frame(mult.psi, m.conjugate())
     report = ConstantModulusReport(
         invertible_and_eq1=invertible_and_eq1,
-        psi_equiv_mphi=_equivalent(m_phi, mult.psi, tol),
-        phi_equiv_mbar_psi=_equivalent(mbar_psi, mult.phi, tol),
+        psi_equiv_mphi=_input_equiv_weighted_output(mult, tol),
+        phi_equiv_mbar_psi=_input_equiv_weighted_output(mult.adjoint(), tol),
     )
     if not report.all_agree:
         raise ImplicationViolated(

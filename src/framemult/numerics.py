@@ -87,26 +87,36 @@ def spectrum_hermitian(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("spectrum_hermitian requires a square matrix")
+    check_hermitian(m, tol)
+    return np.linalg.eigvalsh(m)
+
+
+def check_hermitian(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise NotHermitian when ||M - M*|| exceeds rel_eps * ||M||."""
     scale = np.linalg.norm(m)
     deviation = np.linalg.norm(m - adjoint(m))
     if deviation > tol.rel_eps * scale:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {deviation:.3e} (scale {scale:.3e})"
         )
-    return np.linalg.eigvalsh(m)
 
 
 def try_invert(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of ``a`` under the condition-number policy.
+    """Inverse of ``a`` under the condition-number policy of check_invertible."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("try_invert requires a square matrix")
+    check_invertible(np.linalg.svd(m, compute_uv=False), tol)
+    return np.linalg.inv(m)
+
+
+def check_invertible(sigmas: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """The condition-number policy, applied to descending singular values.
 
     Raises NotInvertible (with sigma_min and sigma_max attached) as soon
     as sigma_min <= sigma_max / cond_max, which covers rank deficiency and
     numerically hopeless conditioning alike.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("try_invert requires a square matrix")
-    sigmas = np.linalg.svd(m, compute_uv=False)
     sigma_max = float(sigmas[0])
     sigma_min = float(sigmas[-1])
     if sigma_max == 0.0 or sigma_min <= sigma_max / tol.cond_max:
@@ -115,12 +125,16 @@ def try_invert(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             sigma_min=sigma_min,
             sigma_max=sigma_max,
         )
-    return np.linalg.inv(m)
 
 
 def condition_number(a: np.ndarray) -> float:
     """sigma_max / sigma_min; +inf when the smallest singular value is zero."""
     sigmas = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
+    return condition_from_sigmas(sigmas)
+
+
+def condition_from_sigmas(sigmas: np.ndarray) -> float:
+    """condition_number from already computed descending singular values."""
     if float(sigmas[-1]) == 0.0:
         return float("inf")
     return float(sigmas[0] / sigmas[-1])

@@ -292,3 +292,13 @@ def test_example_run_as_dict_shape():
     assert doc["name"] == "ex5_final"
     assert doc["verdict"] == "pass"
     assert all("name" in c and "ok" in c for c in doc["checks"])
+
+
+def test_interleaved_side_with_growing_ratio_is_not_bessel():
+    # |ratio| > 1: the partial sum over the default horizon leaves float range
+    for ratio in (2, 2.0):
+        system = bs.InterleavedSystem(1, 1, 1, ratio, 1, 1, 1, 1, 1, 0.5)
+        bounds = bs.system_frame_bounds(system, "phi")
+        assert bounds.classification == "not_bessel"
+        assert bounds.lambda_max == math.inf
+        assert bounds.lambda_min == 1.0

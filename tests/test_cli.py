@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -262,3 +263,36 @@ def test_examples_runs_are_byte_identical(capsys):
     code2, out2, _ = run_cli(capsys, "examples", "run", "--all", "--horizon", "15")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
+    import framemult.cli as cli
+    import framemult.multipliers as mp
+
+    rng = np.random.default_rng(5)
+    dim, size = 3, 6
+
+    def gaussian():
+        return rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim))
+
+    symbol = mp.Symbol(rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size)))
+    assert not symbol.has_constant_modulus()
+    mult = mp.build(symbol, FiniteFrame(gaussian()), FiniteFrame(gaussian()))
+
+    counts = collections.Counter()
+    for name in ("eigvalsh", "solve", "svd", "inv", "pinv"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    tol = cli.ToleranceConfig()
+    mp.invert(mult, tol)
+    findings = []
+    cli._verify_bundle(mult, tol, 3, findings)
+    assert cli._verdict(findings) == "pass"
+    # frame bounds of Phi, Psi and m*Phi; canonical duals of the same three;
+    # the multiplier SVD plus one stacked-constraint SVD per side; one
+    # inverse; one pseudoinverse per weighted-side equivalence test
+    limits = {"eigvalsh": 3, "solve": 3, "svd": 3, "inv": 1, "pinv": 2}
+    assert all(counts[name] <= limit for name, limit in limits.items()), dict(counts)

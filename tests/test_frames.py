@@ -21,6 +21,7 @@ from framemult.frames import (
     random_frame,
     synthesis,
 )
+from framemult.numerics import ToleranceConfig
 
 
 def mercedes():
@@ -203,3 +204,14 @@ def test_random_dual_produces_duals():
     for _ in range(10):
         d = random_dual(f, rng)
         assert is_dual(d, f)
+
+
+def test_cached_spectrum_still_decides_each_tolerance_afresh():
+    frame = mercedes()
+    assert frame_bounds(frame) == pytest.approx((1.0, 3.0), abs=1e-12)
+    # bounds (1, 3): a lower bound at or below rel_eps * 3 counts as zero
+    with pytest.raises(NotAFrame):
+        frame_bounds(frame, ToleranceConfig(rel_eps=0.5))
+    with pytest.raises(NotAFrame):
+        canonical_dual(frame, ToleranceConfig(rel_eps=0.5))
+    assert canonical_dual(frame) is canonical_dual(frame)

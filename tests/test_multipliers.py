@@ -18,6 +18,7 @@ from framemult.errors import (
 )
 from framemult.frames import FiniteFrame
 from framemult.numerics import DEFAULT_TOL
+from framemult.numerics import ToleranceConfig
 
 SQRT5 = math.sqrt(5.0)
 
@@ -386,3 +387,44 @@ def test_adjoint_route_matches_conjugate_symbol_swap(seed):
     left = mp.build(m, phi, psi).matrix.conj().T
     right = mp.build(m.conjugate(), psi, phi).matrix
     assert np.allclose(left, right, atol=1e-13, rtol=0.0)
+
+
+def test_cached_inverse_still_checks_a_tighter_cond_max():
+    onb = FiniteFrame(np.eye(2))
+    mult = mp.build([1.0, 10.0], onb, onb)
+    mp.invert(mult)
+    assert mult.condition_number == pytest.approx(10.0)
+    with pytest.raises(NotInvertible):
+        mp.invert(mult, ToleranceConfig(cond_max=5.0))
+    with pytest.raises(NotInvertible):
+        mp.induced_duals(mult.adjoint(), ToleranceConfig(cond_max=5.0))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_adjoint_matches_conjugate_symbol_swap_built_from_scratch(seed):
+    rng = np.random.default_rng(seed)
+    mult = random_invertible_multiplier(rng, 2, 4)
+    adj = mult.adjoint()
+    rebuilt = mp.build(mult.symbol.conjugate(), mult.psi, mult.phi)
+    assert adj.adjoint() is mult
+    # rounding in the inverse and everything built on it grows with the condition number
+    rounding = 1e-12 * mult.condition_number
+
+    minv = mp.invert(mult)
+    assert np.array_equal(mp.invert(adj), minv.conj().T)
+    assert np.linalg.norm(mp.invert(rebuilt) - minv.conj().T) <= rounding * np.linalg.norm(minv)
+
+    duals = mp.induced_duals(mult)
+    swapped = mp.induced_duals(adj)
+    assert swapped.psi_dagger is duals.phi_dagger
+    assert swapped.phi_dagger is duals.psi_dagger
+    fresh = mp.induced_duals(rebuilt)
+    for got, want in ((fresh.psi_dagger, duals.phi_dagger), (fresh.phi_dagger, duals.psi_dagger)):
+        assert np.linalg.norm(got.synthesis - want.synthesis) <= rounding * np.linalg.norm(want.synthesis)
+
+    via_adjoint = mp.certify_minv2_all_duals(mult)
+    from_scratch = mp.certify_minv1_all_duals(rebuilt)
+    assert via_adjoint.passes() and from_scratch.passes()
+    assert abs(via_adjoint.base_residual - from_scratch.base_residual) <= rounding
+    assert abs(via_adjoint.linear_residual - from_scratch.linear_residual) <= rounding
