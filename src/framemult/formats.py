@@ -12,11 +12,20 @@ and a block-system document is {"kind": ..., "params": {...}} where kind
 is one of the fixed generator kinds listed in BLOCK_KINDS. Anything
 malformed raises ParseError; systems built from raw callables have no
 JSON form.
+
+The arrays of pairs in frame and symbol documents are checked and
+converted as a whole: one pass each over the vectors, the pairs and the
+numbers decides the structure and the element types, then one float64
+array and one finiteness test take all the numbers. Only a document
+that fails those checks is walked pair by pair with pair_to_complex,
+which names the first bad entry. Writing goes the same way, one
+(..., 2) array per document turned into nested lists.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -32,15 +41,50 @@ def pair_to_complex(pair, where: str = "value") -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
         raise ParseError(f"{where}: expected a [re, im] number pair, got {pair!r}")
-    value = complex(float(pair[0]), float(pair[1]))
+    value = complex(_to_float(pair[0], where), _to_float(pair[1], where))
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise ParseError(f"{where}: entries must be finite")
     return value
 
 
+def _to_float(x: int | float, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # an integer beyond the double range
+        raise ParseError(f"{where}: number beyond the double range") from None
+
+
 def complex_to_pair(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def _all_instances(items: list, kinds) -> bool:
+    """isinstance(x, kinds) and x is not a bool, for every x; decided per distinct type."""
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
+
+
+def _pair_array(pairs: list) -> np.ndarray | None:
+    """The [re, im] pairs as one complex array, or None if pair_to_complex rejects any.
+
+    Every check is a whole-list pass; the numbers are flattened before
+    numpy sees them, so a ragged list never becomes an object array.
+    """
+    if not _all_instances(pairs, (list, tuple)) or set(map(len, pairs)) != {2}:
+        return None
+    numbers = list(chain.from_iterable(pairs))
+    if not _all_instances(numbers, (int, float)):
+        return None
+    try:
+        flat = np.array(numbers, dtype=np.float64)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    return flat.view(np.complex128) if np.isfinite(flat).all() else None
+
+
+def _pairs(values: np.ndarray) -> list:
+    """Nested [re, im] lists for a complex array, in one conversion."""
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
 def _require_dict(obj, where: str) -> dict:
@@ -75,6 +119,11 @@ def frame_from_json(obj) -> FiniteFrame:
     vector_docs = _require_list(doc["vectors"], "frame.vectors")
     if not vector_docs:
         raise ParseError("frame: needs at least one vector")
+    if _all_instances(vector_docs, list) and set(map(len, vector_docs)) == {dim}:
+        values = _pair_array(list(chain.from_iterable(vector_docs)))
+        if values is not None:
+            return FiniteFrame(values.reshape(len(vector_docs), dim))
+    # malformed: the pair-by-pair walk raises the ParseError naming the first bad entry
     rows = []
     for n, vec in enumerate(vector_docs):
         entries = _complex_vector(vec, f"frame.vectors[{n}]")
@@ -87,13 +136,7 @@ def frame_from_json(obj) -> FiniteFrame:
 
 
 def frame_to_json(frame: FiniteFrame) -> dict:
-    return {
-        "dim": frame.dim,
-        "vectors": [
-            [complex_to_pair(z) for z in frame.vector(n)]
-            for n in range(frame.size)
-        ],
-    }
+    return {"dim": frame.dim, "vectors": _pairs(frame.synthesis.T)}
 
 
 # ------------------------------------------------------------------- symbols
@@ -103,11 +146,13 @@ def symbol_from_json(obj) -> Symbol:
     doc = _require_dict(obj, "symbol")
     if "values" not in doc:
         raise ParseError("symbol: needs 'values'")
-    return Symbol(_complex_vector(doc["values"], "symbol.values"))
+    items = _require_list(doc["values"], "symbol.values")
+    values = _pair_array(items)
+    return Symbol(values if values is not None else _complex_vector(items, "symbol.values"))
 
 
 def symbol_to_json(symbol: Symbol) -> dict:
-    return {"values": [complex_to_pair(z) for z in symbol.values]}
+    return {"values": _pairs(symbol.values)}
 
 
 # -------------------------------------------------------------- block systems
@@ -130,8 +175,9 @@ def _float_list(obj, where: str) -> list[float]:
     for i, x in enumerate(items):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise ParseError(f"{where}[{i}]: expected a number, got {x!r}")
-        out.append(float(x))
+        out.append(_to_float(x, f"{where}[{i}]"))
     return out
+
 
 
 def _params(doc: dict, *keys: str) -> dict:
@@ -189,7 +235,7 @@ def block_system_from_json(obj) -> BlockSystem | InterleavedSystem:
             transient_phi=triples[("transient", "phi")],
             transient_psi=triples[("transient", "psi")],
             transient_m=triples[("transient", "m")],
-            ratio_bound=float(bound),
+            ratio_bound=_to_float(bound, "params.ratio_bound"),
             name=name,
         )
     raise ParseError(
@@ -221,25 +267,23 @@ def block_system_to_json(sys) -> dict:
         phi_b, phi_e = sys._closed_form["phi"]
         psi_b, psi_e = sys._closed_form["psi"]
         m_b, m_e = sys._closed_form["m"]
-        pack_vectors = lambda arr: [[complex_to_pair(z) for z in row] for row in arr]
-        pack_values = lambda arr: [complex_to_pair(z) for z in arr]
         if sys.kind == "constant-template":
             return {
                 "kind": "constant-template",
                 "name": sys.name,
                 "params": {
-                    "phi": pack_vectors(phi_b),
-                    "psi": pack_vectors(psi_b),
-                    "m": pack_values(m_b),
+                    "phi": _pairs(phi_b),
+                    "psi": _pairs(psi_b),
+                    "m": _pairs(m_b),
                 },
             }
         return {
             "kind": "harmonic-weight",
             "name": sys.name,
             "params": {
-                "phi": pack_vectors(phi_b), "phi_exponents": phi_e.tolist(),
-                "psi": pack_vectors(psi_b), "psi_exponents": psi_e.tolist(),
-                "m": pack_values(m_b), "m_exponents": m_e.tolist(),
+                "phi": _pairs(phi_b), "phi_exponents": phi_e.tolist(),
+                "psi": _pairs(psi_b), "psi_exponents": psi_e.tolist(),
+                "m": _pairs(m_b), "m_exponents": m_e.tolist(),
             },
         }
     raise ParseError(f"cannot serialize {type(sys).__name__} as a block system")
@@ -254,5 +298,5 @@ def load_json_file(path: str, where: str = "input"):
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"{where}: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past Python's digit limit
         raise ParseError(f"{where}: {path} is not valid JSON: {exc}") from exc

@@ -224,12 +224,15 @@ def dual_family(param: DualFamilyParam, tol: ToleranceConfig = DEFAULT_TOL) -> F
 
     where (tilde_n) is the canonical dual. Every choice of (h_n) yields a
     dual frame, and every dual frame arises this way.
+
+    In matrices this is Syn_tilde + H (I - Ana_Phi Syn_tilde), formed as
+    Syn_tilde + H - (H Ana_Phi) Syn_tilde so that only d x d and d x N
+    products appear, never the N x N cross-correlation.
     """
     base = param.base
     h = param.perturbation_matrix()
     tilde = canonical_dual(base, tol)
-    cross = base.analysis_matrix @ tilde.synthesis  # entry [j, n] = <tilde_n, phi_j>
-    syn = tilde.synthesis + h @ (np.eye(base.size) - cross)
+    syn = tilde.synthesis + h - (h @ base.analysis_matrix) @ tilde.synthesis
     return FiniteFrame.from_synthesis(syn)
 
 

@@ -198,7 +198,11 @@ def _multiplier_matrix(values: np.ndarray, out_side: FiniteFrame, in_side: Finit
     The fixed accumulation order makes the matrix of an embedded
     block-diagonal system agree entrywise with the per-block matrices
     (zero terms from other blocks leave partial sums untouched); a BLAS
-    product would regroup the sums and lose that exactness.
+    product would regroup the sums and lose that exactness. Reserved for
+    matrices that must be entrywise exact: ``Multiplier.matrix`` and the
+    block matrices of ``blockseq``. Candidates that only feed a relative
+    residual norm (``_minv1_residual``, ``verify_canonical_inversion``) are
+    one BLAS product (Syn_out * values) @ Ana_in instead.
     """
     out = np.zeros((out_side.dim, in_side.dim), dtype=np.complex128)
     syn = out_side.synthesis
@@ -273,7 +277,8 @@ def _minv1_residual(mult: Multiplier, psi_dual: FiniteFrame, tol: ToleranceConfi
     """||Syn_{psi_dual} diag(1/m) Ana_{phi_dagger} - Minv|| / ||Minv||, unchecked."""
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
-    candidate = _multiplier_matrix(recip, psi_dual, induced_duals(mult, tol).phi_dagger)
+    phi_dagger = induced_duals(mult, tol).phi_dagger
+    candidate = (psi_dual.synthesis * recip[None, :]) @ phi_dagger.analysis_matrix
     return relative_residual(candidate, minv)
 
 
@@ -453,7 +458,7 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     recip = mult.symbol.reciprocal().values
     tilde_psi = frames.canonical_dual(mult.psi, tol)
     tilde_phi = frames.canonical_dual(mult.phi, tol)
-    candidate = _multiplier_matrix(recip, tilde_psi, tilde_phi)
+    candidate = (tilde_psi.synthesis * recip[None, :]) @ tilde_phi.analysis_matrix
     return relative_residual(candidate, minv)
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from framemult.cli import main
-from framemult.formats import frame_from_json
-from framemult.frames import FiniteFrame, is_dual
+from framemult.formats import complex_to_pair, frame_from_json
+from framemult.frames import FiniteFrame, canonical_dual, is_dual
 
 
 def write_json(path, doc):
@@ -95,6 +95,38 @@ def test_frame_info_malformed_input_exits_2(capsys, tmp_path):
     assert "error" in err
     missing_code, _, _ = run_cli(capsys, "frame-info", str(tmp_path / "none.json"))
     assert missing_code == 2
+
+
+def test_frame_info_dual_out_matches_the_per_entry_form(capsys, tmp_path):
+    rng = np.random.default_rng(7)
+    entries = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    entries[:, 0] = [complex(-0.0, -0.0)] * 5 + [complex(1.0, -0.0)] * 4
+    frame_path = write_json(tmp_path / "seeded.json", frame_doc(entries))
+    dual_path = tmp_path / "dual.json"
+    run_report(capsys, "frame-info", frame_path, "--dual-out", str(dual_path))
+    dual = canonical_dual(frame_from_json(json.loads((tmp_path / "seeded.json").read_text())))
+    per_entry = {"dim": dual.dim,
+                 "vectors": [[complex_to_pair(z) for z in dual.vector(n)]
+                             for n in range(dual.size)]}
+    assert dual_path.read_text() == json.dumps(per_entry, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("target", ["frame", "symbol"])
+def test_numbers_beyond_the_double_range_exit_2(capsys, tmp_path, mercedes_file, target):
+    huge = 10**400
+    if target == "frame":
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps({"dim": 2, "vectors": [[[1, 0], [huge, 0]]]}))
+        argv, location = ["frame-info", str(bad)], "frame.vectors[0][1]:"
+    else:
+        sym = tmp_path / "huge.json"
+        sym.write_text(json.dumps({"values": [[1, 0], [0, -huge], [1, 0]]}))
+        argv = ["multiplier", "--symbol", str(sym), "--phi", mercedes_file, "--psi", mercedes_file]
+        location = "symbol.values[1]:"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert location in err and out == ""
 
 
 # ------------------------------------------------------------------ multiplier
@@ -296,3 +328,29 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     # inverse; one pseudoinverse per weighted-side equivalence test
     limits = {"eigvalsh": 3, "solve": 3, "svd": 3, "inv": 1, "pinv": 2}
     assert all(counts[name] <= limit for name, limit in limits.items()), dict(counts)
+
+
+def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):
+    # the Python-loop accumulation is reserved for Multiplier.matrix; every
+    # residual candidate in the bundle must be a BLAS product
+    import framemult.cli as cli
+    import framemult.multipliers as mp
+
+    calls = []
+    original = mp._multiplier_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mp, "_multiplier_matrix", counted)
+    rng = np.random.default_rng(5)
+    frames = [FiniteFrame(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+              for _ in range(2)]
+    mult = mp.build(mp.Symbol(rng.uniform(0.5, 2.0, 6) + 0.5j), *frames)
+    tol = cli.ToleranceConfig()
+    mp.invert(mult, tol)
+    findings = []
+    cli._verify_bundle(mult, tol, 3, findings)
+    assert cli._verdict(findings) == "pass"
+    assert len(calls) == 1

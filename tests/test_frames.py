@@ -151,6 +151,20 @@ def test_dual_family_accepts_row_perturbations():
         DualFamilyParam(f, np.zeros((4, 4))).perturbation_matrix()
 
 
+def test_dual_family_low_rank_form_matches_the_cross_correlation_form():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 9))
+        size = int(rng.integers(dim, 4 * dim + 3))
+        base = random_frame(dim, size, rng)
+        h = rng.standard_normal((dim, size)) + 1j * rng.standard_normal((dim, size))
+        tilde = canonical_dual(base)
+        cross = base.analysis_matrix @ tilde.synthesis
+        want = tilde.synthesis + h @ (np.eye(size) - cross)
+        got = dual_family(DualFamilyParam(base, h)).synthesis
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), seed
+
+
 def test_riesz_basis_has_a_unique_dual():
     basis = FiniteFrame([[2.0, 0.0], [1.0, 1.0]])
     tilde = canonical_dual(basis)

@@ -428,3 +428,26 @@ def test_adjoint_matches_conjugate_symbol_swap_built_from_scratch(seed):
     assert via_adjoint.passes() and from_scratch.passes()
     assert abs(via_adjoint.base_residual - from_scratch.base_residual) <= rounding
     assert abs(via_adjoint.linear_residual - from_scratch.linear_residual) <= rounding
+
+
+def test_blas_residual_candidates_match_the_entrywise_exact_matrix():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 9))
+        size = int(rng.integers(dim, 4 * dim + 3))
+        mult = random_invertible_multiplier(rng, dim, size)
+        recip = mult.symbol.reciprocal().values
+        duals = mp.induced_duals(mult)
+        tilde_psi, tilde_phi = fr.canonical_dual(mult.psi), fr.canonical_dual(mult.phi)
+        minv = mp.invert(mult)
+        for out_side, in_side in ((tilde_psi, duals.phi_dagger), (tilde_psi, tilde_phi)):
+            want = mp._multiplier_matrix(recip, out_side, in_side)
+            got = (out_side.synthesis * recip[None, :]) @ in_side.analysis_matrix
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), seed
+        # the residuals the bundle reports come from those candidates
+        for residual, in_side in ((mp.verify_identity_minv1(mult, tilde_psi), duals.phi_dagger),
+                                  (mp.verify_canonical_inversion(mult), tilde_phi)):
+            exact = mp._multiplier_matrix(recip, tilde_psi, in_side)
+            scale = np.linalg.norm(minv)
+            assert abs(residual - np.linalg.norm(exact - minv) / scale) <= (
+                1e-12 * np.linalg.norm(exact) / scale), seed
