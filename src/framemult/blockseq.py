@@ -13,6 +13,15 @@ Two shapes of infinite system are covered.
 Infinite statements (limits, classifications) come from closed-form
 metadata derived from the generator parameters; the code verifies the
 metadata on finite prefixes but does not prove limits.
+
+Sweeps over blocks k = 1..horizon are stacked: ``BlockSystem.stacked``
+returns the blocks of a range as (K, L, b) and (K, L) arrays, and each
+sweep handles them with a few numpy calls per stack (stacked products,
+``inv``, ``svd`` and ``eigvalsh``) instead of Python work per block. A
+sweep takes its blocks in chunks of at most SWEEP_CHUNK, so its memory
+does not grow with the horizon. Every value a sweep reports is the one the
+per-block computation gives, bit for bit: the stacked arithmetic is the
+same elementwise and per-matrix arithmetic on the same operands.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 from . import frames as fr
 from . import multipliers as mp
 from .errors import MetadataMissing, RatioNotCertified, UnknownExample
-from .numerics import DEFAULT_TOL, ToleranceConfig
+from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint
 
 CLASS_FRAME = "frame"
 CLASS_NOT_BESSEL = "not_bessel"
@@ -42,6 +51,7 @@ _SIDE_TABLE = {
 SIDES = tuple(_SIDE_TABLE)
 
 SWEEP_HORIZON = 1000        # default per-block sweep depth
+SWEEP_CHUNK = 1024          # blocks per stacked step of a sweep; bounds a sweep's memory
 SPOT_CHECK_BLOCKS = 64      # prefix length for metadata spot checks
 SYMBOL_SPOT_CHECK = 1024    # symbol entries compared against the closed form
 
@@ -126,6 +136,8 @@ class BlockSystem:
             raise ValueError("per-block template lengths must all match")
         if phi_b.shape[1] != psi_b.shape[1]:
             raise ValueError("template vector dimensions must match")
+        if not all(np.all(np.isfinite(a)) for a in (phi_b, phi_e, psi_b, psi_e, m_b, m_e)):
+            raise ValueError("bases, exponents and weights must be finite")
         closed = {"phi": (phi_b, phi_e), "psi": (psi_b, psi_e), "m": (m_b, m_e)}
 
         def block_fn(k: int):
@@ -155,18 +167,51 @@ class BlockSystem:
             raise ValueError(f"generator returned inconsistent templates for block {k}")
         return phi, psi, m
 
+    def stacked(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Blocks first..first+count-1 stacked: phi (K,L,b), psi (K,L,b), m (K,L).
+
+        Entry i of each array equals the matching part of block(first + i)
+        bit for bit. Closed-form systems evaluate k^(-e) for all k at once;
+        generator systems stack block(k), with its shape checks, and every
+        block must have the length of the first. Non-finite entries raise
+        ValueError naming the first such block, the rule FiniteFrame and
+        Symbol apply to a single block.
+        """
+        if first < 1:
+            raise ValueError("block index starts at 1")
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        if self._closed_form is None:
+            blocks = [self.block(k) for k in range(first, first + count)]
+            for k, block in enumerate(blocks, start=first):
+                if any(a.shape != b.shape for a, b in zip(block, blocks[0])):
+                    raise ValueError(f"generator returned inconsistent templates for block {k}")
+            phi, psi, m = (np.stack(part) for part in zip(*blocks))
+        else:
+            ks = np.arange(first, first + count, dtype=float)
+            parts = []
+            for base, exponents in (self._closed_form[key] for key in ("phi", "psi", "m")):
+                # both operands in full: with a broadcast exponent np.power takes
+                # a scalar-exponent fast path (1/k for e = 1) that rounds
+                # differently from the elementwise power block(k) computes
+                weights = np.power(np.repeat(ks[:, None], exponents.size, axis=1),
+                                   np.tile(-exponents, (count, 1)))
+                parts.append(base * (weights if base.ndim == 1 else weights[:, :, None]))
+            phi, psi, m = parts
+        finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(psi).all(axis=(1, 2))
+        finite &= np.isfinite(m).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"block {first + int(np.argmin(finite))} has non-finite entries")
+        return phi, psi, m
+
     @property
     def block_length(self) -> int:
         return self.block(1)[2].size
 
     def symbol_prefix(self, count: int) -> np.ndarray:
         """First ``count`` weight entries in block order."""
-        out = []
-        k = 1
-        while len(out) < count:
-            out.extend(self.block(k)[2].tolist())
-            k += 1
-        return np.asarray(out[:count], dtype=np.complex128)
+        blocks = -(-count // self.block_length)
+        return self.stacked(1, blocks)[2].reshape(-1)[:count]
 
     def _side_closed_form(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         """Base vectors and exponents of the requested weighted side."""
@@ -181,10 +226,8 @@ class BlockSystem:
 
     def side_templates(self, side: str, k: int) -> np.ndarray:
         """Weighted template vectors of block k for one side."""
-        family, weight = _side_entry(side)
-        phi, psi, m = self.block(k)
-        base = phi if family == "phi" else psi
-        return base if weight is None else weight(m)[:, None] * base
+        entry = _side_entry(side)
+        return _weighted_side(entry, *self.block(k))
 
 
 def _side_entry(side: str):
@@ -193,6 +236,35 @@ def _side_entry(side: str):
         return _SIDE_TABLE[side]
     except KeyError:
         raise ValueError(f"unknown side {side!r}; expected one of {SIDES}") from None
+
+
+def _weighted_side(entry, phi: np.ndarray, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Templates of one side (a _SIDE_TABLE entry), for one block or a stack of blocks."""
+    family, weight = entry
+    base = phi if family == "phi" else psi
+    return base if weight is None else weight(m)[..., None] * base
+
+
+def _sweep(sys: BlockSystem, horizon: int):
+    """Blocks 1..horizon as stacks (phi, psi, m) of at most SWEEP_CHUNK blocks each."""
+    for first in range(1, horizon + 1, SWEEP_CHUNK):
+        yield sys.stacked(first, min(SWEEP_CHUNK, horizon + 1 - first))
+
+
+def _synthesis(templates: np.ndarray) -> np.ndarray:
+    """(K, b, L) synthesis stack of (K, L, b) templates, laid out as FiniteFrame stores one."""
+    return np.ascontiguousarray(templates.swapaxes(-1, -2))
+
+
+def _block_matrices(phi: np.ndarray, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The block multipliers of a stack, by the accumulation block_multiplier uses."""
+    return mp._termwise_matrices(m, _synthesis(phi), _synthesis(psi))
+
+
+def _worst_block_deviation(sys: BlockSystem, horizon: int, target: np.ndarray) -> float:
+    """max over k = 1..horizon of max |block_multiplier(sys, k) - target|."""
+    return max(float(np.max(np.abs(_block_matrices(*blocks) - target)))
+               for blocks in _sweep(sys, horizon))
 
 
 def _as_templates(vectors) -> np.ndarray:
@@ -228,21 +300,16 @@ def assemble_blocks(sys: BlockSystem, count: int) -> tuple[mp.Symbol, fr.FiniteF
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    b = sys.block_dim
-    length = sys.block_length
-    dim = b * count
-    total = length * count
-    phi_vectors = np.zeros((total, dim), dtype=np.complex128)
-    psi_vectors = np.zeros((total, dim), dtype=np.complex128)
-    weights = np.zeros(total, dtype=np.complex128)
-    for k in range(1, count + 1):
-        phi, psi, m = sys.block(k)
-        lo = (k - 1) * b
-        rows = slice((k - 1) * length, k * length)
-        phi_vectors[rows, lo:lo + b] = phi
-        psi_vectors[rows, lo:lo + b] = psi
-        weights[rows] = m
-    return mp.Symbol(weights), fr.FiniteFrame(phi_vectors), fr.FiniteFrame(psi_vectors)
+    phi, psi, m = sys.stacked(1, count)
+    length, b = phi.shape[1:]
+    diagonal = np.arange(count)
+
+    def embedded(templates: np.ndarray) -> np.ndarray:
+        out = np.zeros((count, length, count, b), dtype=np.complex128)
+        out[diagonal, :, diagonal, :] = templates
+        return out.reshape(count * length, count * b)
+
+    return mp.Symbol(m.reshape(-1)), fr.FiniteFrame(embedded(phi)), fr.FiniteFrame(embedded(psi))
 
 
 def _classify_closed_form(base: np.ndarray, exponents: np.ndarray,
@@ -265,13 +332,7 @@ def _classify_closed_form(base: np.ndarray, exponents: np.ndarray,
 
 
 def _blocks_constant_over_prefix(sys: BlockSystem, prefix: int = SPOT_CHECK_BLOCKS) -> bool:
-    first = sys.block(1)
-    for k in range(2, prefix + 1):
-        current = sys.block(k)
-        for a, b in zip(first, current):
-            if a.shape != b.shape or not np.allclose(a, b, rtol=0.0, atol=1e-14):
-                return False
-    return True
+    return all(np.allclose(part, part[:1], rtol=0.0, atol=1e-14) for part in sys.stacked(1, prefix))
 
 
 def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
@@ -285,17 +346,17 @@ def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
     """
     if isinstance(sys, InterleavedSystem):
         return sys.side_bounds(side, horizon, tol)
-    _side_entry(side)  # ValueError for an unknown side
+    entry = _side_entry(side)  # ValueError for an unknown side
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     sweep_min = math.inf
     sweep_max = 0.0
-    for k in range(1, horizon + 1):
-        templates = sys.side_templates(side, k)
-        s_block = templates.T @ np.conj(templates)
-        eigs = np.linalg.eigvalsh((s_block + s_block.conj().T) / 2.0)
-        sweep_min = min(sweep_min, float(eigs[0].real))
-        sweep_max = max(sweep_max, float(eigs[-1].real))
+    for blocks in _sweep(sys, horizon):
+        templates = _weighted_side(entry, *blocks)
+        s_blocks = templates.swapaxes(-1, -2) @ np.conj(templates)
+        eigs = np.linalg.eigvalsh((s_blocks + adjoint(s_blocks)) / 2.0)
+        sweep_min = min(sweep_min, float(np.min(eigs[:, 0])))
+        sweep_max = max(sweep_max, float(np.max(eigs[:, -1])))
 
     if sys._closed_form is not None:
         base, exponents = sys._side_closed_form(side)
@@ -693,24 +754,26 @@ def _check_flag(name: str, ok: bool, detail: str = "", value: object = None) -> 
 def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[ExampleCheck]:
     checks: list[ExampleCheck] = []
 
+    # per block k: the block multiplier against the identity; the induced
+    # duals of M_k = M(m, phi, psi) against those of the unit-symbol rebuild
+    # M(1, m*phi, psi); and the duality of M_k's induced duals
     identity_worst = 0.0
     route_worst = 0.0
     duality_ok = True
     eye = np.eye(sys.block_dim)
-    for k in range(1, horizon + 1):
-        identity_worst = max(identity_worst,
-                             float(np.max(np.abs(block_multiplier(sys, k) - eye))))
-        symbol, phi_k, psi_k = block_frames(sys, k)
-        direct = mp.build(symbol, phi_k, psi_k)
-        weighted = mp.weighted_frame(phi_k, symbol)
-        unit_route = mp.build(mp.Symbol(np.ones(len(symbol))), weighted, psi_k)
-        direct_duals = mp.induced_duals(direct, tol)
-        route_duals = mp.induced_duals(unit_route, tol)
-        route_worst = max(route_worst, float(np.max(np.abs(
-            direct_duals.psi_dagger.synthesis - route_duals.psi_dagger.synthesis))))
-        if not (fr.is_dual(direct_duals.psi_dagger, psi_k, tol)
-                and fr.is_dual(direct_duals.phi_dagger, phi_k, tol)):
-            duality_ok = False
+    for phi, psi, m in _sweep(sys, horizon):
+        phi_syn, psi_syn = _synthesis(phi), _synthesis(psi)
+        direct = mp._termwise_matrices(m, phi_syn, psi_syn)
+        identity_worst = max(identity_worst, float(np.max(np.abs(direct - eye))))
+        weighted = phi_syn * m[:, None, :]
+        ones = np.ones_like(m)
+        unit_route = mp._termwise_matrices(ones, weighted, psi_syn)
+        psi_dagger, phi_dagger = mp._stacked_induced_duals(direct, m, phi_syn, psi_syn, tol)
+        route_psi_dagger, _ = mp._stacked_induced_duals(unit_route, ones, weighted, psi_syn, tol)
+        route_worst = max(route_worst, float(np.max(np.abs(psi_dagger - route_psi_dagger))))
+        duality_ok = duality_ok and bool(np.all(
+            fr._reconstructs(psi_dagger, psi_syn, tol) & fr._reconstructs(psi_syn, psi_dagger, tol)
+            & fr._reconstructs(phi_dagger, phi_syn, tol) & fr._reconstructs(phi_syn, phi_dagger, tol)))
 
     checks.append(_check_residual("block_multiplier_is_identity", identity_worst,
                                   IDENTITY_SWEEP_TOL, f"k = 1..{horizon}"))
@@ -798,11 +861,7 @@ def _run_ex4_2(sys: InterleavedSystem, tol: ToleranceConfig, horizon: int) -> li
 
 def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[ExampleCheck]:
     checks: list[ExampleCheck] = []
-    eye = np.eye(sys.block_dim)
-    identity_worst = max(
-        float(np.max(np.abs(block_multiplier(sys, k) - eye)))
-        for k in range(1, horizon + 1)
-    )
+    identity_worst = _worst_block_deviation(sys, horizon, np.eye(sys.block_dim))
     checks.append(_check_residual("block_multiplier_is_identity", identity_worst,
                                   IDENTITY_SWEEP_TOL, f"k = 1..{horizon}"))
 
@@ -848,11 +907,7 @@ def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[Exa
 
 def _run_ex5_final(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[ExampleCheck]:
     checks: list[ExampleCheck] = []
-    double_eye = 2.0 * np.eye(sys.block_dim)
-    worst = max(
-        float(np.max(np.abs(block_multiplier(sys, k) - double_eye)))
-        for k in range(1, horizon + 1)
-    )
+    worst = _worst_block_deviation(sys, horizon, 2.0 * np.eye(sys.block_dim))
     checks.append(_check_residual("block_multiplier_is_twice_identity", worst,
                                   IDENTITY_SWEEP_TOL, f"k = 1..{horizon}"))
 
@@ -892,6 +947,8 @@ def run_example(name: str, tol: ToleranceConfig = DEFAULT_TOL,
     claimed identity, and "pass" otherwise.
     """
     entry = get_example(name)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     checks = _RUNNERS[name](entry.system, tol, horizon)
     all_ok = all(c.ok for c in checks)
     departed = any(c.documented_departure and c.ok for c in checks)

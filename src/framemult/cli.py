@@ -301,6 +301,16 @@ def cmd_examples(args) -> int:
 # --------------------------------------------------------------------- parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol-rel", type=float, default=DEFAULT_REL_EPS,
@@ -348,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("name", nargs="?", default=None,
                       help="example name for the run action")
     p_ex.add_argument("--all", action="store_true", help="run every example")
-    p_ex.add_argument("--horizon", type=int, default=blockseq.SWEEP_HORIZON,
+    p_ex.add_argument("--horizon", type=_positive_int, default=blockseq.SWEEP_HORIZON,
                       help="per-block sweep depth for run")
     p_ex.set_defaults(handler=cmd_examples)
     return parser

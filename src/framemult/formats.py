@@ -175,7 +175,10 @@ def _float_list(obj, where: str) -> list[float]:
     for i, x in enumerate(items):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise ParseError(f"{where}[{i}]: expected a number, got {x!r}")
-        out.append(_to_float(x, f"{where}[{i}]"))
+        value = _to_float(x, f"{where}[{i}]")
+        if not np.isfinite(value):
+            raise ParseError(f"{where}[{i}]: entries must be finite")
+        out.append(value)
     return out
 
 

@@ -192,10 +192,28 @@ def is_s_pseudo_dual(candidate: FiniteFrame, frame: FiniteFrame,
                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when f = sum_n <f, phi_n> c_n holds, i.e. Syn_C * Ana_Phi = I."""
     _require_same_shape(candidate, frame)
-    product = candidate.synthesis @ frame.analysis_matrix
-    residual = float(np.linalg.norm(product - np.eye(candidate.dim)))
-    scale = 1.0 + float(np.linalg.norm(candidate.synthesis)) * float(np.linalg.norm(frame.synthesis))
+    return bool(_reconstructs(candidate.synthesis, frame.synthesis, tol))
+
+
+def _reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: ToleranceConfig):
+    """The is_s_pseudo_dual test on synthesis matrices, for one pair or a stack of pairs.
+
+    ||Syn_C Ana_Phi - I|| must not exceed rel_eps (1 + ||Syn_C|| ||Syn_Phi||);
+    returns a bool, or one bool per matrix of a stack (..., d, N).
+    """
+    product = candidate_syn @ adjoint(frame_syn)
+    residual = _frobenius(product - np.eye(product.shape[-1]))
+    scale = 1.0 + _frobenius(candidate_syn) * _frobenius(frame_syn)
     return residual <= tol.rel_eps * scale
+
+
+def _frobenius(a: np.ndarray):
+    """Frobenius norm of a matrix, or of each matrix in a stack.
+
+    A single matrix keeps numpy's axis-free path, the one is_s_pseudo_dual
+    has always used.
+    """
+    return np.linalg.norm(a, axis=None if a.ndim == 2 else (-2, -1))
 
 
 def is_a_pseudo_dual(candidate: FiniteFrame, frame: FiniteFrame,

@@ -50,6 +50,7 @@ from .numerics import (
     check_invertible,
     condition_from_sigmas,
     relative_residual,
+    try_invert,
 )
 
 
@@ -195,20 +196,33 @@ class Multiplier:
 def _multiplier_matrix(values: np.ndarray, out_side: FiniteFrame, in_side: FiniteFrame) -> np.ndarray:
     """Syn_out * diag(values) * Ana_in, accumulated term by term in index order.
 
-    The fixed accumulation order makes the matrix of an embedded
-    block-diagonal system agree entrywise with the per-block matrices
-    (zero terms from other blocks leave partial sums untouched); a BLAS
-    product would regroup the sums and lose that exactness. Reserved for
-    matrices that must be entrywise exact: ``Multiplier.matrix`` and the
-    block matrices of ``blockseq``. Candidates that only feed a relative
-    residual norm (``_minv1_residual``, ``verify_canonical_inversion``) are
-    one BLAS product (Syn_out * values) @ Ana_in instead.
+    The single-matrix case of ``_termwise_matrices``, which also builds
+    the stacked block matrices of ``blockseq``: one accumulation serves
+    both, so a block matrix comes out the same whether it is built alone
+    or as part of a stack. The fixed accumulation order makes the matrix
+    of an embedded block-diagonal system agree entrywise with the
+    per-block matrices (zero terms from other blocks leave partial sums
+    untouched); a BLAS product would regroup the sums and lose that
+    exactness. Reserved for matrices that must be entrywise exact:
+    ``Multiplier.matrix`` and the block matrices of ``blockseq``.
+    Candidates that only feed a relative residual norm
+    (``_minv1_residual``, ``verify_canonical_inversion``) are one BLAS
+    product (Syn_out * values) @ Ana_in instead.
     """
-    out = np.zeros((out_side.dim, in_side.dim), dtype=np.complex128)
-    syn = out_side.synthesis
-    conj_in = np.conj(in_side.synthesis)
-    for n in range(values.size):
-        out += values[n] * np.outer(syn[:, n], conj_in[:, n])
+    return _termwise_matrices(values, out_side.synthesis, in_side.synthesis)
+
+
+def _termwise_matrices(values: np.ndarray, out_syn: np.ndarray, in_syn: np.ndarray) -> np.ndarray:
+    """sum_n values[n] out_n conj(in_n)^T, term by term, for each matrix of a stack.
+
+    ``values`` is (..., N), ``out_syn`` (..., d, N) and ``in_syn``
+    (..., e, N) with the same leading stack axes (none for one matrix);
+    the result is (..., d, e).
+    """
+    out = np.zeros(out_syn.shape[:-1] + in_syn.shape[-2:-1], dtype=np.complex128)
+    conj_in = np.conj(in_syn)
+    for n in range(values.shape[-1]):
+        out += values[..., n, None, None] * (out_syn[..., :, n, None] * conj_in[..., None, :, n])
     return out
 
 
@@ -264,13 +278,36 @@ def induced_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> Induc
             duals = induced_duals(mult._origin, tol)
             mult._duals = InducedDuals(psi_dagger=duals.phi_dagger, phi_dagger=duals.psi_dagger)
         else:
-            m = mult.symbol.values
-            psi_dagger = FiniteFrame.from_synthesis(minv @ (mult.phi.synthesis * m[None, :]))
-            phi_dagger = FiniteFrame.from_synthesis(
-                adjoint(minv) @ (mult.psi.synthesis * np.conj(m)[None, :])
-            )
-            mult._duals = InducedDuals(psi_dagger=psi_dagger, phi_dagger=phi_dagger)
+            psi_dagger, phi_dagger = _induced_dual_syntheses(
+                minv, mult.symbol.values, mult.phi.synthesis, mult.psi.synthesis)
+            mult._duals = InducedDuals(psi_dagger=FiniteFrame.from_synthesis(psi_dagger),
+                                       phi_dagger=FiniteFrame.from_synthesis(phi_dagger))
     return mult._duals
+
+
+def _induced_dual_syntheses(minv: np.ndarray, m: np.ndarray, phi_syn: np.ndarray,
+                            psi_syn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Synthesis matrices of psi_dagger and phi_dagger, for one multiplier or a stack.
+
+    Every argument may carry the same leading stack axes: minv (..., d, d),
+    m (..., N), phi_syn and psi_syn (..., d, N).
+    """
+    return (minv @ (phi_syn * m[..., None, :]),
+            adjoint(minv) @ (psi_syn * np.conj(m)[..., None, :]))
+
+
+def _stacked_induced_duals(matrices: np.ndarray, m: np.ndarray, phi_syn: np.ndarray,
+                           psi_syn: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """induced_duals for a stack of multipliers given as arrays: (psi_dagger, phi_dagger) syntheses.
+
+    ``matrices`` (K, d, d) are the multiplier matrices of the symbols m
+    (K, N) and the sides phi_syn, psi_syn (K, d, N). Same checks as
+    induced_duals, over the whole stack: ZeroSymbolEntry for any zero
+    weight, NotInvertible for the first matrix failing the policy.
+    """
+    if not np.all(m != 0):
+        raise ZeroSymbolEntry("induced duals need a symbol without zero entries")
+    return _induced_dual_syntheses(try_invert(matrices, tol), m, phi_syn, psi_syn)
 
 
 def _minv1_residual(mult: Multiplier, psi_dual: FiniteFrame, tol: ToleranceConfig) -> float:
@@ -332,19 +369,22 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     """Certify Minv = Syn_{Psi_d} diag(1/m) Ana_{phi_dagger} for ALL duals Psi_d.
 
     Duals of Psi are exactly tilde_Psi + H (I - C) over perturbations H,
-    with C the cross-correlation of Psi with its canonical dual. The defect
-    then equals defect(0) + H B for a fixed matrix B, so defect(0) == 0 and
-    B == 0 certify every dual. Both norms are reported relative to ||Minv||,
-    with B additionally scaled by the perturbation-norm cap the sampler uses.
+    with C = Ana_Psi Syn_tilde the cross-correlation of Psi with its
+    canonical dual. The defect then equals defect(0) + H B for the fixed
+    matrix B = (I - C) diag(1/m) Ana_{phi_dagger}, so defect(0) == 0 and
+    B == 0 certify every dual. B is formed as X - Ana_Psi (Syn_tilde X)
+    with X = diag(1/m) Ana_{phi_dagger}, never the N x N matrix C. Both
+    norms are reported relative to ||Minv||, with B additionally scaled by
+    the perturbation-norm cap the sampler uses.
     """
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
     tilde_psi = frames.canonical_dual(mult.psi, tol)
     base_residual = _minv1_residual(mult, tilde_psi, tol)
 
-    cross = mult.psi.analysis_matrix @ tilde_psi.synthesis
     phi_dagger = induced_duals(mult, tol).phi_dagger
-    slope = (np.eye(mult.size) - cross) @ (recip[:, None] * phi_dagger.analysis_matrix)
+    weighted = recip[:, None] * phi_dagger.analysis_matrix
+    slope = weighted - mult.psi.analysis_matrix @ (tilde_psi.synthesis @ weighted)
     cap = 1.0 + float(np.linalg.norm(tilde_psi.synthesis))
     linear_residual = float(np.linalg.norm(slope)) * cap / float(np.linalg.norm(minv))
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)

@@ -66,8 +66,8 @@ def as_vector(v, length: int | None = None) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of ``a``."""
-    return np.conj(np.asarray(a)).T
+    """Conjugate transpose of ``a``, or of each matrix in a stack (..., m, n)."""
+    return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
 def pseudoinverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -102,10 +102,14 @@ def check_hermitian(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
 
 
 def try_invert(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of ``a`` under the condition-number policy of check_invertible."""
+    """Inverse of ``a`` under the condition-number policy of check_invertible.
+
+    ``a`` may be a stack (..., n, n) of square matrices; all of them are
+    inverted, or the first one that fails the policy raises.
+    """
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("try_invert requires a square matrix")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("try_invert requires square matrices")
     check_invertible(np.linalg.svd(m, compute_uv=False), tol)
     return np.linalg.inv(m)
 
@@ -115,16 +119,29 @@ def check_invertible(sigmas: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
     Raises NotInvertible (with sigma_min and sigma_max attached) as soon
     as sigma_min <= sigma_max / cond_max, which covers rank deficiency and
-    numerically hopeless conditioning alike.
+    numerically hopeless conditioning alike. ``sigmas`` may also be a
+    stack (..., n) of such rows, one per matrix; then the first failing
+    row raises.
     """
+    if np.ndim(sigmas) > 1:
+        rows = np.reshape(sigmas, (-1, np.shape(sigmas)[-1]))
+        failing = np.flatnonzero(_fails_policy(rows[:, 0], rows[:, -1], tol))
+        if failing.size == 0:
+            return
+        sigmas = rows[failing[0]]
     sigma_max = float(sigmas[0])
     sigma_min = float(sigmas[-1])
-    if sigma_max == 0.0 or sigma_min <= sigma_max / tol.cond_max:
+    if _fails_policy(sigma_max, sigma_min, tol):
         raise NotInvertible(
             f"sigma_min={sigma_min:.3e} <= sigma_max/cond_max={sigma_max / tol.cond_max:.3e}",
             sigma_min=sigma_min,
             sigma_max=sigma_max,
         )
+
+
+def _fails_policy(sigma_max, sigma_min, tol: ToleranceConfig):
+    """The invertibility test itself, for floats or for arrays of them."""
+    return (sigma_max == 0.0) | (sigma_min <= sigma_max / tol.cond_max)
 
 
 def condition_number(a: np.ndarray) -> float:

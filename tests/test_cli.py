@@ -290,6 +290,16 @@ def test_examples_run_without_name_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("horizon", ["0", "-4", "ten"])
+def test_examples_run_rejects_a_horizon_below_one(capsys, horizon):
+    with pytest.raises(SystemExit) as info:
+        main(["examples", "run", "--all", "--horizon", horizon])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--horizon" in err
+    assert "Traceback" not in err
+
+
 def test_examples_runs_are_byte_identical(capsys):
     code1, out1, _ = run_cli(capsys, "examples", "run", "--all", "--horizon", "15")
     code2, out2, _ = run_cli(capsys, "examples", "run", "--all", "--horizon", "15")

@@ -107,6 +107,18 @@ def test_block_system_rejects_numbers_beyond_the_double_range(doc):
         fmt.block_system_from_json(doc)
 
 
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("key", ["phi_exponents", "psi_exponents", "m_exponents"])
+def test_block_system_rejects_non_finite_exponents(key, number):
+    params = {"phi": [[[1, 0]]], "phi_exponents": [0], "psi": [[[1, 0]]],
+              "psi_exponents": [1], "m": [[1, 0]], "m_exponents": [1]}
+    text = json.dumps({"kind": "harmonic-weight", "params": params})
+    text = text.replace(f'"{key}": [{params[key][0]}]', f'"{key}": [{number}]')
+    doc = json.loads(text)  # Python's json module reads these extensions as floats
+    with pytest.raises(ParseError, match=f"params.{key}"):
+        fmt.block_system_from_json(doc)
+
+
 def test_interleave_rejects_a_ratio_bound_beyond_the_double_range():
     doc = fmt.block_system_to_json(bs.example_registry()["ex4_2"].system)
     doc["params"]["ratio_bound"] = BEYOND_DOUBLE

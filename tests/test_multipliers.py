@@ -451,3 +451,20 @@ def test_blas_residual_candidates_match_the_entrywise_exact_matrix():
             scale = np.linalg.norm(minv)
             assert abs(residual - np.linalg.norm(exact - minv) / scale) <= (
                 1e-12 * np.linalg.norm(exact) / scale), seed
+
+
+def test_certificate_slope_low_rank_form_matches_the_cross_correlation_form():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 9))
+        size = int(rng.integers(dim, 4 * dim + 3))
+        mult = random_invertible_multiplier(rng, dim, size)
+        recip = mult.symbol.reciprocal().values
+        tilde_psi = fr.canonical_dual(mult.psi)
+        weighted = recip[:, None] * mp.induced_duals(mult).phi_dagger.analysis_matrix
+        cross = mult.psi.analysis_matrix @ tilde_psi.synthesis
+        slope = (np.eye(size) - cross) @ weighted
+        scale = (1.0 + np.linalg.norm(tilde_psi.synthesis)) / np.linalg.norm(mp.invert(mult))
+        linear_residual = mp.certify_minv1_all_duals(mult).linear_residual
+        assert abs(linear_residual - np.linalg.norm(slope) * scale) <= (
+            1e-12 * np.linalg.norm(weighted) * scale), seed
