@@ -35,6 +35,8 @@ from . import frames as fr
 from . import multipliers as mp
 from .errors import MetadataMissing, RatioNotCertified, UnknownExample
 from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint
+from .report import finding
+from .report import verdict as report_verdict
 
 CLASS_FRAME = "frame"
 CLASS_NOT_BESSEL = "not_bessel"
@@ -94,13 +96,12 @@ class BlockSystem:
     """
 
     def __init__(self, block_dim: int, block_fn, *, name: str = "",
-                 kind: str | None = None, closed_form: dict | None = None) -> None:
+                 closed_form: dict | None = None) -> None:
         if block_dim < 1:
             raise ValueError("block_dim must be positive")
         self.block_dim = int(block_dim)
         self._block_fn = block_fn
         self.name = name
-        self.kind = kind
         self._closed_form = closed_form  # {"phi": (base, exp), "psi": ..., "m": ...}
 
     # ---------------------------------------------------------------- construction
@@ -112,8 +113,7 @@ class BlockSystem:
         psi_b = _as_templates(psi)
         m_b = np.asarray(m, dtype=np.complex128).reshape(-1)
         zeros = np.zeros(m_b.size)
-        return cls._from_closed_form(phi_b, zeros, psi_b, zeros, m_b, zeros,
-                                     kind="constant-template", name=name)
+        return cls._from_closed_form(phi_b, zeros, psi_b, zeros, m_b, zeros, name=name)
 
     @classmethod
     def harmonic_weight(cls, phi, phi_exponents, psi, psi_exponents,
@@ -124,12 +124,12 @@ class BlockSystem:
             _as_templates(psi), np.asarray(psi_exponents, dtype=float).reshape(-1),
             np.asarray(m, dtype=np.complex128).reshape(-1),
             np.asarray(m_exponents, dtype=float).reshape(-1),
-            kind="harmonic-weight", name=name,
+            name=name,
         )
 
     @classmethod
     def _from_closed_form(cls, phi_b, phi_e, psi_b, psi_e, m_b, m_e, *,
-                          kind: str, name: str) -> "BlockSystem":
+                          name: str) -> "BlockSystem":
         length = m_b.size
         if not (phi_b.shape[0] == psi_b.shape[0] == length
                 and phi_e.size == psi_e.size == m_e.size == length):
@@ -146,12 +146,12 @@ class BlockSystem:
             wm = np.power(float(k), -m_e)
             return phi_b * wp[:, None], psi_b * wq[:, None], m_b * wm
 
-        return cls(phi_b.shape[1], block_fn, name=name, kind=kind, closed_form=closed)
+        return cls(phi_b.shape[1], block_fn, name=name, closed_form=closed)
 
     @classmethod
     def from_generator(cls, block_dim: int, block_fn, *, name: str = "") -> "BlockSystem":
         """Wrap an arbitrary callable k -> (phi_k, psi_k, m_k); no closed form."""
-        return cls(block_dim, block_fn, name=name, kind=None, closed_form=None)
+        return cls(block_dim, block_fn, name=name)
 
     # ---------------------------------------------------------------- access
 
@@ -486,15 +486,18 @@ class InterleavedSystem:
             previous = current
 
     def symbol_prefix(self, count: int) -> np.ndarray:
-        """Weight entries in sequence order: head, then transient/recurrent pairs."""
-        out = [self.m_head]
-        k = 1
-        while len(out) < count:
-            out.append(self.transient_m)
-            if len(out) < count:
-                out.append(self.m_head * self.m_ratio ** k)
-            k += 1
-        return np.asarray(out[:count], dtype=np.complex128)
+        """Weight entries in sequence order: head, then transient/recurrent pairs.
+
+        Recurrent entries beyond the double range come out non-finite,
+        without a warning.
+        """
+        pairs = count // 2
+        out = np.empty(2 * pairs + 1, dtype=np.complex128)
+        out[0] = self.m_head
+        out[1::2] = self.transient_m
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[2::2] = self.m_head * np.power(complex(self.m_ratio), np.arange(1, pairs + 1))
+        return out[:count]
 
     def _symbol_profile_closed_form(self) -> SymbolProfile:
         entries: list[tuple[float, float, bool]] = []
@@ -529,18 +532,14 @@ class InterleavedSystem:
                     tol: ToleranceConfig = DEFAULT_TOL) -> SystemBounds:
         """Frame-bound extremes over directions, with closed-form classification.
 
-        The recurrent direction accumulates sum_k |head * ratio^k|^2 and
-        every transient direction contributes |transient|^2 once.
+        The recurrent direction accumulates sum_k |head * ratio^k|^2 over
+        k = 0..horizon and every transient direction contributes
+        |transient|^2 once. A bound beyond the double range is inf.
         """
-        head, ratio, transient = self._side_params(side)
-        head_sq = float(abs(head)) ** 2
-        ratio_sq = float(abs(ratio)) ** 2
-        transient_sq = abs(transient) ** 2
-
-        try:
-            partial = head_sq * sum(ratio_sq ** k for k in range(horizon + 1))
-        except OverflowError:  # ratio_sq > 1: the partial sum leaves float range
-            partial = math.inf if head_sq > 0.0 else 0.0
+        with np.errstate(over="ignore"):
+            moduli_sq = np.abs(np.array(self._side_params(side), dtype=np.complex128)) ** 2
+        head_sq, ratio_sq, transient_sq = moduli_sq.tolist()
+        partial = head_sq * _geometric_sum(ratio_sq, horizon + 1) if head_sq > 0.0 else 0.0
         lam_min = min(partial, transient_sq)
         lam_max = max(partial, transient_sq)
 
@@ -555,6 +554,16 @@ class InterleavedSystem:
                               else CLASS_BESSEL_NOT_FRAME)
         return SystemBounds(lambda_min=lam_min, lambda_max=lam_max,
                             classification=classification)
+
+
+def _geometric_sum(ratio: float, terms: int) -> float:
+    """sum_{k < terms} ratio^k for ratio >= 0, in closed form; inf beyond the double range."""
+    if ratio == 1.0:
+        return float(terms)
+    if math.isinf(ratio):
+        return math.inf
+    with np.errstate(over="ignore", divide="ignore"):  # log(0) = -inf gives the sum 1
+        return float(np.expm1(terms * np.log(ratio)) / (ratio - 1.0))
 
 
 def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray, float]:
@@ -594,45 +603,15 @@ def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray
 
 
 @dataclass(frozen=True)
-class ExampleCheck:
-    """One verified statement about a registry example."""
-
-    name: str
-    ok: bool
-    residual: float | None = None
-    tolerance: float | None = None
-    value: object = None
-    detail: str = ""
-    documented_departure: bool = False
-
-    def as_dict(self) -> dict:
-        out: dict = {"name": self.name, "ok": self.ok}
-        if self.residual is not None:
-            out["residual"] = self.residual
-            out["tolerance"] = self.tolerance
-        if self.value is not None:
-            out["value"] = self.value
-        if self.detail:
-            out["detail"] = self.detail
-        if self.documented_departure:
-            out["documented_departure"] = True
-        return out
-
-
-@dataclass(frozen=True)
 class ExampleRun:
     """Outcome of running one example's annotated expectation list."""
 
     name: str
-    checks: tuple[ExampleCheck, ...]
-    verdict: str  # pass | fail | flagged
+    checks: tuple[dict, ...]  # report findings, all asserted
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "checks": [c.as_dict() for c in self.checks],
-        }
+    @property
+    def verdict(self) -> str:
+        return report_verdict(self.checks)
 
 
 @dataclass(frozen=True)
@@ -740,19 +719,8 @@ IDENTITY_SWEEP_TOL = 1e-12
 REPRODUCTION_TOL = 1e-10
 
 
-def _check_residual(name: str, residual: float, tolerance: float,
-                    detail: str = "") -> ExampleCheck:
-    return ExampleCheck(name=name, ok=bool(residual <= tolerance),
-                        residual=float(residual), tolerance=float(tolerance),
-                        detail=detail)
-
-
-def _check_flag(name: str, ok: bool, detail: str = "", value: object = None) -> ExampleCheck:
-    return ExampleCheck(name=name, ok=bool(ok), detail=detail, value=value)
-
-
-def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[ExampleCheck]:
-    checks: list[ExampleCheck] = []
+def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dict]:
+    checks: list[dict] = []
 
     # per block k: the block multiplier against the identity; the induced
     # duals of M_k = M(m, phi, psi) against those of the unit-symbol rebuild
@@ -775,26 +743,25 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[Exa
             fr._reconstructs(psi_dagger, psi_syn, tol) & fr._reconstructs(psi_syn, psi_dagger, tol)
             & fr._reconstructs(phi_dagger, phi_syn, tol) & fr._reconstructs(phi_syn, phi_dagger, tol)))
 
-    checks.append(_check_residual("block_multiplier_is_identity", identity_worst,
-                                  IDENTITY_SWEEP_TOL, f"k = 1..{horizon}"))
-    checks.append(_check_residual("unit_symbol_route_matches_induced_duals", route_worst,
-                                  REPRODUCTION_TOL, f"k = 1..{horizon}"))
-    checks.append(_check_flag("induced_duals_pass_duality_per_block", duality_ok))
+    checks.append(finding("block_multiplier_is_identity", residual=identity_worst,
+                          tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
+    checks.append(finding("unit_symbol_route_matches_induced_duals", residual=route_worst,
+                          tolerance=REPRODUCTION_TOL, detail=f"k = 1..{horizon}"))
+    checks.append(finding("induced_duals_pass_duality_per_block", duality_ok))
 
     profile = symbol_profile(sys, tol)
-    checks.append(_check_flag("symbol_bounded", profile.bounded,
-                              value=profile.sup_modulus))
-    checks.append(_check_flag("symbol_not_semi_normalized", not profile.semi_normalized,
-                              value=profile.inf_modulus))
-    checks.append(_check_flag("symbol_all_nonzero", profile.all_nonzero))
+    checks.append(finding("symbol_bounded", profile.bounded, value=profile.sup_modulus))
+    checks.append(finding("symbol_not_semi_normalized", not profile.semi_normalized,
+                          value=profile.inf_modulus))
+    checks.append(finding("symbol_all_nonzero", profile.all_nonzero))
 
     bounds = system_frame_bounds(sys, "mphi", horizon, tol)
     in_window = (bounds.classification == CLASS_FRAME
                  and 1.0 < bounds.lambda_min
                  and bounds.lambda_max <= 3.0 + IDENTITY_SWEEP_TOL)
-    checks.append(_check_flag("weighted_output_side_is_frame_with_expected_bounds", in_window,
-                              value=[bounds.lambda_min, bounds.lambda_max],
-                              detail="per-block extremes stay inside (1, 3]"))
+    checks.append(finding("weighted_output_side_is_frame_with_expected_bounds", in_window,
+                          value=[bounds.lambda_min, bounds.lambda_max],
+                          detail="per-block extremes stay inside (1, 3]"))
     return checks
 
 
@@ -810,86 +777,83 @@ def _independent_recurrent_total(sys: InterleavedSystem, stop: float = 1e-16) ->
         k += 1
 
 
-def _run_ex4_2(sys: InterleavedSystem, tol: ToleranceConfig, horizon: int) -> list[ExampleCheck]:
-    checks: list[ExampleCheck] = []
+def _run_ex4_2(sys: InterleavedSystem, tol: ToleranceConfig, horizon: int) -> list[dict]:
+    checks: list[dict] = []
     try:
         sys.certify_ratio()
-        checks.append(_check_flag("tail_ratio_certified", True, value=sys.ratio_bound))
+        checks.append(finding("tail_ratio_certified", True, value=sys.ratio_bound))
     except RatioNotCertified as exc:  # pragma: no cover - registry data is certified
-        checks.append(_check_flag("tail_ratio_certified", False, detail=str(exc)))
+        checks.append(finding("tail_ratio_certified", False, detail=str(exc)))
         return checks
 
     basis2 = np.array([0.0, 1.0])
     image2, bound2 = interleaved_apply(sys, basis2, IDENTITY_SWEEP_TOL)
-    checks.append(_check_residual("transient_direction_exact",
-                                  float(np.max(np.abs(image2 - basis2))), 0.0,
-                                  detail="one term only, bound must be zero"))
-    checks.append(_check_flag("transient_bound_is_zero", bound2 == 0.0))
+    checks.append(finding("transient_direction_exact",
+                          residual=np.max(np.abs(image2 - basis2)), tolerance=0.0,
+                          detail="one term only, bound must be zero"))
+    checks.append(finding("transient_bound_is_zero", bound2 == 0.0))
 
     basis1 = np.array([1.0, 0.0])
     image1, bound1 = interleaved_apply(sys, basis1, IDENTITY_SWEEP_TOL)
     total = float(image1[0].real)
     oracle = _independent_recurrent_total(sys)
-    checks.append(_check_flag("tail_bound_at_most_tolerance", bound1 <= IDENTITY_SWEEP_TOL,
-                              value=bound1))
-    checks.append(_check_residual("recurrent_total_matches_partial_summation",
-                                  abs(total - oracle), IDENTITY_SWEEP_TOL + bound1,
-                                  detail=f"computed {total!r} vs summed {oracle!r}"))
-    checks.append(ExampleCheck(
-        name="departs_from_claimed_uniform_identity",
-        ok=abs(total - 1.0) > 1e-6,
-        value=total,
-        detail="the recurrent direction coefficient is 2, not 1; "
-               "the certified computation is authoritative",
-        documented_departure=True,
-    ))
+    checks.append(finding("tail_bound_at_most_tolerance", bound1 <= IDENTITY_SWEEP_TOL,
+                          value=bound1))
+    checks.append(finding("recurrent_total_matches_partial_summation",
+                          residual=abs(total - oracle), tolerance=IDENTITY_SWEEP_TOL + bound1,
+                          detail=f"computed {total!r} vs summed {oracle!r}"))
+    checks.append(finding("departs_from_claimed_uniform_identity", abs(total - 1.0) > 1e-6,
+                          value=total,
+                          detail="the recurrent direction coefficient is 2, not 1; "
+                                 "the certified computation is authoritative",
+                          documented_departure=True))
 
     profile = symbol_profile(sys, tol)
-    checks.append(_check_flag("symbol_unbounded", not profile.bounded))
-    checks.append(_check_flag("symbol_all_nonzero", profile.all_nonzero))
+    checks.append(finding("symbol_unbounded", not profile.bounded))
+    checks.append(finding("symbol_all_nonzero", profile.all_nonzero))
 
-    checks.append(_check_flag(
+    checks.append(finding(
         "conjugate_weighted_input_side_not_bessel",
         system_frame_bounds(sys, "mbar_psi", horizon, tol).classification == CLASS_NOT_BESSEL,
     ))
-    checks.append(_check_flag(
+    checks.append(finding(
         "weighted_output_side_is_frame",
         system_frame_bounds(sys, "mphi", horizon, tol).classification == CLASS_FRAME,
     ))
     return checks
 
 
-def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[ExampleCheck]:
-    checks: list[ExampleCheck] = []
+def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dict]:
+    checks: list[dict] = []
     identity_worst = _worst_block_deviation(sys, horizon, np.eye(sys.block_dim))
-    checks.append(_check_residual("block_multiplier_is_identity", identity_worst,
-                                  IDENTITY_SWEEP_TOL, f"k = 1..{horizon}"))
+    checks.append(finding("block_multiplier_is_identity", residual=identity_worst,
+                          tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
 
     symbol, phi_k, psi_k = block_frames(sys, 1)
     third_phi = fr.FiniteFrame.from_synthesis(phi_k.synthesis / 3.0)
     third_psi = fr.FiniteFrame.from_synthesis(psi_k.synthesis / 3.0)
     dual_phi = fr.canonical_dual(phi_k, tol)
     dual_psi = fr.canonical_dual(psi_k, tol)
-    checks.append(_check_residual(
+    checks.append(finding(
         "canonical_duals_are_one_third_of_templates",
-        max(float(np.max(np.abs(dual_phi.synthesis - third_phi.synthesis))),
-            float(np.max(np.abs(dual_psi.synthesis - third_psi.synthesis)))),
-        REPRODUCTION_TOL,
+        residual=max(float(np.max(np.abs(dual_phi.synthesis - third_phi.synthesis))),
+                     float(np.max(np.abs(dual_psi.synthesis - third_psi.synthesis)))),
+        tolerance=REPRODUCTION_TOL,
     ))
 
     mult = mp.build(symbol, phi_k, psi_k)
-    checks.append(_check_residual("canonical_inversion_identity_holds",
-                                  mp.verify_canonical_inversion(mult, tol),
-                                  REPRODUCTION_TOL))
+    checks.append(finding("canonical_inversion_identity_holds",
+                          residual=mp.verify_canonical_inversion(mult, tol),
+                          tolerance=REPRODUCTION_TOL))
 
     report = mp.check_prop_q(mult, tol)
-    checks.append(_check_flag(
+    checks.append(finding(
         "equivalences_fail_while_inversion_holds",
         report.eq1_holds and not report.psi_equiv_mphi and not report.phi_equiv_mbar_psi
         and not report.psi_dagger_is_canonical and not report.phi_dagger_is_canonical,
         value=report.as_dict(),
     ))
-    checks.append(_check_flag(
+    checks.append(finding(
         "weighted_canonical_shortcut_fails",
         not mp.check_weighted_canonical(phi_k, symbol, tol),
     ))
@@ -900,33 +864,33 @@ def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[Exa
     profile_ok = (profile.semi_normalized
                   and abs(profile.inf_modulus - expected_inf) <= IDENTITY_SWEEP_TOL
                   and abs(profile.sup_modulus - expected_sup) <= IDENTITY_SWEEP_TOL)
-    checks.append(_check_flag("symbol_semi_normalized_with_expected_envelope", profile_ok,
-                              value=[profile.inf_modulus, profile.sup_modulus]))
+    checks.append(finding("symbol_semi_normalized_with_expected_envelope", profile_ok,
+                          value=[profile.inf_modulus, profile.sup_modulus]))
     return checks
 
 
-def _run_ex5_final(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[ExampleCheck]:
-    checks: list[ExampleCheck] = []
+def _run_ex5_final(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dict]:
+    checks: list[dict] = []
     worst = _worst_block_deviation(sys, horizon, 2.0 * np.eye(sys.block_dim))
-    checks.append(_check_residual("block_multiplier_is_twice_identity", worst,
-                                  IDENTITY_SWEEP_TOL, f"k = 1..{horizon}"))
+    checks.append(finding("block_multiplier_is_twice_identity", residual=worst,
+                          tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
 
     symbol, phi_k, psi_k = block_frames(sys, 1)
     weighted_out = mp.weighted_frame(phi_k, symbol)
     weighted_in = mp.weighted_frame(psi_k, symbol.conjugate())
     exact = (float(np.max(np.abs(weighted_out.synthesis - psi_k.synthesis))) == 0.0
              and float(np.max(np.abs(weighted_in.synthesis - phi_k.synthesis))) == 0.0)
-    checks.append(_check_flag("weighted_sides_coincide_with_counterparts", exact,
-                              detail="input side equals the weighted output side entrywise"))
+    checks.append(finding("weighted_sides_coincide_with_counterparts", exact,
+                          detail="input side equals the weighted output side entrywise"))
 
     mult = mp.build(symbol, phi_k, psi_k)
     report = mp.check_constant_modulus(mult, tol)
-    checks.append(_check_flag("constant_modulus_chain_all_equivalent",
-                              report.all_equivalent, value=report.as_dict()))
+    checks.append(finding("constant_modulus_chain_all_equivalent",
+                          report.all_equivalent, value=report.as_dict()))
 
     profile = symbol_profile(sys, tol)
-    checks.append(_check_flag("symbol_unimodular",
-                              profile.inf_modulus == 1.0 and profile.sup_modulus == 1.0))
+    checks.append(finding("symbol_unimodular",
+                          profile.inf_modulus == 1.0 and profile.sup_modulus == 1.0))
     return checks
 
 
@@ -944,18 +908,9 @@ def run_example(name: str, tol: ToleranceConfig = DEFAULT_TOL,
 
     The verdict is "fail" when any check misses, "flagged" when every
     check holds but one of them records a documented departure from the
-    claimed identity, and "pass" otherwise.
+    claimed identity, and "pass" otherwise: report.verdict over the checks.
     """
     entry = get_example(name)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    checks = _RUNNERS[name](entry.system, tol, horizon)
-    all_ok = all(c.ok for c in checks)
-    departed = any(c.documented_departure and c.ok for c in checks)
-    if not all_ok:
-        verdict = "fail"
-    elif departed:
-        verdict = "flagged"
-    else:
-        verdict = "pass"
-    return ExampleRun(name=name, checks=tuple(checks), verdict=verdict)
+    return ExampleRun(name=name, checks=tuple(_RUNNERS[name](entry.system, tol, horizon)))

@@ -10,7 +10,9 @@ the same --seed where sampling is involved) give byte-identical output.
 Exit code 0 means the report was produced, whatever its verdict says;
 exit code 2 is reserved for usage and input errors (unreadable or
 malformed files, mismatched dimensions, zero symbol entries where a
-reciprocal is required, unknown example names, missing --seed).
+reciprocal is required, unknown example names, missing or negative
+--seed, tolerances ToleranceConfig rejects, output paths that cannot be
+written). Those print one ``error:`` line to stderr and no report.
 """
 
 from __future__ import annotations
@@ -38,35 +40,17 @@ from .numerics import (
     ToleranceConfig,
     condition_number,  # noqa: F401 - perfbench/worker.py calls cli.condition_number
 )
+from .report import finding
+from .report import verdict as _verdict
 
 USAGE_ERROR = 2
 
 
+class UsageError(Exception):
+    """A bad option value or an unwritable output path; main exits 2."""
+
+
 # ------------------------------------------------------------------ reporting
-
-
-def _finding(name: str, ok: bool, *, asserted: bool, residual: float | None = None,
-             tolerance: float | None = None, value=None, detail: str = "",
-             documented_departure: bool = False) -> dict:
-    out: dict = {"name": name, "ok": bool(ok), "asserted": bool(asserted)}
-    if residual is not None:
-        out["residual"] = float(residual)
-        out["tolerance"] = float(tolerance)
-    if value is not None:
-        out["value"] = value
-    if detail:
-        out["detail"] = detail
-    if documented_departure:
-        out["documented_departure"] = True
-    return out
-
-
-def _verdict(findings: list[dict]) -> str:
-    if any(f["asserted"] and not f["ok"] for f in findings):
-        return "fail"
-    if any(f.get("documented_departure") for f in findings):
-        return "flagged"
-    return "pass"
 
 
 def _file_digest(path: str) -> str:
@@ -86,52 +70,63 @@ def _emit(args, command: str, inputs: dict, findings: list[dict]) -> int:
         "verdict": _verdict(findings),
     }
     text = json.dumps(report, sort_keys=True, indent=2 if args.pretty else None) + "\n"
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.out, text)
+    sys.stdout.write(text)
     return 0
 
 
-def _tol(args) -> ToleranceConfig:
-    return ToleranceConfig(rel_eps=args.tol_rel, cond_max=args.cond_max)
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _tolerances(args) -> ToleranceConfig:
+    """The tolerance policy of the shared options, checked before any command runs."""
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
+    try:
+        return ToleranceConfig(rel_eps=args.tol_rel, cond_max=args.cond_max)
+    except ValueError as exc:
+        message = f"--tol-rel {args.tol_rel}, --cond-max {args.cond_max}: {exc}"
+        raise UsageError(message) from None
 
 
 # ------------------------------------------------------------------ frame-info
 
 
 def cmd_frame_info(args) -> int:
-    tol = _tol(args)
+    tol = args.tol
     frame = formats.frame_from_json(formats.load_json_file(args.frame, "frame"))
     inputs = {"frame": {"path": args.frame, "sha256": _file_digest(args.frame)}}
     findings = [
-        _finding("dimensions", True, asserted=False,
-                 value={"dim": frame.dim, "size": frame.size}),
+        finding("dimensions", True, asserted=False,
+                value={"dim": frame.dim, "size": frame.size}),
     ]
     spans = True
     try:
         lower, upper = frames.frame_bounds(frame, tol)
-        findings.append(_finding("frame_bounds", True, asserted=False,
-                                 value=[lower, upper]))
+        findings.append(finding("frame_bounds", True, asserted=False, value=[lower, upper]))
     except NotAFrame as exc:
         spans = False
-        findings.append(_finding("frame_bounds", False, asserted=False, detail=str(exc)))
-    findings.append(_finding("riesz_basis", True, asserted=False,
-                             value=frames.is_riesz_basis(frame, tol)))
+        findings.append(finding("frame_bounds", False, asserted=False, detail=str(exc)))
+    findings.append(finding("riesz_basis", True, asserted=False,
+                            value=frames.is_riesz_basis(frame, tol)))
 
     if args.dual_out:
         if spans:
             dual = frames.canonical_dual(frame, tol)
-            payload = json.dumps(formats.frame_to_json(dual), sort_keys=True) + "\n"
-            with open(args.dual_out, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            findings.append(_finding("canonical_dual_written", True, asserted=True,
-                                     value=args.dual_out))
-            findings.append(_finding("canonical_dual_reconstructs",
-                                     frames.is_dual(dual, frame, tol), asserted=True))
+            _write_text(args.dual_out,
+                        json.dumps(formats.frame_to_json(dual), sort_keys=True) + "\n")
+            findings.append(finding("canonical_dual_written", True, value=args.dual_out))
+            findings.append(finding("canonical_dual_reconstructs",
+                                    frames.is_dual(dual, frame, tol)))
         else:
-            findings.append(_finding(
-                "canonical_dual_written", False, asserted=True,
+            findings.append(finding(
+                "canonical_dual_written", False,
                 detail="the vectors do not span, so there is no canonical dual",
             ))
     return _emit(args, "frame-info", inputs, findings)
@@ -143,10 +138,10 @@ def cmd_frame_info(args) -> int:
 def _induced_dual_findings(mult: mp.Multiplier, tol: ToleranceConfig,
                            findings: list[dict]) -> None:
     duals = mp.induced_duals(mult, tol)
-    findings.append(_finding("induced_dual_of_input_side_is_dual",
-                             frames.is_dual(duals.psi_dagger, mult.psi, tol), asserted=True))
-    findings.append(_finding("induced_dual_of_output_side_is_dual",
-                             frames.is_dual(duals.phi_dagger, mult.phi, tol), asserted=True))
+    findings.append(finding("induced_dual_of_input_side_is_dual",
+                            frames.is_dual(duals.psi_dagger, mult.psi, tol)))
+    findings.append(finding("induced_dual_of_output_side_is_dual",
+                            frames.is_dual(duals.phi_dagger, mult.phi, tol)))
 
 
 def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
@@ -157,40 +152,33 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
 
     cert1 = mp.certify_minv1_all_duals(mult, tol)
     cert2 = mp.certify_minv2_all_duals(mult, tol)
-    findings.append(_finding("inverse_identity_all_input_duals",
-                             cert1.passes(tol), asserted=True,
-                             residual=cert1.max_residual, tolerance=tol.rel_eps))
-    findings.append(_finding("inverse_identity_all_output_duals",
-                             cert2.passes(tol), asserted=True,
-                             residual=cert2.max_residual, tolerance=tol.rel_eps))
+    findings.append(finding("inverse_identity_all_input_duals",
+                            residual=cert1.max_residual, tolerance=tol.rel_eps))
+    findings.append(finding("inverse_identity_all_output_duals",
+                            residual=cert2.max_residual, tolerance=tol.rel_eps))
 
     worst1, worst2 = mp.sampled_dual_residuals(mult, draws=3, seed=seed, tol=tol)
-    findings.append(_finding("sampled_input_duals_match_inverse",
-                             worst1 <= identity_tol, asserted=True,
-                             residual=worst1, tolerance=identity_tol))
-    findings.append(_finding("sampled_output_duals_match_inverse",
-                             worst2 <= identity_tol, asserted=True,
-                             residual=worst2, tolerance=identity_tol))
+    findings.append(finding("sampled_input_duals_match_inverse",
+                            residual=worst1, tolerance=identity_tol))
+    findings.append(finding("sampled_output_duals_match_inverse",
+                            residual=worst2, tolerance=identity_tol))
 
     samples = math.ceil(mult.size / mult.dim) + 2
     kernel = mp.uniqueness_kernel(mult, samples, seed=seed, tol=tol)
-    findings.append(_finding("uniqueness_kernel_trivial", kernel == 0, asserted=True,
-                             value=kernel, detail=f"{samples} dual samples per side"))
+    findings.append(finding("uniqueness_kernel_trivial", kernel == 0,
+                            value=kernel, detail=f"{samples} dual samples per side"))
 
     eq1_residual = mp.verify_canonical_inversion(mult, tol)
-    findings.append(_finding("canonical_duals_invert", eq1_residual <= tol.rel_eps,
-                             asserted=False, residual=eq1_residual,
-                             tolerance=tol.rel_eps))
+    findings.append(finding("canonical_duals_invert", asserted=False,
+                            residual=eq1_residual, tolerance=tol.rel_eps))
 
     try:
         report = mp.check_prop_q(mult, tol)
-        findings.append(_finding("inversion_equivalence_criteria", True, asserted=True,
-                                 value=report.as_dict()))
+        findings.append(finding("inversion_equivalence_criteria", True, value=report.as_dict()))
     except ImplicationViolated as exc:
-        findings.append(_finding("inversion_equivalence_criteria", False, asserted=True,
-                                 detail=str(exc)))
+        findings.append(finding("inversion_equivalence_criteria", False, detail=str(exc)))
 
-    findings.append(_finding(
+    findings.append(finding(
         "weighted_canonical_shortcut", True, asserted=False,
         value=mp.check_weighted_canonical(mult.phi, mult.symbol, tol),
     ))
@@ -198,19 +186,16 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
     if mult.symbol.inf_modulus > 0.0 and mult.symbol.has_constant_modulus(tol):
         try:
             chain = mp.check_constant_modulus(mult, tol)
-            findings.append(_finding("constant_modulus_chain", chain.all_agree,
-                                     asserted=True, value=chain.as_dict()))
+            findings.append(finding("constant_modulus_chain", chain.all_agree,
+                                    value=chain.as_dict()))
         except ImplicationViolated as exc:
-            findings.append(_finding("constant_modulus_chain", False, asserted=True,
-                                     detail=str(exc)))
+            findings.append(finding("constant_modulus_chain", False, detail=str(exc)))
 
 
 def cmd_multiplier(args) -> int:
-    tol = _tol(args)
+    tol = args.tol
     if args.verify_all and args.seed is None:
-        print("error: --verify-all samples random duals and needs --seed",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("--verify-all samples random duals and needs --seed")
 
     symbol = formats.symbol_from_json(formats.load_json_file(args.symbol, "symbol"))
     phi = formats.frame_from_json(formats.load_json_file(args.phi, "phi"))
@@ -226,8 +211,8 @@ def cmd_multiplier(args) -> int:
         inputs["seed"] = args.seed
 
     findings = [
-        _finding("dimensions", True, asserted=False,
-                 value={"dim": mult.dim, "size": mult.size}),
+        finding("dimensions", True, asserted=False,
+                value={"dim": mult.dim, "size": mult.size}),
     ]
 
     wants_inverse = args.invert or args.induced_duals or args.verify_all
@@ -235,23 +220,22 @@ def cmd_multiplier(args) -> int:
     if wants_inverse:
         try:
             mp.invert(mult, tol)
-            findings.append(_finding("invertible", True, asserted=False,
-                                     value={"condition": mult.condition_number}))
+            findings.append(finding("invertible", True, asserted=False,
+                                    value={"condition": mult.condition_number}))
         except NotInvertible as exc:
             invertible = False
-            findings.append(_finding("invertible", False,
-                                     asserted=args.expect_invertible,
-                                     detail=str(exc),
-                                     value={"sigma_min": exc.sigma_min,
-                                            "sigma_max": exc.sigma_max}))
+            findings.append(finding("invertible", False, asserted=args.expect_invertible,
+                                    detail=str(exc),
+                                    value={"sigma_min": exc.sigma_min,
+                                           "sigma_max": exc.sigma_max}))
 
     if invertible and (args.induced_duals or args.verify_all):
         if args.verify_all:
             try:
                 _verify_bundle(mult, tol, args.seed, findings)
             except NotAFrame as exc:
-                findings.append(_finding("verification_bundle", False, asserted=True,
-                                         detail=f"one side is not a frame: {exc}"))
+                findings.append(finding("verification_bundle", False,
+                                        detail=f"one side is not a frame: {exc}"))
         else:
             _induced_dual_findings(mult, tol, findings)
 
@@ -261,24 +245,14 @@ def cmd_multiplier(args) -> int:
 # ------------------------------------------------------------------- examples
 
 
-def _example_findings(run: blockseq.ExampleRun) -> list[dict]:
-    findings = []
-    for check in run.checks:
-        entry = check.as_dict()
-        entry["name"] = f"{run.name}.{entry['name']}"
-        entry["asserted"] = True
-        findings.append(entry)
-    return findings
-
-
 def cmd_examples(args) -> int:
-    tol = _tol(args)
+    tol = args.tol
     registry = blockseq.example_registry()
 
     if args.action == "list":
         findings = [
-            _finding(name, True, asserted=False,
-                     value={"summary": entry.summary, "annotations": entry.annotations})
+            finding(name, True, asserted=False,
+                    value={"summary": entry.summary, "annotations": entry.annotations})
             for name, entry in sorted(registry.items())
         ]
         return _emit(args, "examples", {"action": "list"}, findings)
@@ -288,12 +262,11 @@ def cmd_examples(args) -> int:
     elif args.name:
         names = [args.name]
     else:
-        print("error: examples run needs a name or --all", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("examples run needs a name or --all")
 
-    findings: list[dict] = []
-    for name in names:
-        findings.extend(_example_findings(blockseq.run_example(name, tol, horizon=args.horizon)))
+    findings = [dict(check, name=f"{name}.{check['name']}")
+                for name in names
+                for check in blockseq.run_example(name, tol, horizon=args.horizon).checks]
     inputs = {"action": "run", "examples": names, "horizon": args.horizon}
     return _emit(args, "examples", inputs, findings)
 
@@ -365,14 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        args.tol = _tolerances(args)
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (DimensionMismatch, ZeroSymbolEntry, UnknownExample) as exc:
+    except (UsageError, ParseError, DimensionMismatch, ZeroSymbolEntry, UnknownExample) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

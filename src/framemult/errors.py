@@ -11,10 +11,6 @@ class DimensionMismatch(FrameToolError):
     """Operands have incompatible dimensions or lengths."""
 
 
-class NotHermitian(FrameToolError):
-    """A matrix expected to be Hermitian deviates beyond tolerance."""
-
-
 class NotInvertible(FrameToolError):
     """A matrix failed the condition-number invertibility test.
 

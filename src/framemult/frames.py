@@ -22,7 +22,6 @@ from .numerics import (
     ToleranceConfig,
     adjoint,
     as_vector,
-    check_hermitian,
     pseudoinverse,
     try_invert,
 )
@@ -36,8 +35,7 @@ class FiniteFrame:
 
     The frame operator, its eigenvalues and the canonical dual are lazy
     per-instance caches, each computed at most once and free of any
-    tolerance; the NotHermitian and NotAFrame decisions are made afresh on
-    every call.
+    tolerance; the NotAFrame decision is made afresh on every call.
     """
 
     __slots__ = ("_syn", "_operator", "_eigs", "_dual")
@@ -155,12 +153,11 @@ def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     """Optimal frame bounds (A, B), the extreme eigenvalues of the frame operator.
 
     Raises NotAFrame when the lower bound is zero to within rel_eps of the
-    upper bound, i.e. the vectors do not span.
+    upper bound, i.e. the vectors do not span. The operator is Hermitian by
+    construction, up to rounding, and eigvalsh reads one triangle of it.
     """
-    s = frame_operator(frame)
-    check_hermitian(s, tol)
     if frame._eigs is None:
-        frame._eigs = np.linalg.eigvalsh(s)
+        frame._eigs = np.linalg.eigvalsh(frame_operator(frame))
     eigs = frame._eigs
     lower = float(eigs[0].real)
     upper = float(eigs[-1].real)

@@ -7,8 +7,8 @@ and residual decisions follow a single rule set:
 * invertibility means sigma_min > sigma_max / cond_max;
 * singular values below rel_eps * sigma_max count as zero.
 
-Matrices are plain numpy arrays with dtype complex128. ``as_matrix``
-is the validating constructor used at module boundaries.
+Matrices are plain numpy arrays with dtype complex128; ``as_vector``
+validates the vectors that enter the frames module.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotInvertible
+from .errors import NotInvertible
 
 DEFAULT_REL_EPS = 1e-9
 DEFAULT_COND_MAX = 1e12
@@ -44,17 +44,6 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a read-only 2-D complex128 array, rejecting NaN/Inf."""
-    m = np.array(a, dtype=np.complex128, copy=True)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    m.setflags(write=False)
-    return m
-
-
 def as_vector(v, length: int | None = None) -> np.ndarray:
     """Coerce ``v`` to a 1-D complex128 array, optionally checking its length."""
     arr = np.array(v, dtype=np.complex128, copy=True).reshape(-1)
@@ -77,28 +66,6 @@ def pseudoinverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     so a zero matrix maps to the zero matrix of transposed shape.
     """
     return np.linalg.pinv(np.asarray(a, dtype=np.complex128), rcond=tol.rel_eps)
-
-
-def spectrum_hermitian(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    Raises NotHermitian when ||A - A*|| exceeds rel_eps * ||A||.
-    """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("spectrum_hermitian requires a square matrix")
-    check_hermitian(m, tol)
-    return np.linalg.eigvalsh(m)
-
-
-def check_hermitian(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Raise NotHermitian when ||M - M*|| exceeds rel_eps * ||M||."""
-    scale = np.linalg.norm(m)
-    deviation = np.linalg.norm(m - adjoint(m))
-    if deviation > tol.rel_eps * scale:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {deviation:.3e} (scale {scale:.3e})"
-        )
 
 
 def try_invert(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -178,21 +178,21 @@ def test_c5_equivalence_criteria_never_contradict_each_other():
 def test_c6_harmonic_weight_blocks_reproduce_identity():
     run = bs.run_example("ex4_1", horizon=1000)
     assert run.verdict == "pass"
-    by_name = {check.name: check for check in run.checks}
+    by_name = {check["name"]: check for check in run.checks}
 
     identity = by_name["block_multiplier_is_identity"]
-    assert identity.ok and identity.residual <= 1e-12
+    assert identity["ok"] and identity["residual"] <= 1e-12
 
     route = by_name["unit_symbol_route_matches_induced_duals"]
-    assert route.ok and route.residual <= 1e-10
+    assert route["ok"] and route["residual"] <= 1e-10
 
-    assert by_name["induced_duals_pass_duality_per_block"].ok
+    assert by_name["induced_duals_pass_duality_per_block"]["ok"]
 
     profile = bs.symbol_profile(bs.get_example("ex4_1").system)
     assert profile.bounded and not profile.semi_normalized
 
-    lo, hi = by_name["weighted_output_side_is_frame_with_expected_bounds"].value
-    assert by_name["weighted_output_side_is_frame_with_expected_bounds"].ok
+    lo, hi = by_name["weighted_output_side_is_frame_with_expected_bounds"]["value"]
+    assert by_name["weighted_output_side_is_frame_with_expected_bounds"]["ok"]
     assert 1.0 < lo and hi <= 3.0 + 1e-12
 
 

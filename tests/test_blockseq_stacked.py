@@ -18,6 +18,7 @@ import framemult.blockseq as bs
 import framemult.frames as fr
 import framemult.multipliers as mp
 from framemult.numerics import DEFAULT_TOL
+from framemult.report import finding
 
 # ------------------------------------------------------------ per-block oracle
 
@@ -102,25 +103,25 @@ def oracle_run_ex4_1(sys, tol, horizon):
                 and fr.is_dual(direct_duals.phi_dagger, phi_k, tol)):
             duality_ok = False
 
-    checks.append(bs._check_residual("block_multiplier_is_identity", identity_worst,
-                                     bs.IDENTITY_SWEEP_TOL, f"k = 1..{horizon}"))
-    checks.append(bs._check_residual("unit_symbol_route_matches_induced_duals", route_worst,
-                                     bs.REPRODUCTION_TOL, f"k = 1..{horizon}"))
-    checks.append(bs._check_flag("induced_duals_pass_duality_per_block", duality_ok))
+    checks.append(finding("block_multiplier_is_identity", residual=identity_worst,
+                          tolerance=bs.IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
+    checks.append(finding("unit_symbol_route_matches_induced_duals", residual=route_worst,
+                          tolerance=bs.REPRODUCTION_TOL, detail=f"k = 1..{horizon}"))
+    checks.append(finding("induced_duals_pass_duality_per_block", duality_ok))
 
     profile = bs.symbol_profile(sys, tol)
-    checks.append(bs._check_flag("symbol_bounded", profile.bounded, value=profile.sup_modulus))
-    checks.append(bs._check_flag("symbol_not_semi_normalized", not profile.semi_normalized,
-                                 value=profile.inf_modulus))
-    checks.append(bs._check_flag("symbol_all_nonzero", profile.all_nonzero))
+    checks.append(finding("symbol_bounded", profile.bounded, value=profile.sup_modulus))
+    checks.append(finding("symbol_not_semi_normalized", not profile.semi_normalized,
+                          value=profile.inf_modulus))
+    checks.append(finding("symbol_all_nonzero", profile.all_nonzero))
 
     bounds = oracle_system_frame_bounds(sys, "mphi", horizon, tol)
     in_window = (bounds.classification == bs.CLASS_FRAME
                  and 1.0 < bounds.lambda_min
                  and bounds.lambda_max <= 3.0 + bs.IDENTITY_SWEEP_TOL)
-    checks.append(bs._check_flag("weighted_output_side_is_frame_with_expected_bounds", in_window,
-                                 value=[bounds.lambda_min, bounds.lambda_max],
-                                 detail="per-block extremes stay inside (1, 3]"))
+    checks.append(finding("weighted_output_side_is_frame_with_expected_bounds", in_window,
+                          value=[bounds.lambda_min, bounds.lambda_max],
+                          detail="per-block extremes stay inside (1, 3]"))
     return checks
 
 
@@ -130,14 +131,14 @@ def oracle_worst_deviation(sys, horizon, target):
 
 
 def oracle_run_example(name, horizon):
-    """run_example(name, horizon).as_dict() with every sweep done block by block."""
+    """run_example(name, horizon) with every sweep done block by block."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bs.BlockSystem, "symbol_prefix", oracle_symbol_prefix)
         patch.setattr(bs, "_blocks_constant_over_prefix", oracle_blocks_constant_over_prefix)
         patch.setattr(bs, "system_frame_bounds", oracle_system_frame_bounds)
         patch.setattr(bs, "_worst_block_deviation", oracle_worst_deviation)
         patch.setitem(bs._RUNNERS, "ex4_1", oracle_run_ex4_1)
-        return bs.run_example(name, horizon=horizon).as_dict()
+        return bs.run_example(name, horizon=horizon)
 
 
 # ------------------------------------------------------------------ systems
@@ -241,7 +242,7 @@ def test_run_example_equals_the_per_block_oracle(monkeypatch, name, horizon):
     # a chunk of 7 blocks: horizons 6, 7 and 8 sit at the chunk size -1, 0, +1
     want = oracle_run_example(name, horizon)
     monkeypatch.setattr(bs, "SWEEP_CHUNK", 7)
-    assert bs.run_example(name, horizon=horizon).as_dict() == want
+    assert bs.run_example(name, horizon=horizon) == want
 
 
 def test_stacked_generator_rejects_inconsistent_and_non_finite_blocks():

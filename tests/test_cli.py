@@ -181,6 +181,26 @@ def test_multiplier_verify_all_requires_seed(capsys, multiplier_files):
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("tol_rel", ["1e-20", "1e-300"])
+def test_multiplier_verify_all_at_a_tiny_tolerance_reports_every_check(capsys, multiplier_files,
+                                                                       tol_rel):
+    # below rounding level the identities fail; the sampled duals must still be
+    # measured, not rejected as non-duals
+    sym, phi, psi = multiplier_files
+    report = run_report(capsys, "multiplier", "--symbol", sym, "--phi", phi, "--psi", psi,
+                        "--verify-all", "--seed", "11", "--tol-rel", tol_rel)
+    assert report["verdict"] == "fail"
+    for name in ("sampled_input_duals_match_inverse", "sampled_output_duals_match_inverse"):
+        entry = finding(report, name)
+        assert entry["residual"] > entry["tolerance"] and not entry["ok"]
+    assert {f["name"] for f in report["findings"] if f["asserted"]} == {
+        "induced_dual_of_input_side_is_dual", "induced_dual_of_output_side_is_dual",
+        "inverse_identity_all_input_duals", "inverse_identity_all_output_duals",
+        "sampled_input_duals_match_inverse", "sampled_output_duals_match_inverse",
+        "uniqueness_kernel_trivial", "inversion_equivalence_criteria",
+    }
+
+
 def test_multiplier_reports_are_byte_identical(capsys, multiplier_files):
     sym, phi, psi = multiplier_files
     argv = ["multiplier", "--symbol", sym, "--phi", phi, "--psi", psi,
@@ -298,6 +318,29 @@ def test_examples_run_rejects_a_horizon_below_one(capsys, horizon):
     err = capsys.readouterr().err
     assert "--horizon" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol-rel", "0"],
+    ["--tol-rel", "nan"],
+    ["--cond-max", "0.5"],
+    ["--verify-all", "--seed", "-1"],
+    ["--out", "{missing}/report.json"],
+    ["--dual-out", "{missing}/dual.json"],
+], ids=["zero-tol-rel", "nan-tol-rel", "cond-max-below-1", "negative-seed", "out-dir-missing",
+        "dual-out-dir-missing"])
+def test_bad_options_exit_2_with_one_error_line(capsys, tmp_path, multiplier_files, flags):
+    sym, phi, psi = multiplier_files
+    flags = [flag.format(missing=tmp_path / "missing") for flag in flags]
+    if "--dual-out" in flags:
+        argv = ["frame-info", phi, *flags]
+    else:
+        argv = ["multiplier", "--symbol", sym, "--phi", phi, "--psi", psi, *flags]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_examples_runs_are_byte_identical(capsys):

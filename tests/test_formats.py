@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import framemult.blockseq as bs
 import framemult.formats as fmt
 from framemult.errors import ParseError
 from framemult.frames import FiniteFrame
@@ -56,82 +55,6 @@ def test_frame_from_json_rejects_malformed(doc):
 def test_symbol_from_json_rejects_malformed(doc):
     with pytest.raises(ParseError):
         fmt.symbol_from_json(doc)
-
-
-def test_block_system_roundtrip_constant():
-    sys = bs.BlockSystem.constant_template(
-        [[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, -1.0]], [2.0, 0.5], name="demo"
-    )
-    back = fmt.block_system_from_json(fmt.block_system_to_json(sys))
-    assert back.kind == "constant-template"
-    assert back.name == "demo"
-    for a, b in zip(sys.block(3), back.block(3)):
-        assert np.array_equal(a, b)
-
-
-def test_block_system_roundtrip_harmonic():
-    sys = bs.BlockSystem.harmonic_weight(
-        [[1.0]], [0], [[1.0]], [1], [1.0], [1], name="h"
-    )
-    back = fmt.block_system_from_json(fmt.block_system_to_json(sys))
-    assert back.kind == "harmonic-weight"
-    for a, b in zip(sys.block(5), back.block(5)):
-        assert np.array_equal(a, b)
-
-
-def test_block_system_roundtrip_interleave():
-    sys = bs.example_registry()["ex4_2"].system
-    back = fmt.block_system_from_json(fmt.block_system_to_json(sys))
-    assert back == sys  # frozen dataclass equality
-
-
-def test_block_system_rejects_unknown_kind():
-    with pytest.raises(ParseError):
-        fmt.block_system_from_json({"kind": "mystery", "params": {}})
-    with pytest.raises(ParseError):
-        fmt.block_system_from_json({"kind": "constant-template", "params": {"phi": [[[1, 0]]]}})
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"kind": "constant-template",
-         "params": {"phi": [[[1, 0]]], "psi": [[[1, 0]]], "m": [[BEYOND_DOUBLE, 0]]}},
-        {"kind": "harmonic-weight",
-         "params": {"phi": [[[1, 0]]], "phi_exponents": [0], "psi": [[[1, 0]]],
-                    "psi_exponents": [BEYOND_DOUBLE], "m": [[1, 0]], "m_exponents": [0]}},
-    ],
-)
-def test_block_system_rejects_numbers_beyond_the_double_range(doc):
-    with pytest.raises(ParseError):
-        fmt.block_system_from_json(doc)
-
-
-@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN"])
-@pytest.mark.parametrize("key", ["phi_exponents", "psi_exponents", "m_exponents"])
-def test_block_system_rejects_non_finite_exponents(key, number):
-    params = {"phi": [[[1, 0]]], "phi_exponents": [0], "psi": [[[1, 0]]],
-              "psi_exponents": [1], "m": [[1, 0]], "m_exponents": [1]}
-    text = json.dumps({"kind": "harmonic-weight", "params": params})
-    text = text.replace(f'"{key}": [{params[key][0]}]', f'"{key}": [{number}]')
-    doc = json.loads(text)  # Python's json module reads these extensions as floats
-    with pytest.raises(ParseError, match=f"params.{key}"):
-        fmt.block_system_from_json(doc)
-
-
-def test_interleave_rejects_a_ratio_bound_beyond_the_double_range():
-    doc = fmt.block_system_to_json(bs.example_registry()["ex4_2"].system)
-    doc["params"]["ratio_bound"] = BEYOND_DOUBLE
-    with pytest.raises(ParseError, match="ratio_bound"):
-        fmt.block_system_from_json(doc)
-
-
-def test_generator_system_has_no_json_form():
-    sys = bs.BlockSystem.from_generator(
-        1, lambda k: (np.array([[1.0]]), np.array([[1.0]]), np.array([1.0]))
-    )
-    with pytest.raises(ParseError):
-        fmt.block_system_to_json(sys)
 
 
 def test_load_json_file_errors(tmp_path):
@@ -245,11 +168,3 @@ def test_serialization_matches_the_per_entry_form_byte_for_byte():
     symbol = Symbol(entries[:, 0])
     want = {"values": [fmt.complex_to_pair(z) for z in symbol.values]}
     assert dumps(fmt.symbol_to_json(symbol)) == dumps(want)
-
-    system = bs.BlockSystem.harmonic_weight(
-        entries[:2, :2], [0, 1], entries[2:4, :2], [1, 0], entries[4:6, 0], [1, 2], name="h")
-    packed = fmt.block_system_to_json(system)["params"]
-    for key, arr in (("phi", entries[:2, :2]), ("psi", entries[2:4, :2]), ("m", entries[4:6, 0])):
-        want = ([[fmt.complex_to_pair(z) for z in row] for row in arr] if arr.ndim == 2
-                else [fmt.complex_to_pair(z) for z in arr])
-        assert dumps(packed[key]) == dumps(want)

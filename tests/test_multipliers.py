@@ -207,8 +207,8 @@ def test_all_duals_certificates_pass_on_random_instances():
         mult = random_invertible_multiplier(rng, 3, 6)
         c1 = mp.certify_minv1_all_duals(mult)
         c2 = mp.certify_minv2_all_duals(mult)
-        assert c1.passes()
-        assert c2.passes()
+        assert c1.max_residual <= DEFAULT_TOL.rel_eps
+        assert c2.max_residual <= DEFAULT_TOL.rel_eps
         worst1, worst2 = mp.sampled_dual_residuals(mult, draws=2, seed=rng)
         cond = np.linalg.cond(mult.matrix)
         assert worst1 <= 1e-10 * max(1.0, cond)
@@ -425,7 +425,7 @@ def test_adjoint_matches_conjugate_symbol_swap_built_from_scratch(seed):
 
     via_adjoint = mp.certify_minv2_all_duals(mult)
     from_scratch = mp.certify_minv1_all_duals(rebuilt)
-    assert via_adjoint.passes() and from_scratch.passes()
+    assert max(via_adjoint.max_residual, from_scratch.max_residual) <= DEFAULT_TOL.rel_eps
     assert abs(via_adjoint.base_residual - from_scratch.base_residual) <= rounding
     assert abs(via_adjoint.linear_residual - from_scratch.linear_residual) <= rounding
 

@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framemult.errors import NotHermitian, NotInvertible
+from framemult.errors import NotInvertible
 from framemult.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     adjoint,
-    as_matrix,
     as_vector,
     condition_number,
     pseudoinverse,
     relative_residual,
-    spectrum_hermitian,
     try_invert,
 )
 
@@ -30,13 +28,6 @@ def test_tolerance_config_rejects_bad_values():
         ToleranceConfig(rel_eps=-1e-9)
     with pytest.raises(ValueError):
         ToleranceConfig(cond_max=0.5)
-
-
-def test_as_matrix_rejects_non_matrices():
-    with pytest.raises(ValueError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        as_matrix([[np.inf, 0.0], [0.0, 1.0]])
 
 
 def test_as_vector_length_check():
@@ -57,19 +48,6 @@ def test_pseudoinverse_rank_deficient_oracle():
     a = np.array([[2.0, 0.0], [0.0, 0.0]])
     expected = np.array([[0.5, 0.0], [0.0, 0.0]])
     assert np.allclose(pseudoinverse(a), expected, atol=1e-14, rtol=0.0)
-
-
-def test_spectrum_hermitian_oracle():
-    # [[2,1],[1,2]] has eigenvalues 1 and 3
-    eigs = spectrum_hermitian(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(eigs, [1.0, 3.0], atol=1e-12, rtol=0.0)
-
-
-def test_spectrum_hermitian_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        spectrum_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        spectrum_hermitian(np.ones((2, 3)))
 
 
 def test_try_invert_oracle():
