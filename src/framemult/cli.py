@@ -11,8 +11,9 @@ Exit code 0 means the report was produced, whatever its verdict says;
 exit code 2 is reserved for usage and input errors (unreadable or
 malformed files, mismatched dimensions, zero symbol entries where a
 reciprocal is required, unknown example names, missing or negative
---seed, tolerances ToleranceConfig rejects, output paths that cannot be
-written). Those print one ``error:`` line to stderr and no report.
+--seed, tolerances ToleranceConfig rejects such as a --tol-rel outside
+(0, 1), output paths that cannot be written). Those print one ``error:``
+line to stderr and no report.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def _induced_dual_findings(mult: mp.Multiplier, tol: ToleranceConfig,
 def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
                    findings: list[dict]) -> None:
     """The asserted verification chain for an invertible multiplier."""
-    identity_tol = tol.rel_eps * max(1.0, mult.condition_number)
+    identity_tol = tol.rel_eps * mult.condition_number
     _induced_dual_findings(mult, tol, findings)
 
     cert1 = mp.certify_minv1_all_duals(mult, tol)
@@ -287,7 +288,7 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol-rel", type=float, default=DEFAULT_REL_EPS,
-                        help="relative tolerance for residual checks")
+                        help="relative tolerance for residual checks, in (0, 1)")
     shared.add_argument("--cond-max", type=float, default=DEFAULT_COND_MAX,
                         help="condition-number ceiling for invertibility")
     shared.add_argument("--seed", type=int, default=None,

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame, NotEquivalent, NotInvertible
-from .numerics import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    adjoint,
-    as_vector,
-    pseudoinverse,
-    try_invert,
-)
+from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, as_vector, check_invertible
 
 
 class FiniteFrame:
@@ -195,13 +188,12 @@ def is_s_pseudo_dual(candidate: FiniteFrame, frame: FiniteFrame,
 def _reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: ToleranceConfig):
     """The is_s_pseudo_dual test on synthesis matrices, for one pair or a stack of pairs.
 
-    ||Syn_C Ana_Phi - I|| must not exceed rel_eps (1 + ||Syn_C|| ||Syn_Phi||);
+    ||Syn_C Ana_Phi - I|| must not exceed rel_eps ||Syn_C|| ||Syn_Phi||;
     returns a bool, or one bool per matrix of a stack (..., d, N).
     """
     product = candidate_syn @ adjoint(frame_syn)
     residual = _frobenius(product - np.eye(product.shape[-1]))
-    scale = 1.0 + _frobenius(candidate_syn) * _frobenius(frame_syn)
-    return residual <= tol.rel_eps * scale
+    return residual <= tol.rel_eps * _frobenius(candidate_syn) * _frobenius(frame_syn)
 
 
 def _frobenius(a: np.ndarray):
@@ -255,24 +247,26 @@ def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Invertible L with L phi_n = psi_n for every n, if one exists.
 
-    The only possible candidate is L = Syn_Psi * pinv(Syn_Phi); the mapping
-    property is decided by the residual ||L Syn_Phi - Syn_Psi|| against
-    rel_eps * ||Syn_Psi||, then L must pass the invertibility policy.
-    Both inputs are expected to be frames; the check raises NotEquivalent
-    either way, with ``reason`` saying which requirement failed.
+    The only possible candidate is L = Syn_Psi * pinv(Syn_Phi), and for a
+    frame pinv(Syn_Phi) is the analysis matrix of the canonical dual, so L
+    is formed from the cached dual (NotAFrame when ``phi`` does not span).
+    The mapping property is decided by the residual ||L Syn_Phi - Syn_Psi||
+    against rel_eps * ||Syn_Psi||, then L must pass the invertibility
+    policy. Either failure raises NotEquivalent, with ``reason`` saying
+    which requirement failed.
     """
     _require_same_shape(phi, psi)
-    candidate = psi.synthesis @ pseudoinverse(phi.synthesis, tol)
+    candidate = psi.synthesis @ canonical_dual(phi, tol).analysis_matrix
     scale = float(np.linalg.norm(psi.synthesis))
     residual = float(np.linalg.norm(candidate @ phi.synthesis - psi.synthesis))
-    if residual > tol.rel_eps * max(scale, 1.0):
+    if residual > tol.rel_eps * scale:
         raise NotEquivalent(
             f"no linear map sends the first sequence to the second (residual {residual:.3e})",
             reason="no_linear_map",
             residual=residual,
         )
     try:
-        try_invert(candidate, tol)
+        check_invertible(np.linalg.svd(candidate, compute_uv=False), tol)
     except NotInvertible as exc:
         raise NotEquivalent(
             "the unique mapping operator is not invertible",
@@ -289,22 +283,15 @@ def is_riesz_basis(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bo
 
 def frames_equal(f: FiniteFrame, g: FiniteFrame,
                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Entrywise equality as ordered sequences.
+    """Equality as ordered sequences, up to rel_eps.
 
-    Vector n must satisfy ||f_n - g_n|| <= rel_eps * (1 + max norm); the
-    sequences are ordered, so no permutation is allowed.
+    ||Syn_F - Syn_G|| must not exceed rel_eps * max(||Syn_F||, ||Syn_G||);
+    the sequences are ordered, so no permutation is allowed.
     """
     if f.dim != g.dim or f.size != g.size:
         return False
-    diff = f.synthesis - g.synthesis
-    for n in range(f.size):
-        scale = 1.0 + max(
-            float(np.linalg.norm(f.synthesis[:, n])),
-            float(np.linalg.norm(g.synthesis[:, n])),
-        )
-        if float(np.linalg.norm(diff[:, n])) > tol.rel_eps * scale:
-            return False
-    return True
+    scale = max(float(np.linalg.norm(f.synthesis)), float(np.linalg.norm(g.synthesis)))
+    return float(np.linalg.norm(f.synthesis - g.synthesis)) <= tol.rel_eps * scale
 
 
 def random_frame(dim: int, size: int, rng: np.random.Generator) -> FiniteFrame:
@@ -327,14 +314,13 @@ def random_dual(frame: FiniteFrame, rng: np.random.Generator,
                 tol: ToleranceConfig = DEFAULT_TOL) -> FiniteFrame:
     """Random dual frame drawn through the perturbation parametrization.
 
-    The perturbation has independent standard complex Gaussian entries and
-    is rescaled so its Frobenius norm does not exceed that of the canonical
-    dual, which keeps the sampled duals reasonably conditioned.
+    The perturbation has a standard complex Gaussian direction and is
+    rescaled to the Frobenius norm of the canonical dual, which keeps the
+    sampled duals reasonably conditioned and makes them scale with the
+    frame: the duals of s * Phi are those of Phi divided by s.
     """
     d, n = frame.dim, frame.size
     h = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2.0)
     cap = float(np.linalg.norm(canonical_dual(frame, tol).synthesis))
-    norm_h = float(np.linalg.norm(h))
-    if norm_h > cap and norm_h > 0.0:
-        h = h * (cap / norm_h)
+    h = h * (cap / float(np.linalg.norm(h)))
     return dual_family(DualFamilyParam(frame, h), tol)

@@ -37,6 +37,7 @@ from .errors import (
     IdentityDoesNotHold,
     ImplicationViolated,
     NotADual,
+    NotAFrame,
     NotEquivalent,
     NotInvertible,
     PreconditionFailed,
@@ -105,15 +106,13 @@ class Symbol:
         return Symbol(np.conj(self._values))
 
     def is_constant(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        """All entries equal up to rel_eps, relative to the first entry."""
-        first = self._values[0]
-        spread = float(np.max(np.abs(self._values - first)))
-        return bool(spread <= tol.rel_eps * (1.0 + abs(first)))
+        """All entries equal to the first up to rel_eps times the largest modulus."""
+        spread = float(np.max(np.abs(self._values - self._values[0])))
+        return bool(spread <= tol.rel_eps * self.sup_modulus)
 
     def has_constant_modulus(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        moduli = np.abs(self._values)
-        spread = float(np.max(moduli) - np.min(moduli))
-        return bool(spread <= tol.rel_eps * (1.0 + float(np.max(moduli))))
+        """All moduli equal up to rel_eps times the largest modulus."""
+        return bool(self.sup_modulus - self.inf_modulus <= tol.rel_eps * self.sup_modulus)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Symbol(length={len(self)})"
@@ -373,7 +372,7 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     B == 0 certify every dual. B is formed as X - Ana_Psi (Syn_tilde X)
     with X = diag(1/m) Ana_{phi_dagger}, never the N x N matrix C. Both
     norms are reported relative to ||Minv||, with B additionally scaled by
-    the perturbation-norm cap the sampler uses.
+    ||tilde_Psi||, the perturbation norm the sampler uses.
     """
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
@@ -383,7 +382,7 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     phi_dagger = induced_duals(mult, tol).phi_dagger
     weighted = recip[:, None] * phi_dagger.analysis_matrix
     slope = weighted - mult.psi.analysis_matrix @ (tilde_psi.synthesis @ weighted)
-    cap = 1.0 + float(np.linalg.norm(tilde_psi.synthesis))
+    cap = float(np.linalg.norm(tilde_psi.synthesis))
     linear_residual = float(np.linalg.norm(slope)) * cap / float(np.linalg.norm(minv))
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
 
@@ -518,10 +517,15 @@ class PropQReport:
 
 
 def _input_equiv_weighted_output(mult: Multiplier, tol: ToleranceConfig) -> bool:
-    """Is Psi equivalent to (m_n phi_n)? On the adjoint: is Phi equivalent to (conj(m_n) psi_n)?"""
+    """Is Psi equivalent to (m_n phi_n)? On the adjoint: is Phi equivalent to (conj(m_n) psi_n)?
+
+    Equivalence is symmetric, so the map is sought from Psi, whose
+    canonical dual the multiplier's other checks have already cached. A Psi
+    that does not span is equivalent to no frame.
+    """
     try:
-        frames.equivalence_operator(weighted_frame(mult.phi, mult.symbol), mult.psi, tol)
-    except NotEquivalent:
+        frames.equivalence_operator(mult.psi, weighted_frame(mult.phi, mult.symbol), tol)
+    except (NotEquivalent, NotAFrame):
         return False
     return True
 

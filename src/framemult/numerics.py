@@ -1,7 +1,11 @@
 """Dense complex linear algebra with an explicit tolerance policy.
 
 All matrix work in the package funnels through here so that invertibility
-and residual decisions follow a single rule set:
+and residual decisions follow a single rule set. The decision rule: a
+tolerance decision compares a dimensionless residual, a ratio of norms,
+with rel_eps, and no absolute floor such as ``1 +`` or ``max(., 1)`` is
+added to either side. Rescaling the frames or the symbol therefore moves
+no decision, up to rounding. In particular:
 
 * residual checks are relative, scaled by operand norms;
 * invertibility means sigma_min > sigma_max / cond_max;
@@ -27,16 +31,16 @@ DEFAULT_COND_MAX = 1e12
 class ToleranceConfig:
     """Relative tolerance and condition-number ceiling.
 
-    rel_eps scales every residual comparison; cond_max is the largest
-    sigma_max/sigma_min ratio still accepted as invertible.
+    rel_eps, in (0, 1), scales every residual comparison; cond_max is the
+    largest sigma_max/sigma_min ratio still accepted as invertible.
     """
 
     rel_eps: float = DEFAULT_REL_EPS
     cond_max: float = DEFAULT_COND_MAX
 
     def __post_init__(self) -> None:
-        if not self.rel_eps > 0:
-            raise ValueError("rel_eps must be positive")
+        if not 0 < self.rel_eps < 1:
+            raise ValueError("rel_eps must lie strictly between 0 and 1")
         if not self.cond_max > 1:
             raise ValueError("cond_max must exceed 1")
 
@@ -57,15 +61,6 @@ def as_vector(v, length: int | None = None) -> np.ndarray:
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of ``a``, or of each matrix in a stack (..., m, n)."""
     return np.conj(np.asarray(a)).swapaxes(-1, -2)
-
-
-def pseudoinverse(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse.
-
-    Singular values below rel_eps * sigma_max are treated as exact zeros,
-    so a zero matrix maps to the zero matrix of transposed shape.
-    """
-    return np.linalg.pinv(np.asarray(a, dtype=np.complex128), rcond=tol.rel_eps)
 
 
 def try_invert(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

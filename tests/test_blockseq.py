@@ -6,8 +6,9 @@ import pytest
 
 import framemult.blockseq as bs
 import framemult.multipliers as mp
-from framemult.errors import MetadataMissing, RatioNotCertified, UnknownExample
+from framemult.errors import ImplicationViolated, MetadataMissing, RatioNotCertified, UnknownExample
 from framemult.frames import FiniteFrame, is_dual
+from framemult.report import finding
 
 
 def harmonic_demo():
@@ -232,6 +233,26 @@ def test_interleaved_apply_bound_is_sound_under_refinement():
     assert abs(coarse[0] - fine[0]) <= bound
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-10])
+def test_system_frame_bounds_classification_is_scale_free(scale):
+    templates = scale * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    constant = bs.BlockSystem.constant_template(templates, templates, [1.0, 2.0, 3.0])
+    steady = bs.BlockSystem.from_generator(
+        2, lambda k: (templates, templates, np.array([1.0, 2.0, 3.0])))
+    interleaved = bs.InterleavedSystem(
+        phi_head=scale, psi_head=1.0, m_head=1.0, phi_ratio=0.5, psi_ratio=2.0 ** -0.5,
+        m_ratio=2.0 ** 0.5, transient_phi=scale, transient_psi=1.0, transient_m=1.0,
+        ratio_bound=0.5)
+    for system in (constant, steady, interleaved):
+        assert bs.system_frame_bounds(system, "phi", horizon=20).classification == "frame"
+
+    # blocks that vary stay varying however small they are
+    varying = bs.BlockSystem.from_generator(
+        1, lambda k: (np.array([[scale * k]]), np.array([[scale]]), np.array([1.0])))
+    with pytest.raises(MetadataMissing):
+        bs.system_frame_bounds(varying, "phi", horizon=5)
+
+
 def test_interleaved_side_bounds():
     sys = interleave_demo()
     mphi = bs.system_frame_bounds(sys, "mphi", horizon=200)
@@ -294,6 +315,21 @@ def test_example_run_as_dict_shape():
     assert all("name" in c and "ok" in c for c in run.checks)
 
 
+@pytest.mark.parametrize("name, check, target", [
+    ("ex5_3", "equivalences_fail_while_inversion_holds", "check_prop_q"),
+    ("ex5_final", "constant_modulus_chain_all_equivalent", "check_constant_modulus"),
+])
+def test_a_violated_implication_is_a_failing_check(monkeypatch, name, check, target):
+    def violated(mult, tol):
+        raise ImplicationViolated("the legs disagree")
+
+    monkeypatch.setattr(mp, target, violated)
+    run = bs.run_example(name, horizon=5)
+    assert [c for c in run.checks if c["name"] == check] == [
+        finding(check, False, detail="the legs disagree")]
+    assert run.verdict == "fail"
+
+
 def test_interleaved_side_with_growing_ratio_is_not_bessel():
     # |ratio| > 1: the partial sum over the default horizon leaves float range
     for ratio in (2, 2.0):
@@ -323,6 +359,16 @@ def test_interleaved_profile_of_a_symbol_beyond_the_double_range():
     assert profile.inf_modulus == 1.0
     assert profile.sup_modulus == math.inf
     assert profile.all_nonzero
+
+
+@pytest.mark.parametrize("m_ratio, k", [(1e10, 40), (1e200j, 3)])
+def test_recurrent_product_beyond_the_double_range_is_not_finite(m_ratio, k):
+    system = bs.InterleavedSystem(1, 1, 1, 2, 1, m_ratio, 1, 1, 1, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        product = system.recurrent_product(k)
+        assert system.recurrent_product(1) == 2 * m_ratio
+    assert not np.isfinite(product)
 
 
 def test_interleaved_symbol_prefix_with_a_huge_complex_ratio():

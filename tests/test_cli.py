@@ -1,8 +1,12 @@
 import collections
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framemult.cli import main
 from framemult.formats import complex_to_pair, frame_from_json
@@ -327,8 +331,10 @@ def test_examples_run_rejects_a_horizon_below_one(capsys, horizon):
     ["--verify-all", "--seed", "-1"],
     ["--out", "{missing}/report.json"],
     ["--dual-out", "{missing}/dual.json"],
+    ["--tol-rel", "1"],
+    ["--tol-rel", "inf"],
 ], ids=["zero-tol-rel", "nan-tol-rel", "cond-max-below-1", "negative-seed", "out-dir-missing",
-        "dual-out-dir-missing"])
+        "dual-out-dir-missing", "unit-tol-rel", "inf-tol-rel"])
 def test_bad_options_exit_2_with_one_error_line(capsys, tmp_path, multiplier_files, flags):
     sym, phi, psi = multiplier_files
     flags = [flag.format(missing=tmp_path / "missing") for flag in flags]
@@ -341,6 +347,20 @@ def test_bad_options_exit_2_with_one_error_line(capsys, tmp_path, multiplier_fil
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(exponent=st.floats(-300.0, -1e-15), horizon=st.integers(1, 50))
+def test_examples_run_all_over_the_accepted_tolerance_domain(exponent, horizon):
+    # --tol-rel log-uniform in [1e-300, 1); 10 ** -1e-15 still rounds below 1
+    tol_rel = 10.0 ** exponent
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["examples", "run", "--all", "--horizon", str(horizon),
+                     "--tol-rel", repr(tol_rel)])
+    assert code == 0, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert json.loads(out.getvalue())["tolerances"]["rel_eps"] == tol_rel
 
 
 def test_examples_runs_are_byte_identical(capsys):
@@ -378,8 +398,9 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     assert cli._verdict(findings) == "pass"
     # frame bounds of Phi, Psi and m*Phi; canonical duals of the same three;
     # the multiplier SVD plus one stacked-constraint SVD per side; one
-    # inverse; one pseudoinverse per weighted-side equivalence test
-    limits = {"eigvalsh": 3, "solve": 3, "svd": 3, "inv": 1, "pinv": 2}
+    # inverse; the weighted-side equivalence tests reuse the cached
+    # canonical duals of Psi and Phi and need no pseudoinverse
+    limits = {"eigvalsh": 3, "solve": 3, "svd": 3, "inv": 1, "pinv": 0}
     assert all(counts[name] <= limit for name, limit in limits.items()), dict(counts)
 
 
@@ -407,3 +428,38 @@ def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):
     cli._verify_bundle(mult, tol, 3, findings)
     assert cli._verdict(findings) == "pass"
     assert len(calls) == 1
+
+
+def _asserted_oks(phi, psi, m, seed):
+    import framemult.cli as cli
+    import framemult.multipliers as mp
+
+    tol = cli.ToleranceConfig()
+    mult = mp.build(mp.Symbol(m), FiniteFrame(phi), FiniteFrame(psi))
+    mp.invert(mult, tol)
+    findings = []
+    cli._verify_bundle(mult, tol, seed, findings)
+    return {f["name"]: f["ok"] for f in findings if f["asserted"]}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(draw_seed=st.integers(0, 2 ** 32 - 1),
+       phi_exponent=st.floats(-8.0, 8.0), psi_exponent=st.floats(-8.0, 8.0),
+       symbol_exponent=st.floats(-8.0, 8.0))
+def test_verify_bundle_oks_do_not_change_when_frames_or_symbol_are_rescaled(
+        draw_seed, phi_exponent, psi_exponent, symbol_exponent):
+    # verify-small draws: d in 1..6, N in d..12, complex Gaussian frames,
+    # moduli in [0.5, 2], multiplier condition number at most 1e8
+    rng = np.random.default_rng(draw_seed)
+    while True:
+        dim = int(rng.integers(1, 7))
+        size = int(rng.integers(dim, 13))
+        phi, psi = (rng.standard_normal((2, size, dim))
+                    + 1j * rng.standard_normal((2, size, dim))) / np.sqrt(2.0)
+        m = rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+        if np.linalg.cond(phi.T @ (m[:, None] * np.conj(psi))) <= 1e8:
+            break
+    unscaled = _asserted_oks(phi, psi, m, seed=3)
+    scaled = _asserted_oks(phi * 10.0 ** phi_exponent, psi * 10.0 ** psi_exponent,
+                           m * 10.0 ** symbol_exponent, seed=3)
+    assert scaled == unscaled

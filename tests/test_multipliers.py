@@ -345,6 +345,14 @@ def test_constant_modulus_chain_all_false():
     assert not report.invertible_and_eq1
 
 
+def test_constant_modulus_chain_with_an_input_side_that_does_not_span():
+    phi = FiniteFrame(np.eye(2))
+    psi = FiniteFrame([[1.0, 0.0], [1.0, 0.0]])
+    report = mp.check_constant_modulus(mp.build([1.0, 1.0], phi, psi))
+    assert report.as_dict() == {"invertible_and_eq1": False, "psi_equiv_mphi": False,
+                                "phi_equiv_mbar_psi": False, "all_agree": True}
+
+
 def test_constant_modulus_requires_constant_moduli():
     mult = scalar_example()
     with pytest.raises(PreconditionFailed):

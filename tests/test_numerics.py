@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from framemult.errors import NotInvertible
@@ -10,7 +10,6 @@ from framemult.numerics import (
     adjoint,
     as_vector,
     condition_number,
-    pseudoinverse,
     relative_residual,
     try_invert,
 )
@@ -28,6 +27,9 @@ def test_tolerance_config_rejects_bad_values():
         ToleranceConfig(rel_eps=-1e-9)
     with pytest.raises(ValueError):
         ToleranceConfig(cond_max=0.5)
+    for rel_eps in (1.0, 2.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ToleranceConfig(rel_eps=rel_eps)
 
 
 def test_as_vector_length_check():
@@ -41,13 +43,6 @@ def test_adjoint_is_conjugate_transpose():
     a = np.array([[1.0 + 2.0j, 3.0], [0.0, -1.0j]])
     expected = np.array([[1.0 - 2.0j, 0.0], [3.0, 1.0j]])
     assert np.array_equal(adjoint(a), expected)
-
-
-def test_pseudoinverse_rank_deficient_oracle():
-    # pinv of diag(2, 0) is diag(1/2, 0): invert on the range, kill the kernel
-    a = np.array([[2.0, 0.0], [0.0, 0.0]])
-    expected = np.array([[0.5, 0.0], [0.0, 0.0]])
-    assert np.allclose(pseudoinverse(a), expected, atol=1e-14, rtol=0.0)
 
 
 def test_try_invert_oracle():
@@ -109,12 +104,3 @@ def small_matrices(draw):
 @given(small_matrices())
 def test_adjoint_is_an_involution(a):
     assert np.array_equal(adjoint(adjoint(a)), a)
-
-
-@settings(deadline=None)
-@given(small_matrices())
-def test_pseudoinverse_satisfies_moore_penrose(a):
-    p = pseudoinverse(a)
-    scale = 1.0 + float(np.linalg.norm(a))
-    assert np.linalg.norm(a @ p @ a - a) <= 1e-10 * scale
-    assert np.linalg.norm(p @ a @ p - p) <= 1e-10 * (1.0 + float(np.linalg.norm(p)))
