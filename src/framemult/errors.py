@@ -49,7 +49,7 @@ class NotEquivalent(FrameToolError):
 
 
 class ZeroSymbolEntry(FrameToolError):
-    """A weight sequence contains an exact zero where a reciprocal is needed."""
+    """A symbol has a zero entry, or one whose reciprocal overflows, where 1/m is needed."""
 
 
 class NotADual(FrameToolError):

@@ -136,7 +136,10 @@ def synthesis(frame: FiniteFrame, c) -> np.ndarray:
 def frame_operator(frame: FiniteFrame) -> np.ndarray:
     """The d x d positive semidefinite operator f -> sum_n <f, phi_n> phi_n (read-only)."""
     if frame._operator is None:
-        s = frame.synthesis @ frame.analysis_matrix
+        # entries beyond the double range become inf or NaN, which
+        # frame_bounds then rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = frame.synthesis @ frame.analysis_matrix
         s.setflags(write=False)
         frame._operator = s
     return frame._operator
@@ -145,16 +148,20 @@ def frame_operator(frame: FiniteFrame) -> np.ndarray:
 def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float]:
     """Optimal frame bounds (A, B), the extreme eigenvalues of the frame operator.
 
-    Raises NotAFrame when the lower bound is zero to within rel_eps of the
-    upper bound, i.e. the vectors do not span. The operator is Hermitian by
+    Raises NotAFrame unless the lower bound exceeds rel_eps times the upper
+    bound, i.e. when the vectors do not span or a bound is not a number
+    (the operator left the double range). The operator is Hermitian by
     construction, up to rounding, and eigvalsh reads one triangle of it.
     """
     if frame._eigs is None:
-        frame._eigs = np.linalg.eigvalsh(frame_operator(frame))
+        operator = frame_operator(frame)
+        # eigvalsh may raise on inf or NaN entries; NaN bounds fail the test below
+        frame._eigs = (np.linalg.eigvalsh(operator) if np.all(np.isfinite(operator))
+                       else np.full(frame.dim, np.nan))
     eigs = frame._eigs
     lower = float(eigs[0].real)
     upper = float(eigs[-1].real)
-    if lower <= tol.rel_eps * upper:
+    if not lower > tol.rel_eps * upper:
         raise NotAFrame(
             f"lower frame bound {lower:.3e} vanishes against upper {upper:.3e}"
         )

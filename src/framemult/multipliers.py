@@ -18,6 +18,11 @@ quantifier is certified exactly: the identity defect is affine in the dual
 parametrization, so vanishing at the canonical dual plus a vanishing
 linear term settles all duals at once.
 
+The induced dual is also the only sequence with that property, for any
+zero-free symbol, semi-normalized or not. ``uniqueness_nullity`` decides
+this exactly from the symbol alone; ``uniqueness_kernel`` reaches the same
+count by sampling duals and is kept as the reference route.
+
 The two formulas are one identity read through the adjoint
 M* = M_{conj m, Psi, Phi}, whose inverse is Minv* and whose induced duals
 are those of M swapped: the adjoint of the second formula is the first
@@ -97,10 +102,14 @@ class Symbol:
         return self.inf_modulus > 0.0
 
     def reciprocal(self) -> "Symbol":
-        """Entrywise 1/m_n; ZeroSymbolEntry when any entry is exactly zero."""
+        """Entrywise 1/m_n; ZeroSymbolEntry when an entry is zero or 1/m_n overflows."""
         if not self.all_nonzero:
             raise ZeroSymbolEntry("cannot take the reciprocal of a symbol with zeros")
-        return Symbol(1.0 / self._values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            recip = 1.0 / self._values
+        if not np.all(np.isfinite(recip)):
+            raise ZeroSymbolEntry("the reciprocal of a symbol entry overflows")
+        return Symbol(recip)
 
     def conjugate(self) -> "Symbol":
         return Symbol(np.conj(self._values))
@@ -173,8 +182,13 @@ class Multiplier:
 
     def _singular_values(self) -> np.ndarray:
         if self._sigmas is None:
-            self._sigmas = (np.linalg.svd(self.matrix, compute_uv=False) if self._origin is None
-                            else self._origin._singular_values())
+            if self._origin is not None:
+                self._sigmas = self._origin._singular_values()
+            elif np.all(np.isfinite(self.matrix)):
+                self._sigmas = np.linalg.svd(self.matrix, compute_uv=False)
+            else:
+                # svd may raise on inf or NaN entries; NaN fails the invertibility policy
+                self._sigmas = np.full(self.dim, np.nan)
         return self._sigmas
 
     def _inverse_matrix(self) -> np.ndarray:
@@ -220,8 +234,11 @@ def _termwise_matrices(values: np.ndarray, out_syn: np.ndarray, in_syn: np.ndarr
     """
     out = np.zeros(out_syn.shape[:-1] + in_syn.shape[-2:-1], dtype=np.complex128)
     conj_in = np.conj(in_syn)
-    for n in range(values.shape[-1]):
-        out += values[..., n, None, None] * (out_syn[..., :, n, None] * conj_in[..., None, :, n])
+    # entries beyond the double range become inf or NaN, which the
+    # invertibility policy then rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(values.shape[-1]):
+            out += values[..., n, None, None] * (out_syn[..., :, n, None] * conj_in[..., None, :, n])
     return out
 
 
@@ -427,6 +444,29 @@ def _stacked_nullity(dual_list: list[FiniteFrame], recip: np.ndarray,
         return stacked.shape[1]
     rank = int(np.sum(sigmas > tol.rel_eps * sigmas[0]))
     return stacked.shape[1] - rank
+
+
+def uniqueness_nullity(symbol: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Kernel dimension of the inverse-identity constraints over ALL duals, from the symbol alone.
+
+    With D = diag(1/m) and C = Ana_Psi Syn_tilde, a column x of Ana_G that
+    satisfies Syn_{Psi_d} D x = 0 for every dual Psi_d = tilde_Psi + H (I - C)
+    satisfies C D x = 0 (H = 0) and (I - C) D x = 0 (every H), so the
+    constraints stack to [C; I - C] D. C is an orthogonal projector, so
+    [C; I - C] is an isometry and the stack has exactly the singular values
+    |1/m_n| of D.
+
+    Under the package's rank rule (a singular value at or below rel_eps
+    times the largest counts as zero) the nullity is the number of n with
+    min_k |m_k| <= rel_eps |m_n|: zero, so that the induced dual is the only
+    solution, unless the moduli span 1/rel_eps or more. The count needs no
+    frame, seed or factorization, does not change when the symbol is
+    rescaled, and serves both sides, since conj(m) has the same moduli.
+    """
+    if not symbol.all_nonzero:
+        raise ZeroSymbolEntry("the uniqueness constraints need a zero-free symbol")
+    moduli = np.abs(symbol.values)
+    return int(np.count_nonzero(np.min(moduli) <= tol.rel_eps * moduli))
 
 
 def uniqueness_kernel(mult: Multiplier, dual_samples: int, *, seed,

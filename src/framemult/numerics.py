@@ -102,8 +102,8 @@ def check_invertible(sigmas: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> 
 
 
 def _fails_policy(sigma_max, sigma_min, tol: ToleranceConfig):
-    """The invertibility test itself, for floats or for arrays of them."""
-    return (sigma_max == 0.0) | (sigma_min <= sigma_max / tol.cond_max)
+    """The invertibility test itself, for floats or for arrays of them; NaN fails."""
+    return np.logical_not(sigma_min > sigma_max / tol.cond_max)
 
 
 def condition_number(a: np.ndarray) -> float:

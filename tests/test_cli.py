@@ -265,11 +265,31 @@ def test_multiplier_dimension_mismatch_exits_2(capsys, tmp_path, mercedes_file):
 
 def test_multiplier_zero_symbol_in_verify_all_exits_2(capsys, tmp_path):
     phi = write_json(tmp_path / "zphi.json", frame_doc([[1.0], [1.0]]))
-    sym = write_json(tmp_path / "zm.json", symbol_doc([1.0, 0.0]))
-    code, _, err = run_cli(capsys, "multiplier", "--symbol", sym, "--phi", phi,
-                           "--psi", phi, "--verify-all", "--seed", "1")
-    assert code == 2
-    assert "error" in err
+    # an exact zero, and an entry whose reciprocal overflows
+    for smallest in (0.0, 1e-310):
+        sym = write_json(tmp_path / "zm.json", symbol_doc([1.0, smallest]))
+        code, out, err = run_cli(capsys, "multiplier", "--symbol", sym, "--phi", phi,
+                                 "--psi", phi, "--verify-all", "--seed", "1")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and out == ""
+
+
+def test_products_beyond_the_double_range_fail_their_decisions(capsys, tmp_path):
+    # the frame operator and the multiplier matrix of entries 1e160
+    # overflow to inf and NaN; no decision may pass on them, and eigvalsh
+    # and svd must not see them (the complex frame makes both raise)
+    sym = write_json(tmp_path / "m.json", symbol_doc([1.0, 2.0, 3.0, 4.0]))
+    for rows in ([[1e160, 0.0], [0.0, 1e160], [1e160, 1e160], [1e160, 0.0]],
+                 [[1e160, 1e160j, -1e160], [1e160j, 1e160, 1e160],
+                  [1e160, -1e160, 1e160j], [1e160, 1e160, 1e160]]):
+        big = write_json(tmp_path / "big.json", frame_doc(rows))
+        report = run_report(capsys, "frame-info", big, "--dual-out", str(tmp_path / "d.json"))
+        assert not finding(report, "frame_bounds")["ok"]
+        assert not finding(report, "canonical_dual_written")["ok"]
+        for flag in ("--invert", "--verify-all"):
+            report = run_report(capsys, "multiplier", "--symbol", sym, "--phi", big,
+                                "--psi", big, flag, "--seed", "1")
+            assert not finding(report, "invertible")["ok"]
 
 
 # -------------------------------------------------------------------- examples
@@ -397,10 +417,10 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     cli._verify_bundle(mult, tol, 3, findings)
     assert cli._verdict(findings) == "pass"
     # frame bounds of Phi, Psi and m*Phi; canonical duals of the same three;
-    # the multiplier SVD plus one stacked-constraint SVD per side; one
-    # inverse; the weighted-side equivalence tests reuse the cached
-    # canonical duals of Psi and Phi and need no pseudoinverse
-    limits = {"eigvalsh": 3, "solve": 3, "svd": 3, "inv": 1, "pinv": 0}
+    # the multiplier SVD, the uniqueness count needing none; one inverse;
+    # the weighted-side equivalence tests reuse the cached canonical duals
+    # of Psi and Phi and need no pseudoinverse
+    limits = {"eigvalsh": 3, "solve": 3, "svd": 1, "inv": 1, "pinv": 0}
     assert all(counts[name] <= limit for name, limit in limits.items()), dict(counts)
 
 

@@ -65,6 +65,8 @@ def test_symbol_reciprocal_and_conjugate():
     assert np.allclose(m.conjugate().values, [2.0, -1.0j], atol=1e-15, rtol=0.0)
     with pytest.raises(ZeroSymbolEntry):
         mp.Symbol([1.0, 0.0]).reciprocal()
+    with pytest.raises(ZeroSymbolEntry):
+        mp.Symbol([1.0, 1e-310]).reciprocal()  # 1/m overflows
 
 
 def test_symbol_constant_modulus_detection():
@@ -234,6 +236,36 @@ def test_uniqueness_kernel_on_orthonormal_basis():
     onb = FiniteFrame(np.eye(3))
     mult = mp.build([1.0, 2.0, 3.0], onb, onb)
     assert mp.uniqueness_kernel(mult, 3, seed=1) == 0
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 6.0), scale=st.floats(-8.0, 8.0))
+def test_uniqueness_nullity_matches_the_sampled_kernel(seed, spread, scale):
+    # moduli spanning at most 10**spread <= 1e6, far from 1/rel_eps, where
+    # the sampled count would depend on the seed
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 7))
+    size = int(rng.integers(dim, 13))
+    while True:
+        moduli = 10.0 ** rng.uniform(0.0, spread, size)
+        symbol = mp.Symbol(moduli * np.exp(2j * np.pi * rng.uniform(size=size)))
+        mult = mp.build(symbol, fr.random_frame(dim, size, rng), fr.random_frame(dim, size, rng))
+        if mult.condition_number <= 1e8:
+            break
+    nullity = mp.uniqueness_nullity(symbol)
+    assert nullity == mp.uniqueness_kernel(mult, math.ceil(size / dim) + 2, seed=seed)
+    assert mp.uniqueness_nullity(mp.Symbol(10.0 ** scale * symbol.values)) == nullity
+
+
+def test_uniqueness_nullity_past_the_rank_threshold():
+    # |1/m| spans 1e12 > 1/rel_eps, so two of its three values count as zero
+    ones = FiniteFrame([[1.0], [1.0], [1.0]])
+    symbol = mp.Symbol([1e-12, 1.0, -1.0j])
+    assert mp.uniqueness_nullity(symbol) == 2
+    assert mp.uniqueness_kernel(mp.build(symbol, ones, ones), 5, seed=0) == 2
+    assert mp.uniqueness_nullity(symbol, ToleranceConfig(rel_eps=1e-13)) == 0
+    with pytest.raises(ZeroSymbolEntry):
+        mp.uniqueness_nullity(mp.Symbol([1.0, 0.0]))
 
 
 def test_recover_pseudo_dual_roundtrip():

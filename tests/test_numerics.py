@@ -9,6 +9,7 @@ from framemult.numerics import (
     ToleranceConfig,
     adjoint,
     as_vector,
+    check_invertible,
     condition_number,
     relative_residual,
     try_invert,
@@ -55,6 +56,8 @@ def test_try_invert_oracle():
 def test_try_invert_rejects_singular():
     with pytest.raises(NotInvertible):
         try_invert(np.zeros((2, 2)))
+    with pytest.raises(NotInvertible):
+        check_invertible(np.array([np.nan, np.nan]))
     with pytest.raises(NotInvertible) as info:
         try_invert(np.array([[1.0, 0.0], [0.0, 1e-15]]))
     assert info.value.sigma_max > 0
