@@ -7,6 +7,10 @@ systems. Every run prints a single JSON report to stdout; reports carry no
 timestamps and are serialized with sorted keys, so identical inputs (and
 the same --seed where sampling is involved) give byte-identical output.
 
+Reports are strict JSON: a float that is not finite (NaN or an infinity,
+e.g. the singular values of a matrix that left the double range) is
+written as null.
+
 Exit code 0 means the report was produced, whatever its verdict says;
 exit code 2 is reserved for usage and input errors (unreadable or
 malformed files, mismatched dimensions, symbol entries that are zero or
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import blockseq, formats, frames
@@ -69,11 +74,23 @@ def _emit(args, command: str, inputs: dict, findings: list[dict]) -> int:
         "findings": findings,
         "verdict": _verdict(findings),
     }
-    text = json.dumps(report, sort_keys=True, indent=2 if args.pretty else None) + "\n"
+    text = json.dumps(_finite_or_null(report), sort_keys=True, allow_nan=False,
+                      indent=2 if args.pretty else None) + "\n"
     if args.out:
         _write_text(args.out, text)
     sys.stdout.write(text)
     return 0
+
+
+def _finite_or_null(obj):
+    """``obj`` with every float that is not finite replaced by None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
 
 
 def _write_text(path: str, text: str) -> None:

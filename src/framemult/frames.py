@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame, NotEquivalent, NotInvertible
-from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, as_vector, check_invertible
+from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, as_vector, check_invertible, frobenius
 
 
 class FiniteFrame:
@@ -34,24 +34,34 @@ class FiniteFrame:
     __slots__ = ("_syn", "_operator", "_eigs", "_dual")
 
     def __init__(self, vectors) -> None:
-        arr = np.array(list(vectors), dtype=np.complex128)
-        if arr.ndim == 1:
+        rows = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors))
+        if rows.ndim == 1:
             # a single vector: treat as one row
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("expected a nonempty list of equal-length vectors")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("frame vectors must have finite entries")
-        syn = arr.T.copy()
-        syn.setflags(write=False)
-        self._syn = syn
-        self._operator = self._eigs = self._dual = None
+            rows = rows.reshape(1, -1)
+        self._set_synthesis(rows.T)
 
     @classmethod
     def from_synthesis(cls, matrix) -> "FiniteFrame":
-        """Build from a d x N matrix whose n-th column is the n-th vector."""
-        m = np.asarray(matrix, dtype=np.complex128)
-        return cls(m.T)
+        """Build from a d x N matrix whose n-th column is the n-th vector.
+
+        The frame keeps one validated, read-only, C-ordered complex128 copy
+        of the matrix, the only copy made; a 1-D array is one vector.
+        """
+        syn = np.asarray(matrix)
+        frame = cls.__new__(cls)
+        frame._set_synthesis(syn.reshape(-1, 1) if syn.ndim == 1 else syn)
+        return frame
+
+    def _set_synthesis(self, syn: np.ndarray) -> None:
+        """Keep a validated, read-only complex128 copy of a d x N array."""
+        if syn.ndim != 2 or syn.shape[0] < 1 or syn.shape[1] < 1:
+            raise ValueError("expected a nonempty list of equal-length vectors")
+        syn = np.array(syn, dtype=np.complex128, order="C")
+        if not np.isfinite(syn).all():
+            raise ValueError("frame vectors must have finite entries")
+        syn.setflags(write=False)
+        self._syn = syn
+        self._operator = self._eigs = self._dual = None
 
     @property
     def dim(self) -> int:
@@ -204,12 +214,8 @@ def _reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: Toleran
 
 
 def _frobenius(a: np.ndarray):
-    """Frobenius norm of a matrix, or of each matrix in a stack.
-
-    A single matrix keeps numpy's axis-free path, the one is_s_pseudo_dual
-    has always used.
-    """
-    return np.linalg.norm(a, axis=None if a.ndim == 2 else (-2, -1))
+    """Frobenius norm of a matrix, or of each matrix in a stack."""
+    return frobenius(a) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
 
 
 def is_a_pseudo_dual(candidate: FiniteFrame, frame: FiniteFrame,
@@ -246,8 +252,12 @@ def dual_family(param: DualFamilyParam, tol: ToleranceConfig = DEFAULT_TOL) -> F
     base = param.base
     h = param.perturbation_matrix()
     tilde = canonical_dual(base, tol)
-    syn = tilde.synthesis + h - (h @ base.analysis_matrix) @ tilde.synthesis
-    return FiniteFrame.from_synthesis(syn)
+    return FiniteFrame.from_synthesis(_dual_synthesis(tilde.synthesis, base.analysis_matrix, h))
+
+
+def _dual_synthesis(tilde_syn: np.ndarray, analysis: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Syn_tilde + H - (H Ana_Phi) Syn_tilde: the dual_family member of a d x N perturbation H."""
+    return tilde_syn + h - (h @ analysis) @ tilde_syn
 
 
 def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
@@ -264,8 +274,8 @@ def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
     """
     _require_same_shape(phi, psi)
     candidate = psi.synthesis @ canonical_dual(phi, tol).analysis_matrix
-    scale = float(np.linalg.norm(psi.synthesis))
-    residual = float(np.linalg.norm(candidate @ phi.synthesis - psi.synthesis))
+    scale = frobenius(psi.synthesis)
+    residual = frobenius(candidate @ phi.synthesis - psi.synthesis)
     if residual > tol.rel_eps * scale:
         raise NotEquivalent(
             f"no linear map sends the first sequence to the second (residual {residual:.3e})",
@@ -297,8 +307,8 @@ def frames_equal(f: FiniteFrame, g: FiniteFrame,
     """
     if f.dim != g.dim or f.size != g.size:
         return False
-    scale = max(float(np.linalg.norm(f.synthesis)), float(np.linalg.norm(g.synthesis)))
-    return float(np.linalg.norm(f.synthesis - g.synthesis)) <= tol.rel_eps * scale
+    scale = max(frobenius(f.synthesis), frobenius(g.synthesis))
+    return frobenius(f.synthesis - g.synthesis) <= tol.rel_eps * scale
 
 
 def random_frame(dim: int, size: int, rng: np.random.Generator) -> FiniteFrame:
@@ -321,13 +331,28 @@ def random_dual(frame: FiniteFrame, rng: np.random.Generator,
                 tol: ToleranceConfig = DEFAULT_TOL) -> FiniteFrame:
     """Random dual frame drawn through the perturbation parametrization.
 
+    The FiniteFrame of ``random_dual_synthesis``, which draws it.
+    """
+    return FiniteFrame.from_synthesis(random_dual_synthesis(frame, rng, tol))
+
+
+def random_dual_synthesis(frame: FiniteFrame, rng: np.random.Generator,
+                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Synthesis matrix of a random dual frame, with no FiniteFrame built.
+
     The perturbation has a standard complex Gaussian direction and is
     rescaled to the Frobenius norm of the canonical dual, which keeps the
     sampled duals reasonably conditioned and makes them scale with the
-    frame: the duals of s * Phi are those of Phi divided by s.
+    frame: the duals of s * Phi are those of Phi divided by s. Given the
+    same generator state, it is the dual ``dual_family`` selects for that
+    perturbation.
     """
-    d, n = frame.dim, frame.size
+    tilde = canonical_dual(frame, tol).synthesis
+    d, n = tilde.shape
     h = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2.0)
-    cap = float(np.linalg.norm(canonical_dual(frame, tol).synthesis))
-    h = h * (cap / float(np.linalg.norm(h)))
-    return dual_family(DualFamilyParam(frame, h), tol)
+    h = h * (frobenius(tilde) / frobenius(h))
+    if d == n:
+        # DualFamilyParam reads a square perturbation as N rows; the draw keeps that
+        # orientation, so a seed selects the same dual as through dual_family
+        h = h.T
+    return _dual_synthesis(tilde, frame.analysis_matrix, h)

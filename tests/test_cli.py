@@ -39,10 +39,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"a report must be strict JSON, found the bare token {token}")
+
+
+def parse_report(text):
+    """A report parsed as strict JSON: a bare NaN, Infinity or -Infinity fails the test."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_report(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return parse_report(out)
 
 
 def finding(report, name):
@@ -289,7 +298,10 @@ def test_products_beyond_the_double_range_fail_their_decisions(capsys, tmp_path)
         for flag in ("--invert", "--verify-all"):
             report = run_report(capsys, "multiplier", "--symbol", sym, "--phi", big,
                                 "--psi", big, flag, "--seed", "1")
-            assert not finding(report, "invertible")["ok"]
+            invertible = finding(report, "invertible")
+            assert not invertible["ok"]
+            # NaN singular values are written as null, not as the bare token NaN
+            assert invertible["value"] == {"sigma_max": None, "sigma_min": None}
 
 
 # -------------------------------------------------------------------- examples
@@ -380,7 +392,7 @@ def test_examples_run_all_over_the_accepted_tolerance_domain(exponent, horizon):
                      "--tol-rel", repr(tol_rel)])
     assert code == 0, err.getvalue()
     assert "Traceback" not in err.getvalue()
-    assert json.loads(out.getvalue())["tolerances"]["rel_eps"] == tol_rel
+    assert parse_report(out.getvalue())["tolerances"]["rel_eps"] == tol_rel
 
 
 def test_examples_runs_are_byte_identical(capsys):
@@ -411,6 +423,50 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 
+    # every reciprocal handed out, per symbol; the list keeps the objects alive
+    reciprocals = collections.defaultdict(list)
+    original_reciprocal = mp.Symbol.reciprocal
+
+    def counted_reciprocal(symbol):
+        out = original_reciprocal(symbol)
+        reciprocals[id(symbol)].append(out)
+        return out
+
+    monkeypatch.setattr(mp.Symbol, "reciprocal", counted_reciprocal)
+
+    # frames built inside sampled_dual_residuals; every FiniteFrame passes _set_synthesis
+    sampling = [False]
+    frames_built_while_sampling = []
+    original_set_synthesis = FiniteFrame._set_synthesis
+
+    def counted_set_synthesis(frame, syn):
+        if sampling[0]:
+            frames_built_while_sampling.append(syn.shape)
+        return original_set_synthesis(frame, syn)
+
+    monkeypatch.setattr(FiniteFrame, "_set_synthesis", counted_set_synthesis)
+    original_sampled = mp.sampled_dual_residuals
+
+    def flagged_sampled(*args, **kwargs):
+        sampling[0] = True
+        try:
+            return original_sampled(*args, **kwargs)
+        finally:
+            sampling[0] = False
+
+    monkeypatch.setattr(mp, "sampled_dual_residuals", flagged_sampled)
+
+    # np.linalg.norm on one matrix or vector; numerics.frobenius replaces it
+    single_norms = []
+    original_norm = np.linalg.norm
+
+    def counted_norm(x, *args, **kwargs):
+        if kwargs.get("axis") is None and len(args) < 2:
+            single_norms.append(np.shape(x))
+        return original_norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+
     tol = cli.ToleranceConfig()
     mp.invert(mult, tol)
     findings = []
@@ -422,6 +478,11 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     # of Psi and Phi and need no pseudoinverse
     limits = {"eigvalsh": 3, "solve": 3, "svd": 1, "inv": 1, "pinv": 0}
     assert all(counts[name] <= limit for name, limit in limits.items()), dict(counts)
+    # 1/m is computed once for the symbol of each side, m and conj(m)
+    assert set(reciprocals) == {id(mult.symbol), id(mult.adjoint().symbol)}
+    assert all(len({id(r) for r in handed_out}) == 1 for handed_out in reciprocals.values())
+    assert frames_built_while_sampling == []
+    assert single_norms == []
 
 
 def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):

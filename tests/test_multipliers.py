@@ -217,6 +217,70 @@ def test_all_duals_certificates_pass_on_random_instances():
         assert worst2 <= 1e-10 * max(1.0, cond)
 
 
+# ------------------------------------------------- per-draw oracle of the sampled route
+# sampled_dual_residuals before it worked on arrays: each draw builds a dual
+# FiniteFrame through DualFamilyParam and dual_family, then the residual goes
+# through the multiplier's inverse, reciprocal and induced duals again, with
+# numpy's norm. The array route must equal it bit for bit.
+
+
+def oracle_random_dual(frame, rng, tol):
+    d, n = frame.dim, frame.size
+    h = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2.0)
+    cap = float(np.linalg.norm(fr.canonical_dual(frame, tol).synthesis))
+    h = h * (cap / float(np.linalg.norm(h)))
+    return fr.dual_family(fr.DualFamilyParam(frame, h), tol)
+
+
+def oracle_minv1_residual(mult, psi_dual, tol):
+    minv = mp.invert(mult, tol)
+    recip = mult.symbol.reciprocal().values
+    phi_dagger = mp.induced_duals(mult, tol).phi_dagger
+    candidate = (psi_dual.synthesis * recip[None, :]) @ phi_dagger.analysis_matrix
+    return float(np.linalg.norm(candidate - minv)) / float(np.linalg.norm(minv))
+
+
+def oracle_sampled_dual_residuals(mult, draws, seed, tol):
+    rng = np.random.default_rng(seed)
+    sides = (mult, mult.adjoint())
+    worst = [0.0, 0.0]
+    for _ in range(draws):
+        drawn = [oracle_random_dual(side.psi, rng, tol) for side in sides]
+        worst = [max(w, oracle_minv1_residual(side, dual, tol))
+                 for w, side, dual in zip(worst, sides, drawn)]
+    return worst[0], worst[1]
+
+
+def acceptance_style_multiplier(rng):
+    """d in 1..6, N in d..12, rescaled complex Gaussian frames, moduli in [0.5, 2], cond <= 1e8."""
+    while True:
+        dim = int(rng.integers(1, 7))
+        size = int(rng.integers(dim, 13))
+        phi, psi = (rng.standard_normal((2, size, dim))
+                    + 1j * rng.standard_normal((2, size, dim))) / np.sqrt(2.0)
+        m = rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+        if np.linalg.cond(phi.T @ (m[:, None] * np.conj(psi))) <= 1e8:
+            break
+    s, t = 10.0 ** rng.uniform(-8.0, 8.0), 10.0 ** rng.uniform(-4.0, 4.0)
+    return mp.build(mp.Symbol(m * t), FiniteFrame(phi * s), FiniteFrame(psi * s))
+
+
+def test_sampled_dual_residuals_match_the_per_draw_oracle_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    square = 0
+    for index in range(300):
+        mult = acceptance_style_multiplier(rng)
+        square += mult.dim == mult.size
+        expected = oracle_sampled_dual_residuals(mult, 3, index, DEFAULT_TOL)
+        assert mp.sampled_dual_residuals(mult, 3, seed=index) == expected, index
+        # random_dual draws the same dual as the oracle from the same generator
+        got = fr.random_dual(mult.psi, np.random.default_rng(index))
+        want = oracle_random_dual(mult.psi, np.random.default_rng(index), DEFAULT_TOL)
+        assert np.array_equal(got.synthesis, want.synthesis), index
+    # d == N is where DualFamilyParam reads the perturbation as rows
+    assert square >= 20
+
+
 def test_sampling_requires_a_seed():
     mult = scalar_example()
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framemult.errors import NotInvertible
@@ -11,6 +11,7 @@ from framemult.numerics import (
     as_vector,
     check_invertible,
     condition_number,
+    frobenius,
     relative_residual,
     try_invert,
 )
@@ -79,6 +80,24 @@ def test_relative_residual_zero_reference_falls_back_to_absolute():
     zero = np.zeros((2, 2))
     assert relative_residual(zero, zero) == 0.0
     assert relative_residual(np.eye(2), zero) == pytest.approx(np.sqrt(2.0))
+
+
+shapes = st.one_of(st.tuples(st.integers(1, 40)),
+                   st.tuples(st.integers(1, 12), st.integers(1, 12)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=shapes, is_complex=st.booleans(), exponent=st.integers(-100, 100),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_frobenius_is_numpys_norm_bit_for_bit(shape, is_complex, exponent, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** exponent
+    if is_complex:
+        a = a + 1j * rng.standard_normal(shape) * 10.0 ** exponent
+    layouts = [a, np.asfortranarray(a), a.T, np.conj(a), np.conj(a).T, a[..., ::-1],
+               a[..., ::2], a.T[::2]]
+    for view in layouts:
+        assert frobenius(view) == np.linalg.norm(view), (view.shape, view.strides)
 
 
 # small integer entries keep the nonzero singular values away from the

@@ -22,6 +22,10 @@ def write_json(path, doc):
     return str(path)
 
 
+def reject_constant(token):
+    raise ValueError(f"a report must be strict JSON, found the bare token {token}")
+
+
 def schema_verdict(findings):
     """The verdict rule as the report schema states it."""
     if any(f["asserted"] and not f["ok"] for f in findings):
@@ -53,6 +57,13 @@ def reports(inputs):
         yield ["multiplier", "--symbol", m, "--phi", phi, "--psi", psi, "--verify-all", "--seed", "5"]
     yield ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", psi,
            "--verify-all", "--seed", "5", "--tol-rel", "1e-20"]
+    # reports that hold non-finite floats: NaN singular values, an infinite cond_max
+    big = write_json(tmp_path / "big.json",
+                     {"dim": 2, "vectors": [[[1e160, 0], [0, 0]], [[0, 0], [1e160, 0]],
+                                            [[1e160, 0], [1e160, 0]]]})
+    yield ["multiplier", "--symbol", symbol, "--phi", big, "--psi", big, "--invert"]
+    yield ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", psi, "--invert",
+           "--cond-max", "inf"]
     yield ["examples", "list"]
     yield ["examples", "run", "--all", "--horizon", "20"]
 
@@ -62,7 +73,7 @@ def test_every_report_matches_the_report_schema(capsys, inputs):
     commands = set()
     for argv in reports(inputs):
         assert main(argv) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
         report_schema.validate(report)
         commands.add(report["command"])
         for entry in report["findings"]:
