@@ -10,9 +10,10 @@ Two shapes of infinite system are covered.
   every other direction is touched finitely often; the operator action is
   evaluated with a certified truncation-tail bound.
 
-Infinite statements (limits, classifications) come from closed-form
-metadata derived from the generator parameters; the code verifies the
-metadata on finite prefixes but does not prove limits.
+Each system is its closed form: base templates and per-slot exponents for
+a block system, heads and ratios for an interleaved one. Infinite
+statements (limits, classifications) are read off that closed form; the
+code checks them against finite prefixes but does not prove limits.
 
 Sweeps over blocks k = 1..horizon are stacked: ``BlockSystem.stacked``
 returns the blocks of a range as (K, L, b) and (K, L) arrays, and each
@@ -87,117 +88,81 @@ class SystemBounds:
 class BlockSystem:
     """Infinite system whose multiplier is block-diagonal.
 
-    Block k carries L template vectors per side in C^b and L weights. The
-    built-in generators scale fixed base templates by k^(-e) with one
-    exponent per template slot; a constant system is the special case of
-    all-zero exponents. Custom callables are accepted but can only be
-    classified when their blocks are constant over the spot-check prefix
-    (otherwise MetadataMissing).
+    Block k carries L template vectors per side in C^b and L weights: fixed
+    base templates and weights, each slot scaled by k^(-e) with one exponent
+    per slot. That closed form is the whole system; a constant system is the
+    special case of all-zero exponents. ``harmonic_weight`` and
+    ``constant_template`` build one.
     """
-
-    def __init__(self, block_dim: int, block_fn, *, name: str = "",
-                 closed_form: dict | None = None) -> None:
-        if block_dim < 1:
-            raise ValueError("block_dim must be positive")
-        self.block_dim = int(block_dim)
-        self._block_fn = block_fn
-        self.name = name
-        self._closed_form = closed_form  # {"phi": (base, exp), "psi": ..., "m": ...}
 
     # ---------------------------------------------------------------- construction
 
-    @classmethod
-    def constant_template(cls, phi, psi, m, *, name: str = "") -> "BlockSystem":
-        """Same templates in every block."""
+    def __init__(self, phi, phi_exponents, psi, psi_exponents, m, m_exponents, *,
+                 name: str = "") -> None:
         phi_b = _as_templates(phi)
         psi_b = _as_templates(psi)
         m_b = np.asarray(m, dtype=np.complex128).reshape(-1)
-        zeros = np.zeros(m_b.size)
-        return cls._from_closed_form(phi_b, zeros, psi_b, zeros, m_b, zeros, name=name)
-
-    @classmethod
-    def harmonic_weight(cls, phi, phi_exponents, psi, psi_exponents,
-                        m, m_exponents, *, name: str = "") -> "BlockSystem":
-        """Base templates scaled per slot by k^(-e) in block k."""
-        return cls._from_closed_form(
-            _as_templates(phi), np.asarray(phi_exponents, dtype=float).reshape(-1),
-            _as_templates(psi), np.asarray(psi_exponents, dtype=float).reshape(-1),
-            np.asarray(m, dtype=np.complex128).reshape(-1),
-            np.asarray(m_exponents, dtype=float).reshape(-1),
-            name=name,
-        )
-
-    @classmethod
-    def _from_closed_form(cls, phi_b, phi_e, psi_b, psi_e, m_b, m_e, *,
-                          name: str) -> "BlockSystem":
+        phi_e, psi_e, m_e = (np.asarray(e, dtype=float).reshape(-1)
+                             for e in (phi_exponents, psi_exponents, m_exponents))
         length = m_b.size
         if not (phi_b.shape[0] == psi_b.shape[0] == length
                 and phi_e.size == psi_e.size == m_e.size == length):
             raise ValueError("per-block template lengths must all match")
         if phi_b.shape[1] != psi_b.shape[1]:
             raise ValueError("template vector dimensions must match")
+        if phi_b.shape[1] < 1:
+            raise ValueError("block_dim must be positive")
         if not all(np.all(np.isfinite(a)) for a in (phi_b, phi_e, psi_b, psi_e, m_b, m_e)):
             raise ValueError("bases, exponents and weights must be finite")
-        closed = {"phi": (phi_b, phi_e), "psi": (psi_b, psi_e), "m": (m_b, m_e)}
-
-        def block_fn(k: int):
-            wp = np.power(float(k), -phi_e)
-            wq = np.power(float(k), -psi_e)
-            wm = np.power(float(k), -m_e)
-            return phi_b * wp[:, None], psi_b * wq[:, None], m_b * wm
-
-        return cls(phi_b.shape[1], block_fn, name=name, closed_form=closed)
+        self.block_dim = phi_b.shape[1]
+        self.name = name
+        self._closed_form = {"phi": (phi_b, phi_e), "psi": (psi_b, psi_e), "m": (m_b, m_e)}
 
     @classmethod
-    def from_generator(cls, block_dim: int, block_fn, *, name: str = "") -> "BlockSystem":
-        """Wrap an arbitrary callable k -> (phi_k, psi_k, m_k); no closed form."""
-        return cls(block_dim, block_fn, name=name)
+    def constant_template(cls, phi, psi, m, *, name: str = "") -> "BlockSystem":
+        """Same templates in every block."""
+        zeros = np.zeros(np.size(m))
+        return cls(phi, zeros, psi, zeros, m, zeros, name=name)
+
+    @classmethod
+    def harmonic_weight(cls, phi, phi_exponents, psi, psi_exponents,
+                        m, m_exponents, *, name: str = "") -> "BlockSystem":
+        """Base templates scaled per slot by k^(-e) in block k."""
+        return cls(phi, phi_exponents, psi, psi_exponents, m, m_exponents, name=name)
 
     # ---------------------------------------------------------------- access
+
+    def _parts(self):
+        """(base, exponents) of phi, psi and m, in block order."""
+        return (self._closed_form[key] for key in ("phi", "psi", "m"))
 
     def block(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Templates of block k >= 1: (phi (L,b), psi (L,b), m (L,))."""
         if k < 1:
             raise ValueError("block index starts at 1")
-        phi, psi, m = self._block_fn(k)
-        phi = _as_templates(phi)
-        psi = _as_templates(psi)
-        m = np.asarray(m, dtype=np.complex128).reshape(-1)
-        if phi.shape != psi.shape or phi.shape[0] != m.size or phi.shape[1] != self.block_dim:
-            raise ValueError(f"generator returned inconsistent templates for block {k}")
-        return phi, psi, m
+        return tuple(_scaled(base, np.power(float(k), -exponents))
+                     for base, exponents in self._parts())
 
     def stacked(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Blocks first..first+count-1 stacked: phi (K,L,b), psi (K,L,b), m (K,L).
 
-        Entry i of each array equals the matching part of block(first + i)
-        bit for bit. Closed-form systems evaluate k^(-e) for all k at once;
-        generator systems stack block(k), with its shape checks, and every
-        block must have the length of the first. Non-finite entries raise
-        ValueError naming the first such block, the rule FiniteFrame and
-        Symbol apply to a single block.
+        k^(-e) is evaluated for all k at once, and entry i of each array
+        equals the matching part of block(first + i) bit for bit.
+        Non-finite entries (a finite exponent can still leave the double
+        range) raise ValueError naming the first such block, the rule
+        FiniteFrame and Symbol apply to a single block.
         """
         if first < 1:
             raise ValueError("block index starts at 1")
         if count < 1:
             raise ValueError("count must be at least 1")
-        if self._closed_form is None:
-            blocks = [self.block(k) for k in range(first, first + count)]
-            for k, block in enumerate(blocks, start=first):
-                if any(a.shape != b.shape for a, b in zip(block, blocks[0])):
-                    raise ValueError(f"generator returned inconsistent templates for block {k}")
-            phi, psi, m = (np.stack(part) for part in zip(*blocks))
-        else:
-            ks = np.arange(first, first + count, dtype=float)
-            parts = []
-            for base, exponents in (self._closed_form[key] for key in ("phi", "psi", "m")):
-                # both operands in full: with a broadcast exponent np.power takes
-                # a scalar-exponent fast path (1/k for e = 1) that rounds
-                # differently from the elementwise power block(k) computes
-                weights = np.power(np.repeat(ks[:, None], exponents.size, axis=1),
-                                   np.tile(-exponents, (count, 1)))
-                parts.append(base * (weights if base.ndim == 1 else weights[:, :, None]))
-            phi, psi, m = parts
+        ks = np.arange(first, first + count, dtype=float)
+        # both operands in full: with a broadcast exponent np.power takes a
+        # scalar-exponent fast path (1/k for e = 1) that rounds differently
+        # from the elementwise power block(k) computes
+        phi, psi, m = (_scaled(base, np.power(np.repeat(ks[:, None], exponents.size, axis=1),
+                                              np.tile(-exponents, (count, 1))))
+                       for base, exponents in self._parts())
         finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(psi).all(axis=(1, 2))
         finite &= np.isfinite(m).all(axis=1)
         if not finite.all():
@@ -206,7 +171,7 @@ class BlockSystem:
 
     @property
     def block_length(self) -> int:
-        return self.block(1)[2].size
+        return self._closed_form["m"][0].size
 
     def symbol_prefix(self, count: int) -> np.ndarray:
         """First ``count`` weight entries in block order."""
@@ -215,8 +180,6 @@ class BlockSystem:
 
     def _side_closed_form(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         """Base vectors and exponents of the requested weighted side."""
-        if self._closed_form is None:
-            raise MetadataMissing(f"no closed form available for system {self.name!r}")
         family, weight = _side_entry(side)
         base, exponents = self._closed_form[family]
         if weight is None:
@@ -228,6 +191,25 @@ class BlockSystem:
         """Weighted template vectors of block k for one side."""
         entry = _side_entry(side)
         return _weighted_side(entry, *self.block(k))
+
+    def _symbol_profile_closed_form(self) -> SymbolProfile:
+        per_entry = []
+        for value, e in zip(*self._closed_form["m"]):
+            mod = abs(value)
+            if mod == 0.0:
+                per_entry.append((0.0, 0.0, False))
+            elif e > 0:
+                per_entry.append((0.0, mod, True))      # decays to 0, max at k=1
+            elif e < 0:
+                per_entry.append((mod, math.inf, True))  # grows without bound
+            else:
+                per_entry.append((mod, mod, True))
+        return _profile_from_envelope(per_entry)
+
+
+def _scaled(base: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Base templates (L, b) or weights (L,) times per-slot weights (L,) or (K, L)."""
+    return base * (weights if base.ndim == 1 else weights[..., None])
 
 
 def _side_entry(side: str):
@@ -331,12 +313,6 @@ def _classify_closed_form(base: np.ndarray, exponents: np.ndarray,
     return CLASS_BESSEL_NOT_FRAME
 
 
-def _blocks_constant_over_prefix(sys: BlockSystem, prefix: int = SPOT_CHECK_BLOCKS) -> bool:
-    """Do blocks 1..prefix agree with block 1, up to 1e-14 of each part's largest entry?"""
-    return all(np.max(np.abs(part - part[:1])) <= 1e-14 * np.max(np.abs(part))
-               for part in sys.stacked(1, prefix))
-
-
 def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
                         tol: ToleranceConfig = DEFAULT_TOL) -> SystemBounds:
     """Frame-bound extremes of one (possibly weighted) side plus classification.
@@ -360,19 +336,8 @@ def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
         sweep_min = min(sweep_min, float(np.min(eigs[:, 0])))
         sweep_max = max(sweep_max, float(np.max(eigs[:, -1])))
 
-    if sys._closed_form is not None:
-        base, exponents = sys._side_closed_form(side)
-        classification = _classify_closed_form(base, exponents, sweep_min, sweep_max, tol)
-    elif _blocks_constant_over_prefix(sys):
-        # constant blocks: the horizon extremes are the true extremes
-        classification = (CLASS_FRAME
-                          if sweep_min > tol.rel_eps * sweep_max
-                          else CLASS_BESSEL_NOT_FRAME)
-    else:
-        raise MetadataMissing(
-            f"system {sys.name!r} has no closed form and its blocks vary; "
-            "cannot classify the limit"
-        )
+    base, exponents = sys._side_closed_form(side)
+    classification = _classify_closed_form(base, exponents, sweep_min, sweep_max, tol)
     return SystemBounds(lambda_min=sweep_min, lambda_max=sweep_max,
                         classification=classification)
 
@@ -398,41 +363,10 @@ def _spot_check_profile(profile: SymbolProfile, prefix: np.ndarray) -> None:
 def symbol_profile(sys, tol: ToleranceConfig = DEFAULT_TOL) -> SymbolProfile:
     """Modulus envelope of the weight sequence, from the closed form.
 
-    The result is spot-checked against the first generated entries; a
-    contradiction raises MetadataMissing (the metadata, not the generator,
-    is considered wrong in that case).
+    The result is spot-checked against the first entries the closed form
+    generates; a contradiction raises MetadataMissing.
     """
-    if isinstance(sys, InterleavedSystem):
-        profile = sys._symbol_profile_closed_form()
-        _spot_check_profile(profile, sys.symbol_prefix(SYMBOL_SPOT_CHECK))
-        return profile
-    if sys._closed_form is not None:
-        m_base, m_exp = sys._closed_form["m"]
-        per_entry = []
-        for value, e in zip(m_base, m_exp):
-            mod = abs(value)
-            if mod == 0.0:
-                per_entry.append((0.0, 0.0, False))
-            elif e > 0:
-                per_entry.append((0.0, mod, True))      # decays to 0, max at k=1
-            elif e < 0:
-                per_entry.append((mod, math.inf, True))  # grows without bound
-            else:
-                per_entry.append((mod, mod, True))
-        profile = _profile_from_envelope(per_entry)
-    elif _blocks_constant_over_prefix(sys):
-        m = sys.block(1)[2]
-        moduli = np.abs(m)
-        profile = SymbolProfile(
-            inf_modulus=float(np.min(moduli)),
-            sup_modulus=float(np.max(moduli)),
-            all_nonzero=bool(np.all(m != 0)),
-        )
-    else:
-        raise MetadataMissing(
-            f"system {sys.name!r} has no closed form and its blocks vary; "
-            "cannot bound the symbol"
-        )
+    profile = sys._symbol_profile_closed_form()
     _spot_check_profile(profile, sys.symbol_prefix(SYMBOL_SPOT_CHECK))
     return profile
 

@@ -76,7 +76,7 @@ class PreconditionFailed(FrameToolError):
 
 
 class MetadataMissing(FrameToolError):
-    """No closed-form metadata is available and the finite horizon is inconclusive."""
+    """A closed-form symbol envelope contradicts the prefix its system generates."""
 
 
 class RatioNotCertified(FrameToolError):

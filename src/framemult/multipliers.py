@@ -32,6 +32,7 @@ applied to ``Multiplier.adjoint()``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -410,7 +411,8 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     B == 0 certify every dual. B is formed as X - Ana_Psi (Syn_tilde X)
     with X = diag(1/m) Ana_{phi_dagger}, never the N x N matrix C. Both
     norms are reported relative to ||Minv||, with B additionally scaled by
-    ||tilde_Psi||, the perturbation norm the sampler uses.
+    ||tilde_Psi||, the perturbation norm the sampler uses. A zero ||Minv||
+    gives +inf, the rule of ``relative_residual``.
     """
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
@@ -421,7 +423,8 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     weighted = recip[:, None] * phi_dagger.analysis_matrix
     slope = weighted - mult.psi.analysis_matrix @ (tilde_psi.synthesis @ weighted)
     cap = frobenius(tilde_psi.synthesis)
-    linear_residual = frobenius(slope) * cap / frobenius(minv)
+    scale = frobenius(minv)
+    linear_residual = math.inf if scale == 0.0 else frobenius(slope) * cap / scale
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
 
 

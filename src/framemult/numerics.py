@@ -7,7 +7,8 @@ with rel_eps, and no absolute floor such as ``1 +`` or ``max(., 1)`` is
 added to either side. Rescaling the frames or the symbol therefore moves
 no decision, up to rounding. In particular:
 
-* residual checks are relative, scaled by operand norms;
+* residual checks are relative, scaled by operand norms; a zero norm to
+  scale by, exact or underflowed, gives the residual +inf, which fails;
 * invertibility means sigma_min > sigma_max / cond_max;
 * singular values below rel_eps * sigma_max count as zero.
 
@@ -141,12 +142,12 @@ def frobenius(a: np.ndarray) -> float:
 def relative_residual(actual: np.ndarray, reference: np.ndarray) -> float:
     """Frobenius-norm residual ||actual - reference|| / ||reference||.
 
-    A zero reference falls back to the absolute residual so the value
-    stays informative instead of dividing by zero.
+    +inf when ||reference|| is 0, exactly or by underflow: nothing was
+    measured, so the residual fails every tolerance.
     """
     ref = np.asarray(reference, dtype=np.complex128)
     diff = frobenius(np.asarray(actual, dtype=np.complex128) - ref)
     scale = frobenius(ref)
     if scale == 0.0:
-        return diff
+        return math.inf
     return diff / scale

@@ -1,0 +1,64 @@
+"""The benchmark's operations, run in process and judged by its own checks.
+
+The benchmark in ``perfbench/`` calls framemult by name: the in-process
+``--verify-all`` bundle of ``worker.verify_bundle`` and the CLI commands of
+its workloads. These tests run a small share of each workload through the
+benchmark's own generators and ``checks.classify``, so a change that breaks
+a name or a verdict the benchmark relies on fails here. The benchmark files
+are imported, never changed.
+"""
+
+import json
+import os
+import sys
+
+import pytest
+
+from framemult.cli import main
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+sys.dont_write_bytecode, _writes_bytecode = True, sys.dont_write_bytecode  # no .pyc in perfbench/
+import checks  # noqa: E402
+import worker  # noqa: E402
+import workloads  # noqa: E402
+sys.dont_write_bytecode = _writes_bytecode
+
+
+@pytest.mark.parametrize("seed", [11, 54])
+def test_verify_small_draws_check_ok(seed):
+    # the rescaled draws the worker times, judged with no tolerated finding
+    for index in range(100):
+        phi, psi, m, s, t, dual_seed = worker.small_instance(seed, index)
+        verdict, flags = worker.verify_bundle(phi * s, psi * s, m * t, dual_seed)
+        status = checks.classify(verdict, flags, "pass", worker.expected_findings(m))
+        assert status == checks.OK, (index, verdict, flags)
+
+
+def run_json(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err, captured.err
+    report = json.loads(captured.out)
+    return report["verdict"], checks.asserted_flags(report["findings"])
+
+
+def test_examples_sweep_checks_ok(capsys):
+    verdict, flags = run_json(capsys, ["examples", "run", "--all", "--horizon", "50"])
+    assert checks.classify(verdict, flags, "flagged", checks.EXAMPLES_ALL) == checks.OK
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verify_large_inputs_check_ok(capsys, monkeypatch, tmp_path, seed):
+    # VerifyLarge's own input files, at d = 8, N = 32 instead of 128 x 512
+    work = tmp_path / "work"
+    work.mkdir()
+    large = workloads.WORKLOADS["verify-large"]
+    small = workloads.VerifyLarge(name=large.name, why=large.why, shape={"d": 8, "N": 32},
+                                  expected_verdict=large.expected_verdict,
+                                  expected=large.expected)
+    small.prepare(workloads.Context(root=str(tmp_path), work=str(work), env={}, seed=seed,
+                                    launcher=None))
+    monkeypatch.chdir(tmp_path)
+    verdict, flags = run_json(capsys, small.args)
+    assert checks.classify(verdict, flags, small.expected_verdict, small.expected) == checks.OK

@@ -48,6 +48,8 @@ def test_constant_template_blocks_do_not_change():
     b = sys.block(97)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+    profile = bs.symbol_profile(sys)
+    assert (profile.inf_modulus, profile.sup_modulus) == (2.0, 2.0)
 
 
 def test_block_multiplier_identity_for_harmonic_demo():
@@ -129,26 +131,6 @@ def test_vanishing_limit_side_is_bessel_but_not_frame():
     assert bs.system_frame_bounds(sys, "phi", horizon=10).classification == "bessel_not_frame"
 
 
-def test_generator_systems_need_constant_blocks_or_metadata():
-    def varying(k):
-        return np.array([[float(k)]]), np.array([[1.0]]), np.array([1.0])
-
-    custom = bs.BlockSystem.from_generator(1, varying)
-    with pytest.raises(MetadataMissing):
-        bs.system_frame_bounds(custom, "phi", horizon=5)
-    with pytest.raises(MetadataMissing):
-        bs.symbol_profile(custom)
-
-    def steady(k):
-        return np.array([[1.0]]), np.array([[1.0]]), np.array([2.0])
-
-    fine = bs.BlockSystem.from_generator(1, steady)
-    assert bs.system_frame_bounds(fine, "phi", horizon=5).classification == "frame"
-    profile = bs.symbol_profile(fine)
-    assert profile.inf_modulus == pytest.approx(2.0)
-    assert profile.sup_modulus == pytest.approx(2.0)
-
-
 def test_symbol_profile_harmonic_demo():
     profile = bs.symbol_profile(harmonic_demo())
     assert profile.inf_modulus == 0.0
@@ -156,6 +138,16 @@ def test_symbol_profile_harmonic_demo():
     assert profile.all_nonzero
     assert profile.bounded
     assert not profile.semi_normalized
+
+
+def test_an_envelope_the_prefix_contradicts_raises_metadata_missing():
+    prefix = harmonic_demo().symbol_prefix(7)  # moduli 1/k and 1
+    for wrong in (bs.SymbolProfile(0.9, 1.0, True), bs.SymbolProfile(0.0, 0.9, True)):
+        with pytest.raises(MetadataMissing):
+            bs._spot_check_profile(wrong, prefix)
+    with pytest.raises(MetadataMissing):
+        bs._spot_check_profile(bs.SymbolProfile(0.0, 1.0, True), np.array([1.0, 0.0]))
+    bs._spot_check_profile(bs.symbol_profile(harmonic_demo()), prefix)
 
 
 def test_symbol_prefix_order_block_system():
@@ -237,20 +229,12 @@ def test_interleaved_apply_bound_is_sound_under_refinement():
 def test_system_frame_bounds_classification_is_scale_free(scale):
     templates = scale * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     constant = bs.BlockSystem.constant_template(templates, templates, [1.0, 2.0, 3.0])
-    steady = bs.BlockSystem.from_generator(
-        2, lambda k: (templates, templates, np.array([1.0, 2.0, 3.0])))
     interleaved = bs.InterleavedSystem(
         phi_head=scale, psi_head=1.0, m_head=1.0, phi_ratio=0.5, psi_ratio=2.0 ** -0.5,
         m_ratio=2.0 ** 0.5, transient_phi=scale, transient_psi=1.0, transient_m=1.0,
         ratio_bound=0.5)
-    for system in (constant, steady, interleaved):
+    for system in (constant, interleaved):
         assert bs.system_frame_bounds(system, "phi", horizon=20).classification == "frame"
-
-    # blocks that vary stay varying however small they are
-    varying = bs.BlockSystem.from_generator(
-        1, lambda k: (np.array([[scale * k]]), np.array([[scale]]), np.array([1.0])))
-    with pytest.raises(MetadataMissing):
-        bs.system_frame_bounds(varying, "phi", horizon=5)
 
 
 def test_interleaved_side_bounds():

@@ -32,16 +32,6 @@ def oracle_symbol_prefix(sys, count):
     return np.asarray(out[:count], dtype=np.complex128)
 
 
-def oracle_blocks_constant_over_prefix(sys, prefix=bs.SPOT_CHECK_BLOCKS):
-    first = sys.block(1)
-    for k in range(2, prefix + 1):
-        current = sys.block(k)
-        for a, b in zip(first, current):
-            if a.shape != b.shape or not np.allclose(a, b, rtol=0.0, atol=1e-14):
-                return False
-    return True
-
-
 def oracle_assemble_blocks(sys, count):
     b = sys.block_dim
     length = sys.block_length
@@ -70,14 +60,8 @@ def oracle_system_frame_bounds(sys, side, horizon=bs.SWEEP_HORIZON, tol=DEFAULT_
         eigs = np.linalg.eigvalsh((s_block + s_block.conj().T) / 2.0)
         sweep_min = min(sweep_min, float(eigs[0].real))
         sweep_max = max(sweep_max, float(eigs[-1].real))
-    if sys._closed_form is not None:
-        base, exponents = sys._side_closed_form(side)
-        classification = bs._classify_closed_form(base, exponents, sweep_min, sweep_max, tol)
-    elif oracle_blocks_constant_over_prefix(sys):
-        classification = (bs.CLASS_FRAME if sweep_min > tol.rel_eps * max(sweep_max, 1.0)
-                          else bs.CLASS_BESSEL_NOT_FRAME)
-    else:
-        raise bs.MetadataMissing("blocks vary")
+    base, exponents = sys._side_closed_form(side)
+    classification = bs._classify_closed_form(base, exponents, sweep_min, sweep_max, tol)
     return bs.SystemBounds(lambda_min=sweep_min, lambda_max=sweep_max,
                            classification=classification)
 
@@ -134,7 +118,6 @@ def oracle_run_example(name, horizon):
     """run_example(name, horizon) with every sweep done block by block."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bs.BlockSystem, "symbol_prefix", oracle_symbol_prefix)
-        patch.setattr(bs, "_blocks_constant_over_prefix", oracle_blocks_constant_over_prefix)
         patch.setattr(bs, "system_frame_bounds", oracle_system_frame_bounds)
         patch.setattr(bs, "_worst_block_deviation", oracle_worst_deviation)
         patch.setitem(bs._RUNNERS, "ex4_1", oracle_run_ex4_1)
@@ -164,16 +147,6 @@ def harmonic_systems(draw):
     )
 
 
-def generator_system(b=2, length=3):
-    def block(k):
-        rng = np.random.default_rng(k)
-        parts = rng.standard_normal((2 * length * b + length, 2)) @ np.array([1.0, 1j])
-        return (parts[:length * b].reshape(length, b),
-                parts[length * b:2 * length * b].reshape(length, b),
-                parts[2 * length * b:])
-    return bs.BlockSystem.from_generator(b, block)
-
-
 def assert_blocks_match(sys, first, count):
     stacked = sys.stacked(first, count)
     matrices = bs._block_matrices(*stacked)
@@ -201,11 +174,6 @@ def test_stacked_powers_equal_block_powers_for_a_single_slot(exponent):
     assert_blocks_match(sys, 1, 3000)
 
 
-def test_stacked_generator_blocks_equal_the_per_block_ones():
-    assert_blocks_match(generator_system(), 1, 30)
-    assert_blocks_match(generator_system(b=1, length=1), 5, 9)
-
-
 @settings(max_examples=30, deadline=None)
 @given(sys=harmonic_systems(), horizon=st.integers(1, 40), side=st.sampled_from(bs.SIDES))
 def test_stacked_frame_bounds_equal_the_per_block_sweep(sys, horizon, side):
@@ -225,17 +193,6 @@ def test_stacked_symbol_prefix_and_assembly_equal_the_per_block_ones(sys, count)
         assert np.array_equal(got, want)
 
 
-def test_constant_prefix_check_matches_the_per_block_one():
-    steady = bs.BlockSystem.from_generator(
-        1, lambda k: (np.array([[1.0]]), np.array([[1.0]]), np.array([2.0 + 1e-15 * (k % 2)])))
-    drifting = bs.BlockSystem.from_generator(
-        1, lambda k: (np.array([[1.0]]), np.array([[1.0]]), np.array([2.0 + 1e-13 * (k == 64)])))
-    for sys in (steady, drifting, generator_system()):
-        assert bs._blocks_constant_over_prefix(sys) == oracle_blocks_constant_over_prefix(sys)
-    assert bs._blocks_constant_over_prefix(steady)
-    assert not bs._blocks_constant_over_prefix(drifting)
-
-
 @pytest.mark.parametrize("horizon", [1, 2, 6, 7, 8, 17, 200])
 @pytest.mark.parametrize("name", sorted(bs.example_registry()))
 def test_run_example_equals_the_per_block_oracle(monkeypatch, name, horizon):
@@ -243,20 +200,6 @@ def test_run_example_equals_the_per_block_oracle(monkeypatch, name, horizon):
     want = oracle_run_example(name, horizon)
     monkeypatch.setattr(bs, "SWEEP_CHUNK", 7)
     assert bs.run_example(name, horizon=horizon) == want
-
-
-def test_stacked_generator_rejects_inconsistent_and_non_finite_blocks():
-    def growing(k):
-        return np.ones((k, 1)), np.ones((k, 1)), np.ones(k)
-
-    with pytest.raises(ValueError, match="block 2"):
-        bs.BlockSystem.from_generator(1, growing).stacked(1, 3)
-
-    def blowing_up(k):
-        return np.array([[1.0]]), np.array([[1.0]]), np.array([1.0 if k < 4 else math.inf])
-
-    with pytest.raises(ValueError, match="block 4"):
-        bs.BlockSystem.from_generator(1, blowing_up).stacked(2, 5)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

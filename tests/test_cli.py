@@ -304,6 +304,29 @@ def test_products_beyond_the_double_range_fail_their_decisions(capsys, tmp_path)
             assert invertible["value"] == {"sigma_max": None, "sigma_min": None}
 
 
+# the equivalence test's norm of the symbol-weighted frame overflows on
+# this input; no other warning is allowed
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_underflowed_inverse_norm_fails_the_identity_findings(capsys, tmp_path):
+    # symbol entries near 1e300: ||Minv|| underflows to 0, so the
+    # certificates and the sampled duals measure nothing and must fail
+    rng = np.random.default_rng(1)
+    phi, psi = (rng.standard_normal((2, 6, 3)) + 1j * rng.standard_normal((2, 6, 3))) / np.sqrt(2.0)
+    m = rng.uniform(0.5, 2.0, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
+    sym = write_json(tmp_path / "m.json", symbol_doc(1e300 * m))
+    phi_path = write_json(tmp_path / "phi.json", frame_doc(phi))
+    psi_path = write_json(tmp_path / "psi.json", frame_doc(psi))
+    code, out, err = run_cli(capsys, "multiplier", "--symbol", sym, "--phi", phi_path,
+                             "--psi", psi_path, "--verify-all", "--seed", "1")
+    assert code == 0 and err == "", err
+    report = parse_report(out)
+    assert report["verdict"] == "fail"
+    for name in ("inverse_identity_all_input_duals", "inverse_identity_all_output_duals",
+                 "sampled_input_duals_match_inverse", "sampled_output_duals_match_inverse"):
+        assert not finding(report, name)["ok"]
+        assert finding(report, name)["residual"] is None
+
+
 # -------------------------------------------------------------------- examples
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from framemult.errors import (
     ZeroSymbolEntry,
 )
 from framemult.frames import FiniteFrame
-from framemult.numerics import DEFAULT_TOL
+from framemult.numerics import DEFAULT_TOL, frobenius
 from framemult.numerics import ToleranceConfig
 
 SQRT5 = math.sqrt(5.0)
@@ -215,6 +216,23 @@ def test_all_duals_certificates_pass_on_random_instances():
         cond = np.linalg.cond(mult.matrix)
         assert worst1 <= 1e-10 * max(1.0, cond)
         assert worst2 <= 1e-10 * max(1.0, cond)
+
+
+def test_an_underflowed_inverse_norm_fails_every_residual_without_a_warning():
+    # symbol entries near 1e300: ||Minv|| squares entries near 1e-300 and
+    # underflows to 0, so nothing is measured and each residual is +inf
+    rng = np.random.default_rng(1)
+    phi, psi = (rng.standard_normal((2, 6, 3)) + 1j * rng.standard_normal((2, 6, 3))) / np.sqrt(2.0)
+    m = rng.uniform(0.5, 2.0, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
+    mult = mp.build(mp.Symbol(1e300 * m), FiniteFrame(phi), FiniteFrame(psi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert frobenius(mp.invert(mult)) == 0.0
+        certificates = (mp.certify_minv1_all_duals(mult), mp.certify_minv2_all_duals(mult))
+        sampled = mp.sampled_dual_residuals(mult, 3, seed=1)
+    for certificate in certificates:
+        assert certificate.base_residual == certificate.linear_residual == math.inf
+    assert sampled == (math.inf, math.inf)
 
 
 # ------------------------------------------------- per-draw oracle of the sampled route

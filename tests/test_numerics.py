@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,10 +78,16 @@ def test_condition_number_identity():
     assert condition_number(np.eye(3)) == pytest.approx(1.0)
 
 
-def test_relative_residual_zero_reference_falls_back_to_absolute():
+def test_relative_residual_of_a_zero_reference_is_inf():
+    # nothing is measured against a zero reference, whether it is exactly
+    # zero or its norm underflowed (entries 1e-300 square to 0)
     zero = np.zeros((2, 2))
-    assert relative_residual(zero, zero) == 0.0
-    assert relative_residual(np.eye(2), zero) == pytest.approx(np.sqrt(2.0))
+    tiny = np.full((2, 2), 1e-300)
+    for reference in (zero, tiny):
+        assert relative_residual(zero, reference) == math.inf
+        assert relative_residual(np.eye(2), reference) == math.inf
+        assert relative_residual(reference, reference) == math.inf
+    assert relative_residual(2.0 * np.eye(2), np.eye(2)) == 1.0
 
 
 shapes = st.one_of(st.tuples(st.integers(1, 40)),
