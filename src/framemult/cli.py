@@ -23,7 +23,6 @@ written). Those print one ``error:`` line to stderr and no report.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -58,12 +57,11 @@ class UsageError(Exception):
 # ------------------------------------------------------------------ reporting
 
 
-def _file_digest(path: str) -> str:
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+def _load(path: str, where: str, parse, inputs: dict):
+    """``parse`` of the JSON document at ``path``, recording its path and sha256 under ``where``."""
+    doc, digest = formats.load_json_file(path, where)
+    inputs[where] = {"path": path, "sha256": digest}
+    return parse(doc)
 
 
 def _emit(args, command: str, inputs: dict, findings: list[dict]) -> int:
@@ -117,8 +115,8 @@ def _tolerances(args) -> ToleranceConfig:
 
 def cmd_frame_info(args) -> int:
     tol = args.tol
-    frame = formats.frame_from_json(formats.load_json_file(args.frame, "frame"))
-    inputs = {"frame": {"path": args.frame, "sha256": _file_digest(args.frame)}}
+    inputs: dict = {}
+    frame = _load(args.frame, "frame", formats.frame_from_json, inputs)
     findings = [
         finding("dimensions", True, asserted=False,
                 value={"dim": frame.dim, "size": frame.size}),
@@ -212,16 +210,12 @@ def cmd_multiplier(args) -> int:
     if args.verify_all and args.seed is None:
         raise UsageError("--verify-all samples random duals and needs --seed")
 
-    symbol = formats.symbol_from_json(formats.load_json_file(args.symbol, "symbol"))
-    phi = formats.frame_from_json(formats.load_json_file(args.phi, "phi"))
-    psi = formats.frame_from_json(formats.load_json_file(args.psi, "psi"))
+    inputs: dict = {}
+    symbol = _load(args.symbol, "symbol", formats.symbol_from_json, inputs)
+    phi = _load(args.phi, "phi", formats.frame_from_json, inputs)
+    psi = _load(args.psi, "psi", formats.frame_from_json, inputs)
     mult = mp.build(symbol, phi, psi)
 
-    inputs = {
-        "symbol": {"path": args.symbol, "sha256": _file_digest(args.symbol)},
-        "phi": {"path": args.phi, "sha256": _file_digest(args.phi)},
-        "psi": {"path": args.psi, "sha256": _file_digest(args.psi)},
-    }
     if args.seed is not None:
         inputs["seed"] = args.seed
 

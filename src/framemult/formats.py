@@ -21,6 +21,7 @@ which names the first bad entry. Writing goes the same way, one
 
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import chain
 
@@ -152,11 +153,21 @@ def symbol_to_json(symbol: Symbol) -> dict:
 # --------------------------------------------------------------------- files
 
 
-def load_json_file(path: str, where: str = "input"):
+def load_json_file(path: str, where: str = "input") -> tuple[object, str]:
+    """The JSON document in a UTF-8 file and the sha256 of the bytes it was parsed from.
+
+    The file is opened and read once. The bytes are dropped once they are
+    hashed and decoded, so only the text is held while it is parsed.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ParseError(f"{where}: cannot read {path}: {exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+        del data
+        return json.loads(text), digest
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past Python's digit limit
         raise ParseError(f"{where}: {path} is not valid JSON: {exc}") from exc

@@ -12,6 +12,7 @@ Storage is 0-based; mathematical descriptions number vectors from 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,16 @@ class FiniteFrame:
     The sequence need not actually satisfy the frame (spanning) property;
     predicates below decide that. Instances are immutable.
 
-    The frame operator, its eigenvalues and the canonical dual are lazy
-    per-instance caches, each computed at most once and free of any
-    tolerance; the NotAFrame decision is made afresh on every call.
+    The frame operator, its eigenvalues, the canonical dual and the norm
+    are lazy per-instance caches, each computed at most once and free of
+    any tolerance. ``canonical_dual`` evaluates the NotAFrame decision once
+    per frame and tolerance while it passes: the frame remembers the last
+    tolerance it spanned under. A failure is not remembered, so NotAFrame
+    is raised on every call. Only scalars and decisions are cached beyond
+    the operator and the dual, never another d x N array.
     """
 
-    __slots__ = ("_syn", "_operator", "_eigs", "_dual")
+    __slots__ = ("_syn", "_operator", "_eigs", "_dual", "_norm", "_spans_under")
 
     def __init__(self, vectors) -> None:
         rows = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors))
@@ -61,7 +66,7 @@ class FiniteFrame:
             raise ValueError("frame vectors must have finite entries")
         syn.setflags(write=False)
         self._syn = syn
-        self._operator = self._eigs = self._dual = None
+        self._operator = self._eigs = self._dual = self._norm = self._spans_under = None
 
     @property
     def dim(self) -> int:
@@ -79,6 +84,13 @@ class FiniteFrame:
     def synthesis(self) -> np.ndarray:
         """d x N synthesis matrix (read-only view)."""
         return self._syn
+
+    @property
+    def norm(self) -> float:
+        """Frobenius norm of the synthesis matrix, measured once; +inf when it overflows."""
+        if self._norm is None:
+            self._norm = frobenius(self._syn)
+        return self._norm
 
     @property
     def analysis_matrix(self) -> np.ndarray:
@@ -187,8 +199,14 @@ def is_frame(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def canonical_dual(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> FiniteFrame:
-    """The canonical dual, vector n being S^-1 phi_n for the frame operator S."""
-    frame_bounds(frame, tol)  # NotAFrame for rank-deficient input
+    """The canonical dual, vector n being S^-1 phi_n for the frame operator S.
+
+    NotAFrame for input that does not span, decided by ``frame_bounds``
+    once per frame and tolerance while it passes.
+    """
+    if frame._spans_under is not tol:
+        frame_bounds(frame, tol)
+        frame._spans_under = tol
     if frame._dual is None:
         dual_syn = np.linalg.solve(frame_operator(frame), frame.synthesis)
         frame._dual = FiniteFrame.from_synthesis(dual_syn)
@@ -199,18 +217,24 @@ def is_s_pseudo_dual(candidate: FiniteFrame, frame: FiniteFrame,
                      tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when f = sum_n <f, phi_n> c_n holds, i.e. Syn_C * Ana_Phi = I."""
     _require_same_shape(candidate, frame)
-    return bool(_reconstructs(candidate.synthesis, frame.synthesis, tol))
+    return bool(_reconstructs(candidate.synthesis, frame.synthesis, tol,
+                              (candidate.norm, frame.norm)))
 
 
-def _reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: ToleranceConfig):
+def _reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: ToleranceConfig,
+                  norms=None):
     """The is_s_pseudo_dual test on synthesis matrices, for one pair or a stack of pairs.
 
-    ||Syn_C Ana_Phi - I|| must not exceed rel_eps ||Syn_C|| ||Syn_Phi||;
-    returns a bool, or one bool per matrix of a stack (..., d, N).
+    ||Syn_C Ana_Phi - I|| must not exceed rel_eps ||Syn_C|| ||Syn_Phi||,
+    and that bound must be finite: a scale that overflows measures nothing.
+    ``norms`` is (||Syn_C||, ||Syn_Phi||) when the caller knows them.
+    Returns a bool, or one bool per matrix of a stack (..., d, N).
     """
     product = candidate_syn @ adjoint(frame_syn)
     residual = _frobenius(product - np.eye(product.shape[-1]))
-    return residual <= tol.rel_eps * _frobenius(candidate_syn) * _frobenius(frame_syn)
+    candidate_norm, frame_norm = norms or (_frobenius(candidate_syn), _frobenius(frame_syn))
+    bound = tol.rel_eps * candidate_norm * frame_norm
+    return (residual <= bound) & (bound < math.inf)
 
 
 def _frobenius(a: np.ndarray):
@@ -268,17 +292,17 @@ def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
     frame pinv(Syn_Phi) is the analysis matrix of the canonical dual, so L
     is formed from the cached dual (NotAFrame when ``phi`` does not span).
     The mapping property is decided by the residual ||L Syn_Phi - Syn_Psi||
-    against rel_eps * ||Syn_Psi||, then L must pass the invertibility
-    policy. Either failure raises NotEquivalent, with ``reason`` saying
-    which requirement failed.
+    against rel_eps * ||Syn_Psi||, a bound that must be finite, then L must
+    pass the invertibility policy. Either failure raises NotEquivalent,
+    with ``reason`` saying which requirement failed.
     """
     _require_same_shape(phi, psi)
     candidate = psi.synthesis @ canonical_dual(phi, tol).analysis_matrix
-    scale = frobenius(psi.synthesis)
     residual = frobenius(candidate @ phi.synthesis - psi.synthesis)
-    if residual > tol.rel_eps * scale:
+    if not residual <= tol.rel_eps * psi.norm < math.inf:
         raise NotEquivalent(
-            f"no linear map sends the first sequence to the second (residual {residual:.3e})",
+            "no linear map sends the first sequence to the second "
+            f"(residual {residual:.3e} against norm {psi.norm:.3e})",
             reason="no_linear_map",
             residual=residual,
         )
@@ -302,13 +326,13 @@ def frames_equal(f: FiniteFrame, g: FiniteFrame,
                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Equality as ordered sequences, up to rel_eps.
 
-    ||Syn_F - Syn_G|| must not exceed rel_eps * max(||Syn_F||, ||Syn_G||);
-    the sequences are ordered, so no permutation is allowed.
+    ||Syn_F - Syn_G|| must not exceed rel_eps * max(||Syn_F||, ||Syn_G||),
+    a bound that must be finite; the sequences are ordered, so no
+    permutation is allowed.
     """
     if f.dim != g.dim or f.size != g.size:
         return False
-    scale = max(frobenius(f.synthesis), frobenius(g.synthesis))
-    return frobenius(f.synthesis - g.synthesis) <= tol.rel_eps * scale
+    return frobenius(f.synthesis - g.synthesis) <= tol.rel_eps * max(f.norm, g.norm) < math.inf
 
 
 def random_frame(dim: int, size: int, rng: np.random.Generator) -> FiniteFrame:
@@ -347,12 +371,12 @@ def random_dual_synthesis(frame: FiniteFrame, rng: np.random.Generator,
     same generator state, it is the dual ``dual_family`` selects for that
     perturbation.
     """
-    tilde = canonical_dual(frame, tol).synthesis
-    d, n = tilde.shape
+    tilde = canonical_dual(frame, tol)
+    d, n = tilde.dim, tilde.size
     h = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2.0)
-    h = h * (frobenius(tilde) / frobenius(h))
+    h = h * (tilde.norm / frobenius(h))
     if d == n:
         # DualFamilyParam reads a square perturbation as N rows; the draw keeps that
         # orientation, so a seed selects the same dual as through dual_family
         h = h.T
-    return _dual_synthesis(tilde, frame.analysis_matrix, h)
+    return _dual_synthesis(tilde.synthesis, frame.analysis_matrix, h)

@@ -33,7 +33,7 @@ applied to ``Multiplier.adjoint()``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,11 +160,15 @@ def weighted_frame(frame: FiniteFrame, weights) -> FiniteFrame:
 class Multiplier:
     """Realized multiplier (symbol, output side, input side) with its matrix.
 
-    The singular values, the inverse, the induced duals and the adjoint are
-    lazy per-instance caches, each computed at most once and free of any
-    tolerance; NotInvertible is decided afresh on every call. An adjoint
-    takes its derived values from the multiplier it came from, so the two
-    share one SVD and one inverse.
+    The singular values, the inverse and its norm, the induced duals and
+    the adjoint are lazy per-instance caches, each computed at most once
+    and free of any tolerance. ``invert`` evaluates the invertibility
+    policy once per multiplier and tolerance while it passes: the
+    multiplier remembers the last tolerance it passed under. A failure is
+    not remembered, so NotInvertible is raised on every call. An adjoint
+    takes its derived values and that decision from the multiplier it came
+    from, so the two share one SVD, one inverse and one ||Minv||, which is
+    also ||Minv*||.
     """
 
     def __init__(self, symbol: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> None:
@@ -180,8 +184,9 @@ class Multiplier:
         self.psi = psi
         self.matrix = _multiplier_matrix(symbol.values, phi, psi)
 
-    # lazy caches; _origin is the multiplier an adjoint was derived from
-    _origin = _adjoint = _sigmas = _inverse = _duals = None
+    # lazy caches; _origin is the multiplier an adjoint was derived from,
+    # _passed_under the last tolerance the invertibility policy passed under
+    _origin = _adjoint = _sigmas = _inverse = _inverse_norm = _duals = _passed_under = None
 
     @property
     def dim(self) -> int:
@@ -218,6 +223,13 @@ class Multiplier:
             self._inverse = (np.linalg.inv(self.matrix) if self._origin is None
                              else adjoint(self._origin._inverse_matrix()))
         return self._inverse
+
+    def _inverse_frobenius(self) -> float:
+        """||Minv||, measured once for a multiplier and its adjoint."""
+        if self._inverse_norm is None:
+            self._inverse_norm = (frobenius(self._inverse_matrix()) if self._origin is None
+                                  else self._origin._inverse_frobenius())
+        return self._inverse_norm
 
     @property
     def condition_number(self) -> float:
@@ -288,8 +300,16 @@ def apply_termwise(m: Symbol, phi: FiniteFrame, psi: FiniteFrame, f) -> np.ndarr
 
 
 def invert(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse of the multiplier under the invertibility policy."""
-    check_invertible(mult._singular_values(), tol)
+    """Matrix inverse of the multiplier under the invertibility policy.
+
+    The policy is evaluated once per multiplier and tolerance while it
+    passes, and an adjoint shares that decision; NotInvertible is raised
+    on every call that fails.
+    """
+    root = mult if mult._origin is None else mult._origin
+    if root._passed_under is not tol:
+        check_invertible(root._singular_values(), tol)
+        root._passed_under = tol
     return mult._inverse_matrix()
 
 
@@ -354,7 +374,7 @@ def _minv1_residual(mult: Multiplier, psi_dual: FiniteFrame, tol: ToleranceConfi
     recip = mult.symbol.reciprocal().values
     phi_dagger = induced_duals(mult, tol).phi_dagger
     candidate = (psi_dual.synthesis * recip[None, :]) @ phi_dagger.analysis_matrix
-    return relative_residual(candidate, minv)
+    return relative_residual(candidate, minv, mult._inverse_frobenius())
 
 
 def verify_identity_minv1(mult: Multiplier, psi_dual: FiniteFrame,
@@ -414,7 +434,7 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     ||tilde_Psi||, the perturbation norm the sampler uses. A zero ||Minv||
     gives +inf, the rule of ``relative_residual``.
     """
-    minv = invert(mult, tol)
+    invert(mult, tol)
     recip = mult.symbol.reciprocal().values
     tilde_psi = frames.canonical_dual(mult.psi, tol)
     base_residual = _minv1_residual(mult, tilde_psi, tol)
@@ -422,9 +442,8 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     phi_dagger = induced_duals(mult, tol).phi_dagger
     weighted = recip[:, None] * phi_dagger.analysis_matrix
     slope = weighted - mult.psi.analysis_matrix @ (tilde_psi.synthesis @ weighted)
-    cap = frobenius(tilde_psi.synthesis)
-    scale = frobenius(minv)
-    linear_residual = math.inf if scale == 0.0 else frobenius(slope) * cap / scale
+    scale = mult._inverse_frobenius()
+    linear_residual = math.inf if scale == 0.0 else frobenius(slope) * tilde_psi.norm / scale
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
 
 
@@ -454,22 +473,24 @@ def sampled_dual_residuals(mult: Multiplier, draws: int, *, seed,
     The work is on arrays. Per side, Minv, 1/m and the induced dual
     phi_dagger are fetched once; each draw is one dual synthesis from
     ``frames.random_dual_synthesis``, and its residual is taken before the
-    next draw, so no frame or symbol is built per draw. The generator gives
-    a dual of the input side, then one of the output side, per draw. The
-    analysis matrices, conjugate copies, are formed per draw: holding them
-    for both sides through the loop raised the peak memory of a d=128,
-    N=512 run by 8%.
+    next draw against the multiplier's cached ||Minv||, so no frame or
+    symbol is built and no reference norm measured per draw. The generator
+    gives a dual of the input side, then one of the output side, per draw.
+    The analysis matrices, conjugate copies, are formed per draw: holding
+    them for both sides through the loop raised the peak memory of a
+    d=128, N=512 run by 8%.
     """
     rng = _as_rng(seed)
     sides = (mult, mult.adjoint())
-    targets = [(invert(side, tol), side.symbol.reciprocal().values[None, :],
-                induced_duals(side, tol).phi_dagger) for side in sides]
+    targets = [(invert(side, tol), side._inverse_frobenius(),
+                side.symbol.reciprocal().values[None, :], induced_duals(side, tol).phi_dagger)
+               for side in sides]
     worst = [0.0, 0.0]
     for _ in range(draws):
-        for i, (side, (minv, recip, phi_dagger)) in enumerate(zip(sides, targets)):
+        for i, (side, (minv, minv_norm, recip, phi_dagger)) in enumerate(zip(sides, targets)):
             dual = frames.random_dual_synthesis(side.psi, rng, tol)
             candidate = (dual * recip) @ phi_dagger.analysis_matrix
-            worst[i] = max(worst[i], relative_residual(candidate, minv))
+            worst[i] = max(worst[i], relative_residual(candidate, minv, minv_norm))
     return worst[0], worst[1]
 
 
@@ -575,7 +596,7 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     tilde_psi = frames.canonical_dual(mult.psi, tol)
     tilde_phi = frames.canonical_dual(mult.phi, tol)
     candidate = (tilde_psi.synthesis * recip[None, :]) @ tilde_phi.analysis_matrix
-    return relative_residual(candidate, minv)
+    return relative_residual(candidate, minv, mult._inverse_frobenius())
 
 
 @dataclass(frozen=True)
@@ -590,7 +611,14 @@ class PropQReport:
     constant_symbol: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "eq1_holds": self.eq1_holds,
+            "psi_equiv_mphi": self.psi_equiv_mphi,
+            "phi_equiv_mbar_psi": self.phi_equiv_mbar_psi,
+            "psi_dagger_is_canonical": self.psi_dagger_is_canonical,
+            "phi_dagger_is_canonical": self.phi_dagger_is_canonical,
+            "constant_symbol": self.constant_symbol,
+        }
 
 
 def _input_equiv_weighted_output(mult: Multiplier, tol: ToleranceConfig) -> bool:
@@ -716,7 +744,12 @@ class ConstantModulusReport:
         return self.invertible_and_eq1 and self.psi_equiv_mphi and self.phi_equiv_mbar_psi
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "all_agree": self.all_agree}
+        return {
+            "invertible_and_eq1": self.invertible_and_eq1,
+            "psi_equiv_mphi": self.psi_equiv_mphi,
+            "phi_equiv_mbar_psi": self.phi_equiv_mbar_psi,
+            "all_agree": self.all_agree,
+        }
 
 
 def check_constant_modulus(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> ConstantModulusReport:

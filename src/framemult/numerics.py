@@ -8,7 +8,8 @@ added to either side. Rescaling the frames or the symbol therefore moves
 no decision, up to rounding. In particular:
 
 * residual checks are relative, scaled by operand norms; a zero norm to
-  scale by, exact or underflowed, gives the residual +inf, which fails;
+  scale by, exact or underflowed, gives the residual +inf, and a norm
+  that overflows leaves the bound +inf, and both fail;
 * invertibility means sigma_min > sigma_max / cond_max;
 * singular values below rel_eps * sigma_max count as zero.
 
@@ -16,6 +17,12 @@ Matrices are plain numpy arrays with dtype complex128; ``as_vector``
 validates the vectors that enter the frames module. ``frobenius`` is the
 norm of every single matrix or vector in ``numerics``, ``frames`` and
 ``multipliers``: numpy's axis-free ``norm`` without its dispatch.
+
+The functions here decide afresh on every call and cache nothing. The
+objects that hold a matrix (``frames.FiniteFrame``, ``multipliers.Multiplier``)
+measure its norm once and remember the last tolerance their policy passed
+under, so a bundle of checks on one object decides and measures once; a
+failure is never remembered.
 """
 
 from __future__ import annotations
@@ -139,15 +146,18 @@ def frobenius(a: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def relative_residual(actual: np.ndarray, reference: np.ndarray) -> float:
+def relative_residual(actual: np.ndarray, reference: np.ndarray,
+                      reference_norm: float | None = None) -> float:
     """Frobenius-norm residual ||actual - reference|| / ||reference||.
 
-    +inf when ||reference|| is 0, exactly or by underflow: nothing was
-    measured, so the residual fails every tolerance.
+    ``reference_norm``, when given, is ``frobenius(reference)`` measured
+    before and is used as it is. +inf when ||reference|| is 0, exactly or
+    by underflow: nothing was measured, so the residual fails every
+    tolerance.
     """
     ref = np.asarray(reference, dtype=np.complex128)
     diff = frobenius(np.asarray(actual, dtype=np.complex128) - ref)
-    scale = frobenius(ref)
+    scale = frobenius(ref) if reference_norm is None else reference_norm
     if scale == 0.0:
         return math.inf
     return diff / scale

@@ -8,13 +8,18 @@ a name or a verdict the benchmark relies on fails here. The benchmark files
 are imported, never changed.
 """
 
+import inspect
 import json
 import os
 import sys
 
 import pytest
 
+import framemult.cli as cli
+import framemult.multipliers as mp
 from framemult.cli import main
+from framemult.frames import FiniteFrame
+from framemult.numerics import frobenius
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -33,6 +38,62 @@ def test_verify_small_draws_check_ok(seed):
         verdict, flags = worker.verify_bundle(phi * s, psi * s, m * t, dual_seed)
         status = checks.classify(verdict, flags, "pass", worker.expected_findings(m))
         assert status == checks.OK, (index, verdict, flags)
+
+
+def _fresh(obj):
+    """A copy of a multiplier, frame or symbol with every cache empty; anything else as is."""
+    if isinstance(obj, mp.Multiplier):
+        return mp.Multiplier(_fresh(obj.symbol), _fresh(obj.phi), _fresh(obj.psi))
+    if isinstance(obj, FiniteFrame):
+        return FiniteFrame.from_synthesis(obj.synthesis)
+    if isinstance(obj, mp.Symbol):
+        return mp.Symbol(obj.values)
+    return obj
+
+
+class FreshPerCall:
+    """A module whose functions are called with fresh copies of their arguments."""
+
+    def __init__(self, module):
+        self._module = module
+
+    def __getattr__(self, name):
+        value = getattr(self._module, name)
+        if not inspect.isfunction(value):
+            return value
+
+        def call(*args, **kwargs):
+            return value(*map(_fresh, args), **{key: _fresh(v) for key, v in kwargs.items()})
+
+        return call
+
+
+def _bundle_findings(phi, psi, m, seed):
+    tol = cli.ToleranceConfig()
+    mult = mp.build(mp.Symbol(m), FiniteFrame(phi), FiniteFrame(psi))
+    mp.invert(mult, tol)
+    findings = []
+    cli._verify_bundle(mult, tol, seed, findings)
+    return findings
+
+
+def test_verify_small_findings_do_not_depend_on_cached_decisions_or_norms(monkeypatch):
+    # the bundle on one multiplier, whose decisions and norms are made once,
+    # against the bundle with every call given fresh objects that decide
+    # every tolerance test and measure every norm again, float for float
+    draws = [worker.small_instance(11, index) for index in range(200)]
+    cached = [_bundle_findings(phi * s, psi * s, m * t, seed)
+              for phi, psi, m, s, t, seed in draws]
+    monkeypatch.setattr(cli, "mp", FreshPerCall(cli.mp))
+    monkeypatch.setattr(cli, "frames", FreshPerCall(cli.frames))
+    forgetful = property(lambda obj: None, lambda obj, value: None)
+    monkeypatch.setattr(mp.Multiplier, "_passed_under", forgetful)
+    monkeypatch.setattr(FiniteFrame, "_spans_under", forgetful)
+    monkeypatch.setattr(mp.Multiplier, "_inverse_frobenius",
+                        lambda mult: frobenius(mult._inverse_matrix()))
+    monkeypatch.setattr(FiniteFrame, "norm", property(lambda frame: frobenius(frame.synthesis)))
+    for index, (phi, psi, m, s, t, seed) in enumerate(draws):
+        assert repr(_bundle_findings(phi * s, psi * s, m * t, seed)) == repr(cached[index]), index
 
 
 def run_json(capsys, argv):

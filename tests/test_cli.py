@@ -1,5 +1,7 @@
+import builtins
 import collections
 import contextlib
+import hashlib
 import io
 import json
 
@@ -186,6 +188,31 @@ def test_multiplier_verify_all_bundle(capsys, multiplier_files):
             assert "tolerance" in entry
 
 
+def test_each_input_file_is_opened_once_and_its_digest_is_of_those_bytes(
+        capsys, monkeypatch, tmp_path, multiplier_files):
+    sym, phi, psi = multiplier_files
+    opened = collections.Counter()
+    original_open = builtins.open
+
+    def counted_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return original_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    report = run_report(capsys, "multiplier", "--symbol", sym, "--phi", phi,
+                        "--psi", psi, "--verify-all", "--seed", "1")
+    assert opened == {sym: 1, phi: 1, psi: 1}
+    opened.clear()
+    dual = str(tmp_path / "dual.json")
+    info = run_report(capsys, "frame-info", psi, "--dual-out", dual)
+    assert opened == {psi: 1, dual: 1}
+    monkeypatch.undo()
+    for key, path in (("symbol", sym), ("phi", phi), ("psi", psi)):
+        with open(path, "rb") as handle:
+            assert report["inputs"][key]["sha256"] == hashlib.sha256(handle.read()).hexdigest()
+    assert info["inputs"]["frame"]["sha256"] == report["inputs"]["psi"]["sha256"]
+
+
 def test_multiplier_verify_all_requires_seed(capsys, multiplier_files):
     sym, phi, psi = multiplier_files
     code, out, err = run_cli(capsys, "multiplier", "--symbol", sym, "--phi", phi,
@@ -309,7 +336,9 @@ def test_products_beyond_the_double_range_fail_their_decisions(capsys, tmp_path)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_an_underflowed_inverse_norm_fails_the_identity_findings(capsys, tmp_path):
     # symbol entries near 1e300: ||Minv|| underflows to 0, so the
-    # certificates and the sampled duals measure nothing and must fail
+    # certificates and the sampled duals measure nothing and must fail;
+    # the norm of the weighted side m*Phi overflows, so the equivalence
+    # tests against it measure nothing either and fail as well
     rng = np.random.default_rng(1)
     phi, psi = (rng.standard_normal((2, 6, 3)) + 1j * rng.standard_normal((2, 6, 3))) / np.sqrt(2.0)
     m = rng.uniform(0.5, 2.0, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
@@ -325,6 +354,10 @@ def test_an_underflowed_inverse_norm_fails_the_identity_findings(capsys, tmp_pat
                  "sampled_input_duals_match_inverse", "sampled_output_duals_match_inverse"):
         assert not finding(report, name)["ok"]
         assert finding(report, name)["residual"] is None
+    # a consistent report with every criterion false, not ImplicationViolated
+    criteria = finding(report, "inversion_equivalence_criteria")
+    assert criteria["ok"]
+    assert not any(criteria["value"].values())
 
 
 # -------------------------------------------------------------------- examples
@@ -427,7 +460,9 @@ def test_examples_runs_are_byte_identical(capsys):
 
 def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     import framemult.cli as cli
+    import framemult.frames as fr
     import framemult.multipliers as mp
+    import framemult.numerics as nu
 
     rng = np.random.default_rng(5)
     dim, size = 3, 6
@@ -490,6 +525,23 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
 
+    # tolerance decisions and norms, counted where each module looks them up
+    decisions = collections.Counter()
+
+    def count_calls(module, name, key):
+        original = getattr(module, name)
+
+        def counted_call(*args, **kwargs):
+            decisions[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted_call)
+
+    count_calls(mp, "check_invertible", "invertibility_policy")
+    count_calls(fr, "frame_bounds", "frame_bounds")
+    for module in (nu, fr, mp):
+        count_calls(module, "frobenius", "frobenius")
+
     tol = cli.ToleranceConfig()
     mp.invert(mult, tol)
     findings = []
@@ -506,6 +558,18 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     assert all(len({id(r) for r in handed_out}) == 1 for handed_out in reciprocals.values())
     assert frames_built_while_sampling == []
     assert single_norms == []
+    # the multiplier's policy passes once, for the invert above, and its
+    # adjoint shares that decision; each of Phi, Psi and m*Phi is decided
+    # to be a frame once
+    assert decisions["invertibility_policy"] == 1
+    assert decisions["frame_bounds"] == 3
+    # 11 norms of held objects, each measured once: ||Minv|| and the
+    # frames Phi, Psi, the two induced duals, the two canonical duals, the
+    # two weighted sides and the two sides of the weighted-canonical
+    # comparison; and 27 norms of fresh arrays: 10 identity residuals,
+    # 6 sampled perturbations, 2 certificate slopes, 4 reconstruction
+    # residuals, 2 mapping residuals and 3 frame differences
+    assert decisions["frobenius"] == 38
 
 
 def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):

@@ -221,11 +221,62 @@ def test_random_dual_produces_duals():
 
 
 def test_cached_spectrum_still_decides_each_tolerance_afresh():
+    # a frame remembers only a tolerance it passed under, never a failure,
+    # so a pass at one tolerance hides no failure at another, in either order
     frame = mercedes()
+    tight = ToleranceConfig(rel_eps=0.5)
     assert frame_bounds(frame) == pytest.approx((1.0, 3.0), abs=1e-12)
     # bounds (1, 3): a lower bound at or below rel_eps * 3 counts as zero
     with pytest.raises(NotAFrame):
-        frame_bounds(frame, ToleranceConfig(rel_eps=0.5))
-    with pytest.raises(NotAFrame):
-        canonical_dual(frame, ToleranceConfig(rel_eps=0.5))
+        frame_bounds(frame, tight)
+    for _ in range(2):
+        with pytest.raises(NotAFrame):
+            canonical_dual(frame, tight)
     assert canonical_dual(frame) is canonical_dual(frame)
+    for _ in range(2):
+        with pytest.raises(NotAFrame):
+            canonical_dual(frame, tight)
+        assert is_dual(canonical_dual(frame), frame)
+
+
+# Norms square the entries, so frames with entries near 1e160 have the
+# Frobenius norm +inf: a bound rel_eps * norm is then +inf, passes any
+# finite or infinite residual and measures nothing, so the decision fails.
+overflow_warning = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+@overflow_warning
+def test_the_norm_is_the_frobenius_norm_of_the_synthesis_matrix():
+    frame = FiniteFrame([[3.0, 0.0], [0.0, 4j]])
+    assert frame.norm == 5.0
+    assert FiniteFrame(np.full((4, 3), 1e160)).norm == np.inf
+
+
+@overflow_warning
+def test_an_overflowed_scale_fails_frames_equal():
+    rng = np.random.default_rng(3)
+    f, g = (FiniteFrame(1e160 * rng.standard_normal((5, 2))) for _ in range(2))
+    assert not frames_equal(f, g)
+
+
+@overflow_warning
+def test_an_overflowed_scale_fails_the_mapping_test():
+    # no linear map sends a frame of 5 vectors in C^2 to an unrelated one
+    rng = np.random.default_rng(3)
+    phi = FiniteFrame(rng.standard_normal((5, 2)))
+    psi = FiniteFrame(1e160 * rng.standard_normal((5, 2)))
+    with pytest.raises(NotEquivalent) as info:
+        equivalence_operator(phi, psi)
+    assert info.value.reason == "no_linear_map"
+
+
+@overflow_warning
+def test_an_overflowed_scale_fails_the_reconstruction_tests():
+    # ||C|| overflows while C Ana_Phi stays in range and is far from I
+    rng = np.random.default_rng(3)
+    frame = FiniteFrame(1e-160 * rng.standard_normal((5, 2)))
+    candidate = FiniteFrame(1e160 * rng.standard_normal((5, 2)))
+    assert candidate.norm == np.inf
+    assert not is_s_pseudo_dual(candidate, frame)
+    assert not is_a_pseudo_dual(frame, candidate)
+    assert not is_dual(candidate, frame)

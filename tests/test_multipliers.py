@@ -512,14 +512,26 @@ def test_adjoint_route_matches_conjugate_symbol_swap(seed):
 
 
 def test_cached_inverse_still_checks_a_tighter_cond_max():
+    # a multiplier and its adjoint share the last tolerance the policy
+    # passed under and never remember a failure, so a pass at one
+    # cond_max hides no failure at another, in either order
     onb = FiniteFrame(np.eye(2))
-    mult = mp.build([1.0, 10.0], onb, onb)
-    mp.invert(mult)
-    assert mult.condition_number == pytest.approx(10.0)
-    with pytest.raises(NotInvertible):
-        mp.invert(mult, ToleranceConfig(cond_max=5.0))
-    with pytest.raises(NotInvertible):
-        mp.induced_duals(mult.adjoint(), ToleranceConfig(cond_max=5.0))
+    tight = ToleranceConfig(cond_max=5.0)
+    for adjoint_first in (False, True):
+        mult = mp.build([1.0, 10.0], onb, onb)
+        sides = (mult.adjoint(), mult) if adjoint_first else (mult, mult.adjoint())
+        for side in sides:
+            with pytest.raises(NotInvertible):
+                mp.invert(side, tight)
+        mp.invert(sides[0])
+        assert mult.condition_number == pytest.approx(10.0)
+        for _ in range(2):
+            for side in sides:
+                with pytest.raises(NotInvertible):
+                    mp.invert(side, tight)
+                with pytest.raises(NotInvertible):
+                    mp.induced_duals(side, tight)
+                assert mp.certify_minv1_all_duals(side).max_residual <= DEFAULT_TOL.rel_eps
 
 
 @settings(deadline=None, max_examples=30)
