@@ -1,152 +1,3 @@
 """Finite frame multipliers, their inverses and the dual frames they induce."""
 
-from .errors import (
-    DimensionMismatch,
-    FrameToolError,
-    IdentityDoesNotHold,
-    ImplicationViolated,
-    MetadataMissing,
-    NotADual,
-    NotAFrame,
-    NotEquivalent,
-    NotInvertible,
-    ParseError,
-    PreconditionFailed,
-    RatioNotCertified,
-    UnknownExample,
-    ZeroSymbolEntry,
-)
-from .frames import (
-    DualFamilyParam,
-    FiniteFrame,
-    analysis,
-    canonical_dual,
-    dual_family,
-    equivalence_operator,
-    frame_bounds,
-    frame_operator,
-    frames_equal,
-    is_a_pseudo_dual,
-    is_dual,
-    is_frame,
-    is_riesz_basis,
-    is_s_pseudo_dual,
-    random_dual,
-    random_frame,
-    synthesis,
-)
-from .multipliers import (
-    ConstantModulusReport,
-    DualsCertificate,
-    InducedDuals,
-    Multiplier,
-    PropQReport,
-    Symbol,
-    apply_termwise,
-    build,
-    certify_minv1_all_duals,
-    certify_minv2_all_duals,
-    check_constant_modulus,
-    check_prop_q,
-    check_weighted_canonical,
-    induced_duals,
-    invert,
-    recover_pseudo_dual_F,
-    recover_pseudo_dual_G,
-    sampled_dual_residuals,
-    uniqueness_kernel,
-    uniqueness_nullity,
-    verify_canonical_inversion,
-    verify_identity_minv1,
-    verify_identity_minv2,
-    weighted_frame,
-)
-from .blockseq import (
-    BlockSystem,
-    ExampleRun,
-    InterleavedSystem,
-    SymbolProfile,
-    SystemBounds,
-    assemble_blocks,
-    block_multiplier,
-    example_registry,
-    interleaved_apply,
-    run_example,
-    symbol_profile,
-    system_frame_bounds,
-)
-from .numerics import DEFAULT_TOL, ToleranceConfig
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockSystem",
-    "ConstantModulusReport",
-    "DEFAULT_TOL",
-    "DimensionMismatch",
-    "DualFamilyParam",
-    "DualsCertificate",
-    "ExampleRun",
-    "FiniteFrame",
-    "FrameToolError",
-    "IdentityDoesNotHold",
-    "ImplicationViolated",
-    "InducedDuals",
-    "InterleavedSystem",
-    "MetadataMissing",
-    "Multiplier",
-    "NotADual",
-    "NotAFrame",
-    "NotEquivalent",
-    "NotInvertible",
-    "ParseError",
-    "PreconditionFailed",
-    "PropQReport",
-    "RatioNotCertified",
-    "Symbol",
-    "SymbolProfile",
-    "SystemBounds",
-    "ToleranceConfig",
-    "UnknownExample",
-    "ZeroSymbolEntry",
-    "analysis",
-    "apply_termwise",
-    "assemble_blocks",
-    "block_multiplier",
-    "build",
-    "canonical_dual",
-    "certify_minv1_all_duals",
-    "certify_minv2_all_duals",
-    "check_constant_modulus",
-    "check_prop_q",
-    "check_weighted_canonical",
-    "dual_family",
-    "equivalence_operator",
-    "example_registry",
-    "frame_bounds",
-    "frame_operator",
-    "frames_equal",
-    "induced_duals",
-    "interleaved_apply",
-    "invert",
-    "is_a_pseudo_dual",
-    "is_dual",
-    "is_frame",
-    "is_riesz_basis",
-    "is_s_pseudo_dual",
-    "random_dual",
-    "random_frame",
-    "recover_pseudo_dual_F",
-    "recover_pseudo_dual_G",
-    "run_example",
-    "sampled_dual_residuals",
-    "symbol_profile",
-    "synthesis",
-    "system_frame_bounds",
-    "uniqueness_kernel",
-    "uniqueness_nullity",
-    "verify_canonical_inversion",
-    "verify_identity_minv1",
-    "verify_identity_minv2",
-    "weighted_frame",
-]

@@ -37,7 +37,6 @@ from . import multipliers as mp
 from .errors import ImplicationViolated, MetadataMissing, RatioNotCertified, UnknownExample
 from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint
 from .report import finding
-from .report import verdict as report_verdict
 
 CLASS_FRAME = "frame"
 CLASS_NOT_BESSEL = "not_bessel"
@@ -90,9 +89,9 @@ class BlockSystem:
 
     Block k carries L template vectors per side in C^b and L weights: fixed
     base templates and weights, each slot scaled by k^(-e) with one exponent
-    per slot. That closed form is the whole system; a constant system is the
-    special case of all-zero exponents. ``harmonic_weight`` and
-    ``constant_template`` build one.
+    per slot. That closed form is the whole system, and the constructor
+    takes it directly; ``constant_template`` builds the special case of
+    all-zero exponents.
     """
 
     # ---------------------------------------------------------------- construction
@@ -123,12 +122,6 @@ class BlockSystem:
         """Same templates in every block."""
         zeros = np.zeros(np.size(m))
         return cls(phi, zeros, psi, zeros, m, zeros, name=name)
-
-    @classmethod
-    def harmonic_weight(cls, phi, phi_exponents, psi, psi_exponents,
-                        m, m_exponents, *, name: str = "") -> "BlockSystem":
-        """Base templates scaled per slot by k^(-e) in block k."""
-        return cls(phi, phi_exponents, psi, psi_exponents, m, m_exponents, name=name)
 
     # ---------------------------------------------------------------- access
 
@@ -186,11 +179,6 @@ class BlockSystem:
             return base, exponents
         m_b, m_e = self._closed_form["m"]
         return weight(m_b)[:, None] * base, m_e + exponents
-
-    def side_templates(self, side: str, k: int) -> np.ndarray:
-        """Weighted template vectors of block k for one side."""
-        entry = _side_entry(side)
-        return _weighted_side(entry, *self.block(k))
 
     def _symbol_profile_closed_form(self) -> SymbolProfile:
         per_entry = []
@@ -272,26 +260,6 @@ def block_frames(sys: BlockSystem, k: int) -> tuple[mp.Symbol, fr.FiniteFrame, f
     """Block k as a finite (symbol, output frame, input frame) triple."""
     phi, psi, m = sys.block(k)
     return mp.Symbol(m), fr.FiniteFrame(phi), fr.FiniteFrame(psi)
-
-
-def assemble_blocks(sys: BlockSystem, count: int) -> tuple[mp.Symbol, fr.FiniteFrame, fr.FiniteFrame]:
-    """Embed the first ``count`` blocks into one finite system in C^(b*count).
-
-    Block k occupies coordinates [(k-1)*b, k*b); the resulting finite
-    multiplier is exactly the block-diagonal of the per-block multipliers.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    phi, psi, m = sys.stacked(1, count)
-    length, b = phi.shape[1:]
-    diagonal = np.arange(count)
-
-    def embedded(templates: np.ndarray) -> np.ndarray:
-        out = np.zeros((count, length, count, b), dtype=np.complex128)
-        out[diagonal, :, diagonal, :] = templates
-        return out.reshape(count * length, count * b)
-
-    return mp.Symbol(m.reshape(-1)), fr.FiniteFrame(embedded(phi)), fr.FiniteFrame(embedded(psi))
 
 
 def _classify_closed_form(base: np.ndarray, exponents: np.ndarray,
@@ -540,18 +508,6 @@ def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray
 
 
 @dataclass(frozen=True)
-class ExampleRun:
-    """Outcome of running one example's annotated expectation list."""
-
-    name: str
-    checks: tuple[dict, ...]  # report findings, all asserted
-
-    @property
-    def verdict(self) -> str:
-        return report_verdict(self.checks)
-
-
-@dataclass(frozen=True)
 class RegistryEntry:
     """A prebuilt example system with its behavioral annotations."""
 
@@ -566,7 +522,7 @@ EX5_3_SYMBOL = ((5.0 + 2.0 * _SQRT5) / 5.0, (5.0 - 2.0 * _SQRT5) / 5.0, 1.0)
 
 
 def _build_registry() -> dict[str, RegistryEntry]:
-    ex4_1 = BlockSystem.harmonic_weight(
+    ex4_1 = BlockSystem(
         phi=[[1.0], [1.0], [-1.0]], phi_exponents=[0, 0, 0],
         psi=[[1.0], [1.0], [1.0]], psi_exponents=[0, 1, 1],
         m=[1.0, 1.0, 1.0], m_exponents=[0, 1, 1],
@@ -846,14 +802,15 @@ _RUNNERS = {
 
 
 def run_example(name: str, tol: ToleranceConfig = DEFAULT_TOL,
-                horizon: int = SWEEP_HORIZON) -> ExampleRun:
-    """Execute an example's annotated expectation list.
+                horizon: int = SWEEP_HORIZON) -> tuple[dict, ...]:
+    """Execute an example's annotated expectation list: its checks, as report findings.
 
-    The verdict is "fail" when any check misses, "flagged" when every
-    check holds but one of them records a documented departure from the
-    claimed identity, and "pass" otherwise: report.verdict over the checks.
+    Every check is asserted. ``report.verdict`` over them is "fail" when
+    any check misses, "flagged" when every check holds but one of them
+    records a documented departure from the claimed identity, and "pass"
+    otherwise.
     """
     entry = get_example(name)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return ExampleRun(name=name, checks=tuple(_RUNNERS[name](entry.system, tol, horizon)))
+    return tuple(_RUNNERS[name](entry.system, tol, horizon))

@@ -15,7 +15,8 @@ Exit code 0 means the report was produced, whatever its verdict says;
 exit code 2 is reserved for usage and input errors (unreadable or
 malformed files, mismatched dimensions, symbol entries that are zero or
 whose reciprocal overflows where a reciprocal is required, unknown
-example names, missing or negative --seed, tolerances ToleranceConfig
+example names, an example name or --all that the examples action does
+not take, missing or negative --seed, tolerances ToleranceConfig
 rejects such as a --tol-rel outside (0, 1), output paths that cannot be
 written). Those print one ``error:`` line to stderr and no report.
 """
@@ -259,6 +260,8 @@ def cmd_examples(args) -> int:
     registry = blockseq.example_registry()
 
     if args.action == "list":
+        if args.name or args.all:
+            raise UsageError("examples list takes no example name and no --all")
         findings = [
             finding(name, True, asserted=False,
                     value={"summary": entry.summary, "annotations": entry.annotations})
@@ -266,16 +269,13 @@ def cmd_examples(args) -> int:
         ]
         return _emit(args, "examples", {"action": "list"}, findings)
 
-    if args.all:
-        names = sorted(registry)
-    elif args.name:
-        names = [args.name]
-    else:
-        raise UsageError("examples run needs a name or --all")
+    if args.all == bool(args.name):
+        raise UsageError("examples run takes exactly one of an example name and --all")
+    names = sorted(registry) if args.all else [args.name]
 
     findings = [dict(check, name=f"{name}.{check['name']}")
                 for name in names
-                for check in blockseq.run_example(name, tol, horizon=args.horizon).checks]
+                for check in blockseq.run_example(name, tol, horizon=args.horizon)]
     inputs = {"action": "run", "examples": names, "horizon": args.horizon}
     return _emit(args, "examples", inputs, findings)
 

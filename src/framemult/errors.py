@@ -23,13 +23,6 @@ class NotInvertible(FrameToolError):
         self.sigma_min = float(sigma_min)
         self.sigma_max = float(sigma_max)
 
-    @property
-    def sigma_ratio(self) -> float:
-        """sigma_min / sigma_max, or 0.0 for the zero matrix."""
-        if self.sigma_max == 0.0:
-            return 0.0
-        return self.sigma_min / self.sigma_max
-
 
 class NotAFrame(FrameToolError):
     """The vector sequence does not span, so frame bounds do not exist."""
@@ -50,18 +43,6 @@ class NotEquivalent(FrameToolError):
 
 class ZeroSymbolEntry(FrameToolError):
     """A symbol has a zero entry, or one whose reciprocal overflows, where 1/m is needed."""
-
-
-class NotADual(FrameToolError):
-    """The supplied sequence is not a dual (or pseudo-dual) of the reference frame."""
-
-
-class IdentityDoesNotHold(FrameToolError):
-    """An operator identity assumed by a recovery check fails beyond tolerance."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class ImplicationViolated(FrameToolError):

@@ -49,11 +49,6 @@ def _to_float(x: int | float, where: str) -> float:
         raise ParseError(f"{where}: number beyond the double range") from None
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _all_instances(items: list, kinds) -> bool:
     """isinstance(x, kinds) and x is not a bool, for every x; decided per distinct type."""
     return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
@@ -144,10 +139,6 @@ def symbol_from_json(obj) -> Symbol:
     items = _require_list(doc["values"], "symbol.values")
     values = _pair_array(items)
     return Symbol(values if values is not None else _complex_vector(items, "symbol.values"))
-
-
-def symbol_to_json(symbol: Symbol) -> dict:
-    return {"values": _pairs(symbol.values)}
 
 
 # --------------------------------------------------------------------- files

@@ -13,12 +13,11 @@ Storage is 0-based; mathematical descriptions number vectors from 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame, NotEquivalent, NotInvertible
-from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, as_vector, check_invertible, frobenius
+from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, check_invertible, frobenius
 
 
 class FiniteFrame:
@@ -77,9 +76,6 @@ class FiniteFrame:
         """Number of vectors N."""
         return self._syn.shape[1]
 
-    def __len__(self) -> int:
-        return self.size
-
     @property
     def synthesis(self) -> np.ndarray:
         """d x N synthesis matrix (read-only view)."""
@@ -97,62 +93,11 @@ class FiniteFrame:
         """N x d matrix of the analysis map, the adjoint of synthesis."""
         return adjoint(self._syn)
 
-    def vector(self, n: int) -> np.ndarray:
-        """n-th vector (0-based)."""
-        return self._syn[:, n].copy()
-
-    @property
-    def vectors(self) -> list[np.ndarray]:
-        return [self._syn[:, n].copy() for n in range(self.size)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FiniteFrame(dim={self.dim}, size={self.size})"
-
-
-@dataclass(frozen=True)
-class DualFamilyParam:
-    """Parametrizes the dual frames of ``base`` by a perturbation sequence.
-
-    ``perturbation`` holds N vectors h_n of length d (given as rows or as a
-    d x N array); the zero perturbation selects the canonical dual.
-    """
-
-    base: FiniteFrame
-    perturbation: object
-
-    def perturbation_matrix(self) -> np.ndarray:
-        h = np.asarray(self.perturbation, dtype=np.complex128)
-        d, n = self.base.dim, self.base.size
-        if h.shape == (n, d):
-            h = h.T
-        if h.shape != (d, n):
-            raise DimensionMismatch(
-                f"perturbation must hold {n} vectors of length {d}, got shape {h.shape}"
-            )
-        return h
-
-
 def _require_same_shape(f: FiniteFrame, g: FiniteFrame) -> None:
     if f.dim != g.dim or f.size != g.size:
         raise DimensionMismatch(
             f"frame shapes differ: ({f.dim},{f.size}) vs ({g.dim},{g.size})"
         )
-
-
-def analysis(frame: FiniteFrame, f) -> np.ndarray:
-    """Coefficients c_n = <f, phi_n> of ``f`` against the frame."""
-    vec = as_vector(f)
-    if vec.size != frame.dim:
-        raise DimensionMismatch(f"vector length {vec.size} != dim {frame.dim}")
-    return frame.analysis_matrix @ vec
-
-
-def synthesis(frame: FiniteFrame, c) -> np.ndarray:
-    """Weighted sum sum_n c_n phi_n."""
-    coeff = as_vector(c)
-    if coeff.size != frame.size:
-        raise DimensionMismatch(f"coefficient length {coeff.size} != size {frame.size}")
-    return frame.synthesis @ coeff
 
 
 def frame_operator(frame: FiniteFrame) -> np.ndarray:
@@ -259,28 +204,14 @@ def is_dual(candidate: FiniteFrame, frame: FiniteFrame,
     return is_s_pseudo_dual(candidate, frame, tol) and is_a_pseudo_dual(candidate, frame, tol)
 
 
-def dual_family(param: DualFamilyParam, tol: ToleranceConfig = DEFAULT_TOL) -> FiniteFrame:
-    """The dual frame selected by a perturbation sequence (h_n).
-
-    Vector n of the result is
-
-        dual_n = tilde_n + h_n - sum_j <tilde_n, phi_j> h_j
-
-    where (tilde_n) is the canonical dual. Every choice of (h_n) yields a
-    dual frame, and every dual frame arises this way.
-
-    In matrices this is Syn_tilde + H (I - Ana_Phi Syn_tilde), formed as
-    Syn_tilde + H - (H Ana_Phi) Syn_tilde so that only d x d and d x N
-    products appear, never the N x N cross-correlation.
-    """
-    base = param.base
-    h = param.perturbation_matrix()
-    tilde = canonical_dual(base, tol)
-    return FiniteFrame.from_synthesis(_dual_synthesis(tilde.synthesis, base.analysis_matrix, h))
-
-
 def _dual_synthesis(tilde_syn: np.ndarray, analysis: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Syn_tilde + H - (H Ana_Phi) Syn_tilde: the dual_family member of a d x N perturbation H."""
+    """Synthesis matrix of the dual frame of Phi that a d x N perturbation H selects.
+
+    The dual is Syn_tilde + H (I - Ana_Phi Syn_tilde): every H gives a dual
+    frame and every dual frame arises this way, H = 0 giving the canonical
+    dual. It is formed as Syn_tilde + H - (H Ana_Phi) Syn_tilde, so that
+    only d x d and d x N products appear, never the N x N cross-correlation.
+    """
     return tilde_syn + h - (h @ analysis) @ tilde_syn
 
 
@@ -335,31 +266,6 @@ def frames_equal(f: FiniteFrame, g: FiniteFrame,
     return frobenius(f.synthesis - g.synthesis) <= tol.rel_eps * max(f.norm, g.norm) < math.inf
 
 
-def random_frame(dim: int, size: int, rng: np.random.Generator) -> FiniteFrame:
-    """Random sequence with independent standard complex Gaussian entries.
-
-    For size >= dim this is a frame with probability one; the construction
-    retries in the measure-zero event of a rank drop.
-    """
-    if size < 1 or dim < 1:
-        raise ValueError("dim and size must be positive")
-    for _ in range(100):
-        entries = rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim))
-        frame = FiniteFrame(entries / np.sqrt(2.0))
-        if size < dim or is_frame(frame):
-            return frame
-    raise RuntimeError("failed to draw a spanning sequence")  # pragma: no cover
-
-
-def random_dual(frame: FiniteFrame, rng: np.random.Generator,
-                tol: ToleranceConfig = DEFAULT_TOL) -> FiniteFrame:
-    """Random dual frame drawn through the perturbation parametrization.
-
-    The FiniteFrame of ``random_dual_synthesis``, which draws it.
-    """
-    return FiniteFrame.from_synthesis(random_dual_synthesis(frame, rng, tol))
-
-
 def random_dual_synthesis(frame: FiniteFrame, rng: np.random.Generator,
                           tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Synthesis matrix of a random dual frame, with no FiniteFrame built.
@@ -367,16 +273,11 @@ def random_dual_synthesis(frame: FiniteFrame, rng: np.random.Generator,
     The perturbation has a standard complex Gaussian direction and is
     rescaled to the Frobenius norm of the canonical dual, which keeps the
     sampled duals reasonably conditioned and makes them scale with the
-    frame: the duals of s * Phi are those of Phi divided by s. Given the
-    same generator state, it is the dual ``dual_family`` selects for that
-    perturbation.
+    frame: the duals of s * Phi are those of Phi divided by s. The dual is
+    the one ``_dual_synthesis`` selects for that perturbation.
     """
     tilde = canonical_dual(frame, tol)
     d, n = tilde.dim, tilde.size
     h = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2.0)
     h = h * (tilde.norm / frobenius(h))
-    if d == n:
-        # DualFamilyParam reads a square perturbation as N rows; the draw keeps that
-        # orientation, so a seed selects the same dual as through dual_family
-        h = h.T
     return _dual_synthesis(tilde.synthesis, frame.analysis_matrix, h)

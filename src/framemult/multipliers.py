@@ -20,8 +20,7 @@ linear term settles all duals at once.
 
 The induced dual is also the only sequence with that property, for any
 zero-free symbol, semi-normalized or not. ``uniqueness_nullity`` decides
-this exactly from the symbol alone; ``uniqueness_kernel`` reaches the same
-count by sampling duals and is kept as the reference route.
+this exactly from the symbol alone.
 
 The two formulas are one identity read through the adjoint
 M* = M_{conj m, Psi, Phi}, whose inverse is Minv* and whose induced duals
@@ -40,9 +39,7 @@ import numpy as np
 from . import frames
 from .errors import (
     DimensionMismatch,
-    IdentityDoesNotHold,
     ImplicationViolated,
-    NotADual,
     NotAFrame,
     NotEquivalent,
     NotInvertible,
@@ -65,8 +62,8 @@ from .numerics import (
 class Symbol:
     """Finite complex weight sequence with modulus predicates.
 
-    ``semi_normalized`` means the moduli are bounded away from zero (the
-    finite upper bound is automatic for a finite sequence).
+    A finite symbol is semi-normalized exactly when ``inf_modulus`` > 0
+    (the finite upper bound is automatic for a finite sequence).
 
     A symbol is immutable, so whether it is zero-free and its reciprocal
     are lazy per-instance caches, each computed at most once; neither
@@ -117,10 +114,6 @@ class Symbol:
     def sup_modulus(self) -> float:
         return float(np.max(np.abs(self._values)))
 
-    @property
-    def is_semi_normalized(self) -> bool:
-        return self.inf_modulus > 0.0
-
     def reciprocal(self) -> "Symbol":
         """Entrywise 1/m_n; ZeroSymbolEntry when an entry is zero or 1/m_n overflows."""
         if self._reciprocal is None:
@@ -144,9 +137,6 @@ class Symbol:
     def has_constant_modulus(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """All moduli equal up to rel_eps times the largest modulus."""
         return bool(self.sup_modulus - self.inf_modulus <= tol.rel_eps * self.sup_modulus)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Symbol(length={len(self)})"
 
 
 def weighted_frame(frame: FiniteFrame, weights) -> FiniteFrame:
@@ -235,9 +225,6 @@ class Multiplier:
     def condition_number(self) -> float:
         """sigma_max / sigma_min of the matrix; +inf when sigma_min is zero."""
         return condition_from_sigmas(self._singular_values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Multiplier(dim={self.dim}, size={self.size})"
 
 
 def _multiplier_matrix(values: np.ndarray, out_side: FiniteFrame, in_side: FiniteFrame) -> np.ndarray:
@@ -369,37 +356,12 @@ def _stacked_induced_duals(matrices: np.ndarray, m: np.ndarray, phi_syn: np.ndar
 
 
 def _minv1_residual(mult: Multiplier, psi_dual: FiniteFrame, tol: ToleranceConfig) -> float:
-    """||Syn_{psi_dual} diag(1/m) Ana_{phi_dagger} - Minv|| / ||Minv||, unchecked."""
+    """||Syn_{psi_dual} diag(1/m) Ana_{phi_dagger} - Minv|| / ||Minv||; psi_dual is not tested for duality."""
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
     phi_dagger = induced_duals(mult, tol).phi_dagger
     candidate = (psi_dual.synthesis * recip[None, :]) @ phi_dagger.analysis_matrix
     return relative_residual(candidate, minv, mult._inverse_frobenius())
-
-
-def verify_identity_minv1(mult: Multiplier, psi_dual: FiniteFrame,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Residual of Minv against Syn_{psi_dual} diag(1/m) Ana_{phi_dagger}.
-
-    ``psi_dual`` must reconstruct through the input side (synthesis-side
-    pseudo-dual of Psi, which duality implies); otherwise NotADual. The
-    returned residual is relative to ||Minv||; at or below rel_eps the
-    identity is verified.
-    """
-    invert(mult, tol)  # NotInvertible takes precedence over NotADual
-    if not frames.is_s_pseudo_dual(psi_dual, mult.psi, tol):
-        raise NotADual("the supplied sequence does not reconstruct through the input side")
-    return _minv1_residual(mult, psi_dual, tol)
-
-
-def verify_identity_minv2(mult: Multiplier, phi_dual: FiniteFrame,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Residual of Minv against Syn_{psi_dagger} diag(1/m) Ana_{phi_dual}.
-
-    verify_identity_minv1 on the adjoint; ``phi_dual`` must reconstruct
-    through the output side.
-    """
-    return verify_identity_minv1(mult.adjoint(), phi_dual, tol)
 
 
 @dataclass(frozen=True)
@@ -466,9 +428,9 @@ def sampled_dual_residuals(mult: Multiplier, draws: int, *, seed,
 
     Returns the worst residual of each inverse identity over ``draws``
     random duals of the input side and of the output side respectively,
-    each the residual ``verify_identity_minv1`` computes. The draws are
-    duals by construction, so they are not tested again (verify_identity_minv1
-    would, and at a tiny rel_eps it rejects them).
+    each relative to ||Minv||. The draws are duals by construction, so
+    they are not tested again (at a tiny rel_eps a duality test would
+    reject them).
 
     The work is on arrays. Per side, Minv, 1/m and the induced dual
     phi_dagger are fetched once; each draw is one dual synthesis from
@@ -494,16 +456,6 @@ def sampled_dual_residuals(mult: Multiplier, draws: int, *, seed,
     return worst[0], worst[1]
 
 
-def _stacked_nullity(dual_list: list[FiniteFrame], recip: np.ndarray,
-                     tol: ToleranceConfig) -> int:
-    stacked = np.vstack([d.synthesis * recip[None, :] for d in dual_list])
-    sigmas = np.linalg.svd(stacked, compute_uv=False)
-    if sigmas.size == 0 or float(sigmas[0]) == 0.0:
-        return stacked.shape[1]
-    rank = int(np.sum(sigmas > tol.rel_eps * sigmas[0]))
-    return stacked.shape[1] - rank
-
-
 def uniqueness_nullity(symbol: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Kernel dimension of the inverse-identity constraints over ALL duals, from the symbol alone.
 
@@ -525,62 +477,6 @@ def uniqueness_nullity(symbol: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> in
         raise ZeroSymbolEntry("the uniqueness constraints need a zero-free symbol")
     moduli = np.abs(symbol.values)
     return int(np.count_nonzero(np.min(moduli) <= tol.rel_eps * moduli))
-
-
-def uniqueness_kernel(mult: Multiplier, dual_samples: int, *, seed,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Kernel dimension of the stacked inverse-identity constraints.
-
-    Treating the unknown sequence F in Minv = Syn_{Psi_d} diag(1/m) Ana_F
-    as a variable, each sampled dual Psi_d contributes linear constraints;
-    the homogeneous system's numerical kernel dimension counts the leftover
-    freedom. Zero certifies that the induced dual is the only length-N
-    solution (the same system for the adjoint, with sampled duals of Phi, is
-    included, and the larger of the two nullities is returned). The first
-    sample is always the canonical dual; the remaining ``dual_samples - 1``
-    are random draws, one dual of Psi then one of Phi per draw, which is
-    why a seed is required.
-
-    Uniqueness is certified among length-N sequences only; nothing is
-    claimed about longer sequences.
-    """
-    if dual_samples < 1:
-        raise ValueError("dual_samples must be at least 1")
-    invert(mult, tol)  # NotInvertible propagates
-    sides = (mult, mult.adjoint())
-    recips = [side.symbol.reciprocal().values for side in sides]
-    rng = _as_rng(seed)
-    duals = [[frames.canonical_dual(side.psi, tol)] for side in sides]
-    for _ in range(dual_samples - 1):
-        for side, found in zip(sides, duals):
-            found.append(frames.random_dual(side.psi, rng, tol))
-    return max(_stacked_nullity(found, recip, tol) for found, recip in zip(duals, recips))
-
-
-def recover_pseudo_dual_F(mult: Multiplier, candidate: FiniteFrame,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """If Minv = Syn_F diag(1/m) Ana_{phi_dagger} holds, F reconstructs Psi.
-
-    Checks the hypothesis first and raises IdentityDoesNotHold when it
-    fails; when it holds, returns the synthesis-side reconstruction
-    predicate for the input side, which the identity forces to be true.
-    """
-    residual = _minv1_residual(mult, candidate, tol)
-    if residual > tol.rel_eps:
-        raise IdentityDoesNotHold(
-            f"inverse identity fails for the candidate (residual {residual:.3e})",
-            residual=residual,
-        )
-    return frames.is_s_pseudo_dual(candidate, mult.psi, tol)
-
-
-def recover_pseudo_dual_G(mult: Multiplier, candidate: FiniteFrame,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """If Minv = Syn_{psi_dagger} diag(1/m) Ana_G holds, G reconstructs Phi.
-
-    recover_pseudo_dual_F on the adjoint.
-    """
-    return recover_pseudo_dual_F(mult.adjoint(), candidate, tol)
 
 
 def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> float:

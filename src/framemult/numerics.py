@@ -13,8 +13,7 @@ no decision, up to rounding. In particular:
 * invertibility means sigma_min > sigma_max / cond_max;
 * singular values below rel_eps * sigma_max count as zero.
 
-Matrices are plain numpy arrays with dtype complex128; ``as_vector``
-validates the vectors that enter the frames module. ``frobenius`` is the
+Matrices are plain numpy arrays with dtype complex128. ``frobenius`` is the
 norm of every single matrix or vector in ``numerics``, ``frames`` and
 ``multipliers``: numpy's axis-free ``norm`` without its dispatch.
 
@@ -57,16 +56,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def as_vector(v, length: int | None = None) -> np.ndarray:
-    """Coerce ``v`` to a 1-D complex128 array, optionally checking its length."""
-    arr = np.array(v, dtype=np.complex128, copy=True).reshape(-1)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    if length is not None and arr.size != length:
-        raise ValueError(f"expected length {length}, got {arr.size}")
-    return arr
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:

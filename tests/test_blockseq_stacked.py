@@ -19,6 +19,7 @@ import framemult.frames as fr
 import framemult.multipliers as mp
 from framemult.numerics import DEFAULT_TOL
 from framemult.report import finding
+from oracles import assemble_blocks
 
 # ------------------------------------------------------------ per-block oracle
 
@@ -32,30 +33,14 @@ def oracle_symbol_prefix(sys, count):
     return np.asarray(out[:count], dtype=np.complex128)
 
 
-def oracle_assemble_blocks(sys, count):
-    b = sys.block_dim
-    length = sys.block_length
-    phi_vectors = np.zeros((length * count, b * count), dtype=np.complex128)
-    psi_vectors = np.zeros((length * count, b * count), dtype=np.complex128)
-    weights = np.zeros(length * count, dtype=np.complex128)
-    for k in range(1, count + 1):
-        phi, psi, m = sys.block(k)
-        lo = (k - 1) * b
-        rows = slice((k - 1) * length, k * length)
-        phi_vectors[rows, lo:lo + b] = phi
-        psi_vectors[rows, lo:lo + b] = psi
-        weights[rows] = m
-    return mp.Symbol(weights), fr.FiniteFrame(phi_vectors), fr.FiniteFrame(psi_vectors)
-
-
 def oracle_system_frame_bounds(sys, side, horizon=bs.SWEEP_HORIZON, tol=DEFAULT_TOL):
     if isinstance(sys, bs.InterleavedSystem):
         return sys.side_bounds(side, horizon, tol)
-    bs._side_entry(side)
+    entry = bs._side_entry(side)
     sweep_min = math.inf
     sweep_max = 0.0
     for k in range(1, horizon + 1):
-        templates = sys.side_templates(side, k)
+        templates = bs._weighted_side(entry, *sys.block(k))
         s_block = templates.T @ np.conj(templates)
         eigs = np.linalg.eigvalsh((s_block + s_block.conj().T) / 2.0)
         sweep_min = min(sweep_min, float(eigs[0].real))
@@ -140,7 +125,7 @@ def harmonic_systems(draw):
     b = draw(st.integers(1, 3))
     length = draw(st.integers(1, 4))
     exponents = st.lists(st.floats(-2.0, 3.0), min_size=length, max_size=length)
-    return bs.BlockSystem.harmonic_weight(
+    return bs.BlockSystem(
         draw(complex_arrays((length, b))), draw(exponents),
         draw(complex_arrays((length, b))), draw(exponents),
         draw(complex_arrays((length,))), draw(exponents),
@@ -170,7 +155,7 @@ def test_stacked_blocks_and_block_matrices_equal_the_per_block_ones(sys, first, 
 def test_stacked_powers_equal_block_powers_for_a_single_slot(exponent):
     # one template slot with a whole exponent: where numpy has fast paths
     # for a broadcast exponent that round differently from block(k)
-    sys = bs.BlockSystem.harmonic_weight([[1.0]], [exponent], [[1.0]], [0.0], [1.0], [exponent])
+    sys = bs.BlockSystem([[1.0]], [exponent], [[1.0]], [0.0], [1.0], [exponent])
     assert_blocks_match(sys, 1, 3000)
 
 
@@ -187,10 +172,13 @@ def test_stacked_frame_bounds_equal_the_per_block_sweep(sys, horizon, side):
 @given(sys=harmonic_systems(), count=st.integers(1, 12))
 def test_stacked_symbol_prefix_and_assembly_equal_the_per_block_ones(sys, count):
     assert np.array_equal(sys.symbol_prefix(count), oracle_symbol_prefix(sys, count))
-    for got, want in zip(bs.assemble_blocks(sys, count), oracle_assemble_blocks(sys, count)):
-        got = got.values if isinstance(got, mp.Symbol) else got.synthesis
-        want = want.values if isinstance(want, mp.Symbol) else want.synthesis
-        assert np.array_equal(got, want)
+    # the stacked block matrices are the diagonal blocks of the embedded system, entry for entry
+    embedded = mp.build(*assemble_blocks(sys, count)).matrix
+    b = sys.block_dim
+    want = np.zeros_like(embedded)
+    for i, block in enumerate(bs._block_matrices(*sys.stacked(1, count))):
+        want[i * b:(i + 1) * b, i * b:(i + 1) * b] = block
+    assert np.array_equal(embedded, want)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 6, 7, 8, 17, 200])
@@ -206,7 +194,7 @@ def test_run_example_equals_the_per_block_oracle(monkeypatch, name, horizon):
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_overflowing_closed_form_block_is_rejected_like_a_single_block():
     # 2^1100 leaves the double range although the exponent itself is finite
-    sys = bs.BlockSystem.harmonic_weight([[1.0]], [-1100.0], [[1.0]], [0.0], [1.0], [0.0])
+    sys = bs.BlockSystem([[1.0]], [-1100.0], [[1.0]], [0.0], [1.0], [0.0])
     with pytest.raises(ValueError):
         bs.block_frames(sys, 2)
     with pytest.raises(ValueError, match="block 2 has non-finite entries"):
@@ -219,9 +207,9 @@ def test_overflowing_closed_form_block_is_rejected_like_a_single_block():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_closed_form_rejects_non_finite_parameters(bad):
     with pytest.raises(ValueError, match="finite"):
-        bs.BlockSystem.harmonic_weight([[1.0]], [bad], [[1.0]], [0.0], [1.0], [0.0])
+        bs.BlockSystem([[1.0]], [bad], [[1.0]], [0.0], [1.0], [0.0])
     with pytest.raises(ValueError, match="finite"):
-        bs.BlockSystem.harmonic_weight([[1.0]], [0.0], [[1.0]], [0.0], [1.0], [bad])
+        bs.BlockSystem([[1.0]], [0.0], [[1.0]], [0.0], [1.0], [bad])
     with pytest.raises(ValueError, match="finite"):
         bs.BlockSystem.constant_template([[bad]], [[1.0]], [1.0])
     with pytest.raises(ValueError, match="finite"):

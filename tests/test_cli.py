@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framemult.cli import main
-from framemult.formats import complex_to_pair, frame_from_json
+from framemult.formats import frame_from_json
 from framemult.frames import FiniteFrame, canonical_dual, is_dual
 
 
@@ -121,7 +121,7 @@ def test_frame_info_dual_out_matches_the_per_entry_form(capsys, tmp_path):
     run_report(capsys, "frame-info", frame_path, "--dual-out", str(dual_path))
     dual = canonical_dual(frame_from_json(json.loads((tmp_path / "seeded.json").read_text())))
     per_entry = {"dim": dual.dim,
-                 "vectors": [[complex_to_pair(z) for z in dual.vector(n)]
+                 "vectors": [[[complex(z).real, complex(z).imag] for z in dual.synthesis[:, n]]
                              for n in range(dual.size)]}
     assert dual_path.read_text() == json.dumps(per_entry, sort_keys=True) + "\n"
 
@@ -400,6 +400,13 @@ def test_examples_run_unknown_exits_2(capsys):
 def test_examples_run_without_name_exits_2(capsys):
     code, _, err = run_cli(capsys, "examples", "run")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["run", "ex4_1", "--all"], ["list", "ex4_1"], ["list", "--all"]])
+def test_examples_arguments_the_action_would_ignore_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "examples", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("horizon", ["0", "-4", "ten"])

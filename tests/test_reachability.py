@@ -1,0 +1,134 @@
+"""The package is what the CLI reaches.
+
+The CLI case list below covers every command and branch. It runs in
+process under ``sys.setprofile``, with the package imported afresh
+inside the profile so that the code run at import counts as well. Every
+function defined in the package must be entered, except the independent
+routes the tests use as oracles and the one function the benchmark alone
+calls. A function that nothing reaches any more is either connected to
+the CLI or deleted; reference routes that only tests need live in
+``oracles.py``.
+"""
+
+import contextlib
+import inspect
+import io
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+import framemult
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(framemult.__file__))
+# two oracle routes, and numerics.condition_number, which perfbench/worker.py calls through cli
+NOT_REACHED = {"multipliers.apply_termwise", "blockseq.block_multiplier",
+               "numerics.condition_number"}
+
+
+def function_codes(code, module):
+    """(module, qualified name, first line) of every function, lambda and comprehension in ``code``."""
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            if const.co_flags & inspect.CO_NEWLOCALS:
+                yield module, const.co_qualname, const.co_firstlineno
+            yield from function_codes(const, module)
+
+
+def defined_functions():
+    found = set()
+    for filename in sorted(os.listdir(PACKAGE_DIR)):
+        if filename.endswith(".py"):
+            path = os.path.join(PACKAGE_DIR, filename)
+            with open(path, encoding="utf-8") as handle:
+                code = compile(handle.read(), path, "exec")
+            found.update(function_codes(code, filename[:-3]))
+    return found
+
+
+def pairs(values):
+    return np.stack([values.real, values.imag], axis=-1).tolist()
+
+
+def write(directory, name, doc):
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return path
+
+
+def cli_cases(directory):
+    rng = np.random.default_rng(5)
+    gaussian = lambda d, n: (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2.0)
+    phi = write(directory, "phi.json", {"dim": 3, "vectors": pairs(gaussian(3, 6))})
+    psi = write(directory, "psi.json", {"dim": 3, "vectors": pairs(gaussian(3, 6))})
+    square = write(directory, "square.json", {"dim": 3, "vectors": pairs(gaussian(3, 3))})
+    flat = write(directory, "flat.json", {"dim": 3, "vectors": pairs(np.tile(gaussian(3, 1), (6, 1)))})
+    moduli = rng.uniform(0.5, 2.0, 6)
+    phases = np.exp(2j * np.pi * rng.uniform(size=6))
+    symbols = [write(directory, "gaussian_symbol.json", {"values": pairs(moduli * phases)}),
+               write(directory, "unimodular_symbol.json", {"values": pairs(phases)})]
+    bad = write(directory, "bad.json", {"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0], ["x", 0]]]})
+    dual = os.path.join(directory, "dual.json")
+
+    cases = [["examples", "list"], ["examples", "run", "--all", "--horizon", "50"],
+             ["frame-info", bad]]
+    cases += [["frame-info", frame, "--dual-out", dual] for frame in (phi, flat, square)]
+    for symbol in symbols:
+        sides = ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", psi]
+        cases += [sides + ["--verify-all", "--seed", "1"], sides + ["--invert", "--induced-duals"]]
+    cases.append(["multiplier", "--symbol", symbols[0], "--phi", phi, "--psi", flat,
+                  "--verify-all", "--seed", "1"])
+    return cases
+
+
+@contextlib.contextmanager
+def fresh_package():
+    """Import the package anew inside the block and put the loaded modules back after it."""
+    ours = lambda name: name == "framemult" or name.startswith("framemult.")
+    saved = {name: module for name, module in sys.modules.items() if ours(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        yield
+    finally:
+        for name in [name for name in sys.modules if ours(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def test_every_package_function_is_reached_by_the_cli(tmp_path):
+    cases = cli_cases(str(tmp_path))
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(PACKAGE_DIR):
+            module = os.path.splitext(os.path.basename(code.co_filename))[0]
+            entered.add((module, code.co_qualname, code.co_firstlineno))
+
+    codes = []
+    with fresh_package():
+        sys.setprofile(profile)
+        try:
+            import framemult.cli as cli
+
+            for argv in cases:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    codes.append(cli.main(argv))
+        finally:
+            sys.setprofile(None)
+    assert codes == [0] * 2 + [2] + [0] * (len(cases) - 3)
+    missed = {f"{module}.{name}" for module, name, _ in defined_functions() - entered}
+    assert missed == NOT_REACHED, sorted(missed ^ NOT_REACHED)
+
+
+def test_importing_the_package_loads_no_submodule():
+    probe = "import sys, framemult; print('framemult.frames' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "False"
