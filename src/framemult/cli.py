@@ -15,10 +15,11 @@ Exit code 0 means the report was produced, whatever its verdict says;
 exit code 2 is reserved for usage and input errors (unreadable or
 malformed files, mismatched dimensions, symbol entries that are zero or
 whose reciprocal overflows where a reciprocal is required, unknown
-example names, an example name or --all that the examples action does
-not take, missing or negative --seed, tolerances ToleranceConfig
-rejects such as a --tol-rel outside (0, 1), output paths that cannot be
-written). Those print one ``error:`` line to stderr and no report.
+example names, an example name, --all or --horizon that the examples
+action does not take, --verify-all without --seed, tolerances
+ToleranceConfig rejects such as a --tol-rel outside (0, 1), output paths
+that cannot be written). Those print one ``error:`` line to stderr and no
+report. Options argparse rejects exit 2 with its usage message.
 """
 
 from __future__ import annotations
@@ -102,8 +103,6 @@ def _write_text(path: str, text: str) -> None:
 
 def _tolerances(args) -> ToleranceConfig:
     """The tolerance policy of the shared options, checked before any command runs."""
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     try:
         return ToleranceConfig(rel_eps=args.tol_rel, cond_max=args.cond_max)
     except ValueError as exc:
@@ -186,24 +185,24 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
     findings.append(finding("canonical_duals_invert", asserted=False,
                             residual=eq1_residual, tolerance=tol.rel_eps))
 
+    # one report gives both findings; the chain's stays last in the report
     try:
         report = mp.check_prop_q(mult, tol)
-        findings.append(finding("inversion_equivalence_criteria", True, value=report.as_dict()))
+        criteria = finding("inversion_equivalence_criteria", True, value=report.as_dict())
+        chain = report.constant_modulus_chain
+        chain = None if chain is None else finding("constant_modulus_chain", True, value=chain)
     except ImplicationViolated as exc:
-        findings.append(finding("inversion_equivalence_criteria", False, detail=str(exc)))
+        criteria = finding("inversion_equivalence_criteria", False, detail=str(exc))
+        chain = (finding("constant_modulus_chain", False, detail=str(exc))
+                 if mult.symbol.has_constant_modulus(tol) else None)
+    findings.append(criteria)
 
     findings.append(finding(
         "weighted_canonical_shortcut", True, asserted=False,
         value=mp.check_weighted_canonical(mult.phi, mult.symbol, tol),
     ))
-
-    if mult.symbol.inf_modulus > 0.0 and mult.symbol.has_constant_modulus(tol):
-        try:
-            chain = mp.check_constant_modulus(mult, tol)
-            findings.append(finding("constant_modulus_chain", chain.all_agree,
-                                    value=chain.as_dict()))
-        except ImplicationViolated as exc:
-            findings.append(finding("constant_modulus_chain", False, detail=str(exc)))
+    if chain is not None:
+        findings.append(chain)
 
 
 def cmd_multiplier(args) -> int:
@@ -260,8 +259,8 @@ def cmd_examples(args) -> int:
     registry = blockseq.example_registry()
 
     if args.action == "list":
-        if args.name or args.all:
-            raise UsageError("examples list takes no example name and no --all")
+        if args.name or args.all or args.horizon is not None:
+            raise UsageError("examples list takes no example name, no --all and no --horizon")
         findings = [
             finding(name, True, asserted=False,
                     value={"summary": entry.summary, "annotations": entry.annotations})
@@ -272,25 +271,26 @@ def cmd_examples(args) -> int:
     if args.all == bool(args.name):
         raise UsageError("examples run takes exactly one of an example name and --all")
     names = sorted(registry) if args.all else [args.name]
+    horizon = blockseq.SWEEP_HORIZON if args.horizon is None else args.horizon
 
     findings = [dict(check, name=f"{name}.{check['name']}")
                 for name in names
-                for check in blockseq.run_example(name, tol, horizon=args.horizon)]
-    inputs = {"action": "run", "examples": names, "horizon": args.horizon}
+                for check in blockseq.run_example(name, tol, horizon=horizon)]
+    inputs = {"action": "run", "examples": names, "horizon": horizon}
     return _emit(args, "examples", inputs, findings)
 
 
 # --------------------------------------------------------------------- parser
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {least}, got {value}")
+        return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative tolerance for residual checks, in (0, 1)")
     shared.add_argument("--cond-max", type=float, default=DEFAULT_COND_MAX,
                         help="condition-number ceiling for invertibility")
-    shared.add_argument("--seed", type=int, default=None,
-                        help="seed for sampling operations")
     shared.add_argument("--pretty", action="store_true",
                         help="indent the JSON report")
     shared.add_argument("--out", default=None,
@@ -332,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the full assertion bundle (needs --seed)")
     p_mult.add_argument("--expect-invertible", action="store_true",
                         help="treat non-invertibility as a failure")
+    p_mult.add_argument("--seed", type=_int_at_least(0), default=None,
+                        help="seed for sampling random duals, a non-negative integer")
     p_mult.set_defaults(handler=cmd_multiplier)
 
     p_ex = sub.add_parser("examples", parents=[shared],
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("name", nargs="?", default=None,
                       help="example name for the run action")
     p_ex.add_argument("--all", action="store_true", help="run every example")
-    p_ex.add_argument("--horizon", type=_positive_int, default=blockseq.SWEEP_HORIZON,
+    p_ex.add_argument("--horizon", type=_int_at_least(1), default=None,
                       help="per-block sweep depth for run")
     p_ex.set_defaults(handler=cmd_examples)
     return parser

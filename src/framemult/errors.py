@@ -52,10 +52,6 @@ class ImplicationViolated(FrameToolError):
     """
 
 
-class PreconditionFailed(FrameToolError):
-    """Input data does not satisfy a documented precondition of the check."""
-
-
 class MetadataMissing(FrameToolError):
     """A closed-form symbol envelope contradicts the prefix its system generates."""
 

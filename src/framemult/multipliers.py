@@ -22,6 +22,11 @@ The induced dual is also the only sequence with that property, for any
 zero-free symbol, semi-normalized or not. ``uniqueness_nullity`` decides
 this exactly from the symbol alone.
 
+The canonical and the induced duals coincide exactly when the equivalence
+criteria hold; ``check_prop_q`` decides them once. For a symbol of one
+nonzero modulus, the chain "eq1 iff Psi ~ m Phi iff Phi ~ conj(m) Psi" is
+their corollary, asserted and given by the same report.
+
 The two formulas are one identity read through the adjoint
 M* = M_{conj m, Psi, Phi}, whose inverse is Minv* and whose induced duals
 are those of M swapped: the adjoint of the second formula is the first
@@ -31,7 +36,6 @@ applied to ``Multiplier.adjoint()``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +46,6 @@ from .errors import (
     ImplicationViolated,
     NotAFrame,
     NotEquivalent,
-    NotInvertible,
-    PreconditionFailed,
     ZeroSymbolEntry,
 )
 from .frames import FiniteFrame
@@ -55,6 +57,7 @@ from .numerics import (
     condition_from_sigmas,
     frobenius,
     relative_residual,
+    relative_to,
     try_invert,
 )
 
@@ -240,7 +243,7 @@ def _multiplier_matrix(values: np.ndarray, out_side: FiniteFrame, in_side: Finit
     exactness. Reserved for matrices that must be entrywise exact:
     ``Multiplier.matrix`` and the block matrices of ``blockseq``.
     Candidates that only feed a relative residual norm
-    (``_minv1_residual``, ``verify_canonical_inversion``) are one BLAS
+    (``_inverse_residual``, ``verify_canonical_inversion``) are one BLAS
     product (Syn_out * values) @ Ana_in instead.
     """
     return _termwise_matrices(values, out_side.synthesis, in_side.synthesis)
@@ -355,12 +358,12 @@ def _stacked_induced_duals(matrices: np.ndarray, m: np.ndarray, phi_syn: np.ndar
     return _induced_dual_syntheses(try_invert(matrices, tol), m, phi_syn, psi_syn)
 
 
-def _minv1_residual(mult: Multiplier, psi_dual: FiniteFrame, tol: ToleranceConfig) -> float:
-    """||Syn_{psi_dual} diag(1/m) Ana_{phi_dagger} - Minv|| / ||Minv||; psi_dual is not tested for duality."""
+def _inverse_residual(mult: Multiplier, out_side: FiniteFrame, in_side: FiniteFrame,
+                      tol: ToleranceConfig) -> float:
+    """||Syn_out diag(1/m) Ana_in - Minv|| / ||Minv||; neither side is tested for duality."""
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
-    phi_dagger = induced_duals(mult, tol).phi_dagger
-    candidate = (psi_dual.synthesis * recip[None, :]) @ phi_dagger.analysis_matrix
+    candidate = (out_side.synthesis * recip[None, :]) @ in_side.analysis_matrix
     return relative_residual(candidate, minv, mult._inverse_frobenius())
 
 
@@ -393,19 +396,18 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     B == 0 certify every dual. B is formed as X - Ana_Psi (Syn_tilde X)
     with X = diag(1/m) Ana_{phi_dagger}, never the N x N matrix C. Both
     norms are reported relative to ||Minv||, with B additionally scaled by
-    ||tilde_Psi||, the perturbation norm the sampler uses. A zero ||Minv||
-    gives +inf, the rule of ``relative_residual``.
+    ||tilde_Psi||, the perturbation norm the sampler uses. A ||Minv|| that
+    is zero or overflows gives +inf, the rule of ``relative_to``.
     """
     invert(mult, tol)
     recip = mult.symbol.reciprocal().values
     tilde_psi = frames.canonical_dual(mult.psi, tol)
-    base_residual = _minv1_residual(mult, tilde_psi, tol)
-
     phi_dagger = induced_duals(mult, tol).phi_dagger
+    base_residual = _inverse_residual(mult, tilde_psi, phi_dagger, tol)
+
     weighted = recip[:, None] * phi_dagger.analysis_matrix
     slope = weighted - mult.psi.analysis_matrix @ (tilde_psi.synthesis @ weighted)
-    scale = mult._inverse_frobenius()
-    linear_residual = math.inf if scale == 0.0 else frobenius(slope) * tilde_psi.norm / scale
+    linear_residual = relative_to(frobenius(slope) * tilde_psi.norm, mult._inverse_frobenius())
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
 
 
@@ -487,12 +489,9 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     zero-free symbol this vanishes; for redundant sequences it usually
     does not.
     """
-    minv = invert(mult, tol)
-    recip = mult.symbol.reciprocal().values
-    tilde_psi = frames.canonical_dual(mult.psi, tol)
-    tilde_phi = frames.canonical_dual(mult.phi, tol)
-    candidate = (tilde_psi.synthesis * recip[None, :]) @ tilde_phi.analysis_matrix
-    return relative_residual(candidate, minv, mult._inverse_frobenius())
+    invert(mult, tol)  # NotInvertible before any NotAFrame
+    return _inverse_residual(mult, frames.canonical_dual(mult.psi, tol),
+                             frames.canonical_dual(mult.phi, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -505,6 +504,19 @@ class PropQReport:
     psi_dagger_is_canonical: bool
     phi_dagger_is_canonical: bool
     constant_symbol: bool
+    constant_modulus: bool
+
+    @property
+    def constant_modulus_chain(self) -> dict | None:
+        """The legs of the constant-modulus chain, or None when the moduli differ."""
+        if not self.constant_modulus:
+            return None
+        return {
+            "invertible_and_eq1": self.eq1_holds,
+            "psi_equiv_mphi": self.psi_equiv_mphi,
+            "phi_equiv_mbar_psi": self.phi_equiv_mbar_psi,
+            "all_agree": self.eq1_holds == self.psi_equiv_mphi == self.phi_equiv_mbar_psi,
+        }
 
     def as_dict(self) -> dict:
         return {
@@ -552,7 +564,12 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
       psi_dagger_is_canonical;
     * phi_equiv_mbar_psi implies eq1_holds, and is equivalent to
       phi_dagger_is_canonical;
-    * for a constant symbol the four non-eq1 booleans agree.
+    * for a symbol whose entries share one nonzero modulus, a constant
+      symbol included, eq1_holds, psi_equiv_mphi and phi_equiv_mbar_psi
+      agree: the constant-modulus chain, given as ``constant_modulus_chain``.
+      With the two agreements above, the four non-eq1 booleans then agree.
+
+    ZeroSymbolEntry for a symbol with a zero, NotInvertible for a singular M.
     """
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("the equivalence criteria need a zero-free symbol")
@@ -565,6 +582,7 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
         psi_dagger_is_canonical=_psi_dagger_is_canonical(mult, tol),
         phi_dagger_is_canonical=_psi_dagger_is_canonical(adj, tol),
         constant_symbol=mult.symbol.is_constant(tol),
+        constant_modulus=mult.symbol.has_constant_modulus(tol),
     )
     _assert_prop_q_consistency(report)
     return report
@@ -585,17 +603,13 @@ def _assert_prop_q_consistency(report: PropQReport) -> None:
             "phi_equiv_mbar_psi and phi_dagger_is_canonical must agree "
             f"(got {report.phi_equiv_mbar_psi} vs {report.phi_dagger_is_canonical})"
         )
-    if report.constant_symbol:
-        four = (
-            report.psi_equiv_mphi,
-            report.phi_equiv_mbar_psi,
-            report.psi_dagger_is_canonical,
-            report.phi_dagger_is_canonical,
+    legs = (report.eq1_holds, report.psi_equiv_mphi, report.phi_equiv_mbar_psi)
+    if (report.constant_modulus or report.constant_symbol) and len(set(legs)) != 1:
+        raise ImplicationViolated(
+            "constant-modulus legs disagree: "
+            f"eq1={report.eq1_holds}, "
+            f"psi~mPhi={report.psi_equiv_mphi}, phi~mbarPsi={report.phi_equiv_mbar_psi}"
         )
-        if len(set(four)) != 1:
-            raise ImplicationViolated(
-                f"constant symbol but the equivalence booleans disagree: {four}"
-            )
 
 
 def check_weighted_canonical(phi: FiniteFrame, m: Symbol,
@@ -606,8 +620,6 @@ def check_weighted_canonical(phi: FiniteFrame, m: Symbol,
     frame operator is a constant multiple of the original one; false in
     general. Needs a zero-free symbol and a spanning weighted sequence.
     """
-    if not isinstance(m, Symbol):
-        m = Symbol(m)
     if not m.all_nonzero:
         raise ZeroSymbolEntry("weighted canonical comparison needs a zero-free symbol")
     m_phi = weighted_frame(phi, m)
@@ -615,63 +627,3 @@ def check_weighted_canonical(phi: FiniteFrame, m: Symbol,
     tilde_phi = frames.canonical_dual(phi, tol)
     rhs = FiniteFrame.from_synthesis(tilde_phi.synthesis / np.conj(m.values)[None, :])
     return frames.frames_equal(lhs, rhs, tol)
-
-
-@dataclass(frozen=True)
-class ConstantModulusReport:
-    """Outcome of the constant-modulus equivalence chain.
-
-    For symbols whose entries all share one nonzero modulus, the three
-    statements (invertible with eq1 holding, input side equivalent to the
-    weighted output side, output side equivalent to the conjugate-weighted
-    input side) are a package deal: all true or all false.
-    """
-
-    invertible_and_eq1: bool
-    psi_equiv_mphi: bool
-    phi_equiv_mbar_psi: bool
-
-    @property
-    def all_agree(self) -> bool:
-        return self.invertible_and_eq1 == self.psi_equiv_mphi == self.phi_equiv_mbar_psi
-
-    @property
-    def all_equivalent(self) -> bool:
-        return self.invertible_and_eq1 and self.psi_equiv_mphi and self.phi_equiv_mbar_psi
-
-    def as_dict(self) -> dict:
-        return {
-            "invertible_and_eq1": self.invertible_and_eq1,
-            "psi_equiv_mphi": self.psi_equiv_mphi,
-            "phi_equiv_mbar_psi": self.phi_equiv_mbar_psi,
-            "all_agree": self.all_agree,
-        }
-
-
-def check_constant_modulus(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> ConstantModulusReport:
-    """Evaluate the three-way equivalence chain for constant-modulus symbols.
-
-    Raises PreconditionFailed unless all symbol moduli agree (nonzero), and
-    ImplicationViolated if the three computed legs fail to agree.
-    """
-    m = mult.symbol
-    if m.inf_modulus == 0.0 or not m.has_constant_modulus(tol):
-        raise PreconditionFailed("the symbol moduli must share one nonzero constant value")
-
-    try:
-        invertible_and_eq1 = verify_canonical_inversion(mult, tol) <= tol.rel_eps
-    except NotInvertible:
-        invertible_and_eq1 = False
-
-    report = ConstantModulusReport(
-        invertible_and_eq1=invertible_and_eq1,
-        psi_equiv_mphi=_input_equiv_weighted_output(mult, tol),
-        phi_equiv_mbar_psi=_input_equiv_weighted_output(mult.adjoint(), tol),
-    )
-    if not report.all_agree:
-        raise ImplicationViolated(
-            "constant-modulus legs disagree: "
-            f"eq1={report.invertible_and_eq1}, "
-            f"psi~mPhi={report.psi_equiv_mphi}, phi~mbarPsi={report.phi_equiv_mbar_psi}"
-        )
-    return report

@@ -7,9 +7,10 @@ with rel_eps, and no absolute floor such as ``1 +`` or ``max(., 1)`` is
 added to either side. Rescaling the frames or the symbol therefore moves
 no decision, up to rounding. In particular:
 
-* residual checks are relative, scaled by operand norms; a zero norm to
-  scale by, exact or underflowed, gives the residual +inf, and a norm
-  that overflows leaves the bound +inf, and both fail;
+* residual checks are relative, scaled by operand norms; a norm to
+  divide by that is zero (exact or underflowed) or overflowed gives the
+  residual +inf, a norm that overflows in a bound leaves it +inf, and
+  each of these fails;
 * invertibility means sigma_min > sigma_max / cond_max;
 * singular values below rel_eps * sigma_max count as zero.
 
@@ -137,16 +138,22 @@ def frobenius(a: np.ndarray) -> float:
 
 def relative_residual(actual: np.ndarray, reference: np.ndarray,
                       reference_norm: float | None = None) -> float:
-    """Frobenius-norm residual ||actual - reference|| / ||reference||.
+    """Frobenius-norm residual ||actual - reference|| / ||reference||, by ``relative_to``.
 
     ``reference_norm``, when given, is ``frobenius(reference)`` measured
-    before and is used as it is. +inf when ||reference|| is 0, exactly or
-    by underflow: nothing was measured, so the residual fails every
-    tolerance.
+    before and is used as it is.
     """
     ref = np.asarray(reference, dtype=np.complex128)
     diff = frobenius(np.asarray(actual, dtype=np.complex128) - ref)
-    scale = frobenius(ref) if reference_norm is None else reference_norm
-    if scale == 0.0:
+    return relative_to(diff, frobenius(ref) if reference_norm is None else reference_norm)
+
+
+def relative_to(value: float, scale: float) -> float:
+    """value / scale, or +inf unless the scale is finite and positive.
+
+    A scale of 0 or +inf, a norm that under- or overflowed, measures
+    nothing, so the quotient fails every tolerance.
+    """
+    if not 0.0 < scale < math.inf:
         return math.inf
-    return diff / scale
+    return value / scale

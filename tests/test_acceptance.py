@@ -158,8 +158,6 @@ def test_c5_equivalence_criteria_never_contradict_each_other():
         mult = _fuzz_instance(rng, family)
         try:
             mp.check_prop_q(mult)
-            if mult.symbol.has_constant_modulus():
-                mp.check_constant_modulus(mult)
         except ImplicationViolated:
             violations += 1
         except NotInvertible:
@@ -167,8 +165,8 @@ def test_c5_equivalence_criteria_never_contradict_each_other():
     assert violations == 0
 
     _, phi, psi = bs.block_frames(bs.get_example("ex5_final").system, 1)
-    chain = mp.check_constant_modulus(mp.build(mp.Symbol([1.0, -1.0]), phi, psi))
-    assert chain.all_equivalent
+    chain = mp.check_prop_q(mp.build(mp.Symbol([1.0, -1.0]), phi, psi)).constant_modulus_chain
+    assert all(chain.values())
 
     _, phi, psi = bs.block_frames(bs.get_example("ex5_3").system, 1)
     report = mp.check_prop_q(mp.build(mp.Symbol(bs.EX5_3_SYMBOL), phi, psi))

@@ -360,6 +360,29 @@ def test_an_underflowed_inverse_norm_fails_the_identity_findings(capsys, tmp_pat
     assert not any(criteria["value"].values())
 
 
+# ||Minv|| overflows on this input; no other warning is allowed
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowed_inverse_norm_fails_the_identity_findings(capsys, tmp_path):
+    # both frames scaled by 1e-78: Minv has entries near 1e156, so ||Minv||
+    # overflows to inf and a residual divided by it would read 0 and pass;
+    # at 1e-77 the norm is finite and the same findings pass
+    rng = np.random.default_rng(5)
+    phi, psi = (rng.standard_normal((2, 6, 3)) + 1j * rng.standard_normal((2, 6, 3))) / np.sqrt(2.0)
+    m = rng.uniform(0.5, 2.0, 6) * np.exp(2j * np.pi * rng.uniform(size=6))
+    sym = write_json(tmp_path / "m.json", symbol_doc(m))
+    names = ("inverse_identity_all_input_duals", "inverse_identity_all_output_duals",
+             "sampled_input_duals_match_inverse", "sampled_output_duals_match_inverse")
+    for scale, verdict in ((1e-77, "pass"), (1e-78, "fail")):
+        phi_path = write_json(tmp_path / "phi.json", frame_doc(scale * phi))
+        psi_path = write_json(tmp_path / "psi.json", frame_doc(scale * psi))
+        report = run_report(capsys, "multiplier", "--symbol", sym, "--phi", phi_path,
+                            "--psi", psi_path, "--verify-all", "--seed", "1")
+        assert report["verdict"] == verdict
+        for name in names:
+            assert finding(report, name)["ok"] == (verdict == "pass")
+            assert (finding(report, name)["residual"] is None) == (verdict == "fail")
+
+
 # -------------------------------------------------------------------- examples
 
 
@@ -402,7 +425,8 @@ def test_examples_run_without_name_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [["run", "ex4_1", "--all"], ["list", "ex4_1"], ["list", "--all"]])
+@pytest.mark.parametrize("argv", [["run", "ex4_1", "--all"], ["list", "ex4_1"], ["list", "--all"],
+                                  ["list", "--horizon", "5"], ["list", "--horizon", "1000"]])
 def test_examples_arguments_the_action_would_ignore_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, "examples", *argv)
     assert (code, out) == (2, "")
@@ -423,12 +447,11 @@ def test_examples_run_rejects_a_horizon_below_one(capsys, horizon):
     ["--tol-rel", "0"],
     ["--tol-rel", "nan"],
     ["--cond-max", "0.5"],
-    ["--verify-all", "--seed", "-1"],
     ["--out", "{missing}/report.json"],
     ["--dual-out", "{missing}/dual.json"],
     ["--tol-rel", "1"],
     ["--tol-rel", "inf"],
-], ids=["zero-tol-rel", "nan-tol-rel", "cond-max-below-1", "negative-seed", "out-dir-missing",
+], ids=["zero-tol-rel", "nan-tol-rel", "cond-max-below-1", "out-dir-missing",
         "dual-out-dir-missing", "unit-tol-rel", "inf-tol-rel"])
 def test_bad_options_exit_2_with_one_error_line(capsys, tmp_path, multiplier_files, flags):
     sym, phi, psi = multiplier_files
@@ -442,6 +465,25 @@ def test_bad_options_exit_2_with_one_error_line(capsys, tmp_path, multiplier_fil
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["multiplier", "--symbol", "{sym}", "--phi", "{phi}", "--psi", "{psi}", "--verify-all",
+     "--seed", "-1"],
+    ["frame-info", "{phi}", "--seed", "1"],
+    ["examples", "run", "--all", "--seed", "1"],
+    ["examples", "list", "--seed", "1"],
+], ids=["negative-seed", "seed-on-frame-info", "seed-on-examples-run", "seed-on-examples-list"])
+def test_options_the_parser_rejects_exit_2(capsys, multiplier_files, argv):
+    # --seed is a non-negative integer, and only the multiplier command samples
+    sym, phi, psi = multiplier_files
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(sym=sym, phi=phi, psi=psi) for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -573,10 +615,41 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     # 11 norms of held objects, each measured once: ||Minv|| and the
     # frames Phi, Psi, the two induced duals, the two canonical duals, the
     # two weighted sides and the two sides of the weighted-canonical
-    # comparison; and 27 norms of fresh arrays: 10 identity residuals,
-    # 6 sampled perturbations, 2 certificate slopes, 4 reconstruction
+    # comparison; and 25 norms of fresh arrays: 10 identity residuals,
+    # 6 sampled perturbations, 2 certificate slopes, 2 reconstruction
     # residuals, 2 mapping residuals and 3 frame differences
-    assert decisions["frobenius"] == 38
+    assert decisions["frobenius"] == 36
+
+
+def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monkeypatch):
+    # the constant-modulus chain reads the equivalence report, and a dual is
+    # decided by one reconstruction identity, its adjoint being the other
+    import framemult.cli as cli
+    import framemult.frames as fr
+    import framemult.multipliers as mp
+
+    rng = np.random.default_rng(5)
+    sides = [FiniteFrame(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+             for _ in range(2)]
+    mult = mp.build(mp.Symbol(np.exp(2j * np.pi * rng.uniform(size=6))), *sides)
+    calls = collections.Counter()
+    for module, name in ((fr, "equivalence_operator"), (fr, "is_s_pseudo_dual"),
+                         (mp, "verify_canonical_inversion")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    tol = cli.ToleranceConfig()
+    mp.invert(mult, tol)
+    findings = []
+    cli._verify_bundle(mult, tol, 3, findings)
+    assert cli._verdict(findings) == "pass"
+    assert [f["name"] for f in findings][-1] == "constant_modulus_chain"
+    # one test per weighted side, one per induced dual, and the canonical
+    # inversion once for its finding and once inside the report
+    assert calls == {"equivalence_operator": 2, "is_s_pseudo_dual": 2,
+                     "verify_canonical_inversion": 2}
 
 
 def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):

@@ -10,9 +10,10 @@ import framemult.frames as fr
 import framemult.multipliers as mp
 from framemult.errors import (
     DimensionMismatch,
+    ImplicationViolated,
+    NotAFrame,
     NotEquivalent,
     NotInvertible,
-    PreconditionFailed,
     ZeroSymbolEntry,
 )
 from framemult.frames import FiniteFrame
@@ -429,35 +430,66 @@ def test_weighted_canonical_shortcut_fails_on_scalar_example():
 def test_constant_modulus_chain_all_true():
     phi = FiniteFrame([[1.0], [1.0]])
     psi = FiniteFrame([[1.0], [-1.0]])
-    report = mp.check_constant_modulus(mp.build([1.0, -1.0], phi, psi))
-    assert report.all_agree
-    assert report.all_equivalent
+    report = mp.check_prop_q(mp.build([1.0, -1.0], phi, psi))
+    assert report.constant_modulus_chain == {"invertible_and_eq1": True, "psi_equiv_mphi": True,
+                                             "phi_equiv_mbar_psi": True, "all_agree": True}
 
 
 def test_constant_modulus_chain_all_false():
+    # M = 0: not invertible, and neither weighted side is equivalent to the other side
     phi = FiniteFrame([[1.0], [1.0]])
     psi = FiniteFrame([[1.0], [-1.0]])
-    report = mp.check_constant_modulus(mp.build([1.0, 1.0], phi, psi))
-    assert report.all_agree
-    assert not report.all_equivalent
-    assert not report.invertible_and_eq1
+    m = mp.Symbol([1.0, 1.0])
+    with pytest.raises(NotInvertible):
+        mp.check_prop_q(mp.build(m, phi, psi))
+    with pytest.raises(NotEquivalent):
+        fr.equivalence_operator(psi, mp.weighted_frame(phi, m))
+    with pytest.raises(NotEquivalent):
+        fr.equivalence_operator(phi, mp.weighted_frame(psi, m.conjugate()))
 
 
 def test_constant_modulus_chain_with_an_input_side_that_does_not_span():
+    # M has rank one; Psi is equivalent to no frame, and the only map from
+    # Phi onto the weighted Psi is singular
     phi = FiniteFrame(np.eye(2))
     psi = FiniteFrame([[1.0, 0.0], [1.0, 0.0]])
-    report = mp.check_constant_modulus(mp.build([1.0, 1.0], phi, psi))
-    assert report.as_dict() == {"invertible_and_eq1": False, "psi_equiv_mphi": False,
-                                "phi_equiv_mbar_psi": False, "all_agree": True}
+    m = mp.Symbol([1.0, 1.0])
+    with pytest.raises(NotInvertible):
+        mp.check_prop_q(mp.build(m, phi, psi))
+    with pytest.raises(NotAFrame):
+        fr.equivalence_operator(psi, mp.weighted_frame(phi, m))
+    with pytest.raises(NotEquivalent) as info:
+        fr.equivalence_operator(phi, mp.weighted_frame(psi, m.conjugate()))
+    assert info.value.reason == "not_invertible"
 
 
 def test_constant_modulus_requires_constant_moduli():
-    mult = scalar_example()
-    with pytest.raises(PreconditionFailed):
-        mp.check_constant_modulus(mult)
-    phi = FiniteFrame([[1.0], [1.0]])
-    with pytest.raises(PreconditionFailed):
-        mp.check_constant_modulus(mp.build([0.0, 0.0], phi, phi))
+    report = mp.check_prop_q(scalar_example())
+    assert not report.constant_modulus
+    assert report.constant_modulus_chain is None
+    # a constant symbol has constant modulus, and its chain holds with the criteria
+    rng = np.random.default_rng(7)
+    phi, psi = random_frame(3, 5, rng), random_frame(3, 5, rng)
+    report = mp.check_prop_q(mp.build(mp.Symbol(np.full(5, 2.0 - 1.0j)), phi, psi))
+    assert report.constant_symbol and report.constant_modulus
+    assert report.constant_modulus_chain["invertible_and_eq1"] == report.eq1_holds
+
+
+@pytest.mark.parametrize("constant_symbol, constant_modulus, raises", [
+    (False, False, False), (False, True, True), (True, False, True)])
+def test_the_constant_modulus_chain_is_asserted_from_the_report(constant_symbol, constant_modulus,
+                                                                raises):
+    # eq1 holds while neither weighted-side equivalence does: consistent for a
+    # general symbol, a violated chain for one modulus or a constant symbol
+    report = mp.PropQReport(eq1_holds=True, psi_equiv_mphi=False, phi_equiv_mbar_psi=False,
+                            psi_dagger_is_canonical=False, phi_dagger_is_canonical=False,
+                            constant_symbol=constant_symbol, constant_modulus=constant_modulus)
+    if raises:
+        with pytest.raises(ImplicationViolated, match="constant-modulus legs disagree"):
+            mp._assert_prop_q_consistency(report)
+    else:
+        mp._assert_prop_q_consistency(report)
+    assert (report.constant_modulus_chain is None) == (not constant_modulus)
 
 
 # ----------------------------------------------------------------- properties
