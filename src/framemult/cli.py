@@ -20,6 +20,16 @@ action does not take, --verify-all without --seed, tolerances
 ToleranceConfig rejects such as a --tol-rel outside (0, 1), output paths
 that cannot be written). Those print one ``error:`` line to stderr and no
 report. Options argparse rejects exit 2 with its usage message.
+
+Each command imports only the modules it runs. ``frames``,
+``multipliers``, ``numerics``, ``errors`` and ``report`` load with this
+module, since every command uses them. ``formats`` (and with it
+``hashlib``) loads in ``frame-info`` and ``multiplier``, the commands that
+read files, and ``blockseq`` in ``examples`` alone. Every run is a fresh
+interpreter, and where bytecode is not cached (PYTHONDONTWRITEBYTECODE)
+each imported module is compiled from source, so source size is start-up
+time: a ``multiplier`` run does not compile ``blockseq``, and
+``examples`` neither compiles ``formats`` nor loads the OpenSSL binding.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import json
 import math
 import sys
 
-from . import blockseq, formats, frames
+from . import frames
 from . import multipliers as mp
 from .errors import (
     DimensionMismatch,
@@ -61,6 +71,8 @@ class UsageError(Exception):
 
 def _load(path: str, where: str, parse, inputs: dict):
     """``parse`` of the JSON document at ``path``, recording its path and sha256 under ``where``."""
+    from . import formats
+
     doc, digest = formats.load_json_file(path, where)
     inputs[where] = {"path": path, "sha256": digest}
     return parse(doc)
@@ -114,6 +126,8 @@ def _tolerances(args) -> ToleranceConfig:
 
 
 def cmd_frame_info(args) -> int:
+    from . import formats
+
     tol = args.tol
     inputs: dict = {}
     frame = _load(args.frame, "frame", formats.frame_from_json, inputs)
@@ -185,9 +199,12 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
     findings.append(finding("canonical_duals_invert", asserted=False,
                             residual=eq1_residual, tolerance=tol.rel_eps))
 
-    # one report gives both findings; the chain's stays last in the report
+    # m*Phi is built once for the criteria and the shortcut and held by this
+    # call alone; one report gives both equivalence findings, and the
+    # chain's stays last in the report
+    m_phi = mp.weighted_frame(mult.phi, mult.symbol)
     try:
-        report = mp.check_prop_q(mult, tol)
+        report = mp.check_prop_q(mult, tol, m_phi=m_phi)
         criteria = finding("inversion_equivalence_criteria", True, value=report.as_dict())
         chain = report.constant_modulus_chain
         chain = None if chain is None else finding("constant_modulus_chain", True, value=chain)
@@ -199,13 +216,15 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
 
     findings.append(finding(
         "weighted_canonical_shortcut", True, asserted=False,
-        value=mp.check_weighted_canonical(mult.phi, mult.symbol, tol),
+        value=mp.check_weighted_canonical(mult.phi, mult.symbol, tol, m_phi=m_phi),
     ))
     if chain is not None:
         findings.append(chain)
 
 
 def cmd_multiplier(args) -> int:
+    from . import formats
+
     tol = args.tol
     if args.verify_all and args.seed is None:
         raise UsageError("--verify-all samples random duals and needs --seed")
@@ -255,6 +274,8 @@ def cmd_multiplier(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from . import blockseq
+
     tol = args.tol
     registry = blockseq.example_registry()
 

@@ -153,15 +153,15 @@ def weighted_frame(frame: FiniteFrame, weights) -> FiniteFrame:
 class Multiplier:
     """Realized multiplier (symbol, output side, input side) with its matrix.
 
-    The singular values, the inverse and its norm, the induced duals and
-    the adjoint are lazy per-instance caches, each computed at most once
-    and free of any tolerance. ``invert`` evaluates the invertibility
-    policy once per multiplier and tolerance while it passes: the
-    multiplier remembers the last tolerance it passed under. A failure is
-    not remembered, so NotInvertible is raised on every call. An adjoint
-    takes its derived values and that decision from the multiplier it came
-    from, so the two share one SVD, one inverse and one ||Minv||, which is
-    also ||Minv*||.
+    The singular values, the inverse and its norm, the induced duals, the
+    canonical-inversion residual and the adjoint are lazy per-instance
+    caches, each computed at most once and free of any tolerance.
+    ``invert`` evaluates the invertibility policy once per multiplier and
+    tolerance while it passes: the multiplier remembers the last tolerance
+    it passed under. A failure is not remembered, so NotInvertible is
+    raised on every call. An adjoint takes its derived values and that
+    decision from the multiplier it came from, so the two share one SVD,
+    one inverse and one ||Minv||, which is also ||Minv*||.
     """
 
     def __init__(self, symbol: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> None:
@@ -180,6 +180,7 @@ class Multiplier:
     # lazy caches; _origin is the multiplier an adjoint was derived from,
     # _passed_under the last tolerance the invertibility policy passed under
     _origin = _adjoint = _sigmas = _inverse = _inverse_norm = _duals = _passed_under = None
+    _canonical_residual = None
 
     @property
     def dim(self) -> int:
@@ -487,11 +488,17 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     Builds Syn_{tilde_Psi} diag(1/m) Ana_{tilde_Phi} and compares with the
     actual inverse, relative to ||Minv||. For exact (Riesz) bases with a
     zero-free symbol this vanishes; for redundant sequences it usually
-    does not.
+    does not. The invertibility and spanning decisions are made under
+    ``tol`` on every call; the residual itself depends on no tolerance and
+    is computed once per multiplier.
     """
     invert(mult, tol)  # NotInvertible before any NotAFrame
-    return _inverse_residual(mult, frames.canonical_dual(mult.psi, tol),
-                             frames.canonical_dual(mult.phi, tol), tol)
+    tilde_psi = frames.canonical_dual(mult.psi, tol)
+    tilde_phi = frames.canonical_dual(mult.phi, tol)
+    residual = mult._canonical_residual
+    if residual is None:
+        residual = mult._canonical_residual = _inverse_residual(mult, tilde_psi, tilde_phi, tol)
+    return residual
 
 
 @dataclass(frozen=True)
@@ -529,15 +536,16 @@ class PropQReport:
         }
 
 
-def _input_equiv_weighted_output(mult: Multiplier, tol: ToleranceConfig) -> bool:
-    """Is Psi equivalent to (m_n phi_n)? On the adjoint: is Phi equivalent to (conj(m_n) psi_n)?
+def _input_equiv_weighted_output(mult: Multiplier, weighted: FiniteFrame,
+                                 tol: ToleranceConfig) -> bool:
+    """Is Psi equivalent to ``weighted`` = (m_n phi_n)? On the adjoint: Phi and (conj(m_n) psi_n).
 
     Equivalence is symmetric, so the map is sought from Psi, whose
     canonical dual the multiplier's other checks have already cached. A Psi
     that does not span is equivalent to no frame.
     """
     try:
-        frames.equivalence_operator(mult.psi, weighted_frame(mult.phi, mult.symbol), tol)
+        frames.equivalence_operator(mult.psi, weighted, tol)
     except (NotEquivalent, NotAFrame):
         return False
     return True
@@ -549,7 +557,8 @@ def _psi_dagger_is_canonical(mult: Multiplier, tol: ToleranceConfig) -> bool:
                                frames.canonical_dual(mult.psi, tol), tol)
 
 
-def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQReport:
+def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL, *,
+                 m_phi: FiniteFrame | None = None) -> PropQReport:
     """Evaluate the equivalence criteria tied to the canonical inversion.
 
     Computes five booleans: whether the canonical-duals multiplier inverts
@@ -569,16 +578,22 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
       agree: the constant-modulus chain, given as ``constant_modulus_chain``.
       With the two agreements above, the four non-eq1 booleans then agree.
 
-    ZeroSymbolEntry for a symbol with a zero, NotInvertible for a singular M.
+    ``m_phi`` is ``weighted_frame(mult.phi, mult.symbol)`` when the caller
+    holds it, so that ``check_weighted_canonical`` can share one frame;
+    otherwise it is built here. ZeroSymbolEntry for a symbol with a zero,
+    NotInvertible for a singular M.
     """
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("the equivalence criteria need a zero-free symbol")
     eq1 = verify_canonical_inversion(mult, tol) <= tol.rel_eps
     adj = mult.adjoint()
+    if m_phi is None:
+        m_phi = weighted_frame(mult.phi, mult.symbol)
     report = PropQReport(
         eq1_holds=eq1,
-        psi_equiv_mphi=_input_equiv_weighted_output(mult, tol),
-        phi_equiv_mbar_psi=_input_equiv_weighted_output(adj, tol),
+        psi_equiv_mphi=_input_equiv_weighted_output(mult, m_phi, tol),
+        phi_equiv_mbar_psi=_input_equiv_weighted_output(
+            adj, weighted_frame(adj.phi, adj.symbol), tol),
         psi_dagger_is_canonical=_psi_dagger_is_canonical(mult, tol),
         phi_dagger_is_canonical=_psi_dagger_is_canonical(adj, tol),
         constant_symbol=mult.symbol.is_constant(tol),
@@ -613,16 +628,19 @@ def _assert_prop_q_consistency(report: PropQReport) -> None:
 
 
 def check_weighted_canonical(phi: FiniteFrame, m: Symbol,
-                             tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+                             tol: ToleranceConfig = DEFAULT_TOL, *,
+                             m_phi: FiniteFrame | None = None) -> bool:
     """Does the canonical dual of (m_n phi_n) equal (1/conj(m_n)) tilde_phi_n?
 
     True for unit-modulus scalings and more generally whenever the weighted
     frame operator is a constant multiple of the original one; false in
     general. Needs a zero-free symbol and a spanning weighted sequence.
+    ``m_phi`` is ``weighted_frame(phi, m)`` when the caller holds it.
     """
     if not m.all_nonzero:
         raise ZeroSymbolEntry("weighted canonical comparison needs a zero-free symbol")
-    m_phi = weighted_frame(phi, m)
+    if m_phi is None:
+        m_phi = weighted_frame(phi, m)
     lhs = frames.canonical_dual(m_phi, tol)  # NotAFrame if m*Phi does not span
     tilde_phi = frames.canonical_dual(phi, tol)
     rhs = FiniteFrame.from_synthesis(tilde_phi.synthesis / np.conj(m.values)[None, :])

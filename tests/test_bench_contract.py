@@ -11,6 +11,7 @@ are imported, never changed.
 import inspect
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -25,6 +26,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 sys.path.insert(0, PERFBENCH)
 sys.dont_write_bytecode, _writes_bytecode = True, sys.dont_write_bytecode  # no .pyc in perfbench/
 import checks  # noqa: E402
+import tracer  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 sys.dont_write_bytecode = _writes_bytecode
@@ -89,6 +91,7 @@ def test_verify_small_findings_do_not_depend_on_cached_decisions_or_norms(monkey
     forgetful = property(lambda obj: None, lambda obj, value: None)
     monkeypatch.setattr(mp.Multiplier, "_passed_under", forgetful)
     monkeypatch.setattr(FiniteFrame, "_spans_under", forgetful)
+    monkeypatch.setattr(mp.Multiplier, "_canonical_residual", forgetful)
     monkeypatch.setattr(mp.Multiplier, "_inverse_frobenius",
                         lambda mult: frobenius(mult._inverse_matrix()))
     monkeypatch.setattr(FiniteFrame, "norm", property(lambda frame: frobenius(frame.synthesis)))
@@ -123,3 +126,18 @@ def test_verify_large_inputs_check_ok(capsys, monkeypatch, tmp_path, seed):
     monkeypatch.chdir(tmp_path)
     verdict, flags = run_json(capsys, small.args)
     assert checks.classify(verdict, flags, small.expected_verdict, small.expected) == checks.OK
+
+
+def test_traced_examples_run_records_blockseq_spans(tmp_path):
+    # examples-sweep's traced pass: the worker imports the CLI, then wraps
+    # every package module, blockseq included, before the command loads it
+    spans = str(tmp_path / "spans.bin")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")  # no .pyc in perfbench/
+    result = subprocess.run([sys.executable, os.path.join(PERFBENCH, "worker.py"), "cli",
+                             "--spans", spans, "--", "examples", "run", "--all"],
+                            capture_output=True, text=True, env=env, cwd=str(tmp_path))
+    assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+    assert json.loads(result.stdout)["verdict"] == "flagged"
+    summary = tracer.summarize(spans)
+    assert summary["by_name"]["blockseq.run_example"]["calls"] == 4, summary["by_name"].keys()

@@ -1,9 +1,11 @@
 import builtins
 import collections
 import contextlib
+import gc
 import hashlib
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -615,15 +617,18 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     # 11 norms of held objects, each measured once: ||Minv|| and the
     # frames Phi, Psi, the two induced duals, the two canonical duals, the
     # two weighted sides and the two sides of the weighted-canonical
-    # comparison; and 25 norms of fresh arrays: 10 identity residuals,
-    # 6 sampled perturbations, 2 certificate slopes, 2 reconstruction
-    # residuals, 2 mapping residuals and 3 frame differences
-    assert decisions["frobenius"] == 36
+    # comparison; and 24 norms of fresh arrays: 9 identity residuals (the
+    # canonical inversion's once, for its finding and the report), 6 sampled
+    # perturbations, 2 certificate slopes, 2 reconstruction residuals,
+    # 2 mapping residuals and 3 frame differences
+    assert decisions["frobenius"] == 35
 
 
 def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monkeypatch):
-    # the constant-modulus chain reads the equivalence report, and a dual is
-    # decided by one reconstruction identity, its adjoint being the other
+    # the constant-modulus chain reads the equivalence report, a dual is
+    # decided by one reconstruction identity, its adjoint being the other,
+    # and the canonical inversion and the weighted side m*Phi are computed
+    # once for every finding that reads them
     import framemult.cli as cli
     import framemult.frames as fr
     import framemult.multipliers as mp
@@ -633,12 +638,33 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
              for _ in range(2)]
     mult = mp.build(mp.Symbol(np.exp(2j * np.pi * rng.uniform(size=6))), *sides)
     calls = collections.Counter()
-    for module, name in ((fr, "equivalence_operator"), (fr, "is_s_pseudo_dual"),
-                         (mp, "verify_canonical_inversion")):
+    for module, name in ((fr, "equivalence_operator"), (fr, "is_s_pseudo_dual")):
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
+
+    original_residual = mp._inverse_residual
+
+    def counted_residual(side, out_side, in_side, tol):
+        canonical = (out_side is fr.canonical_dual(side.psi, tol)
+                     and in_side is fr.canonical_dual(side.phi, tol))
+        calls["canonical_inversion_product" if canonical else "certificate_product"] += 1
+        return original_residual(side, out_side, in_side, tol)
+
+    monkeypatch.setattr(mp, "_inverse_residual", counted_residual)
+
+    # the weighted sides, held only through weak references to their arrays
+    weighted_arrays = []
+    original_weighted = mp.weighted_frame
+
+    def counted_weighted(*args):
+        calls["weighted_frame"] += 1
+        frame = original_weighted(*args)
+        weighted_arrays.append(weakref.ref(frame.synthesis))
+        return frame
+
+    monkeypatch.setattr(mp, "weighted_frame", counted_weighted)
 
     tol = cli.ToleranceConfig()
     mp.invert(mult, tol)
@@ -646,10 +672,16 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
     cli._verify_bundle(mult, tol, 3, findings)
     assert cli._verdict(findings) == "pass"
     assert [f["name"] for f in findings][-1] == "constant_modulus_chain"
-    # one test per weighted side, one per induced dual, and the canonical
-    # inversion once for its finding and once inside the report
+    # one test per weighted side, one per induced dual; the canonical
+    # inversion's product once, for its finding and inside the report, next
+    # to one per certificate; m*Phi once for the report and the shortcut,
+    # conj(m)*Psi once
     assert calls == {"equivalence_operator": 2, "is_s_pseudo_dual": 2,
-                     "verify_canonical_inversion": 2}
+                     "canonical_inversion_product": 1, "certificate_product": 2,
+                     "weighted_frame": 2}
+    # no weighted side outlives the bundle
+    gc.collect()
+    assert [ref() for ref in weighted_arrays] == [None, None]
 
 
 def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):

@@ -132,3 +132,38 @@ def test_importing_the_package_loads_no_submodule():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env=env, check=True)
     assert result.stdout.strip() == "False"
+
+
+# the CLI modules a fresh interpreter holds after `import framemult.cli` and
+# one `cli.main(argv)`, with hashlib, which formats brings in
+LOADED_PROBE = """
+import contextlib, io, sys
+import framemult.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(n for n in sys.modules if n.startswith("framemult.") or n == "hashlib"))
+"""
+
+
+def loaded_by(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    result = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv], capture_output=True,
+                            text=True, env=env, check=True)
+    code, *modules = result.stdout.split()
+    return int(code), set(modules)
+
+
+def test_each_cli_command_imports_only_the_modules_it_runs(tmp_path):
+    directory = str(tmp_path)
+    phi = write(directory, "phi.json", {"dim": 1, "vectors": [[[1.0, 0.0]], [[0.0, 1.0]]]})
+    symbol = write(directory, "symbol.json", {"values": [[1.0, 0.0], [2.0, 0.0]]})
+    multiplier = ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", phi,
+                  "--verify-all", "--seed", "1"]
+    file_reading = {"framemult.formats", "hashlib"}
+
+    code, modules = loaded_by([])
+    assert code == 0 and not modules & (file_reading | {"framemult.blockseq"}), modules
+    code, modules = loaded_by(multiplier)
+    assert code == 0 and "framemult.blockseq" not in modules and file_reading <= modules, modules
+    code, modules = loaded_by(["examples", "list"])
+    assert code == 0 and not modules & file_reading and "framemult.blockseq" in modules, modules
