@@ -28,6 +28,7 @@ same elementwise and per-matrix arithmetic on the same operands.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +97,7 @@ class BlockSystem:
 
     # ---------------------------------------------------------------- construction
 
-    def __init__(self, phi, phi_exponents, psi, psi_exponents, m, m_exponents, *,
-                 name: str = "") -> None:
+    def __init__(self, phi, phi_exponents, psi, psi_exponents, m, m_exponents) -> None:
         phi_b = _as_templates(phi)
         psi_b = _as_templates(psi)
         m_b = np.asarray(m, dtype=np.complex128).reshape(-1)
@@ -114,14 +114,13 @@ class BlockSystem:
         if not all(np.all(np.isfinite(a)) for a in (phi_b, phi_e, psi_b, psi_e, m_b, m_e)):
             raise ValueError("bases, exponents and weights must be finite")
         self.block_dim = phi_b.shape[1]
-        self.name = name
         self._closed_form = {"phi": (phi_b, phi_e), "psi": (psi_b, psi_e), "m": (m_b, m_e)}
 
     @classmethod
-    def constant_template(cls, phi, psi, m, *, name: str = "") -> "BlockSystem":
+    def constant_template(cls, phi, psi, m) -> "BlockSystem":
         """Same templates in every block."""
         zeros = np.zeros(np.size(m))
-        return cls(phi, zeros, psi, zeros, m, zeros, name=name)
+        return cls(phi, zeros, psi, zeros, m, zeros)
 
     # ---------------------------------------------------------------- access
 
@@ -328,7 +327,7 @@ def _spot_check_profile(profile: SymbolProfile, prefix: np.ndarray) -> None:
         raise MetadataMissing("closed form claims zero-free but the prefix has zeros")
 
 
-def symbol_profile(sys, tol: ToleranceConfig = DEFAULT_TOL) -> SymbolProfile:
+def symbol_profile(sys) -> SymbolProfile:
     """Modulus envelope of the weight sequence, from the closed form.
 
     The result is spot-checked against the first entries the closed form
@@ -361,7 +360,6 @@ class InterleavedSystem:
     transient_psi: complex
     transient_m: complex
     ratio_bound: float
-    name: str = ""
 
     # -------------------------------------------------------------- series
 
@@ -509,10 +507,10 @@ def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class RegistryEntry:
-    """A prebuilt example system with its behavioral annotations."""
+    """A prebuilt example system, the runner of its checks and its behavioral annotations."""
 
-    name: str
     system: object
+    runner: Callable[[object, ToleranceConfig, int], list[dict]]
     summary: str
     annotations: dict = field(default_factory=dict)
 
@@ -526,29 +524,26 @@ def _build_registry() -> dict[str, RegistryEntry]:
         phi=[[1.0], [1.0], [-1.0]], phi_exponents=[0, 0, 0],
         psi=[[1.0], [1.0], [1.0]], psi_exponents=[0, 1, 1],
         m=[1.0, 1.0, 1.0], m_exponents=[0, 1, 1],
-        name="ex4_1",
     )
     ex4_2 = InterleavedSystem(
         phi_head=1.0, psi_head=1.0, m_head=1.0,
         phi_ratio=0.5, psi_ratio=2.0 ** -0.5, m_ratio=2.0 ** 0.5,
         transient_phi=1.0, transient_psi=1.0, transient_m=1.0,
-        ratio_bound=0.5, name="ex4_2",
+        ratio_bound=0.5,
     )
     ex5_3 = BlockSystem.constant_template(
         phi=[[1.0], [1.0], [-1.0]],
         psi=[[1.0], [1.0], [1.0]],
         m=list(EX5_3_SYMBOL),
-        name="ex5_3",
     )
     ex5_final = BlockSystem.constant_template(
         phi=[[1.0], [1.0]],
         psi=[[1.0], [-1.0]],
         m=[1.0, -1.0],
-        name="ex5_final",
     )
     return {
         "ex4_1": RegistryEntry(
-            name="ex4_1", system=ex4_1,
+            system=ex4_1, runner=_run_ex4_1,
             summary="identity multiplier from harmonically reweighted scalar blocks",
             annotations={
                 "symbol": "bounded, zero-free, not semi-normalized",
@@ -559,7 +554,7 @@ def _build_registry() -> dict[str, RegistryEntry]:
             },
         ),
         "ex4_2": RegistryEntry(
-            name="ex4_2", system=ex4_2,
+            system=ex4_2, runner=_run_ex4_2,
             summary="interleaved system with unbounded symbol and geometric recurrent tail",
             annotations={
                 "symbol": "unbounded, zero-free",
@@ -569,7 +564,7 @@ def _build_registry() -> dict[str, RegistryEntry]:
             },
         ),
         "ex5_3": RegistryEntry(
-            name="ex5_3", system=ex5_3,
+            system=ex5_3, runner=_run_ex5_3,
             summary="identity multiplier with semi-normalized symbol on constant scalar blocks",
             annotations={
                 "symbol": "semi-normalized",
@@ -579,7 +574,7 @@ def _build_registry() -> dict[str, RegistryEntry]:
             },
         ),
         "ex5_final": RegistryEntry(
-            name="ex5_final", system=ex5_final,
+            system=ex5_final, runner=_run_ex5_final,
             summary="unimodular symbol where both weighted-side equivalences hold",
             annotations={
                 "symbol": "unimodular (constant modulus one)",
@@ -587,9 +582,6 @@ def _build_registry() -> dict[str, RegistryEntry]:
             },
         ),
     }
-
-
-_REGISTRY = _build_registry()
 
 
 def example_registry() -> dict[str, RegistryEntry]:
@@ -642,7 +634,7 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
                           tolerance=REPRODUCTION_TOL, detail=f"k = 1..{horizon}"))
     checks.append(finding("induced_duals_pass_duality_per_block", duality_ok))
 
-    profile = symbol_profile(sys, tol)
+    profile = symbol_profile(sys)
     checks.append(finding("symbol_bounded", profile.bounded, value=profile.sup_modulus))
     checks.append(finding("symbol_not_semi_normalized", not profile.semi_normalized,
                           value=profile.inf_modulus))
@@ -701,7 +693,7 @@ def _run_ex4_2(sys: InterleavedSystem, tol: ToleranceConfig, horizon: int) -> li
                                  "the certified computation is authoritative",
                           documented_departure=True))
 
-    profile = symbol_profile(sys, tol)
+    profile = symbol_profile(sys)
     checks.append(finding("symbol_unbounded", not profile.bounded))
     checks.append(finding("symbol_all_nonzero", profile.all_nonzero))
 
@@ -754,7 +746,7 @@ def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
         not mp.check_weighted_canonical(phi_k, symbol, tol),
     ))
 
-    profile = symbol_profile(sys, tol)
+    profile = symbol_profile(sys)
     expected_inf = min(abs(v) for v in EX5_3_SYMBOL)
     expected_sup = max(abs(v) for v in EX5_3_SYMBOL)
     profile_ok = (profile.semi_normalized
@@ -787,18 +779,14 @@ def _run_ex5_final(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list
     except ImplicationViolated as exc:
         checks.append(finding("constant_modulus_chain_all_equivalent", False, detail=str(exc)))
 
-    profile = symbol_profile(sys, tol)
+    profile = symbol_profile(sys)
     checks.append(finding("symbol_unimodular",
                           profile.inf_modulus == 1.0 and profile.sup_modulus == 1.0))
     return checks
 
 
-_RUNNERS = {
-    "ex4_1": _run_ex4_1,
-    "ex4_2": _run_ex4_2,
-    "ex5_3": _run_ex5_3,
-    "ex5_final": _run_ex5_final,
-}
+# built once the runners above exist
+_REGISTRY = _build_registry()
 
 
 def run_example(name: str, tol: ToleranceConfig = DEFAULT_TOL,
@@ -813,4 +801,4 @@ def run_example(name: str, tol: ToleranceConfig = DEFAULT_TOL,
     entry = get_example(name)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    return tuple(_RUNNERS[name](entry.system, tol, horizon))
+    return tuple(entry.runner(entry.system, tol, horizon))

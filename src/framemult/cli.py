@@ -199,12 +199,9 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
     findings.append(finding("canonical_duals_invert", asserted=False,
                             residual=eq1_residual, tolerance=tol.rel_eps))
 
-    # m*Phi is built once for the criteria and the shortcut and held by this
-    # call alone; one report gives both equivalence findings, and the
-    # chain's stays last in the report
-    m_phi = mp.weighted_frame(mult.phi, mult.symbol)
+    # one report gives both equivalence findings; the chain's stays last
     try:
-        report = mp.check_prop_q(mult, tol, m_phi=m_phi)
+        report = mp.check_prop_q(mult, tol)
         criteria = finding("inversion_equivalence_criteria", True, value=report.as_dict())
         chain = report.constant_modulus_chain
         chain = None if chain is None else finding("constant_modulus_chain", True, value=chain)
@@ -216,7 +213,7 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
 
     findings.append(finding(
         "weighted_canonical_shortcut", True, asserted=False,
-        value=mp.check_weighted_canonical(mult.phi, mult.symbol, tol, m_phi=m_phi),
+        value=mp.check_weighted_canonical(mult.phi, mult.symbol, tol),
     ))
     if chain is not None:
         findings.append(chain)

@@ -26,16 +26,14 @@ class FiniteFrame:
     The sequence need not actually satisfy the frame (spanning) property;
     predicates below decide that. Instances are immutable.
 
-    The frame operator, its eigenvalues, the canonical dual and the norm
-    are lazy per-instance caches, each computed at most once and free of
-    any tolerance. ``canonical_dual`` evaluates the NotAFrame decision once
-    per frame and tolerance while it passes: the frame remembers the last
-    tolerance it spanned under. A failure is not remembered, so NotAFrame
-    is raised on every call. Only scalars and decisions are cached beyond
-    the operator and the dual, never another d x N array.
+    The frame operator, its two frame bounds, the canonical dual and the
+    norm are lazy per-instance caches, each computed at most once and free
+    of any tolerance; the spanning decision is made from the bounds at
+    every call. Only scalars are cached beyond the operator and the dual,
+    never another d x N array.
     """
 
-    __slots__ = ("_syn", "_operator", "_eigs", "_dual", "_norm", "_spans_under")
+    __slots__ = ("_syn", "_operator", "_bounds", "_dual", "_norm")
 
     def __init__(self, vectors) -> None:
         rows = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors))
@@ -65,7 +63,7 @@ class FiniteFrame:
             raise ValueError("frame vectors must have finite entries")
         syn.setflags(write=False)
         self._syn = syn
-        self._operator = self._eigs = self._dual = self._norm = self._spans_under = None
+        self._operator = self._bounds = self._dual = self._norm = None
 
     @property
     def dim(self) -> int:
@@ -120,14 +118,15 @@ def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     (the operator left the double range). The operator is Hermitian by
     construction, up to rounding, and eigvalsh reads one triangle of it.
     """
-    if frame._eigs is None:
+    if frame._bounds is None:
         operator = frame_operator(frame)
-        # eigvalsh may raise on inf or NaN entries; NaN bounds fail the test below
-        frame._eigs = (np.linalg.eigvalsh(operator) if np.all(np.isfinite(operator))
-                       else np.full(frame.dim, np.nan))
-    eigs = frame._eigs
-    lower = float(eigs[0].real)
-    upper = float(eigs[-1].real)
+        if np.all(np.isfinite(operator)):
+            eigs = np.linalg.eigvalsh(operator)
+            frame._bounds = (float(eigs[0]), float(eigs[-1]))
+        else:
+            # eigvalsh may raise on inf or NaN entries; NaN bounds fail the test below
+            frame._bounds = (math.nan, math.nan)
+    lower, upper = frame._bounds
     if not lower > tol.rel_eps * upper:
         raise NotAFrame(
             f"lower frame bound {lower:.3e} vanishes against upper {upper:.3e}"
@@ -146,29 +145,18 @@ def is_frame(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def canonical_dual(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> FiniteFrame:
     """The canonical dual, vector n being S^-1 phi_n for the frame operator S.
 
-    NotAFrame for input that does not span, decided by ``frame_bounds``
-    once per frame and tolerance while it passes.
+    NotAFrame for input that does not span, decided by ``frame_bounds``.
     """
-    if frame._spans_under is not tol:
-        frame_bounds(frame, tol)
-        frame._spans_under = tol
+    frame_bounds(frame, tol)
     if frame._dual is None:
         dual_syn = np.linalg.solve(frame_operator(frame), frame.synthesis)
         frame._dual = FiniteFrame.from_synthesis(dual_syn)
     return frame._dual
 
 
-def is_s_pseudo_dual(candidate: FiniteFrame, frame: FiniteFrame,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when f = sum_n <f, phi_n> c_n holds, i.e. Syn_C * Ana_Phi = I."""
-    _require_same_shape(candidate, frame)
-    return bool(_reconstructs(candidate.synthesis, frame.synthesis, tol,
-                              (candidate.norm, frame.norm)))
-
-
 def _reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: ToleranceConfig,
                   norms=None):
-    """The is_s_pseudo_dual test on synthesis matrices, for one pair or a stack of pairs.
+    """The is_dual test on synthesis matrices, for one pair or a stack of pairs.
 
     ||Syn_C Ana_Phi - I|| must not exceed rel_eps ||Syn_C|| ||Syn_Phi||,
     and that bound must be finite: a scale that overflows measures nothing.
@@ -196,7 +184,9 @@ def is_dual(candidate: FiniteFrame, frame: FiniteFrame,
     adjoint of the first, so its residual norm is the same up to rounding,
     against the same bound: checking the first decides both.
     """
-    return is_s_pseudo_dual(candidate, frame, tol)
+    _require_same_shape(candidate, frame)
+    return bool(_reconstructs(candidate.synthesis, frame.synthesis, tol,
+                              (candidate.norm, frame.norm)))
 
 
 def _dual_synthesis(tilde_syn: np.ndarray, analysis: np.ndarray, h: np.ndarray) -> np.ndarray:

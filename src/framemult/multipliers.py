@@ -36,6 +36,7 @@ applied to ``Multiplier.adjoint()``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     adjoint,
-    check_invertible,
+    check_condition,
     condition_from_sigmas,
     frobenius,
     relative_residual,
@@ -153,15 +154,12 @@ def weighted_frame(frame: FiniteFrame, weights) -> FiniteFrame:
 class Multiplier:
     """Realized multiplier (symbol, output side, input side) with its matrix.
 
-    The singular values, the inverse and its norm, the induced duals, the
-    canonical-inversion residual and the adjoint are lazy per-instance
-    caches, each computed at most once and free of any tolerance.
-    ``invert`` evaluates the invertibility policy once per multiplier and
-    tolerance while it passes: the multiplier remembers the last tolerance
-    it passed under. A failure is not remembered, so NotInvertible is
-    raised on every call. An adjoint takes its derived values and that
-    decision from the multiplier it came from, so the two share one SVD,
-    one inverse and one ||Minv||, which is also ||Minv*||.
+    The extreme singular values, the inverse and its norm, the induced
+    duals, the canonical-inversion residual and the adjoint are lazy
+    per-instance caches, each computed at most once and free of any
+    tolerance. An adjoint takes its derived values from the multiplier it
+    came from, so the two share one SVD, one inverse and one ||Minv||,
+    which is also ||Minv*||.
     """
 
     def __init__(self, symbol: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> None:
@@ -178,9 +176,8 @@ class Multiplier:
         self.matrix = _multiplier_matrix(symbol.values, phi, psi)
 
     # lazy caches; _origin is the multiplier an adjoint was derived from,
-    # _passed_under the last tolerance the invertibility policy passed under
-    _origin = _adjoint = _sigmas = _inverse = _inverse_norm = _duals = _passed_under = None
-    _canonical_residual = None
+    # _extremes the pair (sigma_max, sigma_min)
+    _origin = _adjoint = _extremes = _inverse = _inverse_norm = _duals = _canonical_residual = None
 
     @property
     def dim(self) -> int:
@@ -201,16 +198,18 @@ class Multiplier:
             self._adjoint = adj
         return self._adjoint
 
-    def _singular_values(self) -> np.ndarray:
-        if self._sigmas is None:
+    def _extreme_singular_values(self) -> tuple[float, float]:
+        """(sigma_max, sigma_min) of the matrix, measured once for a multiplier and its adjoint."""
+        if self._extremes is None:
             if self._origin is not None:
-                self._sigmas = self._origin._singular_values()
+                self._extremes = self._origin._extreme_singular_values()
             elif np.all(np.isfinite(self.matrix)):
-                self._sigmas = np.linalg.svd(self.matrix, compute_uv=False)
+                sigmas = np.linalg.svd(self.matrix, compute_uv=False)
+                self._extremes = (float(sigmas[0]), float(sigmas[-1]))
             else:
                 # svd may raise on inf or NaN entries; NaN fails the invertibility policy
-                self._sigmas = np.full(self.dim, np.nan)
-        return self._sigmas
+                self._extremes = (math.nan, math.nan)
+        return self._extremes
 
     def _inverse_matrix(self) -> np.ndarray:
         if self._inverse is None:
@@ -228,7 +227,7 @@ class Multiplier:
     @property
     def condition_number(self) -> float:
         """sigma_max / sigma_min of the matrix; +inf when sigma_min is zero."""
-        return condition_from_sigmas(self._singular_values())
+        return condition_from_sigmas(self._extreme_singular_values())
 
 
 def _multiplier_matrix(values: np.ndarray, out_side: FiniteFrame, in_side: FiniteFrame) -> np.ndarray:
@@ -291,16 +290,8 @@ def apply_termwise(m: Symbol, phi: FiniteFrame, psi: FiniteFrame, f) -> np.ndarr
 
 
 def invert(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse of the multiplier under the invertibility policy.
-
-    The policy is evaluated once per multiplier and tolerance while it
-    passes, and an adjoint shares that decision; NotInvertible is raised
-    on every call that fails.
-    """
-    root = mult if mult._origin is None else mult._origin
-    if root._passed_under is not tol:
-        check_invertible(root._singular_values(), tol)
-        root._passed_under = tol
+    """Matrix inverse of the multiplier under the invertibility policy; NotInvertible on failure."""
+    check_condition(*mult._extreme_singular_values(), tol)
     return mult._inverse_matrix()
 
 
@@ -557,8 +548,7 @@ def _psi_dagger_is_canonical(mult: Multiplier, tol: ToleranceConfig) -> bool:
                                frames.canonical_dual(mult.psi, tol), tol)
 
 
-def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL, *,
-                 m_phi: FiniteFrame | None = None) -> PropQReport:
+def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQReport:
     """Evaluate the equivalence criteria tied to the canonical inversion.
 
     Computes five booleans: whether the canonical-duals multiplier inverts
@@ -578,20 +568,18 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL, *,
       agree: the constant-modulus chain, given as ``constant_modulus_chain``.
       With the two agreements above, the four non-eq1 booleans then agree.
 
-    ``m_phi`` is ``weighted_frame(mult.phi, mult.symbol)`` when the caller
-    holds it, so that ``check_weighted_canonical`` can share one frame;
-    otherwise it is built here. ZeroSymbolEntry for a symbol with a zero,
-    NotInvertible for a singular M.
+    The weighted sides m*Phi and conj(m)*Psi are built here and die with
+    the call. ZeroSymbolEntry for a symbol with a zero, NotInvertible for a
+    singular M.
     """
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("the equivalence criteria need a zero-free symbol")
     eq1 = verify_canonical_inversion(mult, tol) <= tol.rel_eps
     adj = mult.adjoint()
-    if m_phi is None:
-        m_phi = weighted_frame(mult.phi, mult.symbol)
     report = PropQReport(
         eq1_holds=eq1,
-        psi_equiv_mphi=_input_equiv_weighted_output(mult, m_phi, tol),
+        psi_equiv_mphi=_input_equiv_weighted_output(
+            mult, weighted_frame(mult.phi, mult.symbol), tol),
         phi_equiv_mbar_psi=_input_equiv_weighted_output(
             adj, weighted_frame(adj.phi, adj.symbol), tol),
         psi_dagger_is_canonical=_psi_dagger_is_canonical(mult, tol),
@@ -628,20 +616,17 @@ def _assert_prop_q_consistency(report: PropQReport) -> None:
 
 
 def check_weighted_canonical(phi: FiniteFrame, m: Symbol,
-                             tol: ToleranceConfig = DEFAULT_TOL, *,
-                             m_phi: FiniteFrame | None = None) -> bool:
+                             tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Does the canonical dual of (m_n phi_n) equal (1/conj(m_n)) tilde_phi_n?
 
     True for unit-modulus scalings and more generally whenever the weighted
     frame operator is a constant multiple of the original one; false in
     general. Needs a zero-free symbol and a spanning weighted sequence.
-    ``m_phi`` is ``weighted_frame(phi, m)`` when the caller holds it.
+    The weighted sequence is built at each call.
     """
     if not m.all_nonzero:
         raise ZeroSymbolEntry("weighted canonical comparison needs a zero-free symbol")
-    if m_phi is None:
-        m_phi = weighted_frame(phi, m)
-    lhs = frames.canonical_dual(m_phi, tol)  # NotAFrame if m*Phi does not span
+    lhs = frames.canonical_dual(weighted_frame(phi, m), tol)  # NotAFrame if m*Phi does not span
     tilde_phi = frames.canonical_dual(phi, tol)
     rhs = FiniteFrame.from_synthesis(tilde_phi.synthesis / np.conj(m.values)[None, :])
     return frames.frames_equal(lhs, rhs, tol)

@@ -18,11 +18,11 @@ Matrices are plain numpy arrays with dtype complex128. ``frobenius`` is the
 norm of every single matrix or vector in ``numerics``, ``frames`` and
 ``multipliers``: numpy's axis-free ``norm`` without its dispatch.
 
-The functions here decide afresh on every call and cache nothing. The
-objects that hold a matrix (``frames.FiniteFrame``, ``multipliers.Multiplier``)
-measure its norm once and remember the last tolerance their policy passed
-under, so a bundle of checks on one object decides and measures once; a
-failure is never remembered.
+Objects cache tolerance-free numbers; every tolerance test is decided at
+each call. A ``frames.FiniteFrame`` or ``multipliers.Multiplier`` measures
+its norm, its frame bounds or its extreme singular values once, and each
+decision compares those floats with the tolerance it is given: a bundle of
+checks on one object factorizes it once and remembers no decision.
 """
 
 from __future__ import annotations
@@ -80,31 +80,32 @@ def try_invert(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def check_invertible(sigmas: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """The condition-number policy, applied to descending singular values.
 
-    Raises NotInvertible (with sigma_min and sigma_max attached) as soon
-    as sigma_min <= sigma_max / cond_max, which covers rank deficiency and
-    numerically hopeless conditioning alike. ``sigmas`` may also be a
-    stack (..., n) of such rows, one per matrix; then the first failing
-    row raises.
+    ``check_condition`` of the first and last value. ``sigmas`` may also
+    be a stack (..., n) of such rows, one per matrix; then the first
+    failing row raises.
     """
     if np.ndim(sigmas) > 1:
         rows = np.reshape(sigmas, (-1, np.shape(sigmas)[-1]))
-        failing = np.flatnonzero(_fails_policy(rows[:, 0], rows[:, -1], tol))
+        failing = np.flatnonzero(np.logical_not(rows[:, -1] > rows[:, 0] / tol.cond_max))
         if failing.size == 0:
             return
         sigmas = rows[failing[0]]
-    sigma_max = float(sigmas[0])
-    sigma_min = float(sigmas[-1])
-    if _fails_policy(sigma_max, sigma_min, tol):
+    check_condition(float(sigmas[0]), float(sigmas[-1]), tol)
+
+
+def check_condition(sigma_max: float, sigma_min: float, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """The invertibility test itself, on the extreme singular values of one matrix.
+
+    Raises NotInvertible (with sigma_min and sigma_max attached) as soon
+    as sigma_min <= sigma_max / cond_max, which covers rank deficiency and
+    numerically hopeless conditioning alike; NaN fails.
+    """
+    if not sigma_min > sigma_max / tol.cond_max:
         raise NotInvertible(
             f"sigma_min={sigma_min:.3e} <= sigma_max/cond_max={sigma_max / tol.cond_max:.3e}",
             sigma_min=sigma_min,
             sigma_max=sigma_max,
         )
-
-
-def _fails_policy(sigma_max, sigma_min, tol: ToleranceConfig):
-    """The invertibility test itself, for floats or for arrays of them; NaN fails."""
-    return np.logical_not(sigma_min > sigma_max / tol.cond_max)
 
 
 def condition_number(a: np.ndarray) -> float:
@@ -113,8 +114,8 @@ def condition_number(a: np.ndarray) -> float:
     return condition_from_sigmas(sigmas)
 
 
-def condition_from_sigmas(sigmas: np.ndarray) -> float:
-    """condition_number from already computed descending singular values."""
+def condition_from_sigmas(sigmas) -> float:
+    """condition_number from descending singular values, or the pair (sigma_max, sigma_min)."""
     if float(sigmas[-1]) == 0.0:
         return float("inf")
     return float(sigmas[0] / sigmas[-1])

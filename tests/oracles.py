@@ -65,7 +65,7 @@ def recover_pseudo_dual_F(mult, candidate, tol=DEFAULT_TOL):
     residual = mp._inverse_residual(mult, candidate, mp.induced_duals(mult, tol).phi_dagger, tol)
     if residual > tol.rel_eps:
         raise IdentityDoesNotHold(f"inverse identity fails for the candidate (residual {residual:.3e})")
-    return fr.is_s_pseudo_dual(candidate, mult.psi, tol)
+    return fr.is_dual(candidate, mult.psi, tol)
 
 
 def recover_pseudo_dual_G(mult, candidate, tol=DEFAULT_TOL):

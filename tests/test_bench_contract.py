@@ -80,17 +80,15 @@ def _bundle_findings(phi, psi, m, seed):
 
 
 def test_verify_small_findings_do_not_depend_on_cached_decisions_or_norms(monkeypatch):
-    # the bundle on one multiplier, whose decisions and norms are made once,
-    # against the bundle with every call given fresh objects that decide
-    # every tolerance test and measure every norm again, float for float
+    # the bundle on one multiplier, whose norms, spectra and residuals are
+    # computed once, against the bundle with every call given fresh objects
+    # that compute every one of them again, float for float
     draws = [worker.small_instance(11, index) for index in range(200)]
     cached = [_bundle_findings(phi * s, psi * s, m * t, seed)
               for phi, psi, m, s, t, seed in draws]
     monkeypatch.setattr(cli, "mp", FreshPerCall(cli.mp))
     monkeypatch.setattr(cli, "frames", FreshPerCall(cli.frames))
     forgetful = property(lambda obj: None, lambda obj, value: None)
-    monkeypatch.setattr(mp.Multiplier, "_passed_under", forgetful)
-    monkeypatch.setattr(FiniteFrame, "_spans_under", forgetful)
     monkeypatch.setattr(mp.Multiplier, "_canonical_residual", forgetful)
     monkeypatch.setattr(mp.Multiplier, "_inverse_frobenius",
                         lambda mult: frobenius(mult._inverse_matrix()))

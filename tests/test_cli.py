@@ -576,7 +576,7 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
 
-    # tolerance decisions and norms, counted where each module looks them up
+    # norms, counted where each module looks them up
     decisions = collections.Counter()
 
     def count_calls(module, name, key):
@@ -588,8 +588,6 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted_call)
 
-    count_calls(mp, "check_invertible", "invertibility_policy")
-    count_calls(fr, "frame_bounds", "frame_bounds")
     for module in (nu, fr, mp):
         count_calls(module, "frobenius", "frobenius")
 
@@ -609,11 +607,6 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     assert all(len({id(r) for r in handed_out}) == 1 for handed_out in reciprocals.values())
     assert frames_built_while_sampling == []
     assert single_norms == []
-    # the multiplier's policy passes once, for the invert above, and its
-    # adjoint shares that decision; each of Phi, Psi and m*Phi is decided
-    # to be a frame once
-    assert decisions["invertibility_policy"] == 1
-    assert decisions["frame_bounds"] == 3
     # 11 norms of held objects, each measured once: ||Minv|| and the
     # frames Phi, Psi, the two induced duals, the two canonical duals, the
     # two weighted sides and the two sides of the weighted-canonical
@@ -627,8 +620,8 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
 def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monkeypatch):
     # the constant-modulus chain reads the equivalence report, a dual is
     # decided by one reconstruction identity, its adjoint being the other,
-    # and the canonical inversion and the weighted side m*Phi are computed
-    # once for every finding that reads them
+    # the canonical inversion is computed once for every finding that reads
+    # it, and each weighted side dies with the call that builds it
     import framemult.cli as cli
     import framemult.frames as fr
     import framemult.multipliers as mp
@@ -638,7 +631,7 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
              for _ in range(2)]
     mult = mp.build(mp.Symbol(np.exp(2j * np.pi * rng.uniform(size=6))), *sides)
     calls = collections.Counter()
-    for module, name in ((fr, "equivalence_operator"), (fr, "is_s_pseudo_dual")):
+    for module, name in ((fr, "equivalence_operator"), (fr, "is_dual")):
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -674,14 +667,53 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
     assert [f["name"] for f in findings][-1] == "constant_modulus_chain"
     # one test per weighted side, one per induced dual; the canonical
     # inversion's product once, for its finding and inside the report, next
-    # to one per certificate; m*Phi once for the report and the shortcut,
-    # conj(m)*Psi once
-    assert calls == {"equivalence_operator": 2, "is_s_pseudo_dual": 2,
+    # to one per certificate; m*Phi once in the report and once in the
+    # shortcut, conj(m)*Psi once in the report
+    assert calls == {"equivalence_operator": 2, "is_dual": 2,
                      "canonical_inversion_product": 1, "certificate_product": 2,
-                     "weighted_frame": 2}
+                     "weighted_frame": 3}
     # no weighted side outlives the bundle
     gc.collect()
-    assert [ref() for ref in weighted_arrays] == [None, None]
+    assert [ref() for ref in weighted_arrays] == [None, None, None]
+
+
+def test_verify_bundle_leaves_no_tolerance_on_the_objects_it_reached():
+    # objects cache tolerance-free numbers and every tolerance test is
+    # decided at each call, so after a bundle no attribute or slot of the
+    # multiplier, its adjoint or a frame they reach holds a ToleranceConfig
+    import framemult.cli as cli
+    import framemult.multipliers as mp
+
+    rng = np.random.default_rng(5)
+    dim, size = 3, 6
+    sides = [FiniteFrame(rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
+             for _ in range(2)]
+    symbol = mp.Symbol(rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size)))
+    mult = mp.build(symbol, *sides)
+    tol = cli.ToleranceConfig()
+    mp.invert(mult, tol)
+    findings = []
+    cli._verify_bundle(mult, tol, 3, findings)
+    assert cli._verdict(findings) == "pass"
+
+    reached, held, pending = {}, [], [("mult", mult)]
+    while pending:
+        path, obj = pending.pop()
+        if id(obj) in reached:
+            continue
+        reached[id(obj)] = obj
+        names = set(getattr(obj, "__dict__", ()))
+        names.update(getattr(type(obj), "__slots__", ()))
+        for name in sorted(names):
+            value = getattr(obj, name, None)
+            if isinstance(value, cli.ToleranceConfig):
+                held.append(f"{path}.{name}")
+            elif isinstance(value, (mp.Multiplier, FiniteFrame, mp.Symbol, mp.InducedDuals)):
+                pending.append((f"{path}.{name}", value))
+    assert held == []
+    frames_reached = [obj for obj in reached.values() if isinstance(obj, FiniteFrame)]
+    # Phi, Psi, their canonical duals and the two induced duals
+    assert id(mult.adjoint()) in reached and len(frames_reached) == 6
 
 
 def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):

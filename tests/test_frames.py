@@ -12,7 +12,6 @@ from framemult.frames import (
     is_dual,
     is_frame,
     is_riesz_basis,
-    is_s_pseudo_dual,
     random_dual_synthesis,
 )
 from framemult.numerics import ToleranceConfig
@@ -110,12 +109,12 @@ def test_pseudo_dual_predicates_agree_on_both_sides():
     for _ in range(25):
         f = random_frame(3, 5, rng)
         candidate = random_frame(3, 5, rng)
-        assert is_s_pseudo_dual(candidate, f) == is_s_pseudo_dual(f, candidate)
+        assert is_dual(candidate, f) == is_dual(f, candidate)
         member = dual_family(f, rng.standard_normal((3, 5)))
-        assert is_s_pseudo_dual(member, f) and is_s_pseudo_dual(f, member)
+        assert is_dual(member, f) and is_dual(f, member)
     dual = canonical_dual(mercedes())
-    assert is_s_pseudo_dual(dual, mercedes())
-    assert is_s_pseudo_dual(mercedes(), dual)
+    assert is_dual(dual, mercedes())
+    assert is_dual(mercedes(), dual)
 
 
 def test_dual_family_zero_perturbation_is_canonical():
@@ -259,6 +258,5 @@ def test_an_overflowed_scale_fails_the_reconstruction_tests():
     frame = FiniteFrame(1e-160 * rng.standard_normal((5, 2)))
     candidate = FiniteFrame(1e160 * rng.standard_normal((5, 2)))
     assert candidate.norm == np.inf
-    assert not is_s_pseudo_dual(candidate, frame)
-    assert not is_s_pseudo_dual(frame, candidate)
     assert not is_dual(candidate, frame)
+    assert not is_dual(frame, candidate)
