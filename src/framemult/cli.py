@@ -69,13 +69,11 @@ class UsageError(Exception):
 # ------------------------------------------------------------------ reporting
 
 
-def _load(path: str, where: str, parse, inputs: dict):
-    """``parse`` of the JSON document at ``path``, recording its path and sha256 under ``where``."""
-    from . import formats
-
-    doc, digest = formats.load_json_file(path, where)
+def _load(path: str, where: str, load, inputs: dict):
+    """The object ``load`` reads from ``path``, recording its path and sha256 under ``where``."""
+    obj, digest = load(path, where)
     inputs[where] = {"path": path, "sha256": digest}
-    return parse(doc)
+    return obj
 
 
 def _emit(args, command: str, inputs: dict, findings: list[dict]) -> int:
@@ -130,7 +128,7 @@ def cmd_frame_info(args) -> int:
 
     tol = args.tol
     inputs: dict = {}
-    frame = _load(args.frame, "frame", formats.frame_from_json, inputs)
+    frame = _load(args.frame, "frame", formats.load_frame_file, inputs)
     findings = [
         finding("dimensions", True, asserted=False,
                 value={"dim": frame.dim, "size": frame.size}),
@@ -227,9 +225,9 @@ def cmd_multiplier(args) -> int:
         raise UsageError("--verify-all samples random duals and needs --seed")
 
     inputs: dict = {}
-    symbol = _load(args.symbol, "symbol", formats.symbol_from_json, inputs)
-    phi = _load(args.phi, "phi", formats.frame_from_json, inputs)
-    psi = _load(args.psi, "psi", formats.frame_from_json, inputs)
+    symbol = _load(args.symbol, "symbol", formats.load_symbol_file, inputs)
+    phi = _load(args.phi, "phi", formats.load_frame_file, inputs)
+    psi = _load(args.psi, "psi", formats.load_frame_file, inputs)
     mult = mp.build(symbol, phi, psi)
 
     if args.seed is not None:

@@ -10,13 +10,22 @@ with one inner list of d pairs per vector. A symbol document is
 
 Anything malformed raises ParseError.
 
-The arrays of pairs in frame and symbol documents are checked and
-converted as a whole: one pass each over the vectors, the pairs and the
-numbers decides the structure and the element types, then one float64
-array and one finiteness test take all the numbers. Only a document
-that fails those checks is walked pair by pair with pair_to_complex,
-which names the first bad entry. Writing goes the same way, one
-(..., 2) array per document turned into nested lists.
+A frame file is decoded one vector at a time: each vector is parsed from
+the text, converted to a complex array of d entries and its Python lists
+released before the next, so the file's numbers are never all held as
+Python objects. That route takes only a well-formed plain {"dim",
+"vectors"} object (either key order, any JSON whitespace); any other
+document, valid or not, goes to ``json.loads`` and ``frame_from_json``,
+which decide it and word every ParseError. Symbol files take that route
+always.
+
+The arrays of pairs in a decoded document are checked and converted as a
+whole: one pass each over the vectors, the pairs and the numbers decides
+the structure and the element types, then one float64 array and one
+finiteness test take all the numbers. Only a document that fails those
+checks is walked pair by pair with pair_to_complex, which names the first
+bad entry. Writing goes the same way, one (..., 2) array per document
+turned into nested lists.
 """
 
 from __future__ import annotations
@@ -145,7 +154,28 @@ def symbol_from_json(obj) -> Symbol:
 
 
 def load_json_file(path: str, where: str = "input") -> tuple[object, str]:
-    """The JSON document in a UTF-8 file and the sha256 of the bytes it was parsed from.
+    """The JSON document in a UTF-8 file and the sha256 of the bytes it was parsed from."""
+    text, digest = _read_text(path, where)
+    return _decode(text, path, where), digest
+
+
+def load_symbol_file(path: str, where: str = "symbol") -> tuple[Symbol, str]:
+    """The symbol in a UTF-8 JSON file and the sha256 of its bytes."""
+    doc, digest = load_json_file(path, where)
+    return symbol_from_json(doc), digest
+
+
+def load_frame_file(path: str, where: str = "frame") -> tuple[FiniteFrame, str]:
+    """The frame in a UTF-8 JSON file and the sha256 of its bytes, decoded a vector at a time."""
+    text, digest = _read_text(path, where)
+    frame = _plain_frame(text)
+    if frame is None:
+        frame = frame_from_json(_decode(text, path, where))
+    return frame, digest
+
+
+def _read_text(path: str, where: str) -> tuple[str, str]:
+    """The text of a UTF-8 file and the sha256 of its bytes.
 
     The file is opened and read once. The bytes are dropped once they are
     hashed and decoded, so only the text is held while it is parsed.
@@ -157,8 +187,95 @@ def load_json_file(path: str, where: str = "input") -> tuple[object, str]:
         raise ParseError(f"{where}: cannot read {path}: {exc}") from exc
     digest = hashlib.sha256(data).hexdigest()
     try:
-        text = data.decode("utf-8")
-        del data
-        return json.loads(text), digest
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past Python's digit limit
+        return data.decode("utf-8"), digest
+    except ValueError as exc:  # bad UTF-8
         raise ParseError(f"{where}: {path} is not valid JSON: {exc}") from exc
+
+
+def _decode(text: str, path: str, where: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise ParseError(f"{where}: {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{where}: {path} nests arrays or objects too deeply") from None
+
+
+_DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE
+
+
+def _plain_frame(text: str) -> FiniteFrame | None:
+    """The frame of a well-formed plain {"dim", "vectors"} document, or None for any other text.
+
+    Keys, ``dim`` and each vector are decoded by the json module's own
+    scanner, so every token reads as ``json.loads`` would read it. Text
+    this route does not take (another key, a repeated key, a bad entry,
+    bad JSON, nesting past the recursion limit) gives None, and the
+    caller decodes it whole.
+    """
+    try:
+        fields = _plain_object(text)
+    except (ValueError, RecursionError):
+        return None
+    if fields is None:
+        return None
+    dim, rows = fields["dim"], fields["vectors"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or rows[0].size != dim:
+        return None
+    return FiniteFrame._adopt(np.stack(rows, axis=1))
+
+
+def _plain_object(text: str) -> dict | None:
+    """{"dim": value, "vectors": rows} of a plain frame document; None when it is not one.
+
+    Raises ValueError or RecursionError where the json scanner does.
+    """
+    fields: dict = {}
+    pos = _WHITESPACE.match(text, 0).end()
+    if not text.startswith("{", pos):
+        return None
+    closing = ","
+    while closing == ",":
+        pos = _WHITESPACE.match(text, pos + 1).end()
+        if not text.startswith('"', pos):
+            return None
+        key, pos = _DECODER.raw_decode(text, pos)
+        if key in fields or key not in ("dim", "vectors"):
+            return None
+        pos = _WHITESPACE.match(text, pos).end()
+        if not text.startswith(":", pos):
+            return None
+        pos = _WHITESPACE.match(text, pos + 1).end()
+        if key == "dim":
+            fields[key], pos = _DECODER.raw_decode(text, pos)
+        else:
+            fields[key], pos = _vector_rows(text, pos)
+            if fields[key] is None:
+                return None
+        pos = _WHITESPACE.match(text, pos).end()
+        closing = text[pos:pos + 1]
+    if closing != "}" or _WHITESPACE.match(text, pos + 1).end() != len(text) or len(fields) != 2:
+        return None
+    return fields
+
+
+def _vector_rows(text: str, pos: int) -> tuple[list | None, int]:
+    """The JSON array of vectors at ``pos`` as complex arrays of one common length, and the end.
+
+    None in place of the rows when an entry is not a number pair that
+    ``_pair_array`` takes or the lengths differ.
+    """
+    if not text.startswith("[", pos):
+        return None, pos
+    rows: list = []
+    separator = ","
+    while separator == ",":
+        vector, pos = _DECODER.raw_decode(text, _WHITESPACE.match(text, pos + 1).end())
+        row = _pair_array(vector) if isinstance(vector, list) else None
+        if row is None or (rows and row.size != rows[0].size):
+            return None, pos
+        rows.append(row)
+        pos = _WHITESPACE.match(text, pos).end()
+        separator = text[pos:pos + 1]
+    return (rows, pos + 1) if separator == "]" else (None, pos)

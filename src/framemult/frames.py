@@ -30,7 +30,9 @@ class FiniteFrame:
     norm are lazy per-instance caches, each computed at most once and free
     of any tolerance; the spanning decision is made from the bounds at
     every call. Only scalars are cached beyond the operator and the dual,
-    never another d x N array.
+    never another d x N array. A frame built from outside data keeps its
+    own copy of it; a frame the package derives keeps the array it was
+    computed into, with no second copy.
     """
 
     __slots__ = ("_syn", "_operator", "_bounds", "_dual", "_norm")
@@ -47,18 +49,32 @@ class FiniteFrame:
         """Build from a d x N matrix whose n-th column is the n-th vector.
 
         The frame keeps one validated, read-only, C-ordered complex128 copy
-        of the matrix, the only copy made; a 1-D array is one vector.
+        of the matrix; a 1-D array is one vector.
         """
         syn = np.asarray(matrix)
         frame = cls.__new__(cls)
         frame._set_synthesis(syn.reshape(-1, 1) if syn.ndim == 1 else syn)
         return frame
 
-    def _set_synthesis(self, syn: np.ndarray) -> None:
-        """Keep a validated, read-only complex128 copy of a d x N array."""
+    @classmethod
+    def _adopt(cls, syn: np.ndarray) -> "FiniteFrame":
+        """A frame of a d x N array computed for it and held nowhere else, kept without a copy.
+
+        The frames the package derives (duals, weighted sequences) are built
+        this way, so each holds the one array it was computed into. The
+        array is validated and made read-only as in ``from_synthesis``, and
+        copied only if it is not C-ordered complex128.
+        """
+        frame = cls.__new__(cls)
+        frame._set_synthesis(syn, copy=False)
+        return frame
+
+    def _set_synthesis(self, syn: np.ndarray, copy: bool = True) -> None:
+        """Keep a validated, read-only complex128 d x N array: a copy, or ``syn`` itself if not ``copy``."""
         if syn.ndim != 2 or syn.shape[0] < 1 or syn.shape[1] < 1:
             raise ValueError("expected a nonempty list of equal-length vectors")
-        syn = np.array(syn, dtype=np.complex128, order="C")
+        # copy=None copies only when the dtype or the order requires it
+        syn = np.array(syn, dtype=np.complex128, order="C", copy=True if copy else None)
         if not np.isfinite(syn).all():
             raise ValueError("frame vectors must have finite entries")
         syn.setflags(write=False)
@@ -150,7 +166,7 @@ def canonical_dual(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
     frame_bounds(frame, tol)
     if frame._dual is None:
         dual_syn = np.linalg.solve(frame_operator(frame), frame.synthesis)
-        frame._dual = FiniteFrame.from_synthesis(dual_syn)
+        frame._dual = FiniteFrame._adopt(dual_syn)
     return frame._dual
 
 
@@ -187,17 +203,6 @@ def is_dual(candidate: FiniteFrame, frame: FiniteFrame,
     _require_same_shape(candidate, frame)
     return bool(_reconstructs(candidate.synthesis, frame.synthesis, tol,
                               (candidate.norm, frame.norm)))
-
-
-def _dual_synthesis(tilde_syn: np.ndarray, analysis: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Synthesis matrix of the dual frame of Phi that a d x N perturbation H selects.
-
-    The dual is Syn_tilde + H (I - Ana_Phi Syn_tilde): every H gives a dual
-    frame and every dual frame arises this way, H = 0 giving the canonical
-    dual. It is formed as Syn_tilde + H - (H Ana_Phi) Syn_tilde, so that
-    only d x d and d x N products appear, never the N x N cross-correlation.
-    """
-    return tilde_syn + h - (h @ analysis) @ tilde_syn
 
 
 def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
@@ -255,14 +260,26 @@ def random_dual_synthesis(frame: FiniteFrame, rng: np.random.Generator,
                           tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Synthesis matrix of a random dual frame, with no FiniteFrame built.
 
-    The perturbation has a standard complex Gaussian direction and is
-    rescaled to the Frobenius norm of the canonical dual, which keeps the
-    sampled duals reasonably conditioned and makes them scale with the
-    frame: the duals of s * Phi are those of Phi divided by s. The dual is
-    the one ``_dual_synthesis`` selects for that perturbation.
+    Every dual of Phi is Syn_tilde + H (I - Ana_Phi Syn_tilde) for a d x N
+    perturbation H, H = 0 giving the canonical dual. Here H has a standard
+    complex Gaussian direction, real parts drawn before imaginary parts,
+    and is rescaled to the Frobenius norm of the canonical dual, which
+    keeps the sampled duals reasonably conditioned and makes them scale
+    with the frame: the duals of s * Phi are those of Phi divided by s.
+
+    The dual is formed in H's own buffer as H + Syn_tilde - (H Ana_Phi)
+    Syn_tilde, so only d x d and d x N products appear, never the N x N
+    cross-correlation, and at most two d x N arrays are made at a time.
+    Only sums and real scalings are done in place; each of them gives the
+    bits of its out-of-place form.
     """
     tilde = canonical_dual(frame, tol)
-    d, n = tilde.dim, tilde.size
-    h = (rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))) / np.sqrt(2.0)
-    h = h * (tilde.norm / frobenius(h))
-    return _dual_synthesis(tilde.synthesis, frame.analysis_matrix, h)
+    h = np.empty((tilde.dim, tilde.size), dtype=np.complex128)
+    h.real = rng.standard_normal(h.shape)
+    h.imag = rng.standard_normal(h.shape)
+    h /= np.sqrt(2.0)
+    h *= tilde.norm / frobenius(h)
+    correction = (h @ frame.analysis_matrix) @ tilde.synthesis
+    h += tilde.synthesis
+    h -= correction
+    return h

@@ -148,7 +148,7 @@ def weighted_frame(frame: FiniteFrame, weights) -> FiniteFrame:
     w = weights.values if isinstance(weights, Symbol) else np.asarray(weights, dtype=np.complex128)
     if w.ndim != 1 or w.size != frame.size:
         raise DimensionMismatch(f"need {frame.size} weights, got shape {w.shape}")
-    return FiniteFrame.from_synthesis(frame.synthesis * w[None, :])
+    return FiniteFrame._adopt(frame.synthesis * w[None, :])
 
 
 class Multiplier:
@@ -320,8 +320,8 @@ def induced_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> Induc
         else:
             psi_dagger, phi_dagger = _induced_dual_syntheses(
                 minv, mult.symbol.values, mult.phi.synthesis, mult.psi.synthesis)
-            mult._duals = InducedDuals(psi_dagger=FiniteFrame.from_synthesis(psi_dagger),
-                                       phi_dagger=FiniteFrame.from_synthesis(phi_dagger))
+            mult._duals = InducedDuals(psi_dagger=FiniteFrame._adopt(psi_dagger),
+                                       phi_dagger=FiniteFrame._adopt(phi_dagger))
     return mult._duals
 
 
@@ -397,8 +397,8 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     phi_dagger = induced_duals(mult, tol).phi_dagger
     base_residual = _inverse_residual(mult, tilde_psi, phi_dagger, tol)
 
-    weighted = recip[:, None] * phi_dagger.analysis_matrix
-    slope = weighted - mult.psi.analysis_matrix @ (tilde_psi.synthesis @ weighted)
+    slope = recip[:, None] * phi_dagger.analysis_matrix
+    slope -= mult.psi.analysis_matrix @ (tilde_psi.synthesis @ slope)
     linear_residual = relative_to(frobenius(slope) * tilde_psi.norm, mult._inverse_frobenius())
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
 
@@ -432,9 +432,13 @@ def sampled_dual_residuals(mult: Multiplier, draws: int, *, seed,
     next draw against the multiplier's cached ||Minv||, so no frame or
     symbol is built and no reference norm measured per draw. The generator
     gives a dual of the input side, then one of the output side, per draw.
-    The analysis matrices, conjugate copies, are formed per draw: holding
-    them for both sides through the loop raised the peak memory of a
-    d=128, N=512 run by 8%.
+
+    Each draw holds at most two d x N arrays above the cached ones: the
+    dual is built in one buffer and dropped once weighted by 1/m, and the
+    analysis matrix of phi_dagger, a conjugate copy, is formed for its one
+    product (held through the loop, the two sides' copies would add two
+    arrays to the peak). The weighting and the products are out of place,
+    since an in-place complex product does not give the same bits.
     """
     rng = _as_rng(seed)
     sides = (mult, mult.adjoint())
@@ -444,8 +448,9 @@ def sampled_dual_residuals(mult: Multiplier, draws: int, *, seed,
     worst = [0.0, 0.0]
     for _ in range(draws):
         for i, (side, (minv, minv_norm, recip, phi_dagger)) in enumerate(zip(sides, targets)):
-            dual = frames.random_dual_synthesis(side.psi, rng, tol)
-            candidate = (dual * recip) @ phi_dagger.analysis_matrix
+            # one expression, so that the dual is freed as soon as it is weighted
+            candidate = ((frames.random_dual_synthesis(side.psi, rng, tol) * recip)
+                         @ phi_dagger.analysis_matrix)
             worst[i] = max(worst[i], relative_residual(candidate, minv, minv_norm))
     return worst[0], worst[1]
 
@@ -628,5 +633,5 @@ def check_weighted_canonical(phi: FiniteFrame, m: Symbol,
         raise ZeroSymbolEntry("weighted canonical comparison needs a zero-free symbol")
     lhs = frames.canonical_dual(weighted_frame(phi, m), tol)  # NotAFrame if m*Phi does not span
     tilde_phi = frames.canonical_dual(phi, tol)
-    rhs = FiniteFrame.from_synthesis(tilde_phi.synthesis / np.conj(m.values)[None, :])
+    rhs = FiniteFrame._adopt(tilde_phi.synthesis / np.conj(m.values)[None, :])
     return frames.frames_equal(lhs, rhs, tol)

@@ -27,9 +27,13 @@ def random_frame(dim, size, rng):
 
 
 def dual_family(frame, h, tol=DEFAULT_TOL):
-    """The dual frame of ``frame`` that the d x N perturbation ``h`` selects."""
-    tilde = fr.canonical_dual(frame, tol)
-    return fr.FiniteFrame.from_synthesis(fr._dual_synthesis(tilde.synthesis, frame.analysis_matrix, h))
+    """The dual frame of ``frame`` that the d x N perturbation ``h`` selects.
+
+    Syn_tilde + H - (H Ana_Phi) Syn_tilde, the low-rank form of
+    Syn_tilde + H (I - Ana_Phi Syn_tilde), evaluated out of place.
+    """
+    tilde = fr.canonical_dual(frame, tol).synthesis
+    return fr.FiniteFrame.from_synthesis(tilde + h - (h @ frame.analysis_matrix) @ tilde)
 
 
 def _stacked_nullity(syntheses, recip, tol):

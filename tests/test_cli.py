@@ -146,6 +146,29 @@ def test_numbers_beyond_the_double_range_exit_2(capsys, tmp_path, mercedes_file,
     assert location in err and out == ""
 
 
+NESTED_ARRAYS = "[" * 100000 + "]" * 100000
+NESTED_VECTORS = '{"dim": 1, "vectors": ' + "[" * 3000 + "]" * 3000 + "}"
+
+
+@pytest.mark.parametrize("target, text", [
+    ("frame", NESTED_ARRAYS), ("frame", NESTED_VECTORS), ("symbol", NESTED_ARRAYS),
+], ids=["nested-arrays", "nested-vectors", "nested-symbol"])
+def test_deeply_nested_files_exit_2_with_one_error_line(capsys, tmp_path, mercedes_file,
+                                                        target, text):
+    # past the recursion limit of the json module, which raises RecursionError
+    nested = tmp_path / "nested.json"
+    nested.write_text(text)
+    if target == "frame":
+        argv = ["frame-info", str(nested)]
+    else:
+        argv = ["multiplier", "--symbol", str(nested), "--phi", mercedes_file,
+                "--psi", mercedes_file]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {target}: {nested} nests arrays or objects too deeply\n"
+    assert out == ""
+
+
 # ------------------------------------------------------------------ multiplier
 
 
@@ -548,10 +571,10 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     frames_built_while_sampling = []
     original_set_synthesis = FiniteFrame._set_synthesis
 
-    def counted_set_synthesis(frame, syn):
+    def counted_set_synthesis(frame, syn, *args, **kwargs):
         if sampling[0]:
             frames_built_while_sampling.append(syn.shape)
-        return original_set_synthesis(frame, syn)
+        return original_set_synthesis(frame, syn, *args, **kwargs)
 
     monkeypatch.setattr(FiniteFrame, "_set_synthesis", counted_set_synthesis)
     original_sampled = mp.sampled_dual_residuals
@@ -775,3 +798,34 @@ def test_verify_bundle_oks_do_not_change_when_frames_or_symbol_are_rescaled(
     scaled = _asserted_oks(phi * 10.0 ** phi_exponent, psi * 10.0 ** psi_exponent,
                            m * 10.0 ** symbol_exponent, seed=3)
     assert scaled == unscaled
+
+
+def test_verify_bundle_working_set_is_bounded():
+    # build, invert and the --verify-all bundle at d = 64, N = 256, traced
+    # above the two input frames: the cached duals and at most three d x N
+    # temporaries at a time (the parent peaked at 11.1 arrays)
+    import tracemalloc
+
+    import framemult.cli as cli
+    import framemult.multipliers as mp
+
+    dim, size = 64, 256
+    rng = np.random.default_rng(3)
+    phi, psi = (FiniteFrame((rng.standard_normal((size, dim))
+                             + 1j * rng.standard_normal((size, dim))) / np.sqrt(2.0))
+                for _ in range(2))
+    symbol = mp.Symbol(rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size)))
+    tol = cli.ToleranceConfig()
+    findings = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mult = mp.build(symbol, phi, psi)
+        mp.invert(mult, tol)
+        cli._verify_bundle(mult, tol, 1, findings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli._verdict(findings) == "pass"
+    arrays = (peak - base) / (dim * size * np.dtype(np.complex128).itemsize)
+    assert arrays <= 9.5, arrays

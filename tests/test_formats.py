@@ -169,3 +169,81 @@ def test_serialization_matches_the_per_entry_form_byte_for_byte():
     frame = FiniteFrame(entries)
     dumps = lambda doc: json.dumps(doc, sort_keys=True)
     assert dumps(fmt.frame_to_json(frame)) == dumps(per_entry_frame(frame))
+
+
+# ------------------------------------------------- frame files, vector by vector
+
+
+def loaded_both_ways(tmp_path, text: str):
+    """(load_frame_file, frame_from_json of load_json_file) on one file: synthesis bytes or message."""
+    path = tmp_path / "frame.json"
+    path.write_bytes(text.encode("utf-8"))
+    outcomes = []
+    for load in (lambda: fmt.load_frame_file(str(path), "frame")[0],
+                 lambda: fmt.frame_from_json(fmt.load_json_file(str(path), "frame")[0])):
+        try:
+            outcomes.append(load().synthesis.tobytes())
+        except ParseError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def ordered(doc, vectors_first):
+    return {key: doc[key] for key in (("vectors", "dim") if vectors_first else ("dim", "vectors"))}
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(frame_docs(), st.booleans(), st.sampled_from([None, 0, 2, "\t", " \r\n\t"]),
+       st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", "\n:\r ")]))
+def test_vector_by_vector_decoding_matches_json_loads(tmp_path_factory, doc, vectors_first,
+                                                      indent, separators):
+    text = json.dumps(ordered(doc, vectors_first), indent=indent, separators=separators)
+    streamed, whole = loaded_both_ways(tmp_path_factory.mktemp("doc"), text)
+    assert streamed == whole
+    # the document is plain, so the vector-by-vector route decided it
+    assert fmt._plain_frame(text).synthesis.tobytes() == whole
+
+
+PLAIN = '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[0.5, -2], [3e-310, 1e308]]]}'
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "extra": 1, "vectors": [[[1, 0], [0, 1]]]}',
+    '{"dim": 1, "vectors": [[["x", 0]]], "vectors": [[[1, 0]], [[0, 1]]]}',
+    '{"dim": 1, "dim": 1, "vectors": [[[1, 0]]]}',
+    '{"d\\u0069m": 1, "vectors": [[[1, 0]]]}',
+    '{"dim": 1, "vectors": [[[NaN, 0]]]}',
+    '{"dim": 1, "vectors": [[[0, Infinity]]]}',
+    '{"dim": 1, "vectors": [[[1e999, 0]]]}',
+    '{"dim": 1, "vectors": [[[1, 0]], [[' + str(BEYOND_DOUBLE) + ', 0]]]}',
+    '{"dim": 1, "vectors": [[[true, 0]]]}',
+    "\ufeff" + PLAIN,
+    PLAIN + " x",
+    PLAIN + " \n\t\r",
+    PLAIN[:-1],
+    '{"dim": 2, "vectors": []}',
+    '{"dim": true, "vectors": [[[1, 0]]]}',
+    '{"dim": 0, "vectors": [[[1, 0]]]}',
+    '{"dim": "2", "vectors": [[[1, 0], [0, 1]]]}',
+    '{"dim": 2.0, "vectors": [[[1, 0], [0, 1]]]}',
+    '{"dim": 1, "vectors": [[[1, 0]], 5]}',
+    '{"dim": 1, "vectors": [[[1, 0]], []]}',
+    '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0]]]}',
+    '{"dim": 2, "vectors": [[[1, 0]], [[0, 1]]]}',
+    '{"dim": 1, "vectors": [[[1, 0]],]}',
+    '{"dim": 1, "vectors": [[[1, 0]]],}',
+    '{"dim": 1}',
+    '{"vectors": [[[1, 0]]]}',
+    "{}",
+    "[]",
+    "",
+    '{"dim": 1, "vectors": ' + "[" * 3000 + "]" * 3000 + "}",
+], ids=["extra-key", "duplicate-vectors", "duplicate-dim", "escaped-key", "nan", "infinity",
+        "1e999", "10**400", "true", "bom", "trailing-text", "trailing-whitespace", "unclosed",
+        "no-vectors", "dim-true", "dim-0", "dim-string", "dim-float", "vector-not-a-list",
+        "empty-vector", "ragged", "dim-mismatch", "trailing-comma-array",
+        "trailing-comma-object", "missing-vectors", "missing-dim", "empty-object",
+        "top-level-array", "empty-file", "nested-vectors"])
+def test_vector_by_vector_decoding_matches_json_loads_on_odd_documents(tmp_path, text):
+    streamed, whole = loaded_both_ways(tmp_path, text)
+    assert streamed == whole

@@ -29,11 +29,15 @@ NOT_REACHED = {"multipliers.apply_termwise", "blockseq.block_multiplier",
 
 
 def function_codes(code, module):
-    """(module, qualified name, first line) of every function, lambda and comprehension in ``code``."""
+    """(module, name, first line) of every function, lambda and comprehension in ``code``.
+
+    The first line tells apart functions of one name, such as methods of
+    different classes.
+    """
     for const in code.co_consts:
         if inspect.iscode(const):
             if const.co_flags & inspect.CO_NEWLOCALS:
-                yield module, const.co_qualname, const.co_firstlineno
+                yield module, const.co_name, const.co_firstlineno
             yield from function_codes(const, module)
 
 
@@ -52,10 +56,10 @@ def pairs(values):
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def write(directory, name, doc):
+def write(directory, name, doc, **dump_options):
     path = os.path.join(directory, name)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle)
+        json.dump(doc, handle, **dump_options)
     return path
 
 
@@ -70,12 +74,14 @@ def cli_cases(directory):
     phases = np.exp(2j * np.pi * rng.uniform(size=6))
     symbols = [write(directory, "gaussian_symbol.json", {"values": pairs(moduli * phases)}),
                write(directory, "unimodular_symbol.json", {"values": pairs(phases)})]
+    # keys reversed and indented, for the vector-by-vector decoder's whitespace and key order
+    pretty = write(directory, "pretty.json", {"vectors": pairs(gaussian(3, 4)), "dim": 3}, indent=2)
     bad = write(directory, "bad.json", {"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0], ["x", 0]]]})
     dual = os.path.join(directory, "dual.json")
 
     cases = [["examples", "list"], ["examples", "run", "--all", "--horizon", "50"],
              ["frame-info", bad]]
-    cases += [["frame-info", frame, "--dual-out", dual] for frame in (phi, flat, square)]
+    cases += [["frame-info", frame, "--dual-out", dual] for frame in (phi, flat, square, pretty)]
     for symbol in symbols:
         sides = ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", psi]
         cases += [sides + ["--verify-all", "--seed", "1"], sides + ["--invert", "--induced-duals"]]
@@ -107,7 +113,7 @@ def test_every_package_function_is_reached_by_the_cli(tmp_path):
         code = frame.f_code
         if event == "call" and code.co_filename.startswith(PACKAGE_DIR):
             module = os.path.splitext(os.path.basename(code.co_filename))[0]
-            entered.add((module, code.co_qualname, code.co_firstlineno))
+            entered.add((module, code.co_name, code.co_firstlineno))
 
     codes = []
     with fresh_package():
