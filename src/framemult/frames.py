@@ -42,7 +42,7 @@ class FiniteFrame:
         if rows.ndim == 1:
             # a single vector: treat as one row
             rows = rows.reshape(1, -1)
-        self._set_synthesis(rows.T)
+        self._set_synthesis(np.array(rows.T, dtype=np.complex128, order="C"))
 
     @classmethod
     def from_synthesis(cls, matrix) -> "FiniteFrame":
@@ -51,7 +51,7 @@ class FiniteFrame:
         The frame keeps one validated, read-only, C-ordered complex128 copy
         of the matrix; a 1-D array is one vector.
         """
-        syn = np.asarray(matrix)
+        syn = np.array(matrix, dtype=np.complex128, order="C")
         frame = cls.__new__(cls)
         frame._set_synthesis(syn.reshape(-1, 1) if syn.ndim == 1 else syn)
         return frame
@@ -61,20 +61,17 @@ class FiniteFrame:
         """A frame of a d x N array computed for it and held nowhere else, kept without a copy.
 
         The frames the package derives (duals, weighted sequences) are built
-        this way, so each holds the one array it was computed into. The
-        array is validated and made read-only as in ``from_synthesis``, and
-        copied only if it is not C-ordered complex128.
+        this way, so each holds the one array it was computed into.
         """
         frame = cls.__new__(cls)
-        frame._set_synthesis(syn, copy=False)
+        frame._set_synthesis(syn)
         return frame
 
-    def _set_synthesis(self, syn: np.ndarray, copy: bool = True) -> None:
-        """Keep a validated, read-only complex128 d x N array: a copy, or ``syn`` itself if not ``copy``."""
+    def _set_synthesis(self, syn: np.ndarray) -> None:
+        """Keep ``syn`` as a validated, read-only d x N array, converted to C-ordered complex128 if it is not."""
         if syn.ndim != 2 or syn.shape[0] < 1 or syn.shape[1] < 1:
             raise ValueError("expected a nonempty list of equal-length vectors")
-        # copy=None copies only when the dtype or the order requires it
-        syn = np.array(syn, dtype=np.complex128, order="C", copy=True if copy else None)
+        syn = np.asarray(syn, dtype=np.complex128, order="C")
         if not np.isfinite(syn).all():
             raise ValueError("frame vectors must have finite entries")
         syn.setflags(write=False)

@@ -571,10 +571,10 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     frames_built_while_sampling = []
     original_set_synthesis = FiniteFrame._set_synthesis
 
-    def counted_set_synthesis(frame, syn, *args, **kwargs):
+    def counted_set_synthesis(frame, syn):
         if sampling[0]:
             frames_built_while_sampling.append(syn.shape)
-        return original_set_synthesis(frame, syn, *args, **kwargs)
+        return original_set_synthesis(frame, syn)
 
     monkeypatch.setattr(FiniteFrame, "_set_synthesis", counted_set_synthesis)
     original_sampled = mp.sampled_dual_residuals
