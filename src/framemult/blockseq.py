@@ -226,12 +226,12 @@ def _synthesis(templates: np.ndarray) -> np.ndarray:
 
 
 def _block_matrices(phi: np.ndarray, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """The block multipliers of a stack, by the accumulation block_multiplier uses."""
+    """The block multipliers of a stack, by the accumulation of ``Multiplier.matrix``."""
     return mp._termwise_matrices(m, _synthesis(phi), _synthesis(psi))
 
 
 def _worst_block_deviation(sys: BlockSystem, horizon: int, target: np.ndarray) -> float:
-    """max over k = 1..horizon of max |block_multiplier(sys, k) - target|."""
+    """max over k = 1..horizon of max |M_k - target|, M_k the multiplier of block k."""
     return max(float(np.max(np.abs(_block_matrices(*blocks) - target)))
                for blocks in _sweep(sys, horizon))
 
@@ -243,16 +243,6 @@ def _as_templates(vectors) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError("templates must be a list of equal-length vectors")
     return arr
-
-
-def block_multiplier(sys: BlockSystem, k: int) -> np.ndarray:
-    """The b x b block sum_n m_n phi_n conj(psi_n)^T of block k.
-
-    Shares the accumulation path of the generic multiplier build, so
-    embedding the blocks diagonally reproduces these matrices entrywise.
-    """
-    phi, psi, m = sys.block(k)
-    return mp._multiplier_matrix(m, fr.FiniteFrame(phi), fr.FiniteFrame(psi))
 
 
 def block_frames(sys: BlockSystem, k: int) -> tuple[mp.Symbol, fr.FiniteFrame, fr.FiniteFrame]:
@@ -275,7 +265,7 @@ def _classify_closed_form(base: np.ndarray, exponents: np.ndarray,
     limit_max = float(eigs[-1].real)
     overall_min = min(sweep_min, limit_min)
     overall_max = max(sweep_max, limit_max)
-    if overall_min > tol.rel_eps * overall_max:
+    if tol.spans(overall_min, overall_max, max(base.shape)):
         return CLASS_FRAME
     return CLASS_BESSEL_NOT_FRAME
 
@@ -452,8 +442,9 @@ class InterleavedSystem:
             total = head_sq / (1.0 - ratio_sq) if head_sq > 0.0 else 0.0
             floor = min(total, transient_sq)
             ceil = max(total, transient_sq)
+            # a closed form, not a factorization: the rank floor of one value
             classification = (CLASS_FRAME
-                              if floor > tol.rel_eps * ceil
+                              if tol.spans(floor, ceil, 1)
                               else CLASS_BESSEL_NOT_FRAME)
         return SystemBounds(lambda_min=lam_min, lambda_max=lam_max,
                             classification=classification)

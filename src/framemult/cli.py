@@ -19,7 +19,10 @@ example names, an example name, --all or --horizon that the examples
 action does not take, --verify-all without --seed, tolerances
 ToleranceConfig rejects such as a --tol-rel outside (0, 1), output paths
 that cannot be written). Those print one ``error:`` line to stderr and no
-report. Options argparse rejects exit 2 with its usage message.
+report. Options argparse rejects exit 2 with its usage message. A written
+dual goes to its file a vector at a time, so a write that fails midway
+(a full disk) exits 2 and leaves the part already written in the file,
+which is then not a valid document.
 
 Each command imports only the modules it runs. ``frames``,
 ``multipliers``, ``numerics``, ``errors`` and ``report`` load with this
@@ -87,7 +90,7 @@ def _emit(args, command: str, inputs: dict, findings: list[dict]) -> int:
     text = json.dumps(_finite_or_null(report), sort_keys=True, allow_nan=False,
                       indent=2 if args.pretty else None) + "\n"
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, [text])
     sys.stdout.write(text)
     return 0
 
@@ -103,10 +106,11 @@ def _finite_or_null(obj):
     return obj
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces) -> None:
+    """Write the pieces of text one after another to a new file at ``path``."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -146,8 +150,7 @@ def cmd_frame_info(args) -> int:
     if args.dual_out:
         if spans:
             dual = frames.canonical_dual(frame, tol)
-            _write_text(args.dual_out,
-                        json.dumps(formats.frame_to_json(dual), sort_keys=True) + "\n")
+            _write_text(args.dual_out, formats.frame_text(dual))
             findings.append(finding("canonical_dual_written", True, value=args.dual_out))
             findings.append(finding("canonical_dual_reconstructs",
                                     frames.is_dual(dual, frame, tol)))

@@ -24,14 +24,19 @@ whole: one pass each over the vectors, the pairs and the numbers decides
 the structure and the element types, then one float64 array and one
 finiteness test take all the numbers. Only a document that fails those
 checks is walked pair by pair with pair_to_complex, which names the first
-bad entry. Writing goes the same way, one (..., 2) array per document
-turned into nested lists.
+bad entry.
+
+Writing goes a vector at a time too: ``frame_text`` gives a frame
+document in pieces, one per vector, each turned into nested lists and
+encoded by ``json.dumps`` on its own, so a written frame is never held as
+Python objects nor as one string.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -134,8 +139,18 @@ def frame_from_json(obj) -> FiniteFrame:
     return FiniteFrame(np.array(rows, dtype=np.complex128))
 
 
-def frame_to_json(frame: FiniteFrame) -> dict:
-    return {"dim": frame.dim, "vectors": _pairs(frame.synthesis.T)}
+def frame_text(frame: FiniteFrame) -> Iterator[str]:
+    """The frame document of ``frame`` as pieces of text, one vector per piece.
+
+    Joined, the pieces are ``json.dumps({"dim": d, "vectors": pairs},
+    sort_keys=True)`` and a newline, byte for byte.
+    """
+    yield f'{{"dim": {frame.dim}, "vectors": ['
+    separator = ""
+    for vector in frame.synthesis.T:
+        yield separator + json.dumps(_pairs(vector))
+        separator = ", "
+    yield "]}\n"
 
 
 # ------------------------------------------------------------------- symbols

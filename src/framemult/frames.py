@@ -126,9 +126,9 @@ def frame_operator(frame: FiniteFrame) -> np.ndarray:
 def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float]:
     """Optimal frame bounds (A, B), the extreme eigenvalues of the frame operator.
 
-    Raises NotAFrame unless the lower bound exceeds rel_eps times the upper
-    bound, i.e. when the vectors do not span or a bound is not a number
-    (the operator left the double range). The operator is Hermitian by
+    Raises NotAFrame unless ``tol.spans`` the bounds at size max(d, N),
+    i.e. when the vectors do not span or a bound is not a number (the
+    operator left the double range). The operator is Hermitian by
     construction, up to rounding, and eigvalsh reads one triangle of it.
     """
     if frame._bounds is None:
@@ -140,7 +140,7 @@ def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
             # eigvalsh may raise on inf or NaN entries; NaN bounds fail the test below
             frame._bounds = (math.nan, math.nan)
     lower, upper = frame._bounds
-    if not lower > tol.rel_eps * upper:
+    if not tol.spans(lower, upper, max(frame._syn.shape)):
         raise NotAFrame(
             f"lower frame bound {lower:.3e} vanishes against upper {upper:.3e}"
         )
@@ -158,11 +158,15 @@ def is_frame(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def canonical_dual(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> FiniteFrame:
     """The canonical dual, vector n being S^-1 phi_n for the frame operator S.
 
-    NotAFrame for input that does not span, decided by ``frame_bounds``.
+    NotAFrame for input that does not span, decided by ``frame_bounds``,
+    or whose operator is singular to working precision all the same.
     """
     frame_bounds(frame, tol)
     if frame._dual is None:
-        dual_syn = np.linalg.solve(frame_operator(frame), frame.synthesis)
+        try:
+            dual_syn = np.linalg.solve(frame_operator(frame), frame.synthesis)
+        except np.linalg.LinAlgError as exc:
+            raise NotAFrame(f"the frame operator is singular to working precision: {exc}") from None
         frame._dual = FiniteFrame._adopt(dual_syn)
     return frame._dual
 
@@ -171,16 +175,14 @@ def _reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: Toleran
                   norms=None):
     """The is_dual test on synthesis matrices, for one pair or a stack of pairs.
 
-    ||Syn_C Ana_Phi - I|| must not exceed rel_eps ||Syn_C|| ||Syn_Phi||,
-    and that bound must be finite: a scale that overflows measures nothing.
+    ``tol.within`` of ||Syn_C Ana_Phi - I|| at the scale ||Syn_C|| ||Syn_Phi||.
     ``norms`` is (||Syn_C||, ||Syn_Phi||) when the caller knows them.
     Returns a bool, or one bool per matrix of a stack (..., d, N).
     """
     product = candidate_syn @ adjoint(frame_syn)
     residual = _frobenius(product - np.eye(product.shape[-1]))
     candidate_norm, frame_norm = norms or (_frobenius(candidate_syn), _frobenius(frame_syn))
-    bound = tol.rel_eps * candidate_norm * frame_norm
-    return (residual <= bound) & (bound < math.inf)
+    return tol.within(residual, candidate_norm * frame_norm)
 
 
 def _frobenius(a: np.ndarray):
@@ -209,23 +211,24 @@ def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
     The only possible candidate is L = Syn_Psi * pinv(Syn_Phi), and for a
     frame pinv(Syn_Phi) is the analysis matrix of the canonical dual, so L
     is formed from the cached dual (NotAFrame when ``phi`` does not span).
-    The mapping property is decided by the residual ||L Syn_Phi - Syn_Psi||
-    against rel_eps * ||Syn_Psi||, a bound that must be finite, then L must
-    pass the invertibility policy. Either failure raises NotEquivalent,
-    with ``reason`` saying which requirement failed.
+    The mapping property is ``tol.within`` of the residual
+    ||L Syn_Phi - Syn_Psi|| at the scale ||Syn_Psi||, then L must pass
+    ``check_invertible``. Either failure raises NotEquivalent, with
+    ``reason`` saying which requirement failed.
     """
     _require_same_shape(phi, psi)
     candidate = psi.synthesis @ canonical_dual(phi, tol).analysis_matrix
     residual = frobenius(candidate @ phi.synthesis - psi.synthesis)
-    if not residual <= tol.rel_eps * psi.norm < math.inf:
+    if not tol.within(residual, psi.norm):
         raise NotEquivalent(
             "no linear map sends the first sequence to the second "
             f"(residual {residual:.3e} against norm {psi.norm:.3e})",
             reason="no_linear_map",
             residual=residual,
         )
+    sigmas = np.linalg.svd(candidate, compute_uv=False)
     try:
-        check_invertible(np.linalg.svd(candidate, compute_uv=False), tol)
+        check_invertible(float(sigmas[0]), float(sigmas[-1]), max(phi.synthesis.shape), tol)
     except NotInvertible as exc:
         raise NotEquivalent(
             "the unique mapping operator is not invertible",
@@ -242,15 +245,13 @@ def is_riesz_basis(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bo
 
 def frames_equal(f: FiniteFrame, g: FiniteFrame,
                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Equality as ordered sequences, up to rel_eps.
+    """Equality as ordered sequences: ``tol.within`` of ||Syn_F - Syn_G|| at max(||Syn_F||, ||Syn_G||).
 
-    ||Syn_F - Syn_G|| must not exceed rel_eps * max(||Syn_F||, ||Syn_G||),
-    a bound that must be finite; the sequences are ordered, so no
-    permutation is allowed.
+    The sequences are ordered, so no permutation is allowed.
     """
     if f.dim != g.dim or f.size != g.size:
         return False
-    return frobenius(f.synthesis - g.synthesis) <= tol.rel_eps * max(f.norm, g.norm) < math.inf
+    return tol.within(frobenius(f.synthesis - g.synthesis), max(f.norm, g.norm))
 
 
 def random_dual_synthesis(frame: FiniteFrame, rng: np.random.Generator,

@@ -54,9 +54,10 @@ from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     adjoint,
-    check_condition,
+    check_invertible,
     condition_from_sigmas,
     frobenius,
+    inverse,
     relative_residual,
     relative_to,
     try_invert,
@@ -134,13 +135,13 @@ class Symbol:
         return Symbol._from_checked(np.conj(self._values))
 
     def is_constant(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        """All entries equal to the first up to rel_eps times the largest modulus."""
+        """All entries equal to the first: ``tol.within`` of the spread at the largest modulus."""
         spread = float(np.max(np.abs(self._values - self._values[0])))
-        return bool(spread <= tol.rel_eps * self.sup_modulus)
+        return tol.within(spread, self.sup_modulus)
 
     def has_constant_modulus(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        """All moduli equal up to rel_eps times the largest modulus."""
-        return bool(self.sup_modulus - self.inf_modulus <= tol.rel_eps * self.sup_modulus)
+        """All moduli equal: ``tol.within`` of their spread at the largest modulus."""
+        return tol.within(self.sup_modulus - self.inf_modulus, self.sup_modulus)
 
 
 def weighted_frame(frame: FiniteFrame, weights) -> FiniteFrame:
@@ -173,7 +174,7 @@ class Multiplier:
         self.symbol = symbol
         self.phi = phi
         self.psi = psi
-        self.matrix = _multiplier_matrix(symbol.values, phi, psi)
+        self.matrix = _termwise_matrices(symbol.values, phi.synthesis, psi.synthesis)
 
     # lazy caches; _origin is the multiplier an adjoint was derived from,
     # _extremes the pair (sigma_max, sigma_min)
@@ -213,7 +214,8 @@ class Multiplier:
 
     def _inverse_matrix(self) -> np.ndarray:
         if self._inverse is None:
-            self._inverse = (np.linalg.inv(self.matrix) if self._origin is None
+            self._inverse = (inverse(self.matrix, *self._extreme_singular_values())
+                             if self._origin is None
                              else adjoint(self._origin._inverse_matrix()))
         return self._inverse
 
@@ -230,31 +232,23 @@ class Multiplier:
         return condition_from_sigmas(self._extreme_singular_values())
 
 
-def _multiplier_matrix(values: np.ndarray, out_side: FiniteFrame, in_side: FiniteFrame) -> np.ndarray:
-    """Syn_out * diag(values) * Ana_in, accumulated term by term in index order.
-
-    The single-matrix case of ``_termwise_matrices``, which also builds
-    the stacked block matrices of ``blockseq``: one accumulation serves
-    both, so a block matrix comes out the same whether it is built alone
-    or as part of a stack. The fixed accumulation order makes the matrix
-    of an embedded block-diagonal system agree entrywise with the
-    per-block matrices (zero terms from other blocks leave partial sums
-    untouched); a BLAS product would regroup the sums and lose that
-    exactness. Reserved for matrices that must be entrywise exact:
-    ``Multiplier.matrix`` and the block matrices of ``blockseq``.
-    Candidates that only feed a relative residual norm
-    (``_inverse_residual``, ``verify_canonical_inversion``) are one BLAS
-    product (Syn_out * values) @ Ana_in instead.
-    """
-    return _termwise_matrices(values, out_side.synthesis, in_side.synthesis)
-
-
 def _termwise_matrices(values: np.ndarray, out_syn: np.ndarray, in_syn: np.ndarray) -> np.ndarray:
-    """sum_n values[n] out_n conj(in_n)^T, term by term, for each matrix of a stack.
+    """sum_n values[n] out_n conj(in_n)^T, term by term in index order, for each matrix of a stack.
 
     ``values`` is (..., N), ``out_syn`` (..., d, N) and ``in_syn``
     (..., e, N) with the same leading stack axes (none for one matrix);
-    the result is (..., d, e).
+    the result is (..., d, e), Syn_out * diag(values) * Ana_in.
+
+    One accumulation builds ``Multiplier.matrix`` and the stacked block
+    matrices of ``blockseq``, so a block matrix comes out the same whether
+    it is built alone or as part of a stack. The fixed accumulation order
+    makes the matrix of an embedded block-diagonal system agree entrywise
+    with the per-block matrices (zero terms from other blocks leave
+    partial sums untouched); a BLAS product would regroup the sums and
+    lose that exactness. Reserved for matrices that must be entrywise
+    exact. Candidates that only feed a relative residual norm
+    (``_inverse_residual``, ``verify_canonical_inversion``) are one BLAS
+    product (Syn_out * values) @ Ana_in instead.
     """
     out = np.zeros(out_syn.shape[:-1] + in_syn.shape[-2:-1], dtype=np.complex128)
     conj_in = np.conj(in_syn)
@@ -290,8 +284,8 @@ def apply_termwise(m: Symbol, phi: FiniteFrame, psi: FiniteFrame, f) -> np.ndarr
 
 
 def invert(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse of the multiplier under the invertibility policy; NotInvertible on failure."""
-    check_condition(*mult._extreme_singular_values(), tol)
+    """Matrix inverse of the multiplier under ``check_invertible`` at size max(d, N)."""
+    check_invertible(*mult._extreme_singular_values(), max(mult.phi.synthesis.shape), tol)
     return mult._inverse_matrix()
 
 
@@ -343,11 +337,12 @@ def _stacked_induced_duals(matrices: np.ndarray, m: np.ndarray, phi_syn: np.ndar
     ``matrices`` (K, d, d) are the multiplier matrices of the symbols m
     (K, N) and the sides phi_syn, psi_syn (K, d, N). Same checks as
     induced_duals, over the whole stack: ZeroSymbolEntry for any zero
-    weight, NotInvertible for the first matrix failing the policy.
+    weight, NotInvertible for the first matrix failing ``check_invertible``.
     """
     if not np.all(m != 0):
         raise ZeroSymbolEntry("induced duals need a symbol without zero entries")
-    return _induced_dual_syntheses(try_invert(matrices, tol), m, phi_syn, psi_syn)
+    minv = try_invert(matrices, max(phi_syn.shape[-2:]), tol)
+    return _induced_dual_syntheses(minv, m, phi_syn, psi_syn)
 
 
 def _inverse_residual(mult: Multiplier, out_side: FiniteFrame, in_side: FiniteFrame,
@@ -465,17 +460,18 @@ def uniqueness_nullity(symbol: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> in
     [C; I - C] is an isometry and the stack has exactly the singular values
     |1/m_n| of D.
 
-    Under the package's rank rule (a singular value at or below rel_eps
-    times the largest counts as zero) the nullity is the number of n with
-    min_k |m_k| <= rel_eps |m_n|: zero, so that the induced dual is the only
-    solution, unless the moduli span 1/rel_eps or more. The count needs no
-    frame, seed or factorization, does not change when the symbol is
-    rescaled, and serves both sides, since conj(m) has the same moduli.
+    Under the package's rank rule (a singular value counts as zero unless
+    ``tol.spans`` it and the largest, at size N) the nullity is the number
+    of n for which min_k |m_k| and |m_n| fail ``tol.spans``: zero, so that
+    the induced dual is the only solution, unless the moduli span 1/rel_eps
+    (or 1/(N eps), the rank floor) or more. The count needs no frame, seed
+    or factorization, does not change when the symbol is rescaled, and
+    serves both sides, since conj(m) has the same moduli.
     """
     if not symbol.all_nonzero:
         raise ZeroSymbolEntry("the uniqueness constraints need a zero-free symbol")
     moduli = np.abs(symbol.values)
-    return int(np.count_nonzero(np.min(moduli) <= tol.rel_eps * moduli))
+    return int(np.count_nonzero(~tol.spans(np.min(moduli), moduli, moduli.size)))
 
 
 def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -579,7 +575,7 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
     """
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("the equivalence criteria need a zero-free symbol")
-    eq1 = verify_canonical_inversion(mult, tol) <= tol.rel_eps
+    eq1 = tol.within(verify_canonical_inversion(mult, tol), 1.0)
     adj = mult.adjoint()
     report = PropQReport(
         eq1_holds=eq1,

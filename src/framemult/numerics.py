@@ -1,18 +1,23 @@
 """Dense complex linear algebra with an explicit tolerance policy.
 
-All matrix work in the package funnels through here so that invertibility
-and residual decisions follow a single rule set. The decision rule: a
-tolerance decision compares a dimensionless residual, a ratio of norms,
-with rel_eps, and no absolute floor such as ``1 +`` or ``max(., 1)`` is
-added to either side. Rescaling the frames or the symbol therefore moves
-no decision, up to rounding. In particular:
+All matrix work in the package funnels through here, and ``ToleranceConfig``
+is the only code that turns rel_eps and cond_max into a decision. Its three
+rules compare dimensionless ratios with no absolute floor such as ``1 +``,
+so rescaling the frames or the symbol moves no decision, up to rounding:
 
-* residual checks are relative, scaled by operand norms; a norm to
-  divide by that is zero (exact or underflowed) or overflowed gives the
-  residual +inf, a norm that overflows in a bound leaves it +inf, and
-  each of these fails;
-* invertibility means sigma_min > sigma_max / cond_max;
-* singular values below rel_eps * sigma_max count as zero.
+* ``spans(lower, upper, size)``: lower > rel_eps * upper;
+* ``invertible(sigma_max, sigma_min, size)``: sigma_min > sigma_max / cond_max;
+* ``within(residual, scale)``: residual <= rel_eps * scale < inf.
+
+Each decides floats in Python arithmetic or stacked arrays elementwise, and
+fails on NaN and on an overflowed upper value or scale. Under ``spans`` and
+``invertible`` lies the rank floor size * eps of LAPACK and numpy's
+``matrix_rank``, size = max(d, N) of the factors: a lower value at or below
+that fraction of the upper one is rounding noise at any tolerance. Up to
+size 4503 it lies below 1/DEFAULT_COND_MAX and DEFAULT_REL_EPS, so no
+default decision meets it; ``--cond-max inf`` means no user ceiling, and
+the floor still applies. A residual by a norm that is zero or overflowed
+is +inf (``relative_to``) and fails ``within``.
 
 Matrices are plain numpy arrays with dtype complex128. ``frobenius`` is the
 norm of every single matrix or vector in ``numerics``, ``frames`` and
@@ -36,11 +41,12 @@ from .errors import NotInvertible
 
 DEFAULT_REL_EPS = 1e-9
 DEFAULT_COND_MAX = 1e12
+EPS = 2.0 ** -52  # float64 machine epsilon, the unit of the rank floor size * EPS
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Relative tolerance and condition-number ceiling.
+    """Relative tolerance and condition-number ceiling, and the three rules that use them.
 
     rel_eps, in (0, 1), scales every residual comparison; cond_max is the
     largest sigma_max/sigma_min ratio still accepted as invertible.
@@ -55,6 +61,19 @@ class ToleranceConfig:
         if not self.cond_max > 1:
             raise ValueError("cond_max must exceed 1")
 
+    def spans(self, lower, upper, size: int):
+        """lower > rel_eps * upper, and above the rank floor of ``size``."""
+        return (lower > self.rel_eps * upper) & (lower > size * EPS * upper)
+
+    def invertible(self, sigma_max, sigma_min, size: int):
+        """sigma_min > sigma_max / cond_max, and above the rank floor of ``size``."""
+        return (sigma_min > sigma_max / self.cond_max) & (sigma_min > size * EPS * sigma_max)
+
+    def within(self, residual, scale):
+        """residual <= rel_eps * scale, a bound that must be finite."""
+        bound = self.rel_eps * scale
+        return (residual <= bound) & (bound < math.inf)
+
 
 DEFAULT_TOL = ToleranceConfig()
 
@@ -64,48 +83,53 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
-def try_invert(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of ``a`` under the condition-number policy of check_invertible.
+def try_invert(a: np.ndarray, size: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Inverse of ``a`` under ``check_invertible`` at ``size``.
 
     ``a`` may be a stack (..., n, n) of square matrices; all of them are
-    inverted, or the first one that fails the policy raises.
+    inverted, or the first one that fails the rule raises.
     """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("try_invert requires square matrices")
-    check_invertible(np.linalg.svd(m, compute_uv=False), tol)
-    return np.linalg.inv(m)
+    sigmas = np.linalg.svd(m, compute_uv=False)
+    check_invertible(sigmas[..., 0], sigmas[..., -1], size, tol)
+    return inverse(m)
 
 
-def check_invertible(sigmas: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """The condition-number policy, applied to descending singular values.
+def check_invertible(sigma_max, sigma_min, size: int, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise NotInvertible unless ``tol.invertible`` holds, with the values attached.
 
-    ``check_condition`` of the first and last value. ``sigmas`` may also
-    be a stack (..., n) of such rows, one per matrix; then the first
-    failing row raises.
+    The extreme singular values are floats for one matrix or arrays for a
+    stack; for a stack the first failing matrix is reported.
     """
-    if np.ndim(sigmas) > 1:
-        rows = np.reshape(sigmas, (-1, np.shape(sigmas)[-1]))
-        failing = np.flatnonzero(np.logical_not(rows[:, -1] > rows[:, 0] / tol.cond_max))
+    ok = tol.invertible(sigma_max, sigma_min, size)
+    if isinstance(ok, np.ndarray):
+        failing = np.flatnonzero(~ok)
         if failing.size == 0:
             return
-        sigmas = rows[failing[0]]
-    check_condition(float(sigmas[0]), float(sigmas[-1]), tol)
+        sigma_max, sigma_min = sigma_max.flat[failing[0]], sigma_min.flat[failing[0]]
+    elif ok:
+        return
+    ceiling = sigma_max / tol.cond_max
+    if sigma_min > ceiling:  # only the rank floor failed
+        message = f"sigma_min={sigma_min:.3e} <= sigma_max*{size * EPS:.3e}, the rank floor"
+    else:
+        message = f"sigma_min={sigma_min:.3e} <= sigma_max/cond_max={ceiling:.3e}"
+    raise NotInvertible(message, sigma_min=sigma_min, sigma_max=sigma_max)
 
 
-def check_condition(sigma_max: float, sigma_min: float, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """The invertibility test itself, on the extreme singular values of one matrix.
+def inverse(a: np.ndarray, sigma_max: float = 0.0, sigma_min: float = 0.0) -> np.ndarray:
+    """np.linalg.inv of a matrix or stack that passed ``check_invertible``.
 
-    Raises NotInvertible (with sigma_min and sigma_max attached) as soon
-    as sigma_min <= sigma_max / cond_max, which covers rank deficiency and
-    numerically hopeless conditioning alike; NaN fails.
+    Should LU still meet an exactly zero pivot, NotInvertible is raised,
+    with the extreme singular values attached when the caller gives them.
     """
-    if not sigma_min > sigma_max / tol.cond_max:
-        raise NotInvertible(
-            f"sigma_min={sigma_min:.3e} <= sigma_max/cond_max={sigma_max / tol.cond_max:.3e}",
-            sigma_min=sigma_min,
-            sigma_max=sigma_max,
-        )
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotInvertible(f"singular to working precision: {exc}",
+                            sigma_min=sigma_min, sigma_max=sigma_max) from None
 
 
 def condition_number(a: np.ndarray) -> float:

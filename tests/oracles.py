@@ -2,7 +2,8 @@
 
 The sampled uniqueness kernel (``multipliers.uniqueness_nullity`` decides it
 exactly), the recovery statements behind the uniqueness of the induced duals,
-the dual-family formula, random frames and the per-block embedding of a block system.
+the dual-family formula, random frames, the per-block embedding of a block system
+and the multiplier of one block.
 """
 
 import numpy as np
@@ -75,6 +76,16 @@ def recover_pseudo_dual_F(mult, candidate, tol=DEFAULT_TOL):
 def recover_pseudo_dual_G(mult, candidate, tol=DEFAULT_TOL):
     """If Minv = Syn_{psi_dagger} diag(1/m) Ana_G holds, whether G reconstructs Phi."""
     return recover_pseudo_dual_F(mult.adjoint(), candidate, tol)
+
+
+def block_multiplier(sys, k):
+    """The b x b block sum_n m_n phi_n conj(psi_n)^T of block k.
+
+    Built alone, by the accumulation of ``Multiplier.matrix``, so embedding
+    the blocks diagonally reproduces these matrices entrywise.
+    """
+    phi, psi, m = sys.block(k)
+    return mp._termwise_matrices(m, fr.FiniteFrame(phi).synthesis, fr.FiniteFrame(psi).synthesis)
 
 
 def assemble_blocks(sys, count):

@@ -16,7 +16,7 @@ import framemult.multipliers as mp
 from framemult.errors import ImplicationViolated, NotEquivalent, NotInvertible
 from framemult.numerics import DEFAULT_TOL
 from framemult.report import verdict
-from oracles import random_frame, uniqueness_kernel
+from oracles import block_multiplier, random_frame, uniqueness_kernel
 
 
 def _semi_normalized_symbol(rng, size):
@@ -60,7 +60,7 @@ def test_c1_scalar_identity_example_reproduction():
     symbol, phi, psi = bs.block_frames(bs.get_example("ex5_3").system, 1)
     tol = 1e-10
 
-    matrix = bs.block_multiplier(bs.get_example("ex5_3").system, 1)
+    matrix = block_multiplier(bs.get_example("ex5_3").system, 1)
     assert np.max(np.abs(matrix - np.eye(1))) <= tol
 
     tilde_phi = fr.canonical_dual(phi)

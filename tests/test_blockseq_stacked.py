@@ -20,7 +20,7 @@ import framemult.frames as fr
 import framemult.multipliers as mp
 from framemult.numerics import DEFAULT_TOL
 from framemult.report import finding
-from oracles import assemble_blocks
+from oracles import assemble_blocks, block_multiplier
 
 # ------------------------------------------------------------ per-block oracle
 
@@ -60,7 +60,7 @@ def oracle_run_ex4_1(sys, tol, horizon):
     eye = np.eye(sys.block_dim)
     for k in range(1, horizon + 1):
         identity_worst = max(identity_worst,
-                             float(np.max(np.abs(bs.block_multiplier(sys, k) - eye))))
+                             float(np.max(np.abs(block_multiplier(sys, k) - eye))))
         symbol, phi_k, psi_k = bs.block_frames(sys, k)
         direct = mp.build(symbol, phi_k, psi_k)
         weighted = mp.weighted_frame(phi_k, symbol)
@@ -96,7 +96,7 @@ def oracle_run_ex4_1(sys, tol, horizon):
 
 
 def oracle_worst_deviation(sys, horizon, target):
-    return max(float(np.max(np.abs(bs.block_multiplier(sys, k) - target)))
+    return max(float(np.max(np.abs(block_multiplier(sys, k) - target)))
                for k in range(1, horizon + 1))
 
 
@@ -141,7 +141,7 @@ def assert_blocks_match(sys, first, count):
         for got, want in zip(stacked, sys.block(k)):
             assert got[i].shape == want.shape
             assert np.array_equal(got[i], want), k
-        assert np.array_equal(matrices[i], bs.block_multiplier(sys, k)), k
+        assert np.array_equal(matrices[i], block_multiplier(sys, k)), k
 
 
 # -------------------------------------------------------------------- tests

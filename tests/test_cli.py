@@ -89,6 +89,21 @@ def test_frame_info_writes_canonical_dual(capsys, tmp_path, mercedes_file):
     assert is_dual(dual, original)
 
 
+def test_a_dual_write_that_fails_midway_exits_2_and_leaves_the_part_written(
+        capsys, tmp_path, mercedes_file, monkeypatch):
+    import framemult.formats as formats
+
+    def full_disk(frame):
+        yield '{"dim": 2, "vectors": ['
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(formats, "frame_text", full_disk)
+    dual_path = tmp_path / "dual.json"
+    code, out, err = run_cli(capsys, "frame-info", mercedes_file, "--dual-out", str(dual_path))
+    assert (code, out, err) == (2, "", f"error: cannot write {dual_path}: No space left on device\n")
+    assert dual_path.read_text() == '{"dim": 2, "vectors": ['
+
+
 def test_frame_info_non_frame_is_reported_not_fatal(capsys, tmp_path):
     path = write_json(tmp_path / "flat.json", frame_doc([[1.0, 0.0], [2.0, 0.0]]))
     report = run_report(capsys, "frame-info", path)
@@ -406,6 +421,51 @@ def test_an_overflowed_inverse_norm_fails_the_identity_findings(capsys, tmp_path
         for name in names:
             assert finding(report, name)["ok"] == (verdict == "pass")
             assert (finding(report, name)["residual"] is None) == (verdict == "fail")
+
+
+def rank_deficient_files(directory):
+    """Multipliers with N < d and frames of rank below d, as (symbol, phi, psi) triples and frame paths."""
+    rng = np.random.default_rng(2016)
+
+    def gaussian(rows, cols):
+        return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+
+    multipliers, frames = [], []
+    for i in range(6):
+        dim = int(rng.integers(2, 6))
+        size = int(rng.integers(1, dim))
+        symbol = rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+        multipliers.append((write_json(directory / f"m{i}.json", symbol_doc(symbol)),
+                            write_json(directory / f"phi{i}.json", frame_doc(gaussian(size, dim))),
+                            write_json(directory / f"psi{i}.json", frame_doc(gaussian(size, dim)))))
+    for i in range(8):
+        dim = int(rng.integers(2, 6))
+        size = int(rng.integers(dim, 3 * dim))
+        rank = int(rng.integers(1, dim))
+        frames.append(write_json(directory / f"frame{i}.json",
+                                 frame_doc(gaussian(size, rank) @ gaussian(rank, dim))))
+    return multipliers, frames
+
+
+@pytest.mark.parametrize("tol_rel", ["1e-17", "1e-20", "1e-300"])
+@pytest.mark.parametrize("cond_max", ["1e15", "1e17", "1e300", "inf"])
+def test_rank_deficient_inputs_fail_at_every_accepted_tolerance(capsys, tmp_path, cond_max, tol_rel):
+    # past 1/eps the user's tolerances reach rounding noise; the rank floor
+    # keeps such inputs singular and non-spanning, and no LinAlgError escapes
+    multipliers, frames = rank_deficient_files(tmp_path)
+    tolerances = ["--cond-max", cond_max, "--tol-rel", tol_rel]
+    for symbol, phi, psi in multipliers:
+        code, out, err = run_cli(capsys, "multiplier", "--symbol", symbol, "--phi", phi,
+                                 "--psi", psi, "--verify-all", "--seed", "1", *tolerances)
+        assert code == 0 and "Traceback" not in err, err
+        assert not finding(parse_report(out), "invertible")["ok"], phi
+    dual = tmp_path / "dual.json"
+    for frame in frames:
+        code, out, err = run_cli(capsys, "frame-info", frame, "--dual-out", str(dual), *tolerances)
+        assert code == 0 and "Traceback" not in err, err
+        report = parse_report(out)
+        assert not finding(report, "frame_bounds")["ok"], frame
+        assert not finding(report, "canonical_dual_written")["ok"] and not dual.exists(), frame
 
 
 # -------------------------------------------------------------------- examples
@@ -746,13 +806,13 @@ def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):
     import framemult.multipliers as mp
 
     calls = []
-    original = mp._multiplier_matrix
+    original = mp._termwise_matrices
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(mp, "_multiplier_matrix", counted)
+    monkeypatch.setattr(mp, "_termwise_matrices", counted)
     rng = np.random.default_rng(5)
     frames = [FiniteFrame(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
               for _ in range(2)]

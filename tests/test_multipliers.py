@@ -591,13 +591,13 @@ def test_blas_residual_candidates_match_the_entrywise_exact_matrix():
         tilde_psi, tilde_phi = fr.canonical_dual(mult.psi), fr.canonical_dual(mult.phi)
         minv = mp.invert(mult)
         for out_side, in_side in ((tilde_psi, duals.phi_dagger), (tilde_psi, tilde_phi)):
-            want = mp._multiplier_matrix(recip, out_side, in_side)
+            want = mp._termwise_matrices(recip, out_side.synthesis, in_side.synthesis)
             got = (out_side.synthesis * recip[None, :]) @ in_side.analysis_matrix
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), seed
         # the residuals the bundle reports come from those candidates
         for residual, in_side in ((mp.certify_minv1_all_duals(mult).base_residual, duals.phi_dagger),
                                   (mp.verify_canonical_inversion(mult), tilde_phi)):
-            exact = mp._multiplier_matrix(recip, tilde_psi, in_side)
+            exact = mp._termwise_matrices(recip, tilde_psi.synthesis, in_side.synthesis)
             scale = np.linalg.norm(minv)
             assert abs(residual - np.linalg.norm(exact - minv) / scale) <= (
                 1e-12 * np.linalg.norm(exact) / scale), seed

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framemult.errors import NotInvertible
+import framemult.multipliers as mp
+from framemult.errors import NotAFrame, NotInvertible
+from framemult.frames import FiniteFrame, canonical_dual
 from framemult.numerics import (
     DEFAULT_TOL,
+    EPS,
     ToleranceConfig,
     adjoint,
     check_invertible,
@@ -45,25 +48,152 @@ def test_try_invert_oracle():
     # inverse of the unit shear flips the off-diagonal sign
     a = np.array([[1.0, 1.0], [0.0, 1.0]])
     expected = np.array([[1.0, -1.0], [0.0, 1.0]])
-    assert np.allclose(try_invert(a), expected, atol=1e-14, rtol=0.0)
+    assert np.allclose(try_invert(a, 2), expected, atol=1e-14, rtol=0.0)
 
 
 def test_try_invert_rejects_singular():
     with pytest.raises(NotInvertible):
-        try_invert(np.zeros((2, 2)))
+        try_invert(np.zeros((2, 2)), 2)
     with pytest.raises(NotInvertible):
-        check_invertible(np.array([np.nan, np.nan]))
+        check_invertible(np.nan, np.nan, 2)
     with pytest.raises(NotInvertible) as info:
-        try_invert(np.array([[1.0, 0.0], [0.0, 1e-15]]))
+        try_invert(np.array([[1.0, 0.0], [0.0, 1e-15]]), 2)
     assert info.value.sigma_max > 0
     assert info.value.sigma_min / info.value.sigma_max < 1.0 / DEFAULT_TOL.cond_max
 
 
 def test_try_invert_respects_cond_max_policy():
     a = np.diag([1.0, 1e-6])
-    try_invert(a)  # fine under the default ceiling
+    try_invert(a, 2)  # fine under the default ceiling
     with pytest.raises(NotInvertible):
-        try_invert(a, ToleranceConfig(cond_max=1e5))
+        try_invert(a, 2, ToleranceConfig(cond_max=1e5))
+
+
+# ------------------------------------------------------- the three decision rules
+
+SIZE = 512  # the rank floor of a (128, 512) multiplier, still below 1/cond_max and rel_eps
+
+
+def decide(rule, tol, a, b):
+    """A rule on its two measured values, spans and invertible at size SIZE."""
+    return tol.within(a, b) if rule == "within" else getattr(tol, rule)(a, b, SIZE)
+
+
+# the inline expressions the rules replaced, in their argument order
+INLINE = {
+    "spans": lambda tol, lower, upper: lower > tol.rel_eps * upper,
+    "invertible": lambda tol, sigma_max, sigma_min: sigma_min > sigma_max / tol.cond_max,
+    "within": lambda tol, residual, scale: residual <= tol.rel_eps * scale < math.inf,
+}
+# the threshold that the reference value (upper, sigma_max, scale) sets for the other one
+THRESHOLD = {
+    "spans": lambda tol, upper: tol.rel_eps * upper,
+    "invertible": lambda tol, sigma_max: sigma_max / tol.cond_max,
+    "within": lambda tol, scale: tol.rel_eps * scale,
+}
+REFERENCES = [5e-324, 1e-310, 2.5e-300, 1e-154, 3e-9, 0.7, 1.0, 3.5, 1e12, 1e154, 1e300, 1.7e308]
+
+
+def threshold_grid(rule, tol):
+    """Argument pairs of ``rule`` with the decided value at, and one ulp either side of, its threshold."""
+    pairs = []
+    for reference in REFERENCES:
+        threshold = THRESHOLD[rule](tol, reference)
+        for value in (0.0, threshold, np.nextafter(threshold, -math.inf),
+                      np.nextafter(threshold, math.inf), 2.0 * threshold, reference):
+            value = float(value)
+            pairs.append((reference, value) if rule == "invertible" else
+                         (value, reference))
+    return pairs
+
+
+@pytest.mark.parametrize("rule", sorted(INLINE))
+def test_each_rule_is_its_inline_expression_at_default_tolerances(rule):
+    pairs = threshold_grid(rule, DEFAULT_TOL)
+    old = [INLINE[rule](DEFAULT_TOL, a, b) for a, b in pairs]
+    assert [decide(rule, DEFAULT_TOL, a, b) for a, b in pairs] == old
+    assert True in old and False in old
+    # stacked: one decision per entry, the same ones
+    first, second = (np.array(column) for column in zip(*pairs))
+    assert decide(rule, DEFAULT_TOL, first, second).tolist() == old
+    assert decide(rule, DEFAULT_TOL, first.reshape(3, -1), second.reshape(3, -1)).ravel().tolist() == old
+
+
+@pytest.mark.parametrize("rule", sorted(INLINE))
+@pytest.mark.parametrize("exponent", [-400, -1, 1, 400])
+def test_scaling_both_values_by_a_power_of_two_moves_no_decision(rule, exponent):
+    tol = ToleranceConfig(rel_eps=1e-6, cond_max=1e8)
+    pairs = [(a, b) for a, b in threshold_grid(rule, tol)
+             if all(1e-180 < abs(x) < 1e180 or x == 0.0 for x in (a, b))]
+    scaled = [(math.ldexp(a, exponent), math.ldexp(b, exponent)) for a, b in pairs]
+    assert [decide(rule, tol, a, b) for a, b in scaled] == [decide(rule, tol, a, b) for a, b in pairs]
+
+
+NON_FINITE = [
+    ("spans", math.nan, 1.0), ("spans", 1.0, math.nan), ("spans", 1.0, math.inf),
+    ("spans", math.inf, math.inf), ("spans", -math.inf, 1.0),
+    ("invertible", math.nan, 1.0), ("invertible", 1.0, math.nan), ("invertible", math.inf, 1.0),
+    ("invertible", math.inf, math.inf), ("invertible", 1.0, -math.inf),
+    ("within", math.nan, 1.0), ("within", 0.0, math.nan), ("within", math.inf, 1.0),
+    ("within", 0.0, math.inf), ("within", math.inf, math.inf), ("within", 0.0, -math.inf),
+]
+
+
+@pytest.mark.parametrize("rule, a, b", NON_FINITE)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(rel_eps=1e-300, cond_max=math.inf)])
+def test_a_measured_value_that_is_nan_or_infinite_fails_every_rule(rule, a, b, tol):
+    assert decide(rule, tol, a, b) is False
+    passing = (0.0, 1.0) if rule == "within" else (1.0, 1.0)
+    with np.errstate(invalid="ignore"):  # numpy warns on inf / inf, at cond_max inf
+        stacked = decide(rule, tol, np.array([a, passing[0]]), np.array([b, passing[1]]))
+    assert stacked.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("tol", [ToleranceConfig(rel_eps=1e-300, cond_max=math.inf),
+                                 ToleranceConfig(rel_eps=1e-17, cond_max=1e17)])
+@pytest.mark.parametrize("size", [1, 3, 512])
+def test_the_rank_floor_holds_at_every_accepted_tolerance(tol, size):
+    # at or below size * eps of the largest value, a computed lower bound or
+    # sigma_min is rounding noise: no tolerance makes it span or invert
+    for upper in (1e-200, 1.0, 1e200):
+        floor = size * EPS * upper
+        assert not tol.spans(floor, upper, size)
+        assert tol.spans(np.nextafter(floor, math.inf), upper, size)
+        assert not tol.invertible(upper, floor, size)
+        assert tol.invertible(upper, np.nextafter(floor, math.inf), size)
+    with pytest.raises(NotInvertible, match="rank floor") as info:
+        check_invertible(2.0, size * EPS * 2.0, size, tol)
+    assert (info.value.sigma_max, info.value.sigma_min) == (2.0, size * EPS * 2.0)
+    with pytest.raises(NotInvertible):
+        try_invert(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]]), 2, tol)
+
+
+def test_check_invertible_names_the_first_failing_matrix_of_a_stack():
+    sigma_max = np.array([[1.0, 2.0], [4.0, 8.0]])
+    sigma_min = np.array([[1.0, 1e-13], [1e-14, 1.0]])
+    with pytest.raises(NotInvertible) as info:
+        check_invertible(sigma_max, sigma_min, 2)
+    assert (info.value.sigma_max, info.value.sigma_min) == (2.0, 1e-13)
+    check_invertible(sigma_max[1:, 1:], sigma_min[1:, 1:], 2)
+
+
+def test_an_exactly_singular_factorization_is_not_invertible_nor_a_frame(monkeypatch):
+    # should LU meet an exact zero pivot after the rule passed, the
+    # LinAlgError becomes the package's own verdict
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NotInvertible):
+        try_invert(np.eye(2), 2)
+    onb = FiniteFrame(np.eye(2))
+    mult = mp.build(mp.Symbol([1.0, 2.0]), onb, onb)
+    with pytest.raises(NotInvertible) as info:
+        mp.invert(mult)
+    assert (info.value.sigma_max, info.value.sigma_min) == (2.0, 1.0)
+    with pytest.raises(NotAFrame):
+        canonical_dual(onb)
 
 
 def test_condition_number_identity():

@@ -23,9 +23,8 @@ import numpy as np
 import framemult
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(framemult.__file__))
-# two oracle routes, and numerics.condition_number, which perfbench/worker.py calls through cli
-NOT_REACHED = {"multipliers.apply_termwise", "blockseq.block_multiplier",
-               "numerics.condition_number"}
+# the oracle route, and numerics.condition_number, which perfbench/worker.py calls through cli
+NOT_REACHED = {"multipliers.apply_termwise", "numerics.condition_number"}
 
 
 def function_codes(code, module):
