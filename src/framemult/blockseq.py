@@ -17,26 +17,31 @@ code checks them against finite prefixes but does not prove limits.
 
 Sweeps over blocks k = 1..horizon are stacked: ``BlockSystem.stacked``
 returns the blocks of a range as (K, L, b) and (K, L) arrays, and each
-sweep handles them with a few numpy calls per stack (stacked products,
-``inv``, ``svd`` and ``eigvalsh``) instead of Python work per block. A
-sweep takes its blocks in chunks of at most SWEEP_CHUNK, so its memory
-does not grow with the horizon. Every value a sweep reports is the one the
-per-block computation gives, bit for bit: the stacked arithmetic is the
-same elementwise and per-matrix arithmetic on the same operands.
+sweep handles them with a few numpy calls per stack instead of Python work
+per block: stacked products, ``inv``, and the singular values and
+eigenvalues of ``numerics``, which for scalar blocks (b = 1, every packaged
+example) are the moduli and real parts of the entries, with no LAPACK
+call. The stacked work goes through one named entry point per module:
+``multipliers.MultiplierStack`` for the block multipliers and their induced
+duals, ``frames.reconstructs`` for the duality test. A sweep takes its
+blocks in chunks of at most SWEEP_CHUNK, so its memory does not grow with
+the horizon. Every value a sweep reports is the one the per-block
+computation gives, bit for bit: the stacked arithmetic is the same
+elementwise and per-matrix arithmetic on the same operands.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import frames as fr
 from . import multipliers as mp
 from .errors import ImplicationViolated, MetadataMissing, RatioNotCertified, UnknownExample
-from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint
+from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_eigenvalues
 from .report import finding
 
 CLASS_FRAME = "frame"
@@ -59,8 +64,7 @@ SPOT_CHECK_BLOCKS = 64      # prefix length for metadata spot checks
 SYMBOL_SPOT_CHECK = 1024    # symbol entries compared against the closed form
 
 
-@dataclass(frozen=True)
-class SymbolProfile:
+class SymbolProfile(NamedTuple):
     """Modulus envelope of an infinite weight sequence."""
 
     inf_modulus: float
@@ -76,8 +80,7 @@ class SymbolProfile:
         return self.inf_modulus > 0.0 and self.bounded
 
 
-@dataclass(frozen=True)
-class SystemBounds:
+class SystemBounds(NamedTuple):
     """Numeric extremes over a horizon plus the limit classification."""
 
     lambda_min: float
@@ -227,7 +230,7 @@ def _synthesis(templates: np.ndarray) -> np.ndarray:
 
 def _block_matrices(phi: np.ndarray, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
     """The block multipliers of a stack, by the accumulation of ``Multiplier.matrix``."""
-    return mp._termwise_matrices(m, _synthesis(phi), _synthesis(psi))
+    return mp.MultiplierStack(m, _synthesis(phi), _synthesis(psi)).matrix
 
 
 def _worst_block_deviation(sys: BlockSystem, horizon: int, target: np.ndarray) -> float:
@@ -260,9 +263,9 @@ def _classify_closed_form(base: np.ndarray, exponents: np.ndarray,
     limit = base * (exponents == 0)[:, None]
     # operator of the limit system: sum of v v^H over surviving template slots
     s_limit = limit.T @ np.conj(limit)
-    eigs = np.linalg.eigvalsh((s_limit + s_limit.conj().T) / 2.0)
-    limit_min = float(eigs[0].real)
-    limit_max = float(eigs[-1].real)
+    eigs = hermitian_eigenvalues((s_limit + s_limit.conj().T) / 2.0)
+    limit_min = float(eigs[0])
+    limit_max = float(eigs[-1])
     overall_min = min(sweep_min, limit_min)
     overall_max = max(sweep_max, limit_max)
     if tol.spans(overall_min, overall_max, max(base.shape)):
@@ -289,7 +292,7 @@ def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
     for blocks in _sweep(sys, horizon):
         templates = _weighted_side(entry, *blocks)
         s_blocks = templates.swapaxes(-1, -2) @ np.conj(templates)
-        eigs = np.linalg.eigvalsh((s_blocks + adjoint(s_blocks)) / 2.0)
+        eigs = hermitian_eigenvalues((s_blocks + adjoint(s_blocks)) / 2.0)
         sweep_min = min(sweep_min, float(np.min(eigs[:, 0])))
         sweep_max = max(sweep_max, float(np.max(eigs[:, -1])))
 
@@ -328,8 +331,7 @@ def symbol_profile(sys) -> SymbolProfile:
     return profile
 
 
-@dataclass(frozen=True)
-class InterleavedSystem:
+class InterleavedSystem(NamedTuple):
     """System with one recurrent direction and per-index transient terms.
 
     The recurrent basis direction (index 0) receives term k >= 0 with
@@ -496,14 +498,13 @@ def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray
 # ---------------------------------------------------------------------- registry
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     """A prebuilt example system, the runner of its checks and its behavioral annotations."""
 
     system: object
     runner: Callable[[object, ToleranceConfig, int], list[dict]]
     summary: str
-    annotations: dict = field(default_factory=dict)
+    annotations: dict
 
 
 _SQRT5 = math.sqrt(5.0)
@@ -607,17 +608,15 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
     eye = np.eye(sys.block_dim)
     for phi, psi, m in _sweep(sys, horizon):
         phi_syn, psi_syn = _synthesis(phi), _synthesis(psi)
-        direct = mp._termwise_matrices(m, phi_syn, psi_syn)
-        identity_worst = max(identity_worst, float(np.max(np.abs(direct - eye))))
-        weighted = phi_syn * m[:, None, :]
-        ones = np.ones_like(m)
-        unit_route = mp._termwise_matrices(ones, weighted, psi_syn)
-        psi_dagger, phi_dagger = mp._stacked_induced_duals(direct, m, phi_syn, psi_syn, tol)
-        route_psi_dagger, _ = mp._stacked_induced_duals(unit_route, ones, weighted, psi_syn, tol)
+        direct = mp.MultiplierStack(m, phi_syn, psi_syn)
+        identity_worst = max(identity_worst, float(np.max(np.abs(direct.matrix - eye))))
+        unit_route = mp.MultiplierStack(np.ones_like(m), phi_syn * m[:, None, :], psi_syn)
+        psi_dagger, phi_dagger = direct.induced_duals(tol)
+        route_psi_dagger, _ = unit_route.induced_duals(tol)
         route_worst = max(route_worst, float(np.max(np.abs(psi_dagger - route_psi_dagger))))
         # frames.is_dual on each block: one reconstruction identity decides both
         duality_ok = duality_ok and bool(np.all(
-            fr._reconstructs(psi_dagger, psi_syn, tol) & fr._reconstructs(phi_dagger, phi_syn, tol)))
+            fr.reconstructs(psi_dagger, psi_syn, tol) & fr.reconstructs(phi_dagger, phi_syn, tol)))
 
     checks.append(finding("block_multiplier_is_identity", residual=identity_worst,
                           tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))

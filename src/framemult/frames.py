@@ -17,7 +17,15 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame, NotEquivalent, NotInvertible
-from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, check_invertible, frobenius
+from .numerics import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    adjoint,
+    check_invertible,
+    frobenius,
+    hermitian_eigenvalues,
+    singular_values,
+)
 
 
 class FiniteFrame:
@@ -129,12 +137,13 @@ def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     Raises NotAFrame unless ``tol.spans`` the bounds at size max(d, N),
     i.e. when the vectors do not span or a bound is not a number (the
     operator left the double range). The operator is Hermitian by
-    construction, up to rounding, and eigvalsh reads one triangle of it.
+    construction, up to rounding, and eigvalsh reads one triangle of it
+    (``hermitian_eigenvalues``, which takes a 1 x 1 operator as it is).
     """
     if frame._bounds is None:
         operator = frame_operator(frame)
         if np.all(np.isfinite(operator)):
-            eigs = np.linalg.eigvalsh(operator)
+            eigs = hermitian_eigenvalues(operator)
             frame._bounds = (float(eigs[0]), float(eigs[-1]))
         else:
             # eigvalsh may raise on inf or NaN entries; NaN bounds fail the test below
@@ -171,9 +180,9 @@ def canonical_dual(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
     return frame._dual
 
 
-def _reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: ToleranceConfig,
-                  norms=None):
-    """The is_dual test on synthesis matrices, for one pair or a stack of pairs.
+def reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: ToleranceConfig,
+                 norms=None):
+    """The is_dual test on synthesis matrices, for one pair or a stack of pairs (block sweeps).
 
     ``tol.within`` of ||Syn_C Ana_Phi - I|| at the scale ||Syn_C|| ||Syn_Phi||.
     ``norms`` is (||Syn_C||, ||Syn_Phi||) when the caller knows them.
@@ -200,8 +209,8 @@ def is_dual(candidate: FiniteFrame, frame: FiniteFrame,
     against the same bound: checking the first decides both.
     """
     _require_same_shape(candidate, frame)
-    return bool(_reconstructs(candidate.synthesis, frame.synthesis, tol,
-                              (candidate.norm, frame.norm)))
+    return bool(reconstructs(candidate.synthesis, frame.synthesis, tol,
+                             (candidate.norm, frame.norm)))
 
 
 def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
@@ -226,7 +235,7 @@ def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
             reason="no_linear_map",
             residual=residual,
         )
-    sigmas = np.linalg.svd(candidate, compute_uv=False)
+    sigmas = singular_values(candidate)
     try:
         check_invertible(float(sigmas[0]), float(sigmas[-1]), max(phi.synthesis.shape), tol)
     except NotInvertible as exc:

@@ -37,7 +37,7 @@ applied to ``Multiplier.adjoint()``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .numerics import (
     inverse,
     relative_residual,
     relative_to,
+    singular_values,
     try_invert,
 )
 
@@ -205,7 +206,7 @@ class Multiplier:
             if self._origin is not None:
                 self._extremes = self._origin._extreme_singular_values()
             elif np.all(np.isfinite(self.matrix)):
-                sigmas = np.linalg.svd(self.matrix, compute_uv=False)
+                sigmas = singular_values(self.matrix)
                 self._extremes = (float(sigmas[0]), float(sigmas[-1]))
             else:
                 # svd may raise on inf or NaN entries; NaN fails the invertibility policy
@@ -239,16 +240,16 @@ def _termwise_matrices(values: np.ndarray, out_syn: np.ndarray, in_syn: np.ndarr
     (..., e, N) with the same leading stack axes (none for one matrix);
     the result is (..., d, e), Syn_out * diag(values) * Ana_in.
 
-    One accumulation builds ``Multiplier.matrix`` and the stacked block
-    matrices of ``blockseq``, so a block matrix comes out the same whether
-    it is built alone or as part of a stack. The fixed accumulation order
-    makes the matrix of an embedded block-diagonal system agree entrywise
-    with the per-block matrices (zero terms from other blocks leave
-    partial sums untouched); a BLAS product would regroup the sums and
-    lose that exactness. Reserved for matrices that must be entrywise
-    exact. Candidates that only feed a relative residual norm
-    (``_inverse_residual``, ``verify_canonical_inversion``) are one BLAS
-    product (Syn_out * values) @ Ana_in instead.
+    One accumulation builds ``Multiplier.matrix`` and the block matrices
+    ``MultiplierStack.matrix`` of ``blockseq``, so a block matrix comes out
+    the same whether it is built alone or as part of a stack. The fixed
+    accumulation order makes the matrix of an embedded block-diagonal
+    system agree entrywise with the per-block matrices (zero terms from
+    other blocks leave partial sums untouched); a BLAS product would
+    regroup the sums and lose that exactness. Reserved for matrices that
+    must be entrywise exact. Candidates that only feed a relative residual
+    norm (``_inverse_residual``, ``verify_canonical_inversion``) are one
+    BLAS product (Syn_out * values) @ Ana_in instead.
     """
     out = np.zeros(out_syn.shape[:-1] + in_syn.shape[-2:-1], dtype=np.complex128)
     conj_in = np.conj(in_syn)
@@ -289,8 +290,7 @@ def invert(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return mult._inverse_matrix()
 
 
-@dataclass(frozen=True)
-class InducedDuals:
+class InducedDuals(NamedTuple):
     """The two dual frames an invertible multiplier induces."""
 
     psi_dagger: FiniteFrame
@@ -330,19 +330,31 @@ def _induced_dual_syntheses(minv: np.ndarray, m: np.ndarray, phi_syn: np.ndarray
             adjoint(minv) @ (psi_syn * np.conj(m)[..., None, :]))
 
 
-def _stacked_induced_duals(matrices: np.ndarray, m: np.ndarray, phi_syn: np.ndarray,
-                           psi_syn: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """induced_duals for a stack of multipliers given as arrays: (psi_dagger, phi_dagger) syntheses.
+class MultiplierStack:
+    """K multipliers given as arrays, the stacked twin of ``Multiplier`` for block sweeps.
 
-    ``matrices`` (K, d, d) are the multiplier matrices of the symbols m
-    (K, N) and the sides phi_syn, psi_syn (K, d, N). Same checks as
-    induced_duals, over the whole stack: ZeroSymbolEntry for any zero
-    weight, NotInvertible for the first matrix failing ``check_invertible``.
+    ``values`` (K, N) are the symbols and ``phi_syn``, ``psi_syn`` (K, d, N)
+    the synthesis matrices of the two sides. ``matrix`` (K, d, d) is built
+    by the accumulation of ``Multiplier.matrix``, so each of its matrices
+    is the one the block alone gives, entry for entry.
     """
-    if not np.all(m != 0):
-        raise ZeroSymbolEntry("induced duals need a symbol without zero entries")
-    minv = try_invert(matrices, max(phi_syn.shape[-2:]), tol)
-    return _induced_dual_syntheses(minv, m, phi_syn, psi_syn)
+
+    __slots__ = ("values", "phi_syn", "psi_syn", "matrix")
+
+    def __init__(self, values: np.ndarray, phi_syn: np.ndarray, psi_syn: np.ndarray) -> None:
+        self.values, self.phi_syn, self.psi_syn = values, phi_syn, psi_syn
+        self.matrix = _termwise_matrices(values, phi_syn, psi_syn)
+
+    def induced_duals(self, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Syntheses (psi_dagger, phi_dagger), each (K, d, N), by the checks of ``induced_duals``.
+
+        ZeroSymbolEntry for any zero weight, NotInvertible for the first
+        matrix failing ``check_invertible`` at size max(d, N).
+        """
+        if not np.all(self.values != 0):
+            raise ZeroSymbolEntry("induced duals need a symbol without zero entries")
+        minv = try_invert(self.matrix, max(self.phi_syn.shape[-2:]), tol)
+        return _induced_dual_syntheses(minv, self.values, self.phi_syn, self.psi_syn)
 
 
 def _inverse_residual(mult: Multiplier, out_side: FiniteFrame, in_side: FiniteFrame,
@@ -354,8 +366,7 @@ def _inverse_residual(mult: Multiplier, out_side: FiniteFrame, in_side: FiniteFr
     return relative_residual(candidate, minv, mult._inverse_frobenius())
 
 
-@dataclass(frozen=True)
-class DualsCertificate:
+class DualsCertificate(NamedTuple):
     """Exact certification of an inverse identity over every dual frame.
 
     The identity defect is affine in the dual-family perturbation H:
@@ -493,8 +504,7 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     return residual
 
 
-@dataclass(frozen=True)
-class PropQReport:
+class PropQReport(NamedTuple):
     """Joint outcome of the canonical-inversion and equivalence tests."""
 
     eq1_holds: bool

@@ -22,6 +22,13 @@ is +inf (``relative_to``) and fails ``within``.
 Matrices are plain numpy arrays with dtype complex128. ``frobenius`` is the
 norm of every single matrix or vector in ``numerics``, ``frames`` and
 ``multipliers``: numpy's axis-free ``norm`` without its dispatch.
+``singular_values`` and ``hermitian_eigenvalues`` take every svd and
+eigvalsh of the package. A 1 x 1 matrix [a] needs no factorization: its
+singular value is |a|, its eigenvalue the real part of a, so ``invertible``
+decides it as 0 < |a| < inf (the scalar blocks of every packaged example;
+a subnormal |a| can still fail the ceiling by rounding).
+Inverses and solves stay on LAPACK even at 1 x 1, whose reciprocal differs
+from 1/a in the last bit.
 
 Objects cache tolerance-free numbers; every tolerance test is decided at
 each call. A ``frames.FiniteFrame`` or ``multipliers.Multiplier`` measures
@@ -33,7 +40,7 @@ checks on one object factorizes it once and remembers no decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,30 +51,44 @@ DEFAULT_COND_MAX = 1e12
 EPS = 2.0 ** -52  # float64 machine epsilon, the unit of the rank floor size * EPS
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Relative tolerance and condition-number ceiling, and the three rules that use them.
-
-    rel_eps, in (0, 1), scales every residual comparison; cond_max is the
-    largest sigma_max/sigma_min ratio still accepted as invertible.
-    """
-
+class _Tolerances(NamedTuple):
     rel_eps: float = DEFAULT_REL_EPS
     cond_max: float = DEFAULT_COND_MAX
 
-    def __post_init__(self) -> None:
-        if not 0 < self.rel_eps < 1:
+
+class ToleranceConfig(_Tolerances):
+    """Relative tolerance and condition-number ceiling, and the three rules that use them.
+
+    rel_eps, in (0, 1), scales every residual comparison; cond_max is the
+    largest sigma_max/sigma_min ratio still accepted as invertible. An
+    immutable pair, validated when it is made.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rel_eps: float = DEFAULT_REL_EPS, cond_max: float = DEFAULT_COND_MAX):
+        if not 0 < rel_eps < 1:
             raise ValueError("rel_eps must lie strictly between 0 and 1")
-        if not self.cond_max > 1:
+        if not cond_max > 1:
             raise ValueError("cond_max must exceed 1")
+        return super().__new__(cls, rel_eps, cond_max)
 
     def spans(self, lower, upper, size: int):
         """lower > rel_eps * upper, and above the rank floor of ``size``."""
         return (lower > self.rel_eps * upper) & (lower > size * EPS * upper)
 
     def invertible(self, sigma_max, sigma_min, size: int):
-        """sigma_min > sigma_max / cond_max, and above the rank floor of ``size``."""
-        return (sigma_min > sigma_max / self.cond_max) & (sigma_min > size * EPS * sigma_max)
+        """sigma_min > sigma_max / cond_max, and above the rank floor of ``size``.
+
+        At cond_max = inf the ceiling sigma_max / inf is 0 for a finite
+        sigma_max >= 0, which the floor already exceeds, and NaN (an inf / inf
+        numpy warns about) for an infinite or NaN one, where the floor fails
+        too: the floor decides alone.
+        """
+        floor = sigma_min > size * EPS * sigma_max
+        if self.cond_max == math.inf:
+            return floor
+        return (sigma_min > sigma_max / self.cond_max) & floor
 
     def within(self, residual, scale):
         """residual <= rel_eps * scale, a bound that must be finite."""
@@ -92,7 +113,7 @@ def try_invert(a: np.ndarray, size: int, tol: ToleranceConfig = DEFAULT_TOL) -> 
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("try_invert requires square matrices")
-    sigmas = np.linalg.svd(m, compute_uv=False)
+    sigmas = singular_values(m)
     check_invertible(sigmas[..., 0], sigmas[..., -1], size, tol)
     return inverse(m)
 
@@ -108,7 +129,8 @@ def check_invertible(sigma_max, sigma_min, size: int, tol: ToleranceConfig = DEF
         failing = np.flatnonzero(~ok)
         if failing.size == 0:
             return
-        sigma_max, sigma_min = sigma_max.flat[failing[0]], sigma_min.flat[failing[0]]
+        # Python floats, whose inf / inf below is NaN without a numpy warning
+        sigma_max, sigma_min = float(sigma_max.flat[failing[0]]), float(sigma_min.flat[failing[0]])
     elif ok:
         return
     ceiling = sigma_max / tol.cond_max
@@ -117,6 +139,34 @@ def check_invertible(sigma_max, sigma_min, size: int, tol: ToleranceConfig = DEF
     else:
         message = f"sigma_min={sigma_min:.3e} <= sigma_max/cond_max={ceiling:.3e}"
     raise NotInvertible(message, sigma_min=sigma_min, sigma_max=sigma_max)
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, or of each matrix in a stack (..., m, n), in descending order.
+
+    Those of np.linalg.svd, except that a 1 x 1 matrix [a] takes |a| with no
+    LAPACK call. |a| may differ from LAPACK's value in the last bit, and
+    sigma_max = sigma_min for one entry: every decision on the pair is the
+    same, and their ratio, the condition number, is 1 either way.
+    ``np.linalg.svd`` is looked up at each call, so that a wrapper put in
+    its place sees every factorization.
+    """
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0])
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, or of each matrix in a stack, in ascending order.
+
+    Those of np.linalg.eigvalsh, which reads the lower triangle and the real
+    part of the diagonal; for a 1 x 1 matrix that real part is the
+    eigenvalue, bit for bit, taken with no LAPACK call. ``np.linalg.eigvalsh``
+    is looked up at each call, as in ``singular_values``.
+    """
+    if a.shape[-2:] == (1, 1):
+        return np.array(a[..., 0].real)
+    return np.linalg.eigvalsh(a)
 
 
 def inverse(a: np.ndarray, sigma_max: float = 0.0, sigma_min: float = 0.0) -> np.ndarray:
@@ -134,8 +184,7 @@ def inverse(a: np.ndarray, sigma_max: float = 0.0, sigma_min: float = 0.0) -> np
 
 def condition_number(a: np.ndarray) -> float:
     """sigma_max / sigma_min; +inf when the smallest singular value is zero."""
-    sigmas = np.linalg.svd(np.asarray(a, dtype=np.complex128), compute_uv=False)
-    return condition_from_sigmas(sigmas)
+    return condition_from_sigmas(singular_values(np.asarray(a, dtype=np.complex128)))
 
 
 def condition_from_sigmas(sigmas) -> float:

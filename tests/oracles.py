@@ -2,14 +2,19 @@
 
 The sampled uniqueness kernel (``multipliers.uniqueness_nullity`` decides it
 exactly), the recovery statements behind the uniqueness of the induced duals,
-the dual-family formula, random frames, the per-block embedding of a block system
-and the multiplier of one block.
+the dual-family formula, random frames, the per-block embedding of a block system,
+the multiplier of one block, and every singular value and eigenvalue taken by
+np.linalg, 1 x 1 matrices included.
 """
+
+import contextlib
 
 import numpy as np
 
+import framemult.blockseq as bs
 import framemult.frames as fr
 import framemult.multipliers as mp
+import framemult.numerics as nu
 from framemult.numerics import DEFAULT_TOL
 
 
@@ -102,3 +107,29 @@ def assemble_blocks(sys, count):
         psi_vectors[rows, lo:lo + b] = psi
         weights[rows] = m
     return mp.Symbol(weights), fr.FiniteFrame(phi_vectors), fr.FiniteFrame(psi_vectors)
+
+
+# np.linalg looked up at each call, so that a counter put in its place sees the calls
+LAPACK_ROUTES = {
+    "singular_values": lambda a: np.linalg.svd(a, compute_uv=False),
+    "hermitian_eigenvalues": lambda a: np.linalg.eigvalsh(a),
+}
+
+
+@contextlib.contextmanager
+def through_lapack():
+    """Inside the block the package takes every singular value and eigenvalue from np.linalg.
+
+    The helpers of ``numerics`` are replaced wherever a module looks them
+    up, so a 1 x 1 matrix goes to LAPACK like any other.
+    """
+    bindings = [(module, name) for module in (nu, fr, mp, bs) for name in LAPACK_ROUTES
+                if hasattr(module, name)]
+    saved = [getattr(module, name) for module, name in bindings]
+    for module, name in bindings:
+        setattr(module, name, LAPACK_ROUTES[name])
+    try:
+        yield
+    finally:
+        for (module, name), value in zip(bindings, saved):
+            setattr(module, name, value)

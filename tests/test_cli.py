@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from framemult.cli import main
 from framemult.formats import frame_from_json
 from framemult.frames import FiniteFrame, canonical_dual, is_dual
+from oracles import through_lapack
 
 
 def write_json(path, doc):
@@ -592,6 +593,28 @@ def test_examples_runs_are_byte_identical(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("horizon", ["1", "7", "1000"])
+def test_examples_take_no_factorization_of_a_scalar_block_and_report_lapacks_bytes(
+        capsys, monkeypatch, horizon):
+    # every packaged example has 1 x 1 block matrices: their singular values
+    # and eigenvalues need no LAPACK call, and the report is the one the
+    # np.linalg route gives, byte for byte
+    counts = collections.Counter()
+    for name in ("svd", "eigvalsh"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    argv = ("examples", "run", "--all", "--horizon", horizon)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and counts == {}
+    with through_lapack():
+        oracle_code, oracle_out, _ = run_cli(capsys, *argv)
+    assert counts["svd"] > 0 and counts["eigvalsh"] > 0
+    assert (code, out) == (oracle_code, oracle_out)
+
+
 def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     import framemult.cli as cli
     import framemult.frames as fr
@@ -787,6 +810,7 @@ def test_verify_bundle_leaves_no_tolerance_on_the_objects_it_reached():
         reached[id(obj)] = obj
         names = set(getattr(obj, "__dict__", ()))
         names.update(getattr(type(obj), "__slots__", ()))
+        names.update(getattr(type(obj), "_fields", ()))
         for name in sorted(names):
             value = getattr(obj, name, None)
             if isinstance(value, cli.ToleranceConfig):

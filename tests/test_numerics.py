@@ -16,7 +16,9 @@ from framemult.numerics import (
     check_invertible,
     condition_number,
     frobenius,
+    hermitian_eigenvalues,
     relative_residual,
+    singular_values,
     try_invert,
 )
 
@@ -144,8 +146,7 @@ NON_FINITE = [
 def test_a_measured_value_that_is_nan_or_infinite_fails_every_rule(rule, a, b, tol):
     assert decide(rule, tol, a, b) is False
     passing = (0.0, 1.0) if rule == "within" else (1.0, 1.0)
-    with np.errstate(invalid="ignore"):  # numpy warns on inf / inf, at cond_max inf
-        stacked = decide(rule, tol, np.array([a, passing[0]]), np.array([b, passing[1]]))
+    stacked = decide(rule, tol, np.array([a, passing[0]]), np.array([b, passing[1]]))
     assert stacked.tolist() == [False, True]
 
 
@@ -175,6 +176,11 @@ def test_check_invertible_names_the_first_failing_matrix_of_a_stack():
         check_invertible(sigma_max, sigma_min, 2)
     assert (info.value.sigma_max, info.value.sigma_min) == (2.0, 1e-13)
     check_invertible(sigma_max[1:, 1:], sigma_min[1:, 1:], 2)
+    # an overflowed matrix at cond_max inf is reported without an inf / inf warning
+    with pytest.raises(NotInvertible) as info:
+        check_invertible(np.array([1.0, math.inf]), np.array([1.0, math.inf]), 2,
+                         ToleranceConfig(rel_eps=1e-300, cond_max=math.inf))
+    assert (info.value.sigma_max, info.value.sigma_min) == (math.inf, math.inf)
 
 
 def test_an_exactly_singular_factorization_is_not_invertible_nor_a_frame(monkeypatch):
@@ -198,6 +204,90 @@ def test_an_exactly_singular_factorization_is_not_invertible_nor_a_frame(monkeyp
 
 def test_condition_number_identity():
     assert condition_number(np.eye(3)) == pytest.approx(1.0)
+
+
+# ------------------------------------- singular values and eigenvalues of 1 x 1 matrices
+
+SPECIAL_ENTRIES = [0.0, 5e-324, -5e-324, 1.0, 1e300, 1e308 + 1e308j, math.inf, -math.inf, math.nan]
+HELPER_TOLERANCES = [ToleranceConfig(1e-9, 1e12), ToleranceConfig(1e-17, 1e17),
+                     ToleranceConfig(1e-300, math.inf)]
+
+
+def one_by_one_entries():
+    """The special entries, then random phases at moduli from 1e-320 to 1e308."""
+    rng = np.random.default_rng(18)
+    moduli = 10.0 ** rng.uniform(-320.0, 308.0, 400)
+    phases = np.exp(2j * np.pi * rng.uniform(size=moduli.size))
+    return np.concatenate([np.array(SPECIAL_ENTRIES, dtype=np.complex128), moduli * phases])
+
+
+def lapack_or_none(route, a):
+    """np.linalg's values, or None where it raises (it may on inf or NaN)."""
+    try:
+        return route(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def decisions(tol, sigmas, eigs, size):
+    """The invertible decision on the singular values and the spans decision on the eigenvalues."""
+    return (tol.invertible(sigmas[..., 0], sigmas[..., -1], size),
+            tol.spans(eigs[..., 0], eigs[..., -1], size))
+
+
+def test_one_by_one_helpers_decide_as_lapack_does():
+    entries = one_by_one_entries()
+    lapack_svd = lambda a: np.linalg.svd(a, compute_uv=False)
+    stack = entries.reshape(-1, 1, 1)
+    finite = stack[np.isfinite(entries)]
+    assert hermitian_eigenvalues(finite).tobytes() == np.linalg.eigvalsh(finite).tobytes()
+    for tol in HELPER_TOLERANCES:
+        for size in (1, 3):
+            expected = []
+            for a in entries:
+                matrix = np.array([[a]])
+                sigmas, eigs = singular_values(matrix), hermitian_eigenvalues(matrix)
+                ours = decisions(tol, sigmas, eigs, size)
+                lapack_sigmas = lapack_or_none(lapack_svd, matrix)
+                lapack_eigs = lapack_or_none(np.linalg.eigvalsh, matrix)
+                if lapack_eigs is None:
+                    assert not ours[1], a
+                else:
+                    assert eigs.tobytes() == lapack_eigs.tobytes(), a
+                    assert ours[1] == tol.spans(lapack_eigs[0], lapack_eigs[-1], size), a
+                if lapack_sigmas is None:
+                    assert not ours[0], a
+                else:
+                    assert ours[0] == tol.invertible(lapack_sigmas[0], lapack_sigmas[-1], size), a
+                expected.append((bool(ours[0]), bool(ours[1])))
+            # a stack of them: one decision per matrix, the same ones
+            stacked = decisions(tol, singular_values(stack), hermitian_eigenvalues(stack), size)
+            assert list(zip(stacked[0].ravel().tolist(), stacked[1].ravel().tolist())) == expected
+            lapack = decisions(tol, lapack_svd(finite), np.linalg.eigvalsh(finite), size)
+            ours = decisions(tol, singular_values(finite), hermitian_eigenvalues(finite), size)
+            assert all(np.array_equal(x, y) for x, y in zip(ours, lapack))
+
+
+def test_the_helpers_take_a_1x1_matrix_without_lapack_and_anything_larger_from_it(monkeypatch):
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    stack = np.array([3.0 - 4.0j, -2.0, 0.0]).reshape(3, 1, 1)
+    assert singular_values(stack).tolist() == [[5.0], [2.0], [0.0]]
+    assert hermitian_eigenvalues(stack).tolist() == [[3.0], [-2.0], [0.0]]
+    assert singular_values(stack[0]).tolist() == [5.0]
+    assert calls == []
+    # the lookup is at call time, so a wrapper in np.linalg sees the larger calls
+    square = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
+    assert np.array_equal(singular_values(square), np.linalg.svd(square, compute_uv=False))
+    assert np.array_equal(hermitian_eigenvalues(square), np.linalg.eigvalsh(square))
+    assert calls == ["svd", "svd", "eigvalsh", "eigvalsh"]
+    # a 1 x n or n x 1 matrix is not 1 x 1
+    assert np.allclose(singular_values(np.array([[3.0, 4.0]])), [5.0])
+    assert calls[-1] == "svd"
 
 
 def test_relative_residual_of_a_zero_reference_is_inf():
