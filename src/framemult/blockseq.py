@@ -11,9 +11,10 @@ Two shapes of infinite system are covered.
   evaluated with a certified truncation-tail bound.
 
 Each system is its closed form: base templates and per-slot exponents for
-a block system, heads and ratios for an interleaved one. Infinite
-statements (limits, classifications) are read off that closed form; the
-code checks them against finite prefixes but does not prove limits.
+a block system, heads and ratios for an interleaved one. The statements
+about every k (the symbol envelope, the tail ratio, which sides are Bessel)
+are read off that closed form, with no generated prefix; only the numeric
+frame-bound extremes come from a sweep.
 
 Sweeps over blocks k = 1..horizon are stacked: ``BlockSystem.stacked``
 returns the blocks of a range as (K, L, b) and (K, L) arrays, and each
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import frames as fr
 from . import multipliers as mp
-from .errors import ImplicationViolated, MetadataMissing, RatioNotCertified, UnknownExample
+from .errors import ImplicationViolated, RatioNotCertified, UnknownExample
 from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_eigenvalues
 from .report import finding
 
@@ -60,8 +61,6 @@ SIDES = tuple(_SIDE_TABLE)
 
 SWEEP_HORIZON = 1000        # default per-block sweep depth
 SWEEP_CHUNK = 1024          # blocks per stacked step of a sweep; bounds a sweep's memory
-SPOT_CHECK_BLOCKS = 64      # prefix length for metadata spot checks
-SYMBOL_SPOT_CHECK = 1024    # symbol entries compared against the closed form
 
 
 class SymbolProfile(NamedTuple):
@@ -164,15 +163,6 @@ class BlockSystem:
             raise ValueError(f"block {first + int(np.argmin(finite))} has non-finite entries")
         return phi, psi, m
 
-    @property
-    def block_length(self) -> int:
-        return self._closed_form["m"][0].size
-
-    def symbol_prefix(self, count: int) -> np.ndarray:
-        """First ``count`` weight entries in block order."""
-        blocks = -(-count // self.block_length)
-        return self.stacked(1, blocks)[2].reshape(-1)[:count]
-
     def _side_closed_form(self, side: str) -> tuple[np.ndarray, np.ndarray]:
         """Base vectors and exponents of the requested weighted side."""
         family, weight = _side_entry(side)
@@ -182,19 +172,17 @@ class BlockSystem:
         m_b, m_e = self._closed_form["m"]
         return weight(m_b)[:, None] * base, m_e + exponents
 
-    def _symbol_profile_closed_form(self) -> SymbolProfile:
-        per_entry = []
-        for value, e in zip(*self._closed_form["m"]):
-            mod = abs(value)
-            if mod == 0.0:
-                per_entry.append((0.0, 0.0, False))
-            elif e > 0:
-                per_entry.append((0.0, mod, True))      # decays to 0, max at k=1
-            elif e < 0:
-                per_entry.append((mod, math.inf, True))  # grows without bound
-            else:
-                per_entry.append((mod, mod, True))
-        return _profile_from_envelope(per_entry)
+    def symbol_profile(self) -> SymbolProfile:
+        """Modulus envelope of the weights over every block, from the closed form.
+
+        A nonzero slot weight m k^(-e) decays to 0 from |m| at k = 1 when
+        e > 0, grows without bound when e < 0 and stays |m| when e = 0.
+        """
+        m_b, m_e = self._closed_form["m"]
+        mod = np.abs(m_b)
+        low = np.where(m_e > 0, 0.0, mod)
+        high = np.where((m_e < 0) & (mod > 0), math.inf, mod)
+        return SymbolProfile(float(low.min()), float(high.max()), bool(np.all(mod > 0)))
 
 
 def _scaled(base: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -254,23 +242,20 @@ def block_frames(sys: BlockSystem, k: int) -> tuple[mp.Symbol, fr.FiniteFrame, f
     return mp.Symbol(m), fr.FiniteFrame(phi), fr.FiniteFrame(psi)
 
 
-def _classify_closed_form(base: np.ndarray, exponents: np.ndarray,
-                          sweep_min: float, sweep_max: float,
-                          tol: ToleranceConfig) -> str:
+def _closed_form_bounds(sys: BlockSystem, side: str, extremes: tuple[float, float],
+                        tol: ToleranceConfig) -> SystemBounds:
+    """Swept (least, greatest) extremes of one side, classified by its closed-form limit."""
+    base, exponents = sys._side_closed_form(side)
     norms = np.linalg.norm(base, axis=1)
     if bool(np.any((exponents < 0) & (norms > 0))):
-        return CLASS_NOT_BESSEL
+        return SystemBounds(*extremes, CLASS_NOT_BESSEL)
     limit = base * (exponents == 0)[:, None]
     # operator of the limit system: sum of v v^H over surviving template slots
     s_limit = limit.T @ np.conj(limit)
     eigs = hermitian_eigenvalues((s_limit + s_limit.conj().T) / 2.0)
-    limit_min = float(eigs[0])
-    limit_max = float(eigs[-1])
-    overall_min = min(sweep_min, limit_min)
-    overall_max = max(sweep_max, limit_max)
-    if tol.spans(overall_min, overall_max, max(base.shape)):
-        return CLASS_FRAME
-    return CLASS_BESSEL_NOT_FRAME
+    spans = tol.spans(min(extremes[0], float(eigs[0])), max(extremes[1], float(eigs[-1])),
+                      max(base.shape))
+    return SystemBounds(*extremes, CLASS_FRAME if spans else CLASS_BESSEL_NOT_FRAME)
 
 
 def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
@@ -287,48 +272,19 @@ def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
     entry = _side_entry(side)  # ValueError for an unknown side
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    sweep_min = math.inf
-    sweep_max = 0.0
+    extremes = (math.inf, 0.0)
     for blocks in _sweep(sys, horizon):
-        templates = _weighted_side(entry, *blocks)
-        s_blocks = templates.swapaxes(-1, -2) @ np.conj(templates)
-        eigs = hermitian_eigenvalues((s_blocks + adjoint(s_blocks)) / 2.0)
-        sweep_min = min(sweep_min, float(np.min(eigs[:, 0])))
-        sweep_max = max(sweep_max, float(np.max(eigs[:, -1])))
-
-    base, exponents = sys._side_closed_form(side)
-    classification = _classify_closed_form(base, exponents, sweep_min, sweep_max, tol)
-    return SystemBounds(lambda_min=sweep_min, lambda_max=sweep_max,
-                        classification=classification)
+        extremes = _fold_side_extremes(entry, blocks, extremes)
+    return _closed_form_bounds(sys, side, extremes, tol)
 
 
-def _profile_from_envelope(per_entry: list[tuple[float, float, bool]]) -> SymbolProfile:
-    inf_m = min(e[0] for e in per_entry)
-    sup_m = max(e[1] for e in per_entry)
-    nonzero = all(e[2] for e in per_entry)
-    return SymbolProfile(inf_modulus=inf_m, sup_modulus=sup_m, all_nonzero=nonzero)
-
-
-def _spot_check_profile(profile: SymbolProfile, prefix: np.ndarray) -> None:
-    moduli = np.abs(prefix)
-    slack = 1e-12 * float(np.max(moduli))
-    if float(np.min(moduli)) < profile.inf_modulus - slack:
-        raise MetadataMissing("closed-form lower modulus contradicts generated entries")
-    if profile.bounded and float(np.max(moduli)) > profile.sup_modulus + slack:
-        raise MetadataMissing("closed-form upper modulus contradicts generated entries")
-    if profile.all_nonzero and bool(np.any(prefix == 0)):
-        raise MetadataMissing("closed form claims zero-free but the prefix has zeros")
-
-
-def symbol_profile(sys) -> SymbolProfile:
-    """Modulus envelope of the weight sequence, from the closed form.
-
-    The result is spot-checked against the first entries the closed form
-    generates; a contradiction raises MetadataMissing.
-    """
-    profile = sys._symbol_profile_closed_form()
-    _spot_check_profile(profile, sys.symbol_prefix(SYMBOL_SPOT_CHECK))
-    return profile
+def _fold_side_extremes(entry, blocks, extremes: tuple[float, float]) -> tuple[float, float]:
+    """``extremes`` widened by the block frame-operator eigenvalues of one side over a stack."""
+    templates = _weighted_side(entry, *blocks)
+    s_blocks = templates.swapaxes(-1, -2) @ np.conj(templates)
+    eigs = hermitian_eigenvalues((s_blocks + adjoint(s_blocks)) / 2.0)
+    return (min(extremes[0], float(np.min(eigs[:, 0]))),
+            max(extremes[1], float(np.max(eigs[:, -1]))))
 
 
 class InterleavedSystem(NamedTuple):
@@ -339,7 +295,8 @@ class InterleavedSystem(NamedTuple):
     coefficient products p_k = m_k phi_k conj(psi_k) then form a geometric
     series. Transient term j touches only basis direction j (j >= 1), with
     fixed coefficients. ``ratio_bound`` is the certified tail ratio r < 1
-    with |p_(k+1)| <= r |p_k|; it is spot-checked on the first 64 terms.
+    with |p_(k+1)| <= r |p_k| for every k, which ``certify_ratio`` decides
+    from the closed form.
     """
 
     phi_head: complex
@@ -366,50 +323,31 @@ class InterleavedSystem(NamedTuple):
     def transient_product(self) -> complex:
         return complex(self.transient_m * self.transient_phi * np.conj(self.transient_psi))
 
-    def certify_ratio(self, prefix: int = SPOT_CHECK_BLOCKS) -> None:
-        """Raise RatioNotCertified unless the declared tail ratio holds."""
+    def certify_ratio(self) -> None:
+        """Raise RatioNotCertified unless the declared tail ratio holds for every k.
+
+        p_(k+1) = rho p_k with rho = m_ratio phi_ratio conj(psi_ratio), so
+        the bound holds for all k exactly when p_0 = 0 or |rho| <= r, here
+        with a relative slack of 1e-12 for the rounding of rho.
+        """
         r = float(self.ratio_bound)
         if not r < 1.0:
             raise RatioNotCertified(f"declared ratio {r} is not below 1")
-        previous = abs(self.recurrent_product(0))
-        for k in range(1, prefix + 1):
-            current = abs(self.recurrent_product(k))
-            if current > r * previous * (1.0 + 1e-12):
-                raise RatioNotCertified(
-                    f"|p_{k}| = {current:.3e} exceeds ratio * |p_{k-1}| = {r * previous:.3e}"
-                )
-            previous = current
-
-    def symbol_prefix(self, count: int) -> np.ndarray:
-        """Weight entries in sequence order: head, then transient/recurrent pairs.
-
-        Recurrent entries beyond the double range come out non-finite,
-        without a warning.
-        """
-        pairs = count // 2
-        out = np.empty(2 * pairs + 1, dtype=np.complex128)
-        out[0] = self.m_head
-        out[1::2] = self.transient_m
         with np.errstate(over="ignore", invalid="ignore"):
-            out[2::2] = self.m_head * np.power(complex(self.m_ratio), np.arange(1, pairs + 1))
-        return out[:count]
+            rho = abs(self.m_ratio * self.phi_ratio * np.conj(self.psi_ratio))
+        if self.recurrent_product(0) != 0 and not rho <= r * (1.0 + 1e-12):
+            raise RatioNotCertified(f"|p_(k+1) / p_k| = {rho:.3e} exceeds the declared ratio {r}")
 
-    def _symbol_profile_closed_form(self) -> SymbolProfile:
-        entries: list[tuple[float, float, bool]] = []
-        for value in (self.m_head, self.transient_m):
-            mod = abs(value)
-            entries.append((mod, mod, mod > 0))
-        ratio_mod = abs(self.m_ratio)
-        head_mod = abs(self.m_head)
-        if head_mod == 0.0 or ratio_mod == 0.0:
-            entries.append((0.0, 0.0, False))
-        elif ratio_mod > 1.0:
-            entries.append((head_mod * ratio_mod, math.inf, True))
-        elif ratio_mod < 1.0:
-            entries.append((0.0, head_mod * ratio_mod, True))
+    def symbol_profile(self) -> SymbolProfile:
+        """Modulus envelope of the weights: the head, the transients and head * ratio^k, k >= 1."""
+        head, transient, ratio = abs(self.m_head), abs(self.transient_m), abs(self.m_ratio)
+        if head == 0.0 or ratio == 0.0:
+            low = high = 0.0
         else:
-            entries.append((head_mod, head_mod, True))
-        return _profile_from_envelope(entries)
+            low = 0.0 if ratio < 1.0 else head * ratio
+            high = math.inf if ratio > 1.0 else head * ratio
+        return SymbolProfile(min(head, transient, low), max(head, transient, high),
+                             bool(head > 0 and transient > 0 and ratio > 0))
 
     # -------------------------------------------------------------- sides
 
@@ -601,12 +539,15 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
 
     # per block k: the block multiplier against the identity; the induced
     # duals of M_k = M(m, phi, psi) against those of the unit-symbol rebuild
-    # M(1, m*phi, psi); and the duality of M_k's induced duals
+    # M(1, m*phi, psi); the duality of M_k's induced duals; and the frame
+    # bounds of the weighted output side m*phi
     identity_worst = 0.0
     route_worst = 0.0
     duality_ok = True
+    mphi_extremes = (math.inf, 0.0)
     eye = np.eye(sys.block_dim)
-    for phi, psi, m in _sweep(sys, horizon):
+    for blocks in _sweep(sys, horizon):
+        phi, psi, m = blocks
         phi_syn, psi_syn = _synthesis(phi), _synthesis(psi)
         direct = mp.MultiplierStack(m, phi_syn, psi_syn)
         identity_worst = max(identity_worst, float(np.max(np.abs(direct.matrix - eye))))
@@ -617,6 +558,7 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
         # frames.is_dual on each block: one reconstruction identity decides both
         duality_ok = duality_ok and bool(np.all(
             fr.reconstructs(psi_dagger, psi_syn, tol) & fr.reconstructs(phi_dagger, phi_syn, tol)))
+        mphi_extremes = _fold_side_extremes(_SIDE_TABLE["mphi"], blocks, mphi_extremes)
 
     checks.append(finding("block_multiplier_is_identity", residual=identity_worst,
                           tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
@@ -624,13 +566,13 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
                           tolerance=REPRODUCTION_TOL, detail=f"k = 1..{horizon}"))
     checks.append(finding("induced_duals_pass_duality_per_block", duality_ok))
 
-    profile = symbol_profile(sys)
+    profile = sys.symbol_profile()
     checks.append(finding("symbol_bounded", profile.bounded, value=profile.sup_modulus))
     checks.append(finding("symbol_not_semi_normalized", not profile.semi_normalized,
                           value=profile.inf_modulus))
     checks.append(finding("symbol_all_nonzero", profile.all_nonzero))
 
-    bounds = system_frame_bounds(sys, "mphi", horizon, tol)
+    bounds = _closed_form_bounds(sys, "mphi", mphi_extremes, tol)
     in_window = (bounds.classification == CLASS_FRAME
                  and 1.0 < bounds.lambda_min
                  and bounds.lambda_max <= 3.0 + IDENTITY_SWEEP_TOL)
@@ -683,7 +625,7 @@ def _run_ex4_2(sys: InterleavedSystem, tol: ToleranceConfig, horizon: int) -> li
                                  "the certified computation is authoritative",
                           documented_departure=True))
 
-    profile = symbol_profile(sys)
+    profile = sys.symbol_profile()
     checks.append(finding("symbol_unbounded", not profile.bounded))
     checks.append(finding("symbol_all_nonzero", profile.all_nonzero))
 
@@ -736,7 +678,7 @@ def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
         not mp.check_weighted_canonical(phi_k, symbol, tol),
     ))
 
-    profile = symbol_profile(sys)
+    profile = sys.symbol_profile()
     expected_inf = min(abs(v) for v in EX5_3_SYMBOL)
     expected_sup = max(abs(v) for v in EX5_3_SYMBOL)
     profile_ok = (profile.semi_normalized
@@ -769,7 +711,7 @@ def _run_ex5_final(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list
     except ImplicationViolated as exc:
         checks.append(finding("constant_modulus_chain_all_equivalent", False, detail=str(exc)))
 
-    profile = symbol_profile(sys)
+    profile = sys.symbol_profile()
     checks.append(finding("symbol_unimodular",
                           profile.inf_modulus == 1.0 and profile.sup_modulus == 1.0))
     return checks

@@ -52,12 +52,8 @@ class ImplicationViolated(FrameToolError):
     """
 
 
-class MetadataMissing(FrameToolError):
-    """A closed-form symbol envelope contradicts the prefix its system generates."""
-
-
 class RatioNotCertified(FrameToolError):
-    """The declared geometric tail ratio is >= 1 or fails the prefix spot check."""
+    """The declared geometric tail ratio is >= 1 or below the ratio of consecutive terms."""
 
 
 class ParseError(FrameToolError):

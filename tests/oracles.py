@@ -95,7 +95,7 @@ def block_multiplier(sys, k):
 
 def assemble_blocks(sys, count):
     """The first ``count`` blocks embedded in C^(b*count), block k on coordinates [(k-1)b, kb)."""
-    b, length = sys.block_dim, sys.block_length
+    b, length = sys.block_dim, sys.block(1)[2].size
     phi_vectors = np.zeros((length * count, b * count), dtype=np.complex128)
     psi_vectors = np.zeros((length * count, b * count), dtype=np.complex128)
     weights = np.zeros(length * count, dtype=np.complex128)

@@ -188,7 +188,7 @@ def test_c6_harmonic_weight_blocks_reproduce_identity():
 
     assert by_name["induced_duals_pass_duality_per_block"]["ok"]
 
-    profile = bs.symbol_profile(bs.get_example("ex4_1").system)
+    profile = bs.get_example("ex4_1").system.symbol_profile()
     assert profile.bounded and not profile.semi_normalized
 
     lo, hi = by_name["weighted_output_side_is_frame_with_expected_bounds"]["value"]
@@ -214,7 +214,7 @@ def test_c7_interleaved_tail_certified_and_departure_flagged():
     bounds = bs.system_frame_bounds(sys, "mbar_psi")
     assert bounds.classification == bs.CLASS_NOT_BESSEL
 
-    profile = bs.symbol_profile(sys)
+    profile = sys.symbol_profile()
     assert not profile.bounded
     assert math.isinf(profile.sup_modulus)
 

@@ -6,7 +6,7 @@ import pytest
 
 import framemult.blockseq as bs
 import framemult.multipliers as mp
-from framemult.errors import ImplicationViolated, MetadataMissing, RatioNotCertified, UnknownExample
+from framemult.errors import ImplicationViolated, RatioNotCertified, UnknownExample
 from framemult.frames import FiniteFrame, is_dual
 from framemult.report import finding, verdict
 from oracles import assemble_blocks, block_multiplier
@@ -49,7 +49,7 @@ def test_constant_template_blocks_do_not_change():
     b = sys.block(97)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    profile = bs.symbol_profile(sys)
+    profile = sys.symbol_profile()
     assert (profile.inf_modulus, profile.sup_modulus) == (2.0, 2.0)
 
 
@@ -133,7 +133,7 @@ def test_vanishing_limit_side_is_bessel_but_not_frame():
 
 
 def test_symbol_profile_harmonic_demo():
-    profile = bs.symbol_profile(harmonic_demo())
+    profile = harmonic_demo().symbol_profile()
     assert profile.inf_modulus == 0.0
     assert profile.sup_modulus == pytest.approx(1.0)
     assert profile.all_nonzero
@@ -141,20 +141,12 @@ def test_symbol_profile_harmonic_demo():
     assert not profile.semi_normalized
 
 
-def test_an_envelope_the_prefix_contradicts_raises_metadata_missing():
-    prefix = harmonic_demo().symbol_prefix(7)  # moduli 1/k and 1
-    for wrong in (bs.SymbolProfile(0.9, 1.0, True), bs.SymbolProfile(0.0, 0.9, True)):
-        with pytest.raises(MetadataMissing):
-            bs._spot_check_profile(wrong, prefix)
-    with pytest.raises(MetadataMissing):
-        bs._spot_check_profile(bs.SymbolProfile(0.0, 1.0, True), np.array([1.0, 0.0]))
-    bs._spot_check_profile(bs.symbol_profile(harmonic_demo()), prefix)
-
-
-def test_symbol_prefix_order_block_system():
-    prefix = harmonic_demo().symbol_prefix(7)
-    expected = [1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 1.0]
-    assert np.allclose(prefix, expected, atol=1e-15, rtol=0.0)
+def test_profile_of_a_growing_symbol_comes_from_the_closed_form():
+    # m_k = k^200 leaves the double range at k = 35; the envelope needs no block
+    system = bs.BlockSystem([[1.0]], [0.0], [[1.0]], [0.0], [1.0], [-200.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert system.symbol_profile() == (1.0, math.inf, True)
 
 
 # -------------------------------------------------------------- interleaved
@@ -191,19 +183,66 @@ def test_certify_ratio_rejects_wrong_bounds():
         not_contracting.certify_ratio()
 
 
-def test_interleaved_symbol_prefix_order():
-    prefix = interleave_demo().symbol_prefix(7)
-    expected = [1.0, 1.0, math.sqrt(2.0), 1.0, 2.0, 1.0, 2.0 * math.sqrt(2.0)]
-    assert np.allclose(prefix, expected, atol=1e-14, rtol=0.0)
+def loop_certifies(sys, prefix=64):
+    """The check certify_ratio made before it decided the ratio in closed form: 64 terms."""
+    r = float(sys.ratio_bound)
+    if not r < 1.0:
+        return False
+    previous = abs(sys.recurrent_product(0))
+    for k in range(1, prefix + 1):
+        current = abs(sys.recurrent_product(k))
+        if current > r * previous * (1.0 + 1e-12):
+            return False
+        previous = current
+    return True
+
+
+def certifies(sys):
+    try:
+        sys.certify_ratio()
+    except RatioNotCertified:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-9])
+@pytest.mark.parametrize("m_head, phi_ratio, psi_ratio, m_ratio", [
+    (1.0, 0.5, 2.0 ** -0.5, 2.0 ** 0.5),  # the ex4_2 ratios: |rho| = 0.5000000000000001
+    (1.0, 0.3, 1.0, 1.0),
+    (1.0, 0.9j, 1.0, 1.0),
+    (2.0, 0.5, 0.8j, 1.1),
+    (1.0, 0.999, 1.0, 1.0),
+    (1.0, 0.0, 1.0, 1.0),  # rho = 0
+    (0.0, 0.5, 1.0, 1.0),  # p_0 = 0, so every p_k is 0
+])
+def test_closed_form_ratio_certificate_agrees_with_the_64_term_loop(m_head, phi_ratio, psi_ratio,
+                                                                    m_ratio, factor):
+    # declared bound r = |rho| * factor: |rho| at r, within the 1e-12 slack above or
+    # below it, and 1e-9 above or below it
+    rho = abs(m_ratio * phi_ratio * np.conj(psi_ratio))
+    system = bs.InterleavedSystem(1.0, 1.0, m_head, phi_ratio, psi_ratio, m_ratio,
+                                  1.0, 1.0, 1.0, rho * factor)
+    assert certifies(system) == loop_certifies(system)
+    assert certifies(system) == (factor > 1.0 - 1e-12 or m_head == 0.0 or rho == 0.0)
 
 
 def test_interleaved_symbol_profile():
-    profile = bs.symbol_profile(interleave_demo())
+    profile = interleave_demo().symbol_profile()
     assert profile.inf_modulus == pytest.approx(1.0)
     assert math.isinf(profile.sup_modulus)
     assert profile.all_nonzero
     assert not profile.bounded
     assert not profile.semi_normalized
+
+
+@pytest.mark.parametrize("m_ratio", [2.0 ** 0.5, 1.0, -1.0j, 0.5, 0.0])
+def test_interleaved_profile_bounds_the_weights_of_the_sequence(m_ratio):
+    system = interleave_demo()._replace(m_head=3.0, transient_m=0.7j, m_ratio=m_ratio)
+    profile = system.symbol_profile()
+    # head, transients, and the recurrent weights head * ratio^k
+    moduli = np.abs([3.0, 0.7j] + [3.0 * m_ratio ** k for k in range(1, 60)])
+    assert profile.inf_modulus <= moduli.min() and moduli.max() <= profile.sup_modulus
+    assert profile.all_nonzero == bool(np.all(moduli > 0))
 
 
 def test_interleaved_apply_recurrent_direction():
@@ -267,7 +306,7 @@ def test_registry_contents():
 
 
 def test_ex5_3_symbol_envelope():
-    profile = bs.symbol_profile(bs.get_example("ex5_3").system)
+    profile = bs.get_example("ex5_3").system.symbol_profile()
     sqrt5 = math.sqrt(5.0)
     assert profile.inf_modulus == pytest.approx((5.0 - 2.0 * sqrt5) / 5.0, abs=1e-14)
     assert profile.sup_modulus == pytest.approx((5.0 + 2.0 * sqrt5) / 5.0, abs=1e-14)
@@ -340,7 +379,7 @@ def test_interleaved_profile_of_a_symbol_beyond_the_double_range():
     system = bs.InterleavedSystem(1, 1, 1, 1, 1, 1e10, 1, 1, 1, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        profile = bs.symbol_profile(system)
+        profile = system.symbol_profile()
     assert profile.inf_modulus == 1.0
     assert profile.sup_modulus == math.inf
     assert profile.all_nonzero
@@ -354,17 +393,6 @@ def test_recurrent_product_beyond_the_double_range_is_not_finite(m_ratio, k):
         product = system.recurrent_product(k)
         assert system.recurrent_product(1) == 2 * m_ratio
     assert not np.isfinite(product)
-
-
-def test_interleaved_symbol_prefix_with_a_huge_complex_ratio():
-    system = bs.InterleavedSystem(1, 1, 1, 1, 1, 1e200j, 1, 1, 1, 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        prefix = system.symbol_prefix(9)
-    assert prefix.shape == (9,)
-    assert np.array_equal(prefix[:4], [1.0, 1.0, 1e200j, 1.0])
-    assert np.all(prefix[1::2] == 1.0)
-    assert not np.any(np.isfinite(prefix[4::2]))
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.25, 0.5, 0.9, 1.0 - 2.0 ** -40, 1.0, 1.0 + 2.0 ** -40,

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import framemult.blockseq as bs
@@ -22,15 +22,6 @@ from framemult.report import finding
 from oracles import assemble_blocks, block_multiplier
 
 # ------------------------------------------------------------ per-block oracle
-
-
-def oracle_symbol_prefix(sys, count):
-    out = []
-    k = 1
-    while len(out) < count:
-        out.extend(sys.block(k)[2].tolist())
-        k += 1
-    return np.asarray(out[:count], dtype=np.complex128)
 
 
 def oracle_system_frame_bounds(sys, side, horizon=bs.SWEEP_HORIZON, tol=DEFAULT_TOL):
@@ -45,10 +36,7 @@ def oracle_system_frame_bounds(sys, side, horizon=bs.SWEEP_HORIZON, tol=DEFAULT_
         eigs = np.linalg.eigvalsh((s_block + s_block.conj().T) / 2.0)
         sweep_min = min(sweep_min, float(eigs[0].real))
         sweep_max = max(sweep_max, float(eigs[-1].real))
-    base, exponents = sys._side_closed_form(side)
-    classification = bs._classify_closed_form(base, exponents, sweep_min, sweep_max, tol)
-    return bs.SystemBounds(lambda_min=sweep_min, lambda_max=sweep_max,
-                           classification=classification)
+    return bs._closed_form_bounds(sys, side, (sweep_min, sweep_max), tol)
 
 
 def oracle_run_ex4_1(sys, tol, horizon):
@@ -78,7 +66,7 @@ def oracle_run_ex4_1(sys, tol, horizon):
                           tolerance=bs.REPRODUCTION_TOL, detail=f"k = 1..{horizon}"))
     checks.append(finding("induced_duals_pass_duality_per_block", duality_ok))
 
-    profile = bs.symbol_profile(sys)
+    profile = sys.symbol_profile()
     checks.append(finding("symbol_bounded", profile.bounded, value=profile.sup_modulus))
     checks.append(finding("symbol_not_semi_normalized", not profile.semi_normalized,
                           value=profile.inf_modulus))
@@ -102,7 +90,6 @@ def oracle_worst_deviation(sys, horizon, target):
 def oracle_run_example(name, horizon):
     """run_example(name, horizon) with every sweep done block by block."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bs.BlockSystem, "symbol_prefix", oracle_symbol_prefix)
         patch.setattr(bs, "system_frame_bounds", oracle_system_frame_bounds)
         patch.setattr(bs, "_worst_block_deviation", oracle_worst_deviation)
         patch.setitem(bs._REGISTRY, "ex4_1",
@@ -171,8 +158,7 @@ def test_stacked_frame_bounds_equal_the_per_block_sweep(sys, horizon, side):
 
 @settings(max_examples=30, deadline=None)
 @given(sys=harmonic_systems(), count=st.integers(1, 12))
-def test_stacked_symbol_prefix_and_assembly_equal_the_per_block_ones(sys, count):
-    assert np.array_equal(sys.symbol_prefix(count), oracle_symbol_prefix(sys, count))
+def test_stacked_block_matrices_are_the_diagonal_blocks_of_the_assembly(sys, count):
     # the stacked block matrices are the diagonal blocks of the embedded system, entry for entry
     embedded = mp.build(*assemble_blocks(sys, count)).matrix
     b = sys.block_dim
@@ -180,6 +166,31 @@ def test_stacked_symbol_prefix_and_assembly_equal_the_per_block_ones(sys, count)
     for i, block in enumerate(bs._block_matrices(*sys.stacked(1, count))):
         want[i * b:(i + 1) * b, i * b:(i + 1) * b] = block
     assert np.array_equal(embedded, want)
+
+
+def assert_profile_bounds_the_blocks(sys, count):
+    profile = sys.symbol_profile()
+    moduli = np.abs(sys.stacked(1, count)[2])
+    assert profile.inf_modulus <= moduli.min() and moduli.max() <= profile.sup_modulus
+    if profile.all_nonzero:
+        # the envelope describes the exact weights |m| k^(-e); one below the
+        # normal double range may round to 0 in the generated block
+        m_b, m_e = sys._closed_form["m"]
+        exact_log = np.log(np.abs(m_b)) - m_e * np.log(np.arange(1.0, count + 1.0))[:, None]
+        assert np.all(moduli[exact_log >= np.log(np.finfo(float).tiny)] > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sys=harmonic_systems(), count=st.integers(1, 400))
+@example(sys=bs.BlockSystem([[1.0]], [0.0], [[1.0]], [0.0], [5e-324], [1.0]), count=3)
+def test_closed_form_profile_bounds_every_generated_weight(sys, count):
+    assert_profile_bounds_the_blocks(sys, count)
+
+
+@pytest.mark.parametrize("name", [name for name, entry in sorted(bs.example_registry().items())
+                                  if isinstance(entry.system, bs.BlockSystem)])
+def test_closed_form_profile_bounds_the_registry_weights(name):
+    assert_profile_bounds_the_blocks(bs.get_example(name).system, 3000)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 6, 7, 8, 17, 200])
@@ -243,6 +254,7 @@ def test_sweep_work_does_not_grow_with_the_horizon(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(bs.BlockSystem, "block")
+    counting(bs.BlockSystem, "stacked")
     counting(bs, "hermitian_eigenvalues")
     counting(mp, "build")
     counting(mp, "induced_duals")
@@ -256,4 +268,11 @@ def test_sweep_work_does_not_grow_with_the_horizon(monkeypatch):
         per_horizon.append(dict(counts))
     assert per_horizon[0] == per_horizon[1]
     assert per_horizon[0].get("block", 0) <= 2
+    assert per_horizon[0]["stacked"] == 1  # one chunk, generated once
     assert per_horizon[0].get("hermitian_eigenvalues", 0) > 0
+
+    # the symbol envelope is read off the closed form: no block is generated
+    counts.clear()
+    for entry in bs.example_registry().values():
+        entry.system.symbol_profile()
+    assert counts == {}
