@@ -1,0 +1,127 @@
+"""The process entry: what a CLI process runs, and what it leaves at exit.
+
+``cli.entry`` runs ``main`` and then freezes the objects left, so that the
+interpreter's collections at shutdown skip them. These tests run real
+child processes: the freeze must happen on every way out of a run, the
+installed command and ``python -m`` must both take it, and the exit must
+lose nothing the process wrote.
+"""
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import framemult.cli as cli
+from test_reachability import PACKAGE_DIR, cli_cases
+
+REPO_DIR = os.path.dirname(os.path.dirname(PACKAGE_DIR))
+# without PYTHONUNBUFFERED a child's stdout on a file or a pipe is
+# block-buffered, as a user's is
+CHILD_ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+CHILD_ENV["PYTHONPATH"] = os.path.dirname(PACKAGE_DIR)
+
+# an atexit hook reports how many objects are frozen once the run has ended
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+if sys.argv[1] == "runpy":
+    import runpy
+    sys.argv[1:] = ["examples", "list"]
+    runpy.run_module("framemult.cli", run_name="__main__")
+else:
+    from framemult.cli import entry
+    sys.exit(entry(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("how, argv, exit_code", [
+    ("runpy", [], 0),
+    ("entry", ["examples", "run"], 2),  # a UsageError
+    ("entry", ["examples", "list", "--seed", "1"], 2),  # rejected by argparse
+])
+def test_every_way_out_of_a_process_run_leaves_its_objects_frozen(how, argv, exit_code):
+    result = subprocess.run([sys.executable, "-c", FREEZE_PROBE, how, *argv],
+                            capture_output=True, text=True, env=CHILD_ENV)
+    assert result.returncode == exit_code, result.stderr
+    last = result.stderr.splitlines()[-1]
+    assert re.fullmatch(r"frozen [1-9]\d*", last), result.stderr
+
+
+def test_the_installed_command_and_the_main_block_run_the_same_function():
+    with open(os.path.join(REPO_DIR, "pyproject.toml"), encoding="utf-8") as handle:
+        pyproject = handle.read()
+    with open(cli.__file__, encoding="utf-8") as handle:
+        source = handle.read()
+    script = re.search(r'^\[project\.scripts\]\nframemult = "framemult\.cli:(\w+)"$',
+                       pyproject, re.MULTILINE)
+    main_block = re.search(r'^if __name__ == "__main__":.*\n    sys\.exit\((\w+)\(\)\)$',
+                           source, re.MULTILINE)
+    assert script and main_block
+    assert script[1] == main_block[1] == "entry"
+
+
+def take(path):
+    """The bytes of the file at ``path``, which is removed; None where there is no file."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as handle:
+        data = handle.read()
+    os.remove(path)
+    return data
+
+
+def test_a_cli_process_writes_what_main_writes_in_process(tmp_path):
+    # stdout is a regular file, so it is block-buffered, as for a user who
+    # sends a report to a file; --out goes into each run
+    directory = str(tmp_path)
+    out, stdout_path = os.path.join(directory, "out.json"), os.path.join(directory, "stdout")
+    for argv in cli_cases(directory):
+        dual = argv[argv.index("--dual-out") + 1] if "--dual-out" in argv else None
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        dual_in_process = dual and take(dual)
+
+        with open(stdout_path, "wb") as handle:
+            result = subprocess.run([sys.executable, "-m", "framemult.cli", *argv, "--out", out],
+                                    stdout=handle, stderr=subprocess.PIPE, env=CHILD_ENV)
+        report = take(stdout_path)
+        assert (result.returncode, result.stderr) == (code, stderr.getvalue().encode()), argv
+        assert report == stdout.getvalue().encode(), argv
+        if dual:
+            assert take(dual) == dual_in_process, argv
+        assert take(out) == (report if code == 0 else None), argv
+
+
+@contextlib.contextmanager
+def pipe_without_reader():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        yield write_end
+    finally:
+        os.close(write_end)
+
+
+def full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    return open("/dev/full", "wb")
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("sink, message", [(pipe_without_reader, "Broken pipe"),
+                                           (full_device, "No space left on device")])
+def test_a_report_that_cannot_be_written_to_stdout_exits_2_with_one_error_line(sink, message, flags):
+    # nothing comes from the interpreter's exit: no "Exception ignored" from
+    # a second flush of what stdout still buffers, and no exit 120
+    with sink() as stdout:
+        result = subprocess.run([sys.executable, *flags, "-m", "framemult.cli", "examples", "list"],
+                                stdout=stdout, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    assert (result.returncode, result.stderr) == \
+        (2, f"error: cannot write the report to stdout: {message}\n")
