@@ -42,7 +42,7 @@ import numpy as np
 from . import frames as fr
 from . import multipliers as mp
 from .errors import ImplicationViolated, RatioNotCertified, UnknownExample
-from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_eigenvalues
+from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_extremes
 from .report import finding
 
 CLASS_FRAME = "frame"
@@ -246,15 +246,12 @@ def _closed_form_bounds(sys: BlockSystem, side: str, extremes: tuple[float, floa
                         tol: ToleranceConfig) -> SystemBounds:
     """Swept (least, greatest) extremes of one side, classified by its closed-form limit."""
     base, exponents = sys._side_closed_form(side)
-    norms = np.linalg.norm(base, axis=1)
-    if bool(np.any((exponents < 0) & (norms > 0))):
+    # a template that is not zero grows without bound; its square may underflow
+    if bool(np.any((exponents < 0) & np.any(base != 0, axis=1))):
         return SystemBounds(*extremes, CLASS_NOT_BESSEL)
-    limit = base * (exponents == 0)[:, None]
-    # operator of the limit system: sum of v v^H over surviving template slots
-    s_limit = limit.T @ np.conj(limit)
-    eigs = hermitian_eigenvalues((s_limit + s_limit.conj().T) / 2.0)
-    spans = tol.spans(min(extremes[0], float(eigs[0])), max(extremes[1], float(eigs[-1])),
-                      max(base.shape))
+    # the limit system: the template slots that neither grow nor decay
+    lower, upper = _operator_extremes(base * (exponents == 0)[:, None])
+    spans = tol.spans(min(extremes[0], lower), max(extremes[1], upper), max(base.shape))
     return SystemBounds(*extremes, CLASS_FRAME if spans else CLASS_BESSEL_NOT_FRAME)
 
 
@@ -280,11 +277,17 @@ def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
 
 def _fold_side_extremes(entry, blocks, extremes: tuple[float, float]) -> tuple[float, float]:
     """``extremes`` widened by the block frame-operator eigenvalues of one side over a stack."""
-    templates = _weighted_side(entry, *blocks)
-    s_blocks = templates.swapaxes(-1, -2) @ np.conj(templates)
-    eigs = hermitian_eigenvalues((s_blocks + adjoint(s_blocks)) / 2.0)
-    return (min(extremes[0], float(np.min(eigs[:, 0]))),
-            max(extremes[1], float(np.max(eigs[:, -1]))))
+    lower, upper = _operator_extremes(_weighted_side(entry, *blocks))
+    # np.minimum and np.maximum keep a NaN, which Python's min and max may drop
+    return (float(np.minimum(extremes[0], np.min(lower))),
+            float(np.maximum(extremes[1], np.max(upper))))
+
+
+def _operator_extremes(templates: np.ndarray):
+    """Extreme eigenvalues of T^T conj(T), symmetrized, for (L, b) templates T or a stack; NaN on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = templates.swapaxes(-1, -2) @ np.conj(templates)
+        return hermitian_extremes((s + adjoint(s)) / 2.0)
 
 
 class InterleavedSystem(NamedTuple):
@@ -369,14 +372,15 @@ class InterleavedSystem(NamedTuple):
         k = 0..horizon and every transient direction contributes
         |transient|^2 once. A bound beyond the double range is inf.
         """
+        moduli = np.abs(np.array(self._side_params(side), dtype=np.complex128))
         with np.errstate(over="ignore"):
-            moduli_sq = np.abs(np.array(self._side_params(side), dtype=np.complex128)) ** 2
-        head_sq, ratio_sq, transient_sq = moduli_sq.tolist()
+            head_sq, ratio_sq, transient_sq = (moduli ** 2).tolist()
         partial = head_sq * _geometric_sum(ratio_sq, horizon + 1) if head_sq > 0.0 else 0.0
         lam_min = min(partial, transient_sq)
         lam_max = max(partial, transient_sq)
 
-        if head_sq > 0.0 and ratio_sq >= 1.0:
+        # growth is read off the moduli, whose squares may underflow
+        if moduli[0] > 0.0 and moduli[1] >= 1.0:
             classification = CLASS_NOT_BESSEL
         else:
             total = head_sq / (1.0 - ratio_sq) if head_sq > 0.0 else 0.0

@@ -19,11 +19,12 @@ example names, an example name, --all or --horizon that the examples
 action does not take, --verify-all without --seed, tolerances
 ToleranceConfig rejects such as a --tol-rel outside (0, 1), output paths
 that cannot be written, a report that cannot be written to stdout, such as
-a pipe whose reader has gone or a full disk). Those print one ``error:``
-line to stderr and no report. Options argparse rejects exit 2 with its
-usage message. A written dual goes to its file a vector at a time, so a
-write that fails midway (a full disk) exits 2 and leaves the part already
-written in the file, which is then not a valid document.
+a pipe whose reader has gone, a full disk or a closed descriptor). Those
+print one ``error:`` line to stderr and no report. Options argparse rejects
+exit 2 with its usage message. A line stderr does not take is lost, and
+the exit code stays. A written dual goes to its file a vector at a time,
+so a write that fails midway (a full disk) exits 2 and leaves the part
+already written in the file, which is then not a valid document.
 
 Each command imports only the modules it runs. ``frames``,
 ``multipliers``, ``numerics``, ``errors`` and ``report`` load with this
@@ -49,9 +50,12 @@ benchmark worker call it in process, where the objects live on.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import gc
 import json
 import math
+import os
 import sys
 
 from . import frames
@@ -103,19 +107,29 @@ def _emit(args, command: str, inputs: dict, findings: list[dict]) -> int:
                       indent=2 if args.pretty else None) + "\n"
     if args.out:
         _write_text(args.out, [text])
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        # closing drops what stdout still buffers, which the interpreter's
-        # flush at exit would try again and fail on, printing "Exception
-        # ignored" and exiting 120
-        try:
-            sys.stdout.close()
-        except OSError:
-            pass
-        raise UsageError(f"cannot write the report to stdout: {exc.strerror or exc}") from None
+    failure = _write_stream(sys.stdout, text)
+    if failure:
+        raise UsageError(f"cannot write the report to stdout: {failure}")
     return 0
+
+
+def _write_stream(stream, text: str) -> str | None:
+    """Write ``text`` to a standard stream and flush it; the reason it failed, if it did.
+
+    A stream that fails is closed: that drops what it still buffers, which
+    the interpreter's flush at exit would try again and fail on, printing
+    "Exception ignored" and exiting 120. A closed stream fails, as does
+    None, the stream of a descriptor closed as the process started.
+    """
+    if stream is None or stream.closed:
+        return os.strerror(errno.EBADF)
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            stream.close()
+        return exc.strerror or str(exc)
 
 
 def _finite_or_null(obj):
@@ -394,19 +408,25 @@ def main(argv=None) -> int:
         args.tol = _tolerances(args)
         return args.handler(args)
     except (UsageError, ParseError, DimensionMismatch, ZeroSymbolEntry, UnknownExample) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stream(sys.stderr, f"error: {exc}\n")  # lost, not sent to stdout, if it fails
         return USAGE_ERROR
 
 
 def entry(argv=None) -> int:
     """``main`` as a process runs it, freezing what is left for the exit to skip.
 
-    Call it only where the process ends after it: frozen objects are never
-    collected.
+    A stderr that cannot be written changes no exit code: one closed as the
+    process started is replaced by the null device, since argparse prints
+    to stdout where sys.stderr is None, and one that fails to flush is
+    closed. Call it only where the process ends after it: frozen objects
+    are never collected.
     """
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     try:
         return main(argv)
     finally:
+        _write_stream(sys.stderr, "")  # argparse ignores a failed write of its usage message
         gc.freeze()
 
 

@@ -12,8 +12,6 @@ Storage is 0-based; mathematical descriptions number vectors from 1.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotAFrame, NotEquivalent, NotInvertible
@@ -23,8 +21,8 @@ from .numerics import (
     adjoint,
     check_invertible,
     frobenius,
-    hermitian_eigenvalues,
-    singular_values,
+    hermitian_extremes,
+    singular_extremes,
 )
 
 
@@ -137,17 +135,10 @@ def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     Raises NotAFrame unless ``tol.spans`` the bounds at size max(d, N),
     i.e. when the vectors do not span or a bound is not a number (the
     operator left the double range). The operator is Hermitian by
-    construction, up to rounding, and eigvalsh reads one triangle of it
-    (``hermitian_eigenvalues``, which takes a 1 x 1 operator as it is).
+    construction, up to rounding, and eigvalsh reads one triangle of it.
     """
     if frame._bounds is None:
-        operator = frame_operator(frame)
-        if np.all(np.isfinite(operator)):
-            eigs = hermitian_eigenvalues(operator)
-            frame._bounds = (float(eigs[0]), float(eigs[-1]))
-        else:
-            # eigvalsh may raise on inf or NaN entries; NaN bounds fail the test below
-            frame._bounds = (math.nan, math.nan)
+        frame._bounds = hermitian_extremes(frame_operator(frame))
     lower, upper = frame._bounds
     if not tol.spans(lower, upper, max(frame._syn.shape)):
         raise NotAFrame(
@@ -189,14 +180,9 @@ def reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: Toleranc
     Returns a bool, or one bool per matrix of a stack (..., d, N).
     """
     product = candidate_syn @ adjoint(frame_syn)
-    residual = _frobenius(product - np.eye(product.shape[-1]))
-    candidate_norm, frame_norm = norms or (_frobenius(candidate_syn), _frobenius(frame_syn))
+    residual = frobenius(product - np.eye(product.shape[-1]))
+    candidate_norm, frame_norm = norms or (frobenius(candidate_syn), frobenius(frame_syn))
     return tol.within(residual, candidate_norm * frame_norm)
-
-
-def _frobenius(a: np.ndarray):
-    """Frobenius norm of a matrix, or of each matrix in a stack."""
-    return frobenius(a) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
 
 
 def is_dual(candidate: FiniteFrame, frame: FiniteFrame,
@@ -235,9 +221,8 @@ def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
             reason="no_linear_map",
             residual=residual,
         )
-    sigmas = singular_values(candidate)
     try:
-        check_invertible(float(sigmas[0]), float(sigmas[-1]), max(phi.synthesis.shape), tol)
+        check_invertible(*singular_extremes(candidate), max(phi.synthesis.shape), tol)
     except NotInvertible as exc:
         raise NotEquivalent(
             "the unique mapping operator is not invertible",

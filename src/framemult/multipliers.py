@@ -36,7 +36,6 @@ applied to ``Multiplier.adjoint()``.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -60,8 +59,7 @@ from .numerics import (
     inverse,
     relative_residual,
     relative_to,
-    singular_values,
-    try_invert,
+    singular_extremes,
 )
 
 
@@ -200,37 +198,31 @@ class Multiplier:
             self._adjoint = adj
         return self._adjoint
 
-    def _extreme_singular_values(self) -> tuple[float, float]:
+    def _sigma_extremes(self) -> tuple[float, float]:
         """(sigma_max, sigma_min) of the matrix, measured once for a multiplier and its adjoint."""
         if self._extremes is None:
-            if self._origin is not None:
-                self._extremes = self._origin._extreme_singular_values()
-            elif np.all(np.isfinite(self.matrix)):
-                sigmas = singular_values(self.matrix)
-                self._extremes = (float(sigmas[0]), float(sigmas[-1]))
-            else:
-                # svd may raise on inf or NaN entries; NaN fails the invertibility policy
-                self._extremes = (math.nan, math.nan)
+            self._extremes = (singular_extremes(self.matrix) if self._origin is None
+                              else self._origin._sigma_extremes())
         return self._extremes
 
     def _inverse_matrix(self) -> np.ndarray:
         if self._inverse is None:
-            self._inverse = (inverse(self.matrix, *self._extreme_singular_values())
+            self._inverse = (inverse(self.matrix, *self._sigma_extremes())
                              if self._origin is None
                              else adjoint(self._origin._inverse_matrix()))
         return self._inverse
 
-    def _inverse_frobenius(self) -> float:
+    def _minv_norm(self) -> float:
         """||Minv||, measured once for a multiplier and its adjoint."""
         if self._inverse_norm is None:
             self._inverse_norm = (frobenius(self._inverse_matrix()) if self._origin is None
-                                  else self._origin._inverse_frobenius())
+                                  else self._origin._minv_norm())
         return self._inverse_norm
 
     @property
     def condition_number(self) -> float:
         """sigma_max / sigma_min of the matrix; +inf when sigma_min is zero."""
-        return condition_from_sigmas(self._extreme_singular_values())
+        return condition_from_sigmas(*self._sigma_extremes())
 
 
 def _termwise_matrices(values: np.ndarray, out_syn: np.ndarray, in_syn: np.ndarray) -> np.ndarray:
@@ -286,7 +278,7 @@ def apply_termwise(m: Symbol, phi: FiniteFrame, psi: FiniteFrame, f) -> np.ndarr
 
 def invert(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Matrix inverse of the multiplier under ``check_invertible`` at size max(d, N)."""
-    check_invertible(*mult._extreme_singular_values(), max(mult.phi.synthesis.shape), tol)
+    check_invertible(*mult._sigma_extremes(), max(mult.phi.synthesis.shape), tol)
     return mult._inverse_matrix()
 
 
@@ -353,7 +345,8 @@ class MultiplierStack:
         """
         if not np.all(self.values != 0):
             raise ZeroSymbolEntry("induced duals need a symbol without zero entries")
-        minv = try_invert(self.matrix, max(self.phi_syn.shape[-2:]), tol)
+        check_invertible(*singular_extremes(self.matrix), max(self.phi_syn.shape[-2:]), tol)
+        minv = inverse(self.matrix)
         return _induced_dual_syntheses(minv, self.values, self.phi_syn, self.psi_syn)
 
 
@@ -363,7 +356,7 @@ def _inverse_residual(mult: Multiplier, out_side: FiniteFrame, in_side: FiniteFr
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
     candidate = (out_side.synthesis * recip[None, :]) @ in_side.analysis_matrix
-    return relative_residual(candidate, minv, mult._inverse_frobenius())
+    return relative_residual(candidate, minv, mult._minv_norm())
 
 
 class DualsCertificate(NamedTuple):
@@ -405,7 +398,7 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
 
     slope = recip[:, None] * phi_dagger.analysis_matrix
     slope -= mult.psi.analysis_matrix @ (tilde_psi.synthesis @ slope)
-    linear_residual = relative_to(frobenius(slope) * tilde_psi.norm, mult._inverse_frobenius())
+    linear_residual = relative_to(frobenius(slope) * tilde_psi.norm, mult._minv_norm())
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
 
 
@@ -448,7 +441,7 @@ def sampled_dual_residuals(mult: Multiplier, draws: int, *, seed,
     """
     rng = _as_rng(seed)
     sides = (mult, mult.adjoint())
-    targets = [(invert(side, tol), side._inverse_frobenius(),
+    targets = [(invert(side, tol), side._minv_norm(),
                 side.symbol.reciprocal().values[None, :], induced_duals(side, tol).phi_dagger)
                for side in sides]
     worst = [0.0, 0.0]
@@ -528,14 +521,10 @@ class PropQReport(NamedTuple):
         }
 
     def as_dict(self) -> dict:
-        return {
-            "eq1_holds": self.eq1_holds,
-            "psi_equiv_mphi": self.psi_equiv_mphi,
-            "phi_equiv_mbar_psi": self.phi_equiv_mbar_psi,
-            "psi_dagger_is_canonical": self.psi_dagger_is_canonical,
-            "phi_dagger_is_canonical": self.phi_dagger_is_canonical,
-            "constant_symbol": self.constant_symbol,
-        }
+        """Every field but ``constant_modulus``, which ``constant_modulus_chain`` reports."""
+        fields = self._asdict()
+        del fields["constant_modulus"]
+        return fields
 
 
 def _input_equiv_weighted_output(mult: Multiplier, weighted: FiniteFrame,

@@ -1,7 +1,8 @@
 """Dense complex linear algebra with an explicit tolerance policy.
 
-All matrix work in the package funnels through here, and ``ToleranceConfig``
-is the only code that turns rel_eps and cond_max into a decision. Its three
+Every LAPACK call of the package (svd, eigvalsh, inv) is made here but one,
+the ``np.linalg.solve`` of ``frames.canonical_dual``. ``ToleranceConfig`` is
+the only code that turns rel_eps and cond_max into a decision. Its three
 rules compare dimensionless ratios with no absolute floor such as ``1 +``,
 so rescaling the frames or the symbol moves no decision, up to rounding:
 
@@ -20,15 +21,19 @@ the floor still applies. A residual by a norm that is zero or overflowed
 is +inf (``relative_to``) and fails ``within``.
 
 Matrices are plain numpy arrays with dtype complex128. ``frobenius`` is the
-norm of every single matrix or vector in ``numerics``, ``frames`` and
-``multipliers``: numpy's axis-free ``norm`` without its dispatch.
-``singular_values`` and ``hermitian_eigenvalues`` take every svd and
-eigvalsh of the package. A 1 x 1 matrix [a] needs no factorization: its
-singular value is |a|, its eigenvalue the real part of a, so ``invertible``
-decides it as 0 < |a| < inf (the scalar blocks of every packaged example;
-a subnormal |a| can still fail the ceiling by rounding).
-Inverses and solves stay on LAPACK even at 1 x 1, whose reciprocal differs
-from 1/a in the last bit.
+norm of every matrix, vector or stack of matrices in the package.
+
+A decision reads the two ends of a spectrum: ``singular_extremes`` gives
+(sigma_max, sigma_min) and ``hermitian_extremes`` (lambda_min, lambda_max),
+floats for one matrix and arrays for a stack (..., m, n). They take every
+svd and eigvalsh of the package and hold its two rules, in this order.
+First, a matrix with an entry that is not finite gives (NaN, NaN), which
+fails every rule above, and is not factorized: [inf] gives NaN, not inf.
+Then a 1 x 1 matrix [a] is not factorized either: its singular value is
+|a|, its eigenvalue the real part of a, so ``invertible`` decides it as
+0 < |a| < inf (the scalar blocks of every packaged example; a subnormal |a|
+can still fail the ceiling by rounding). Inverses and solves stay on LAPACK
+even at 1 x 1, whose reciprocal differs from 1/a in the last bit.
 
 Objects cache tolerance-free numbers; every tolerance test is decided at
 each call. A ``frames.FiniteFrame`` or ``multipliers.Multiplier`` measures
@@ -104,20 +109,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a)).swapaxes(-1, -2)
 
 
-def try_invert(a: np.ndarray, size: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of ``a`` under ``check_invertible`` at ``size``.
-
-    ``a`` may be a stack (..., n, n) of square matrices; all of them are
-    inverted, or the first one that fails the rule raises.
-    """
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("try_invert requires square matrices")
-    sigmas = singular_values(m)
-    check_invertible(sigmas[..., 0], sigmas[..., -1], size, tol)
-    return inverse(m)
-
-
 def check_invertible(sigma_max, sigma_min, size: int, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise NotInvertible unless ``tol.invertible`` holds, with the values attached.
 
@@ -141,32 +132,41 @@ def check_invertible(sigma_max, sigma_min, size: int, tol: ToleranceConfig = DEF
     raise NotInvertible(message, sigma_min=sigma_min, sigma_max=sigma_max)
 
 
-def singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a matrix, or of each matrix in a stack (..., m, n), in descending order.
+def singular_extremes(a: np.ndarray):
+    """(sigma_max, sigma_min): the ends of np.linalg.svd's values, under the two rules.
 
-    Those of np.linalg.svd, except that a 1 x 1 matrix [a] takes |a| with no
-    LAPACK call. |a| may differ from LAPACK's value in the last bit, and
-    sigma_max = sigma_min for one entry: every decision on the pair is the
-    same, and their ratio, the condition number, is 1 either way.
-    ``np.linalg.svd`` is looked up at each call, so that a wrapper put in
-    its place sees every factorization.
+    The |a| of a 1 x 1 matrix [a] may differ from LAPACK's value in the
+    last bit: every decision on the pair is the same.
     """
-    if a.shape[-2:] == (1, 1):
-        return np.abs(a[..., 0])
-    return np.linalg.svd(a, compute_uv=False)
+    return _extremes(a, np.abs, lambda m: np.linalg.svd(m, compute_uv=False))
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, or of each matrix in a stack, in ascending order.
+def hermitian_extremes(a: np.ndarray):
+    """(lambda_min, lambda_max): the ends of np.linalg.eigvalsh's values, under the two rules.
 
-    Those of np.linalg.eigvalsh, which reads the lower triangle and the real
-    part of the diagonal; for a 1 x 1 matrix that real part is the
-    eigenvalue, bit for bit, taken with no LAPACK call. ``np.linalg.eigvalsh``
-    is looked up at each call, as in ``singular_values``.
+    eigvalsh reads the lower triangle and the real part of the diagonal, so
+    the real part of a 1 x 1 matrix is its eigenvalue bit for bit.
     """
-    if a.shape[-2:] == (1, 1):
-        return np.array(a[..., 0].real)
-    return np.linalg.eigvalsh(a)
+    return _extremes(a, np.real, lambda m: np.linalg.eigvalsh(m))
+
+
+def _extremes(a: np.ndarray, one_by_one, spectrum):
+    """First and last of ``spectrum(a)``, floats for one matrix, by the two rules.
+
+    In a stack a zero matrix stands in for each one that is not finite. A
+    1 x 1 matrix [a] gives ``one_by_one(a)`` twice. ``spectrum`` looks
+    np.linalg up at each call, so that a wrapper put in its place sees it.
+    """
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        if a.ndim == 2:
+            return math.nan, math.nan
+        first, last = _extremes(np.where(finite[..., None, None], a, 0), one_by_one, spectrum)
+        return np.where(finite, first, math.nan), np.where(finite, last, math.nan)
+    values = one_by_one(a[..., 0]) if a.shape[-2:] == (1, 1) else spectrum(a)
+    if a.ndim == 2:
+        return float(values[0]), float(values[-1])
+    return values[..., 0], values[..., -1]
 
 
 def inverse(a: np.ndarray, sigma_max: float = 0.0, sigma_min: float = 0.0) -> np.ndarray:
@@ -184,26 +184,26 @@ def inverse(a: np.ndarray, sigma_max: float = 0.0, sigma_min: float = 0.0) -> np
 
 def condition_number(a: np.ndarray) -> float:
     """sigma_max / sigma_min; +inf when the smallest singular value is zero."""
-    return condition_from_sigmas(singular_values(np.asarray(a, dtype=np.complex128)))
+    return condition_from_sigmas(*singular_extremes(np.asarray(a, dtype=np.complex128)))
 
 
-def condition_from_sigmas(sigmas) -> float:
-    """condition_number from descending singular values, or the pair (sigma_max, sigma_min)."""
-    if float(sigmas[-1]) == 0.0:
-        return float("inf")
-    return float(sigmas[0] / sigmas[-1])
+def condition_from_sigmas(sigma_max: float, sigma_min: float) -> float:
+    """condition_number from the extreme singular values."""
+    return math.inf if sigma_min == 0.0 else sigma_max / sigma_min
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of a float64 or complex128 array, bit for bit ``np.linalg.norm(a)``.
+def frobenius(a: np.ndarray):
+    """Frobenius norm of a float64 or complex128 matrix or vector, bit for bit ``np.linalg.norm(a)``.
 
     The arithmetic of numpy's axis-free path without its dispatch: the
     entries in memory order (``ravel('K')``), then re.re + im.im for
     complex input, then the square root. Like that path it squares the
     entries, so it overflows beyond about 1e154 and underflows below about
-    1e-154.
+    1e-154. A stack (..., m, n) gives ``np.linalg.norm(a, axis=(-2, -1))``.
     """
-    x = np.asarray(a).ravel(order="K")
+    if a.ndim > 2:
+        return np.linalg.norm(a, axis=(-2, -1))
+    x = a.ravel(order="K")
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
         return math.sqrt(re.dot(re) + im.dot(im))

@@ -3,8 +3,8 @@
 The sampled uniqueness kernel (``multipliers.uniqueness_nullity`` decides it
 exactly), the recovery statements behind the uniqueness of the induced duals,
 the dual-family formula, random frames, the per-block embedding of a block system,
-the multiplier of one block, and every singular value and eigenvalue taken by
-np.linalg, 1 x 1 matrices included.
+the multiplier of one block, and the extreme singular values and eigenvalues
+taken by np.linalg, 1 x 1 matrices included.
 """
 
 import contextlib
@@ -109,19 +109,27 @@ def assemble_blocks(sys, count):
     return mp.Symbol(weights), fr.FiniteFrame(phi_vectors), fr.FiniteFrame(psi_vectors)
 
 
+def lapack_ends(values):
+    """First and last of np.linalg's values: floats for one matrix, arrays for a stack."""
+    if values.ndim == 1:
+        return float(values[0]), float(values[-1])
+    return values[..., 0], values[..., -1]
+
+
 # np.linalg looked up at each call, so that a counter put in its place sees the calls
 LAPACK_ROUTES = {
-    "singular_values": lambda a: np.linalg.svd(a, compute_uv=False),
-    "hermitian_eigenvalues": lambda a: np.linalg.eigvalsh(a),
+    "singular_extremes": lambda a: lapack_ends(np.linalg.svd(a, compute_uv=False)),
+    "hermitian_extremes": lambda a: lapack_ends(np.linalg.eigvalsh(a)),
 }
 
 
 @contextlib.contextmanager
 def through_lapack():
-    """Inside the block the package takes every singular value and eigenvalue from np.linalg.
+    """Inside the block the package takes every extreme singular value and eigenvalue from np.linalg.
 
-    The helpers of ``numerics`` are replaced wherever a module looks them
-    up, so a 1 x 1 matrix goes to LAPACK like any other.
+    The extremes functions of ``numerics`` are replaced wherever a module
+    looks them up, so a 1 x 1 matrix goes to LAPACK like any other (a
+    non-finite one too, which the package itself never factorizes).
     """
     bindings = [(module, name) for module in (nu, fr, mp, bs) for name in LAPACK_ROUTES
                 if hasattr(module, name)]

@@ -90,7 +90,7 @@ def test_verify_small_findings_do_not_depend_on_cached_decisions_or_norms(monkey
     monkeypatch.setattr(cli, "frames", FreshPerCall(cli.frames))
     forgetful = property(lambda obj: None, lambda obj, value: None)
     monkeypatch.setattr(mp.Multiplier, "_canonical_residual", forgetful)
-    monkeypatch.setattr(mp.Multiplier, "_inverse_frobenius",
+    monkeypatch.setattr(mp.Multiplier, "_minv_norm",
                         lambda mult: frobenius(mult._inverse_matrix()))
     monkeypatch.setattr(FiniteFrame, "norm", property(lambda frame: frobenius(frame.synthesis)))
     for index, (phi, psi, m, s, t, seed) in enumerate(draws):

@@ -364,6 +364,19 @@ def test_interleaved_side_with_growing_ratio_is_not_bessel():
         assert bounds.lambda_min == 1.0
 
 
+def test_a_growing_side_is_not_bessel_at_every_scale():
+    # templates s k and heads s 2^k grow for every s > 0; the squares of
+    # s = 1e-200 and s = 1e-170 underflow to 0 and must not decide it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in range(-300, 301):
+            scale = 10.0 ** exponent
+            for system in (bs.BlockSystem([[scale]], [-1], [[1.0]], [0], [1.0], [0]),
+                           bs.InterleavedSystem(scale, 1, 1, 2.0, 1, 1, 1, 1, 1, 0.5)):
+                bounds = bs.system_frame_bounds(system, "phi")
+                assert bounds.classification == "not_bessel", (system, scale)
+
+
 def test_interleaved_bounds_beyond_the_double_range_are_inf():
     # |head|^2 = 1e400 leaves the double range; the rule still classifies
     system = bs.InterleavedSystem(1e200, 1, 1, 0.5, 1, 1, 1, 1, 1, 0.5)

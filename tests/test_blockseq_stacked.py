@@ -255,7 +255,7 @@ def test_sweep_work_does_not_grow_with_the_horizon(monkeypatch):
 
     counting(bs.BlockSystem, "block")
     counting(bs.BlockSystem, "stacked")
-    counting(bs, "hermitian_eigenvalues")
+    counting(bs, "hermitian_extremes")
     counting(mp, "build")
     counting(mp, "induced_duals")
     for name in linalg_functions():
@@ -269,7 +269,7 @@ def test_sweep_work_does_not_grow_with_the_horizon(monkeypatch):
     assert per_horizon[0] == per_horizon[1]
     assert per_horizon[0].get("block", 0) <= 2
     assert per_horizon[0]["stacked"] == 1  # one chunk, generated once
-    assert per_horizon[0].get("hermitian_eigenvalues", 0) > 0
+    assert per_horizon[0].get("hermitian_extremes", 0) > 0
 
     # the symbol envelope is read off the closed form: no block is generated
     counts.clear()

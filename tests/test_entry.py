@@ -9,6 +9,7 @@ lose nothing the process wrote.
 
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -114,14 +115,63 @@ def full_device():
     return open("/dev/full", "wb")
 
 
-@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+CLOSED = "closed"
+
+
+@contextlib.contextmanager
+def closed_descriptor():
+    yield CLOSED
+
+
+def run_child(flags, argv, stdout, stderr):
+    """The CLI in a child process; a stream given as CLOSED is closed in it, as the shell's ``>&-`` does."""
+    closing = [fd for fd, sink in ((1, stdout), (2, stderr)) if sink is CLOSED]
+    return subprocess.run([sys.executable, *flags, "-m", "framemult.cli", *argv],
+                          stdout=None if stdout is CLOSED else stdout,
+                          stderr=None if stderr is CLOSED else stderr, text=True, env=CHILD_ENV,
+                          preexec_fn=(lambda: [os.close(fd) for fd in closing]) if closing else None)
+
+
+FLAGS = pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+
+
+@FLAGS
 @pytest.mark.parametrize("sink, message", [(pipe_without_reader, "Broken pipe"),
-                                           (full_device, "No space left on device")])
+                                           (full_device, "No space left on device"),
+                                           (closed_descriptor, "Bad file descriptor")])
 def test_a_report_that_cannot_be_written_to_stdout_exits_2_with_one_error_line(sink, message, flags):
     # nothing comes from the interpreter's exit: no "Exception ignored" from
     # a second flush of what stdout still buffers, and no exit 120
     with sink() as stdout:
-        result = subprocess.run([sys.executable, *flags, "-m", "framemult.cli", "examples", "list"],
-                                stdout=stdout, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+        result = run_child(flags, ["examples", "list"], stdout, subprocess.PIPE)
     assert (result.returncode, result.stderr) == \
         (2, f"error: cannot write the report to stdout: {message}\n")
+
+
+@FLAGS
+@pytest.mark.parametrize("sink", [full_device, closed_descriptor])
+@pytest.mark.parametrize("argv, exit_code", [
+    (["examples", "run"], 2),  # a UsageError
+    (["frame-info", os.path.join(REPO_DIR, "no-such-frame.json")], 2),  # a ParseError
+    (["examples", "run", "--bogus"], 2),  # rejected by argparse
+    (["examples", "list"], 0),
+])
+def test_a_stderr_that_cannot_be_written_changes_no_exit_code_and_nothing_goes_to_stdout(
+        sink, argv, exit_code, flags):
+    # the exit code is the one a writable stderr gets: a failed flush at the
+    # interpreter's exit would make it 120, a traceback 1
+    with sink() as stderr:
+        result = run_child(flags, argv, subprocess.PIPE, stderr)
+    assert result.returncode == exit_code
+    if exit_code:
+        assert result.stdout == ""
+    else:
+        assert json.loads(result.stdout)["command"] == "examples"
+
+
+@FLAGS
+def test_a_run_with_neither_stream_writable_exits_2(flags):
+    with full_device() as stdout:
+        assert run_child(flags, ["examples", "list"], stdout, CLOSED).returncode == 2
+    with full_device() as stderr:
+        assert run_child(flags, ["examples", "list"], CLOSED, stderr).returncode == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from framemult.numerics import (
     check_invertible,
     condition_number,
     frobenius,
-    hermitian_eigenvalues,
+    hermitian_extremes,
     relative_residual,
-    singular_values,
-    try_invert,
+    singular_extremes,
 )
+from oracles import lapack_ends
 
 
 def test_tolerance_config_defaults():
@@ -46,29 +47,45 @@ def test_adjoint_is_conjugate_transpose():
     assert np.array_equal(adjoint(a), expected)
 
 
-def test_try_invert_oracle():
+def stack_of(*matrices):
+    """A MultiplierStack whose block matrices are ``matrices``, entry for entry.
+
+    The output sides are the matrices, the input sides the identity and the
+    weights 1, so the induced dual phi_dagger is the adjoint of the inverse.
+    """
+    a = np.array(matrices, dtype=np.complex128)
+    ones = np.ones(a.shape[:-1], dtype=np.complex128)
+    return mp.MultiplierStack(ones, a, np.broadcast_to(np.eye(a.shape[-1], dtype=np.complex128), a.shape))
+
+
+def stack_inverses(stack, tol=DEFAULT_TOL):
+    return adjoint(stack.induced_duals(tol)[1])
+
+
+def test_a_multiplier_stack_inverts_its_matrices():
     # inverse of the unit shear flips the off-diagonal sign
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    expected = np.array([[1.0, -1.0], [0.0, 1.0]])
-    assert np.allclose(try_invert(a, 2), expected, atol=1e-14, rtol=0.0)
+    stack = stack_of([[1.0, 1.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]])
+    assert np.array_equal(stack.matrix[0], [[1.0, 1.0], [0.0, 1.0]])
+    expected = [[[1.0, -1.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.25]]]
+    assert np.allclose(stack_inverses(stack), expected, atol=1e-14, rtol=0.0)
 
 
-def test_try_invert_rejects_singular():
+def test_a_multiplier_stack_rejects_a_singular_matrix():
     with pytest.raises(NotInvertible):
-        try_invert(np.zeros((2, 2)), 2)
+        stack_inverses(stack_of(np.eye(2), np.zeros((2, 2))))
     with pytest.raises(NotInvertible):
         check_invertible(np.nan, np.nan, 2)
     with pytest.raises(NotInvertible) as info:
-        try_invert(np.array([[1.0, 0.0], [0.0, 1e-15]]), 2)
+        stack_inverses(stack_of([[1.0, 0.0], [0.0, 1e-15]]))
     assert info.value.sigma_max > 0
     assert info.value.sigma_min / info.value.sigma_max < 1.0 / DEFAULT_TOL.cond_max
 
 
-def test_try_invert_respects_cond_max_policy():
-    a = np.diag([1.0, 1e-6])
-    try_invert(a, 2)  # fine under the default ceiling
+def test_a_multiplier_stack_respects_the_cond_max_policy():
+    stack = stack_of(np.diag([1.0, 1e-6]))
+    stack_inverses(stack)  # fine under the default ceiling
     with pytest.raises(NotInvertible):
-        try_invert(a, 2, ToleranceConfig(cond_max=1e5))
+        stack_inverses(stack, ToleranceConfig(cond_max=1e5))
 
 
 # ------------------------------------------------------- the three decision rules
@@ -166,7 +183,7 @@ def test_the_rank_floor_holds_at_every_accepted_tolerance(tol, size):
         check_invertible(2.0, size * EPS * 2.0, size, tol)
     assert (info.value.sigma_max, info.value.sigma_min) == (2.0, size * EPS * 2.0)
     with pytest.raises(NotInvertible):
-        try_invert(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]]), 2, tol)
+        stack_inverses(stack_of([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]]), tol)
 
 
 def test_check_invertible_names_the_first_failing_matrix_of_a_stack():
@@ -192,7 +209,7 @@ def test_an_exactly_singular_factorization_is_not_invertible_nor_a_frame(monkeyp
     monkeypatch.setattr(np.linalg, "inv", singular)
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(NotInvertible):
-        try_invert(np.eye(2), 2)
+        stack_inverses(stack_of(np.eye(2)))
     onb = FiniteFrame(np.eye(2))
     mult = mp.build(mp.Symbol([1.0, 2.0]), onb, onb)
     with pytest.raises(NotInvertible) as info:
@@ -206,11 +223,13 @@ def test_condition_number_identity():
     assert condition_number(np.eye(3)) == pytest.approx(1.0)
 
 
-# ------------------------------------- singular values and eigenvalues of 1 x 1 matrices
+# ------------------------------------------------- extreme singular values and eigenvalues
 
 SPECIAL_ENTRIES = [0.0, 5e-324, -5e-324, 1.0, 1e300, 1e308 + 1e308j, math.inf, -math.inf, math.nan]
 HELPER_TOLERANCES = [ToleranceConfig(1e-9, 1e12), ToleranceConfig(1e-17, 1e17),
                      ToleranceConfig(1e-300, math.inf)]
+LAPACK = {"svd": lambda a: lapack_ends(np.linalg.svd(a, compute_uv=False)),
+          "eigvalsh": lambda a: lapack_ends(np.linalg.eigvalsh(a))}
 
 
 def one_by_one_entries():
@@ -221,73 +240,102 @@ def one_by_one_entries():
     return np.concatenate([np.array(SPECIAL_ENTRIES, dtype=np.complex128), moduli * phases])
 
 
-def lapack_or_none(route, a):
-    """np.linalg's values, or None where it raises (it may on inf or NaN)."""
-    try:
-        return route(a)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def decisions(tol, sigmas, eigs, size):
     """The invertible decision on the singular values and the spans decision on the eigenvalues."""
-    return (tol.invertible(sigmas[..., 0], sigmas[..., -1], size),
-            tol.spans(eigs[..., 0], eigs[..., -1], size))
+    return tol.invertible(*sigmas, size), tol.spans(*eigs, size)
 
 
-def test_one_by_one_helpers_decide_as_lapack_does():
+def same_bits(ours, theirs):
+    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(ours, theirs))
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The np.linalg factorizations called in the test, each with whether its input was finite."""
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, bool(np.isfinite(a).all())))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_one_by_one_extremes_decide_as_lapack_does():
     entries = one_by_one_entries()
-    lapack_svd = lambda a: np.linalg.svd(a, compute_uv=False)
     stack = entries.reshape(-1, 1, 1)
     finite = stack[np.isfinite(entries)]
-    assert hermitian_eigenvalues(finite).tobytes() == np.linalg.eigvalsh(finite).tobytes()
+    # eigenvalues bit for bit, singular values to the last bit (|a| rounds on its own)
+    assert same_bits(hermitian_extremes(finite), LAPACK["eigvalsh"](finite))
     for tol in HELPER_TOLERANCES:
         for size in (1, 3):
             expected = []
             for a in entries:
                 matrix = np.array([[a]])
-                sigmas, eigs = singular_values(matrix), hermitian_eigenvalues(matrix)
+                sigmas, eigs = singular_extremes(matrix), hermitian_extremes(matrix)
                 ours = decisions(tol, sigmas, eigs, size)
-                lapack_sigmas = lapack_or_none(lapack_svd, matrix)
-                lapack_eigs = lapack_or_none(np.linalg.eigvalsh, matrix)
-                if lapack_eigs is None:
-                    assert not ours[1], a
+                if np.isfinite(a):
+                    assert same_bits(eigs, LAPACK["eigvalsh"](matrix)), a
+                    assert ours == decisions(tol, LAPACK["svd"](matrix), eigs, size), a
                 else:
-                    assert eigs.tobytes() == lapack_eigs.tobytes(), a
-                    assert ours[1] == tol.spans(lapack_eigs[0], lapack_eigs[-1], size), a
-                if lapack_sigmas is None:
-                    assert not ours[0], a
-                else:
-                    assert ours[0] == tol.invertible(lapack_sigmas[0], lapack_sigmas[-1], size), a
-                expected.append((bool(ours[0]), bool(ours[1])))
+                    assert ours == (False, False), a
+                expected.append(ours)
             # a stack of them: one decision per matrix, the same ones
-            stacked = decisions(tol, singular_values(stack), hermitian_eigenvalues(stack), size)
+            stacked = decisions(tol, singular_extremes(stack), hermitian_extremes(stack), size)
             assert list(zip(stacked[0].ravel().tolist(), stacked[1].ravel().tolist())) == expected
-            lapack = decisions(tol, lapack_svd(finite), np.linalg.eigvalsh(finite), size)
-            ours = decisions(tol, singular_values(finite), hermitian_eigenvalues(finite), size)
+            lapack = decisions(tol, LAPACK["svd"](finite), LAPACK["eigvalsh"](finite), size)
+            ours = decisions(tol, singular_extremes(finite), hermitian_extremes(finite), size)
             assert all(np.array_equal(x, y) for x, y in zip(ours, lapack))
 
 
-def test_the_helpers_take_a_1x1_matrix_without_lapack_and_anything_larger_from_it(monkeypatch):
-    calls = []
-    for name in ("svd", "eigvalsh"):
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_the_extremes_take_a_1x1_matrix_without_lapack_and_anything_larger_from_it(lapack_calls):
     stack = np.array([3.0 - 4.0j, -2.0, 0.0]).reshape(3, 1, 1)
-    assert singular_values(stack).tolist() == [[5.0], [2.0], [0.0]]
-    assert hermitian_eigenvalues(stack).tolist() == [[3.0], [-2.0], [0.0]]
-    assert singular_values(stack[0]).tolist() == [5.0]
-    assert calls == []
-    # the lookup is at call time, so a wrapper in np.linalg sees the larger calls
-    square = np.array([[2.0, 1.0j], [-1.0j, 2.0]])
-    assert np.array_equal(singular_values(square), np.linalg.svd(square, compute_uv=False))
-    assert np.array_equal(hermitian_eigenvalues(square), np.linalg.eigvalsh(square))
-    assert calls == ["svd", "svd", "eigvalsh", "eigvalsh"]
+    assert [x.tolist() for x in singular_extremes(stack)] == [[5.0, 2.0, 0.0]] * 2
+    assert [x.tolist() for x in hermitian_extremes(stack)] == [[3.0, -2.0, 0.0]] * 2
+    assert singular_extremes(stack[0]) == (5.0, 5.0)
+    assert lapack_calls == []
+    # the lookup is at call time, so a wrapper in np.linalg sees the larger calls; the
+    # ends are LAPACK's bit for bit, as floats for one matrix and arrays for a stack
+    rng = np.random.default_rng(22)
+    square = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    hermitian = square + adjoint(square)
+    for extremes, route, a in [(singular_extremes, "svd", square),
+                               (singular_extremes, "svd", np.stack([square, 2.0 * square])),
+                               (hermitian_extremes, "eigvalsh", hermitian),
+                               (hermitian_extremes, "eigvalsh", np.stack([hermitian, -hermitian]))]:
+        ours = extremes(a)
+        assert same_bits(ours, LAPACK[route](a))
+        assert all(isinstance(x, float) for x in ours) == (a.ndim == 2)
+    assert [name for name, _ in lapack_calls] == ["svd", "svd"] * 2 + ["eigvalsh", "eigvalsh"] * 2
     # a 1 x n or n x 1 matrix is not 1 x 1
-    assert np.allclose(singular_values(np.array([[3.0, 4.0]])), [5.0])
-    assert calls[-1] == "svd"
+    assert np.allclose(singular_extremes(np.array([[3.0, 4.0]])), (5.0, 5.0))
+    assert lapack_calls[-1][0] == "svd"
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(1.0, math.inf),
+                                   complex(math.nan, 0.0)])
+def test_a_matrix_that_is_not_finite_has_nan_extremes_with_no_lapack_call(entry, lapack_calls):
+    # the rule comes before the 1 x 1 shortcut, which would read inf off [inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 3):
+            matrix = np.eye(n, dtype=np.complex128)
+            matrix[n - 1, 0] = entry
+            for extremes in (singular_extremes, hermitian_extremes):
+                first, last = extremes(matrix)
+                assert type(first) is type(last) is float
+                assert math.isnan(first) and math.isnan(last)
+            assert lapack_calls == []
+            # in a stack the others are measured as they are alone, and LAPACK sees no
+            # entry that is not finite
+            stack = np.stack([2.0 * np.eye(n), matrix, 3.0 * np.eye(n)])
+            for extremes in (singular_extremes, hermitian_extremes):
+                first, last = extremes(stack)
+                alone = [extremes(a) for a in stack]
+                assert same_bits(first, [a[0] for a in alone]) and same_bits(last, [a[1] for a in alone])
+            assert all(finite for _, finite in lapack_calls)
+    # per function at n = 3: the stack, once, and its two finite matrices alone
+    assert len(lapack_calls) == 6
 
 
 def test_relative_residual_of_a_zero_reference_is_inf():
@@ -318,6 +366,23 @@ def test_frobenius_is_numpys_norm_bit_for_bit(shape, is_complex, exponent, seed)
                a[..., ::2], a.T[::2]]
     for view in layouts:
         assert frobenius(view) == np.linalg.norm(view), (view.shape, view.strides)
+
+
+@pytest.mark.parametrize("shape", [(5, 1, 1), (7, 1, 3), (4, 3, 1), (6, 3, 6), (3, 8, 32),
+                                   (2, 2, 9, 9)])
+@pytest.mark.parametrize("exponent", [-100, 0, 100])
+def test_frobenius_of_a_stack_is_the_norm_of_each_matrix(shape, exponent):
+    rng = np.random.default_rng(abs(exponent) + len(shape))
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** exponent
+    for stack in (a, a.real.copy(), adjoint(a)):
+        norms = frobenius(stack)
+        assert norms.shape == stack.shape[:-2]
+        for index in np.ndindex(*stack.shape[:-2]):
+            matrix = stack[index]
+            # bit for bit the matrix's norm by the same axis reduction, in a stack of any size ...
+            assert norms[index] == np.linalg.norm(matrix, axis=(-2, -1)) == frobenius(matrix[None])[0]
+            # ... and to rounding its norm by the 2-D path, whose dot sums in another order
+            assert norms[index] == pytest.approx(frobenius(matrix), rel=4 * EPS, abs=0.0)
 
 
 # small integer entries keep the nonzero singular values away from the
