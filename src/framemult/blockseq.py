@@ -28,7 +28,11 @@ duals, ``frames.reconstructs`` for the duality test. A sweep takes its
 blocks in chunks of at most SWEEP_CHUNK, so its memory does not grow with
 the horizon. Every value a sweep reports is the one the per-block
 computation gives, bit for bit: the stacked arithmetic is the same
-elementwise and per-matrix arithmetic on the same operands.
+elementwise and per-matrix arithmetic on the same operands. The one
+exception is the duality decision: ``frames.reconstructs`` takes a stack's
+norms from ``np.linalg.norm(axis=(-2, -1))``, ``is_dual`` one pair's from
+the 2-D ``frobenius``, whose sums of squares differ by a few ulps (4.1e-16
+relative seen), so a decision exactly at its threshold can differ.
 """
 
 from __future__ import annotations
@@ -49,11 +53,9 @@ CLASS_FRAME = "frame"
 CLASS_NOT_BESSEL = "not_bessel"
 CLASS_BESSEL_NOT_FRAME = "bessel_not_frame"
 
-# The template family each side uses and the weight applied to it: none,
-# the symbol m, or its conjugate.
+# The template family of each weighted side and its weight, m or conj(m). A
+# system's own side Phi is its "mphi" side under the unit symbol (1 * x = x).
 _SIDE_TABLE = {
-    "phi": ("phi", None),
-    "psi": ("psi", None),
     "mphi": ("phi", lambda m: m),
     "mbar_psi": ("psi", np.conj),
 }
@@ -167,8 +169,6 @@ class BlockSystem:
         """Base vectors and exponents of the requested weighted side."""
         family, weight = _side_entry(side)
         base, exponents = self._closed_form[family]
-        if weight is None:
-            return base, exponents
         m_b, m_e = self._closed_form["m"]
         return weight(m_b)[:, None] * base, m_e + exponents
 
@@ -177,6 +177,9 @@ class BlockSystem:
 
         A nonzero slot weight m k^(-e) decays to 0 from |m| at k = 1 when
         e > 0, grows without bound when e < 0 and stays |m| when e = 0.
+        These are exact weights, not their doubles: weights [5e-324] with
+        exponents [1] are ``all_nonzero``, yet ``stacked(1, 3)`` gives 5e-324,
+        0, 0, on which ``MultiplierStack.induced_duals`` raises ZeroSymbolEntry.
         """
         m_b, m_e = self._closed_form["m"]
         mod = np.abs(m_b)
@@ -201,8 +204,7 @@ def _side_entry(side: str):
 def _weighted_side(entry, phi: np.ndarray, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Templates of one side (a _SIDE_TABLE entry), for one block or a stack of blocks."""
     family, weight = entry
-    base = phi if family == "phi" else psi
-    return base if weight is None else weight(m)[..., None] * base
+    return weight(m)[..., None] * (phi if family == "phi" else psi)
 
 
 def _sweep(sys: BlockSystem, horizon: int):
@@ -229,8 +231,6 @@ def _worst_block_deviation(sys: BlockSystem, horizon: int, target: np.ndarray) -
 
 def _as_templates(vectors) -> np.ndarray:
     arr = np.asarray(vectors, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError("templates must be a list of equal-length vectors")
     return arr
@@ -359,8 +359,6 @@ class InterleavedSystem(NamedTuple):
         family, weight = _side_entry(side)
         params = (getattr(self, f"{family}_head"), getattr(self, f"{family}_ratio"),
                   getattr(self, f"transient_{family}"))
-        if weight is None:
-            return params
         weights = (self.m_head, self.m_ratio, self.transient_m)
         return tuple(complex(weight(w)) * p for w, p in zip(weights, params))
 
@@ -370,38 +368,38 @@ class InterleavedSystem(NamedTuple):
 
         The recurrent direction accumulates sum_k |head * ratio^k|^2 over
         k = 0..horizon and every transient direction contributes
-        |transient|^2 once. A bound beyond the double range is inf.
+        |transient|^2 once. Both are summed as logarithms, so a bound that
+        is a normal double is right to rounding whatever |head|^2 is; one
+        beyond the double range is inf. The classification compares the
+        limit extremes by their quotient, free of the side's scale.
         """
         moduli = np.abs(np.array(self._side_params(side), dtype=np.complex128))
+        with np.errstate(divide="ignore"):  # logs of the squares; -inf for a zero
+            log_head, log_ratio, log_transient = (2.0 * np.log(moduli)).tolist()
+        # growth is read off the moduli; a zero head empties the direction
+        # whatever its ratio, which may have overflowed
+        growing = moduli[0] > 0.0 and moduli[1] >= 1.0
+        log_partial = log_total = -math.inf
+        if moduli[0] > 0.0:
+            log_partial = log_head + _log_geometric_sum(log_ratio, horizon + 1)
+            log_total = math.inf if growing else log_head - math.log(-math.expm1(log_ratio))
         with np.errstate(over="ignore"):
-            head_sq, ratio_sq, transient_sq = (moduli ** 2).tolist()
-        partial = head_sq * _geometric_sum(ratio_sq, horizon + 1) if head_sq > 0.0 else 0.0
-        lam_min = min(partial, transient_sq)
-        lam_max = max(partial, transient_sq)
-
-        # growth is read off the moduli, whose squares may underflow
-        if moduli[0] > 0.0 and moduli[1] >= 1.0:
-            classification = CLASS_NOT_BESSEL
-        else:
-            total = head_sq / (1.0 - ratio_sq) if head_sq > 0.0 else 0.0
-            floor = min(total, transient_sq)
-            ceil = max(total, transient_sq)
-            # a closed form, not a factorization: the rank floor of one value
-            classification = (CLASS_FRAME
-                              if tol.spans(floor, ceil, 1)
-                              else CLASS_BESSEL_NOT_FRAME)
-        return SystemBounds(lambda_min=lam_min, lambda_max=lam_max,
-                            classification=classification)
+            lam_min, lam_max = np.exp(sorted((log_partial, log_transient))).tolist()
+        low, high = sorted((log_total, log_transient))
+        # a closed form, not a factorization: the rank floor of one value
+        classification = (CLASS_NOT_BESSEL if growing
+                          else CLASS_FRAME if tol.spans(math.exp(low - high), 1.0, 1)
+                          else CLASS_BESSEL_NOT_FRAME)
+        return SystemBounds(lam_min, lam_max, classification)
 
 
-def _geometric_sum(ratio: float, terms: int) -> float:
-    """sum_{k < terms} ratio^k for ratio >= 0, in closed form; inf beyond the double range."""
-    if ratio == 1.0:
-        return float(terms)
-    if math.isinf(ratio):
-        return math.inf
-    with np.errstate(over="ignore", divide="ignore"):  # log(0) = -inf gives the sum 1
-        return float(np.expm1(terms * np.log(ratio)) / (ratio - 1.0))
+def _log_geometric_sum(log_ratio: float, terms: int) -> float:
+    """log sum_{k < terms} e^(k log_ratio), factored by its first or last term; 0 at -inf."""
+    if log_ratio == 0.0:
+        return math.log(terms)
+    shrink = -abs(log_ratio)
+    return ((terms - 1) * max(log_ratio, 0.0)
+            + math.log(math.expm1(terms * shrink) / math.expm1(shrink)))
 
 
 def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray, float]:
@@ -651,14 +649,12 @@ def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
                           tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
 
     symbol, phi_k, psi_k = block_frames(sys, 1)
-    third_phi = fr.FiniteFrame.from_synthesis(phi_k.synthesis / 3.0)
-    third_psi = fr.FiniteFrame.from_synthesis(psi_k.synthesis / 3.0)
     dual_phi = fr.canonical_dual(phi_k, tol)
     dual_psi = fr.canonical_dual(psi_k, tol)
     checks.append(finding(
         "canonical_duals_are_one_third_of_templates",
-        residual=max(float(np.max(np.abs(dual_phi.synthesis - third_phi.synthesis))),
-                     float(np.max(np.abs(dual_psi.synthesis - third_psi.synthesis)))),
+        residual=max(float(np.max(np.abs(dual_phi.synthesis - phi_k.synthesis / 3.0))),
+                     float(np.max(np.abs(dual_psi.synthesis - psi_k.synthesis / 3.0)))),
         tolerance=REPRODUCTION_TOL,
     ))
 

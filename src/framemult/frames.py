@@ -29,8 +29,9 @@ from .numerics import (
 class FiniteFrame:
     """Ordered sequence of N complex vectors of common length d.
 
-    The sequence need not actually satisfy the frame (spanning) property;
-    predicates below decide that. Instances are immutable.
+    Built from a 2-D array-like of N rows, the vectors; any other shape is a
+    ValueError. The sequence need not actually satisfy the frame (spanning)
+    property; predicates below decide that. Instances are immutable.
 
     The frame operator, its two frame bounds, the canonical dual and the
     norm are lazy per-instance caches, each computed at most once and free
@@ -43,24 +44,8 @@ class FiniteFrame:
 
     __slots__ = ("_syn", "_operator", "_bounds", "_dual", "_norm")
 
-    def __init__(self, vectors) -> None:
-        rows = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors))
-        if rows.ndim == 1:
-            # a single vector: treat as one row
-            rows = rows.reshape(1, -1)
-        self._set_synthesis(np.array(rows.T, dtype=np.complex128, order="C"))
-
-    @classmethod
-    def from_synthesis(cls, matrix) -> "FiniteFrame":
-        """Build from a d x N matrix whose n-th column is the n-th vector.
-
-        The frame keeps one validated, read-only, C-ordered complex128 copy
-        of the matrix; a 1-D array is one vector.
-        """
-        syn = np.array(matrix, dtype=np.complex128, order="C")
-        frame = cls.__new__(cls)
-        frame._set_synthesis(syn.reshape(-1, 1) if syn.ndim == 1 else syn)
-        return frame
+    def __init__(self, rows) -> None:
+        self._set_synthesis(np.array(np.asarray(rows).T, dtype=np.complex128, order="C"))
 
     @classmethod
     def _adopt(cls, syn: np.ndarray) -> "FiniteFrame":

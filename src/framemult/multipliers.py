@@ -143,12 +143,11 @@ class Symbol:
         return tol.within(self.sup_modulus - self.inf_modulus, self.sup_modulus)
 
 
-def weighted_frame(frame: FiniteFrame, weights) -> FiniteFrame:
-    """The sequence (w_n phi_n): each vector scaled by its own weight."""
-    w = weights.values if isinstance(weights, Symbol) else np.asarray(weights, dtype=np.complex128)
-    if w.ndim != 1 or w.size != frame.size:
-        raise DimensionMismatch(f"need {frame.size} weights, got shape {w.shape}")
-    return FiniteFrame._adopt(frame.synthesis * w[None, :])
+def weighted_frame(frame: FiniteFrame, weights: Symbol) -> FiniteFrame:
+    """The sequence (w_n phi_n) for a symbol of one weight per vector, else DimensionMismatch."""
+    if len(weights) != frame.size:
+        raise DimensionMismatch(f"need {frame.size} weights, got {len(weights)}")
+    return FiniteFrame._adopt(frame.synthesis * weights.values[None, :])
 
 
 class Multiplier:
@@ -255,8 +254,6 @@ def _termwise_matrices(values: np.ndarray, out_syn: np.ndarray, in_syn: np.ndarr
 
 def build(m: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> Multiplier:
     """Assemble the multiplier for symbol ``m``, output ``phi``, input ``psi``."""
-    if not isinstance(m, Symbol):
-        m = Symbol(m)
     return Multiplier(m, phi, psi)
 
 
@@ -408,8 +405,7 @@ def certify_minv2_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
 
 
 def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
+    """The generator of an explicit seed; np.random.default_rng returns a Generator unchanged."""
     if seed is None:
         raise ValueError("sampling operations require an explicit seed")
     return np.random.default_rng(seed)

@@ -193,33 +193,29 @@ def condition_from_sigmas(sigma_max: float, sigma_min: float) -> float:
 
 
 def frobenius(a: np.ndarray):
-    """Frobenius norm of a float64 or complex128 matrix or vector, bit for bit ``np.linalg.norm(a)``.
+    """Frobenius norm of a complex128 matrix or vector, bit for bit ``np.linalg.norm(a)``.
 
     The arithmetic of numpy's axis-free path without its dispatch: the
-    entries in memory order (``ravel('K')``), then re.re + im.im for
-    complex input, then the square root. Like that path it squares the
-    entries, so it overflows beyond about 1e154 and underflows below about
-    1e-154. A stack (..., m, n) gives ``np.linalg.norm(a, axis=(-2, -1))``.
+    entries in memory order (``ravel('K')``), then re.re + im.im, then the
+    square root; a float64 array gets the same bits, its im.im being 0. Like
+    that path it squares the entries, so it overflows beyond about 1e154 and
+    underflows below about 1e-154. A stack (..., m, n) gives
+    ``np.linalg.norm(a, axis=(-2, -1))``.
     """
     if a.ndim > 2:
         return np.linalg.norm(a, axis=(-2, -1))
     x = a.ravel(order="K")
-    if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def relative_residual(actual: np.ndarray, reference: np.ndarray,
-                      reference_norm: float | None = None) -> float:
+def relative_residual(actual: np.ndarray, reference: np.ndarray, reference_norm: float) -> float:
     """Frobenius-norm residual ||actual - reference|| / ||reference||, by ``relative_to``.
 
-    ``reference_norm``, when given, is ``frobenius(reference)`` measured
-    before and is used as it is.
+    Both matrices are complex128, and ``reference_norm`` is
+    ``frobenius(reference)``, measured before and used as it is.
     """
-    ref = np.asarray(reference, dtype=np.complex128)
-    diff = frobenius(np.asarray(actual, dtype=np.complex128) - ref)
-    return relative_to(diff, frobenius(ref) if reference_norm is None else reference_norm)
+    return relative_to(frobenius(actual - reference), reference_norm)
 
 
 def relative_to(value: float, scale: float) -> float:

@@ -5,6 +5,9 @@ exactly), the recovery statements behind the uniqueness of the induced duals,
 the dual-family formula, random frames, the per-block embedding of a block system,
 the multiplier of one block, and the extreme singular values and eigenvalues
 taken by np.linalg, 1 x 1 matrices included.
+
+They build frames the one way the package takes them, from rows: a synthesis
+matrix S goes in as ``FiniteFrame(S.T)``, which keeps a C-ordered copy of S.
 """
 
 import contextlib
@@ -39,7 +42,7 @@ def dual_family(frame, h, tol=DEFAULT_TOL):
     Syn_tilde + H (I - Ana_Phi Syn_tilde), evaluated out of place.
     """
     tilde = fr.canonical_dual(frame, tol).synthesis
-    return fr.FiniteFrame.from_synthesis(tilde + h - (h @ frame.analysis_matrix) @ tilde)
+    return fr.FiniteFrame((tilde + h - (h @ frame.analysis_matrix) @ tilde).T)
 
 
 def _stacked_nullity(syntheses, recip, tol):

@@ -142,7 +142,7 @@ def _fuzz_instance(rng, family):
                                         + 1j * rng.standard_normal((dim, dim)))
             if np.linalg.cond(lift) > 1e3:
                 continue
-            psi = fr.FiniteFrame.from_synthesis(lift @ weighted.synthesis)
+            psi = fr.FiniteFrame((lift @ weighted.synthesis).T)
         else:
             psi = random_frame(dim, size, rng)
         mult = mp.build(symbol, phi, psi)

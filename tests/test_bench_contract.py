@@ -47,7 +47,7 @@ def _fresh(obj):
     if isinstance(obj, mp.Multiplier):
         return mp.Multiplier(_fresh(obj.symbol), _fresh(obj.phi), _fresh(obj.psi))
     if isinstance(obj, FiniteFrame):
-        return FiniteFrame.from_synthesis(obj.synthesis)
+        return FiniteFrame(obj.synthesis.T)
     if isinstance(obj, mp.Symbol):
         return mp.Symbol(obj.values)
     return obj

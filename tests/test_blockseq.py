@@ -1,5 +1,7 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import framemult.blockseq as bs
 import framemult.multipliers as mp
 from framemult.errors import ImplicationViolated, RatioNotCertified, UnknownExample
 from framemult.frames import FiniteFrame, is_dual
+from framemult.numerics import DEFAULT_TOL
 from framemult.report import finding, verdict
 from oracles import assemble_blocks, block_multiplier
 
@@ -19,6 +22,14 @@ def harmonic_demo():
         psi=[[1.0], [1.0], [1.0]], psi_exponents=[0, 1, 1],
         m=[1.0, 1.0, 1.0], m_exponents=[0, 1, 1],
     )
+
+
+def with_unit_symbol(system):
+    """The same templates under the symbol 1, whose "mphi" side is the system's own side Phi."""
+    if isinstance(system, bs.InterleavedSystem):
+        return system._replace(m_head=1.0, m_ratio=1.0, transient_m=1.0)
+    (phi, phi_e), (psi, psi_e), (m, _) = system._parts()
+    return bs.BlockSystem(phi, phi_e, psi, psi_e, np.ones_like(m), np.zeros(m.size))
 
 
 def interleave_demo():
@@ -41,6 +52,8 @@ def test_block_generation_and_validation():
     assert np.allclose(m, [1.0, 0.25, 0.25], atol=1e-15, rtol=0.0)
     with pytest.raises(ValueError):
         sys.block(0)
+    with pytest.raises(ValueError):  # templates are rows, one vector each
+        bs.BlockSystem([1.0], [0], [[1.0]], [0], [1.0], [0])
 
 
 def test_constant_template_blocks_do_not_change():
@@ -111,7 +124,7 @@ def test_system_frame_bounds_classifications():
     assert weighted.lambda_min == pytest.approx(1.0 + 2.0 / 200.0 ** 2, abs=1e-12)
     assert weighted.lambda_max == pytest.approx(3.0, abs=1e-12)
 
-    constant_side = bs.system_frame_bounds(sys, "phi", horizon=50)
+    constant_side = bs.system_frame_bounds(with_unit_symbol(sys), "mphi", horizon=50)
     assert constant_side.classification == "frame"
     assert constant_side.lambda_min == pytest.approx(3.0, abs=1e-12)
 
@@ -121,7 +134,7 @@ def test_negative_exponent_side_is_not_bessel():
         phi=[[1.0]], phi_exponents=[-1], psi=[[1.0]], psi_exponents=[0],
         m=[1.0], m_exponents=[0],
     )
-    assert bs.system_frame_bounds(sys, "phi", horizon=10).classification == "not_bessel"
+    assert bs.system_frame_bounds(sys, "mphi", horizon=10).classification == "not_bessel"
 
 
 def test_vanishing_limit_side_is_bessel_but_not_frame():
@@ -129,7 +142,7 @@ def test_vanishing_limit_side_is_bessel_but_not_frame():
         phi=[[1.0]], phi_exponents=[1], psi=[[1.0]], psi_exponents=[0],
         m=[1.0], m_exponents=[0],
     )
-    assert bs.system_frame_bounds(sys, "phi", horizon=10).classification == "bessel_not_frame"
+    assert bs.system_frame_bounds(sys, "mphi", horizon=10).classification == "bessel_not_frame"
 
 
 def test_symbol_profile_harmonic_demo():
@@ -274,7 +287,8 @@ def test_system_frame_bounds_classification_is_scale_free(scale):
         m_ratio=2.0 ** 0.5, transient_phi=scale, transient_psi=1.0, transient_m=1.0,
         ratio_bound=0.5)
     for system in (constant, interleaved):
-        assert bs.system_frame_bounds(system, "phi", horizon=20).classification == "frame"
+        assert bs.system_frame_bounds(with_unit_symbol(system), "mphi",
+                                      horizon=20).classification == "frame"
 
 
 def test_interleaved_side_bounds():
@@ -284,7 +298,7 @@ def test_interleaved_side_bounds():
     assert mphi.lambda_min == pytest.approx(1.0, abs=1e-12)
     assert mphi.lambda_max == pytest.approx(2.0, abs=1e-12)
 
-    phi = bs.system_frame_bounds(sys, "phi", horizon=400)
+    phi = bs.system_frame_bounds(with_unit_symbol(sys), "mphi", horizon=400)
     assert phi.classification == "frame"
     assert phi.lambda_max == pytest.approx(4.0 / 3.0, abs=1e-12)
 
@@ -358,7 +372,7 @@ def test_interleaved_side_with_growing_ratio_is_not_bessel():
     # |ratio| > 1: the partial sum over the default horizon leaves float range
     for ratio in (2, 2.0):
         system = bs.InterleavedSystem(1, 1, 1, ratio, 1, 1, 1, 1, 1, 0.5)
-        bounds = bs.system_frame_bounds(system, "phi")
+        bounds = bs.system_frame_bounds(system, "mphi")
         assert bounds.classification == "not_bessel"
         assert bounds.lambda_max == math.inf
         assert bounds.lambda_min == 1.0
@@ -373,8 +387,65 @@ def test_a_growing_side_is_not_bessel_at_every_scale():
             scale = 10.0 ** exponent
             for system in (bs.BlockSystem([[scale]], [-1], [[1.0]], [0], [1.0], [0]),
                            bs.InterleavedSystem(scale, 1, 1, 2.0, 1, 1, 1, 1, 1, 0.5)):
-                bounds = bs.system_frame_bounds(system, "phi")
+                bounds = bs.system_frame_bounds(system, "mphi")
                 assert bounds.classification == "not_bessel", (system, scale)
+
+
+def exact_side_bounds(head, ratio, horizon):
+    """(lambda_min, lambda_max) of side "mphi" of InterleavedSystem(head, 1, 1, ratio, 1, ...), to 60 digits.
+
+    The transient contributes 1, the recurrent direction sum_{k <= horizon} |head ratio^k|^2.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        head_sq, ratio_sq = Decimal(head) ** 2, Decimal(ratio) ** 2
+        terms = horizon + 1
+        series = terms if ratio_sq == 1 else (ratio_sq ** terms - 1) / (ratio_sq - 1)
+        return sorted((+(head_sq * series), Decimal(1)))
+
+
+def expected_classification(head, ratio):
+    """The limit classification from the exact sums, at the default tolerance."""
+    if ratio >= 1.0:
+        return "not_bessel"
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(head) ** 2 / (1 - Decimal(ratio) ** 2)
+        low, high = sorted((total, Decimal(1)))
+        return "frame" if low > Decimal(DEFAULT_TOL.rel_eps) * high else "bessel_not_frame"
+
+
+@pytest.mark.parametrize("horizon", [1, 7, bs.SWEEP_HORIZON])
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 1.5, 2.0])
+def test_interleaved_side_bounds_match_the_exact_sums_at_every_head(ratio, horizon):
+    # |head|^2 under- or overflows for heads beyond about 1e-154 and 1e154 while
+    # the bounds, head^2 times a sum up to 4^1000, can still be normal doubles
+    normal = (Decimal(float_info.min), Decimal(float_info.max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in range(-300, 301):
+            head = 10.0 ** exponent
+            system = bs.InterleavedSystem(head, 1, 1, ratio, 1, 1, 1, 1, 1, 0.5)
+            bounds = bs.system_frame_bounds(system, "mphi", horizon)
+            for value, exact in zip(bounds[:2], exact_side_bounds(head, ratio, horizon)):
+                if normal[0] <= exact <= normal[1]:
+                    assert value == pytest.approx(float(exact), rel=1e-12), (head, exact)
+                elif exact > normal[1]:
+                    assert value == math.inf, (head, exact)
+                else:
+                    assert 0.0 <= value < float_info.min, (head, exact)
+            assert bounds.classification == expected_classification(head, ratio), head
+
+
+def test_interleaved_classification_does_not_move_with_the_scale():
+    # head and transient both s: their squares under- or overflow together,
+    # and the quotient of the limit extremes, 3/4, does not depend on s
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exponent in range(-300, 301):
+            scale = 10.0 ** exponent
+            system = bs.InterleavedSystem(scale, 1, 1, 0.5, 1, 1, scale, 1, 1, 0.5)
+            assert bs.system_frame_bounds(system, "mphi").classification == "frame", scale
 
 
 def test_interleaved_bounds_beyond_the_double_range_are_inf():
@@ -382,7 +453,7 @@ def test_interleaved_bounds_beyond_the_double_range_are_inf():
     system = bs.InterleavedSystem(1e200, 1, 1, 0.5, 1, 1, 1, 1, 1, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounds = bs.system_frame_bounds(system, "phi")
+        bounds = bs.system_frame_bounds(system, "mphi")
     assert bounds.lambda_max == math.inf
     assert bounds.lambda_min == 1.0
     assert bounds.classification == "bessel_not_frame"
@@ -414,4 +485,6 @@ def test_recurrent_product_beyond_the_double_range_is_not_finite(m_ratio, k):
 def test_geometric_sum_matches_the_plain_loop(ratio, terms):
     # the closed form regroups the arithmetic; 1e-12 is a few thousand ulps of a double
     loop = sum(ratio ** k for k in range(terms))
-    assert bs._geometric_sum(ratio, terms) == pytest.approx(loop, rel=1e-12)
+    with np.errstate(divide="ignore"):  # a zero ratio has the logarithm -inf
+        log_ratio = float(np.log(ratio))
+    assert math.exp(bs._log_geometric_sum(log_ratio, terms)) == pytest.approx(loop, rel=1e-12)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import framemult.blockseq as bs
 import framemult.frames as fr
 import framemult.multipliers as mp
+from framemult.errors import ZeroSymbolEntry
 from framemult.numerics import DEFAULT_TOL
 from framemult.report import finding
 from oracles import assemble_blocks, block_multiplier
@@ -212,8 +213,20 @@ def test_overflowing_closed_form_block_is_rejected_like_a_single_block():
     with pytest.raises(ValueError, match="block 2 has non-finite entries"):
         sys.stacked(1, 3)
     with pytest.raises(ValueError, match="block 2"):
-        bs.system_frame_bounds(sys, "phi", horizon=3)
+        bs.system_frame_bounds(sys, "mphi", horizon=3)
     assert np.array_equal(sys.stacked(1, 1)[0][0], sys.block(1)[0])
+
+
+def test_a_weight_that_underflows_in_the_stack_is_a_zero_symbol_entry():
+    # the closed-form weight 5e-324 / k is nonzero for every k, and the profile
+    # says so; its doubles round to 0 from k = 2 on, and the stack meets those
+    sys = bs.BlockSystem([[1.0]], [0], [[1.0]], [0], [5e-324], [1])
+    assert sys.symbol_profile().all_nonzero
+    phi, psi, m = sys.stacked(1, 3)
+    assert m.ravel().tolist() == [5e-324, 0.0, 0.0]
+    stack = mp.MultiplierStack(m, bs._synthesis(phi), bs._synthesis(psi))
+    with pytest.raises(ZeroSymbolEntry):
+        stack.induced_duals(DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

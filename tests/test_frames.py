@@ -33,6 +33,13 @@ def test_constructor_shapes():
         FiniteFrame([[[1.0]]])
 
 
+def test_constructor_takes_rows_only():
+    # a 1-D array-like is not read as one vector: every caller passes rows
+    for vector in ([1.0, 2.0], np.array([1.0j, 2.0])):
+        with pytest.raises(ValueError):
+            FiniteFrame(vector)
+
+
 def test_synthesis_matrix_is_read_only():
     f = mercedes()
     with pytest.raises(ValueError):
@@ -157,7 +164,7 @@ def test_riesz_basis_has_a_unique_dual():
 def test_equivalence_operator_recovers_the_map():
     phi = FiniteFrame(np.eye(2))
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    psi = FiniteFrame.from_synthesis(rot @ phi.synthesis)
+    psi = FiniteFrame((rot @ phi.synthesis).T)
     op = equivalence_operator(phi, psi)
     assert np.allclose(op, rot, atol=1e-12, rtol=0.0)
 
@@ -197,7 +204,7 @@ def test_random_dual_produces_duals():
     f = mercedes()
     rng = np.random.default_rng(9)
     for _ in range(10):
-        d = FiniteFrame.from_synthesis(random_dual_synthesis(f, rng))
+        d = FiniteFrame(random_dual_synthesis(f, rng).T)
         assert is_dual(d, f)
 
 

@@ -84,10 +84,10 @@ def test_symbol_constant_modulus_detection():
 
 def test_weighted_frame_scales_each_vector():
     f = FiniteFrame([[1.0, 0.0], [0.0, 1.0]])
-    w = mp.weighted_frame(f, [2.0, -1.0j])
+    w = mp.weighted_frame(f, mp.Symbol([2.0, -1.0j]))
     assert np.allclose(w.synthesis, [[2.0, 0.0], [0.0, -1.0j]], atol=1e-15, rtol=0.0)
     with pytest.raises(DimensionMismatch):
-        mp.weighted_frame(f, [1.0])
+        mp.weighted_frame(f, mp.Symbol([1.0]))
 
 
 # ------------------------------------------------------------- construction
@@ -97,14 +97,14 @@ def test_build_checks_dimensions():
     phi = FiniteFrame(np.eye(2))
     psi3 = FiniteFrame(np.eye(3))
     with pytest.raises(DimensionMismatch):
-        mp.build([1.0, 1.0], phi, psi3)
+        mp.build(mp.Symbol([1.0, 1.0]), phi, psi3)
     with pytest.raises(DimensionMismatch):
-        mp.build([1.0, 1.0, 1.0], phi, phi)
+        mp.build(mp.Symbol([1.0, 1.0, 1.0]), phi, phi)
 
 
 def test_multiplier_matrix_on_orthonormal_basis_is_diagonal():
     onb = FiniteFrame(np.eye(3))
-    mult = mp.build([2.0, -1.0j, 0.5], onb, onb)
+    mult = mp.build(mp.Symbol([2.0, -1.0j, 0.5]), onb, onb)
     assert np.allclose(mult.matrix, np.diag([2.0, -1.0j, 0.5]), atol=1e-15, rtol=0.0)
 
 
@@ -150,7 +150,7 @@ def test_invert_caches_per_tolerance():
 def test_invert_raises_on_singular_multiplier():
     phi = FiniteFrame([[1.0], [1.0]])
     psi = FiniteFrame([[1.0], [-1.0]])
-    mult = mp.build([1.0, 1.0], phi, psi)  # 1*1 + 1*(-1) = 0
+    mult = mp.build(mp.Symbol([1.0, 1.0]), phi, psi)  # 1*1 + 1*(-1) = 0
     with pytest.raises(NotInvertible):
         mp.invert(mult)
 
@@ -170,7 +170,7 @@ def test_induced_duals_oracle_on_scalar_example():
 
 def test_induced_duals_need_a_zero_free_symbol():
     phi = FiniteFrame([[1.0], [1.0]])
-    mult = mp.build([1.0, 0.0], phi, phi)  # invertible: M = [[1]]
+    mult = mp.build(mp.Symbol([1.0, 0.0]), phi, phi)  # invertible: M = [[1]]
     with pytest.raises(ZeroSymbolEntry):
         mp.induced_duals(mult)
 
@@ -301,7 +301,7 @@ def test_uniqueness_kernel_on_scalar_example():
 
 def test_uniqueness_kernel_on_orthonormal_basis():
     onb = FiniteFrame(np.eye(3))
-    mult = mp.build([1.0, 2.0, 3.0], onb, onb)
+    mult = mp.build(mp.Symbol([1.0, 2.0, 3.0]), onb, onb)
     assert uniqueness_kernel(mult, 3, seed=1) == 0
 
 
@@ -341,13 +341,13 @@ def test_recover_pseudo_dual_roundtrip():
     assert recover_pseudo_dual_F(mult, duals.psi_dagger)
     assert recover_pseudo_dual_G(mult, duals.phi_dagger)
     # any dual of the input side satisfies the first identity as well
-    psi_dual = FiniteFrame.from_synthesis(fr.random_dual_synthesis(mult.psi, np.random.default_rng(4)))
+    psi_dual = FiniteFrame(fr.random_dual_synthesis(mult.psi, np.random.default_rng(4)).T)
     assert recover_pseudo_dual_F(mult, psi_dual)
 
 
 def test_recover_pseudo_dual_rejects_wrong_candidates():
     mult = random_invertible_multiplier(np.random.default_rng(29), 2, 4)
-    wrong = FiniteFrame.from_synthesis(3.0 * mult.psi.synthesis)
+    wrong = FiniteFrame((3.0 * mult.psi.synthesis).T)
     with pytest.raises(IdentityDoesNotHold):
         recover_pseudo_dual_F(mult, wrong)
     with pytest.raises(IdentityDoesNotHold):
@@ -392,7 +392,7 @@ def test_check_prop_q_on_equivalent_construction():
     phi = random_frame(3, 5, rng)
     m = mp.Symbol(rng.uniform(0.5, 2.0, 5))
     l_map = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-    psi = FiniteFrame.from_synthesis(l_map @ mp.weighted_frame(phi, m).synthesis)
+    psi = FiniteFrame((l_map @ mp.weighted_frame(phi, m).synthesis).T)
     report = mp.check_prop_q(mp.build(m, phi, psi))
     assert report.eq1_holds
     assert report.psi_equiv_mphi
@@ -402,7 +402,7 @@ def test_check_prop_q_on_equivalent_construction():
 def test_check_prop_q_needs_zero_free_symbol():
     phi = FiniteFrame([[1.0], [1.0]])
     with pytest.raises(ZeroSymbolEntry):
-        mp.check_prop_q(mp.build([1.0, 0.0], phi, phi))
+        mp.check_prop_q(mp.build(mp.Symbol([1.0, 0.0]), phi, phi))
 
 
 def test_check_prop_q_dict_is_json_friendly():
@@ -430,7 +430,7 @@ def test_weighted_canonical_shortcut_fails_on_scalar_example():
 def test_constant_modulus_chain_all_true():
     phi = FiniteFrame([[1.0], [1.0]])
     psi = FiniteFrame([[1.0], [-1.0]])
-    report = mp.check_prop_q(mp.build([1.0, -1.0], phi, psi))
+    report = mp.check_prop_q(mp.build(mp.Symbol([1.0, -1.0]), phi, psi))
     assert report.constant_modulus_chain == {"invertible_and_eq1": True, "psi_equiv_mphi": True,
                                              "phi_equiv_mbar_psi": True, "all_agree": True}
 
@@ -534,7 +534,7 @@ def test_cached_inverse_still_checks_a_tighter_cond_max():
     onb = FiniteFrame(np.eye(2))
     tight = ToleranceConfig(cond_max=5.0)
     for adjoint_first in (False, True):
-        mult = mp.build([1.0, 10.0], onb, onb)
+        mult = mp.build(mp.Symbol([1.0, 10.0]), onb, onb)
         sides = (mult.adjoint(), mult) if adjoint_first else (mult, mult.adjoint())
         for side in sides:
             with pytest.raises(NotInvertible):

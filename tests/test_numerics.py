@@ -344,10 +344,11 @@ def test_relative_residual_of_a_zero_reference_is_inf():
     zero = np.zeros((2, 2))
     tiny = np.full((2, 2), 1e-300)
     for reference in (zero, tiny):
-        assert relative_residual(zero, reference) == math.inf
-        assert relative_residual(np.eye(2), reference) == math.inf
-        assert relative_residual(reference, reference) == math.inf
-    assert relative_residual(2.0 * np.eye(2), np.eye(2)) == 1.0
+        norm = frobenius(reference)
+        assert relative_residual(zero, reference, norm) == math.inf
+        assert relative_residual(np.eye(2), reference, norm) == math.inf
+        assert relative_residual(reference, reference, norm) == math.inf
+    assert relative_residual(2.0 * np.eye(2), np.eye(2), frobenius(np.eye(2))) == 1.0
 
 
 shapes = st.one_of(st.tuples(st.integers(1, 40)),

@@ -77,6 +77,8 @@ def cli_cases(directory):
     # keys reversed and indented, for the vector-by-vector decoder's whitespace and key order
     pretty = write(directory, "pretty.json", {"vectors": pairs(gaussian(3, 4)), "dim": 3}, indent=2)
     bad = write(directory, "bad.json", {"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0], ["x", 0]]]})
+    # a key beyond dim and vectors: the whole-document decoder's success path
+    extra = write(directory, "extra.json", {"dim": 3, "vectors": pairs(gaussian(3, 5)), "note": "x"})
     dual = os.path.join(directory, "dual.json")
 
     cases = [["examples", "list"], ["examples", "run", "--all", "--horizon", "50"],
@@ -87,6 +89,7 @@ def cli_cases(directory):
         cases += [sides + ["--verify-all", "--seed", "1"], sides + ["--invert", "--induced-duals"]]
     cases.append(["multiplier", "--symbol", symbols[0], "--phi", phi, "--psi", flat,
                   "--verify-all", "--seed", "1"])
+    cases.append(["frame-info", extra, "--dual-out", dual])
     return cases
 
 
