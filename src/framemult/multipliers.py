@@ -154,11 +154,11 @@ class Multiplier:
     """Realized multiplier (symbol, output side, input side) with its matrix.
 
     The extreme singular values, the inverse and its norm, the induced
-    duals, the canonical-inversion residual and the adjoint are lazy
-    per-instance caches, each computed at most once and free of any
-    tolerance. An adjoint takes its derived values from the multiplier it
-    came from, so the two share one SVD, one inverse and one ||Minv||,
-    which is also ||Minv*||.
+    duals, the canonical-inversion residual, the adjoint and an adjoint's
+    matrix are lazy per-instance caches, each computed at most once and
+    free of any tolerance. An adjoint takes its derived values from the
+    multiplier it came from, so the two share one SVD, one inverse and one
+    ||Minv||, which is also ||Minv*||.
     """
 
     def __init__(self, symbol: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> None:
@@ -172,11 +172,19 @@ class Multiplier:
         self.symbol = symbol
         self.phi = phi
         self.psi = psi
-        self.matrix = _termwise_matrices(symbol.values, phi.synthesis, psi.synthesis)
+        self._matrix = _termwise_matrices(symbol.values, phi.synthesis, psi.synthesis)
 
     # lazy caches; _origin is the multiplier an adjoint was derived from,
     # _extremes the pair (sigma_max, sigma_min)
-    _origin = _adjoint = _extremes = _inverse = _inverse_norm = _duals = _canonical_residual = None
+    _origin = _adjoint = _matrix = _extremes = _inverse = _inverse_norm = _duals = None
+    _canonical_residual = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The d x d matrix; an adjoint forms it, the conjugate transpose, on first access."""
+        if self._matrix is None:
+            self._matrix = adjoint(self._origin.matrix)
+        return self._matrix
 
     @property
     def dim(self) -> int:
@@ -192,7 +200,6 @@ class Multiplier:
             adj = Multiplier.__new__(Multiplier)
             adj.symbol = self.symbol.conjugate()
             adj.phi, adj.psi = self.psi, self.phi
-            adj.matrix = adjoint(self.matrix)
             adj._origin = adj._adjoint = self
             self._adjoint = adj
         return self._adjoint
@@ -347,12 +354,12 @@ class MultiplierStack:
         return _induced_dual_syntheses(minv, self.values, self.phi_syn, self.psi_syn)
 
 
-def _inverse_residual(mult: Multiplier, out_side: FiniteFrame, in_side: FiniteFrame,
+def _inverse_residual(mult: Multiplier, out_side: FiniteFrame, in_analysis: np.ndarray,
                       tol: ToleranceConfig) -> float:
-    """||Syn_out diag(1/m) Ana_in - Minv|| / ||Minv||; neither side is tested for duality."""
+    """||Syn_out diag(1/m) Ana_in - Minv|| / ||Minv||, given Ana_in; neither side is tested for duality."""
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
-    candidate = (out_side.synthesis * recip[None, :]) @ in_side.analysis_matrix
+    candidate = (out_side.synthesis * recip[None, :]) @ in_analysis
     return relative_residual(candidate, minv, mult._minv_norm())
 
 
@@ -391,9 +398,11 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     recip = mult.symbol.reciprocal().values
     tilde_psi = frames.canonical_dual(mult.psi, tol)
     phi_dagger = induced_duals(mult, tol).phi_dagger
-    base_residual = _inverse_residual(mult, tilde_psi, phi_dagger, tol)
+    ana = phi_dagger.analysis_matrix  # a conjugate copy, formed once for both residuals
+    base_residual = _inverse_residual(mult, tilde_psi, ana, tol)
 
-    slope = recip[:, None] * phi_dagger.analysis_matrix
+    slope = recip[:, None] * ana
+    del ana  # not held through the product below, the peak of the certificate
     slope -= mult.psi.analysis_matrix @ (tilde_psi.synthesis @ slope)
     linear_residual = relative_to(frobenius(slope) * tilde_psi.norm, mult._minv_norm())
     return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
@@ -489,7 +498,8 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     tilde_phi = frames.canonical_dual(mult.phi, tol)
     residual = mult._canonical_residual
     if residual is None:
-        residual = mult._canonical_residual = _inverse_residual(mult, tilde_psi, tilde_phi, tol)
+        residual = _inverse_residual(mult, tilde_psi, tilde_phi.analysis_matrix, tol)
+        mult._canonical_residual = residual
     return residual
 
 

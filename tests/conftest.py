@@ -4,9 +4,9 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def nothing_left_frozen():
-    """Fail a test that leaves objects frozen: only a process that is ending may freeze them."""
+def collector_left_on():
+    """Fail a test that leaves the collector off: only a process that is ending may switch it off."""
     yield
-    frozen = gc.get_freeze_count()
-    gc.unfreeze()
-    assert frozen == 0, f"the test left {frozen} objects frozen; only cli.entry freezes, at its end"
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the test left the collector off; only cli.entry switches it off, as the process ends"

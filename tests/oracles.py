@@ -75,7 +75,8 @@ def uniqueness_kernel(mult, dual_samples, *, seed, tol=DEFAULT_TOL):
 
 def recover_pseudo_dual_F(mult, candidate, tol=DEFAULT_TOL):
     """If Minv = Syn_F diag(1/m) Ana_{phi_dagger} holds, whether F reconstructs Psi (it must)."""
-    residual = mp._inverse_residual(mult, candidate, mp.induced_duals(mult, tol).phi_dagger, tol)
+    phi_dagger = mp.induced_duals(mult, tol).phi_dagger
+    residual = mp._inverse_residual(mult, candidate, phi_dagger.analysis_matrix, tol)
     if residual > tol.rel_eps:
         raise IdentityDoesNotHold(f"inverse identity fails for the candidate (residual {residual:.3e})")
     return fr.is_dual(candidate, mult.psi, tol)

@@ -1,13 +1,15 @@
-"""The process entry: what a CLI process runs, and what it leaves at exit.
+"""The process entry: what a CLI process runs, and how it ends.
 
-``cli.entry`` runs ``main`` and then freezes the objects left, so that the
-interpreter's collections at shutdown skip them. These tests run real
-child processes: the freeze must happen on every way out of a run, the
-installed command and ``python -m`` must both take it, and the exit must
-lose nothing the process wrote.
+``cli.entry`` runs ``main`` with the collector off and ends the process
+itself, skipping the interpreter's teardown; run as ``__main__`` the
+module switches the collector off before its first import. These tests
+run real child processes: no run may collect on any way out of it, the
+atexit hooks must still run, the installed command and ``python -m`` must
+both take the entry, and the exit must lose nothing the process wrote.
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -15,10 +17,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import framemult.cli as cli
-from test_reachability import PACKAGE_DIR, cli_cases
+from test_reachability import PACKAGE_DIR, cli_cases, pairs, write
 
 REPO_DIR = os.path.dirname(os.path.dirname(PACKAGE_DIR))
 # without PYTHONUNBUFFERED a child's stdout on a file or a pipe is
@@ -26,31 +29,77 @@ REPO_DIR = os.path.dirname(os.path.dirname(PACKAGE_DIR))
 CHILD_ENV = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
 CHILD_ENV["PYTHONPATH"] = os.path.dirname(PACKAGE_DIR)
 
-# an atexit hook reports how many objects are frozen once the run has ended
-FREEZE_PROBE = """
-import atexit, gc, sys
-atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
-if sys.argv[1] == "runpy":
+# an atexit hook reports how many collections ran from the start of the
+# run, and the interpreter's teardown, where it runs, finalizes `mark`;
+# the entry is imported first, as the installed command imports it, with
+# the collector on
+COLLECTION_PROBE = """
+import atexit, gc, os, sys
+class Mark:
+    def __del__(self):
+        os.write(2, b"teardown\\n")
+mark = Mark()
+collections = lambda: sum(stats["collections"] for stats in gc.get_stats())
+how = sys.argv[1]
+if how == "runpy":
     import runpy
     sys.argv[1:] = ["examples", "list"]
-    runpy.run_module("framemult.cli", run_name="__main__")
 else:
     from framemult.cli import entry
+    assert gc.isenabled()
+gc.collect()
+before = collections()
+atexit.register(lambda: sys.stderr.write(f"collections {collections() - before}\\n"))
+if how == "runpy":
+    runpy.run_module("framemult.cli", run_name="__main__")
+else:
     sys.exit(entry(sys.argv[2:]))
 """
 
 
 @pytest.mark.parametrize("how, argv, exit_code", [
     ("runpy", [], 0),
+    ("entry", ["examples", "list"], 0),
     ("entry", ["examples", "run"], 2),  # a UsageError
     ("entry", ["examples", "list", "--seed", "1"], 2),  # rejected by argparse
 ])
-def test_every_way_out_of_a_process_run_leaves_its_objects_frozen(how, argv, exit_code):
-    result = subprocess.run([sys.executable, "-c", FREEZE_PROBE, how, *argv],
+def test_no_way_out_of_a_process_run_collects_or_tears_down_and_atexit_hooks_still_run(
+        how, argv, exit_code):
+    result = subprocess.run([sys.executable, "-c", COLLECTION_PROBE, how, *argv],
                             capture_output=True, text=True, env=CHILD_ENV)
     assert result.returncode == exit_code, result.stderr
-    last = result.stderr.splitlines()[-1]
-    assert re.fullmatch(r"frozen [1-9]\d*", last), result.stderr
+    assert result.stderr.splitlines()[-1] == "collections 0", result.stderr
+
+
+def test_a_run_with_the_collector_off_leaves_no_garbage_that_grows_with_the_work(tmp_path):
+    # a command leaves the same cyclic garbage (its parser, a multiplier and
+    # its adjoint) whatever the size of its work, so a process that never
+    # collects holds no more than a fixed amount of it
+    rng = np.random.default_rng(3)
+    runs = [["examples", "run", "--all", "--horizon", "1000"],
+            ["examples", "run", "--all", "--horizon", "100000"]]
+    for dim, size in ((6, 24), (24, 96)):
+        gaussian = lambda: pairs(rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
+        sides = [write(str(tmp_path), f"{name}{dim}.json", {"dim": dim, "vectors": gaussian()})
+                 for name in ("phi", "psi")]
+        moduli, phases = rng.uniform(0.5, 2.0, size), np.exp(2j * np.pi * rng.uniform(size=size))
+        symbol = write(str(tmp_path), f"symbol{dim}.json", {"values": pairs(moduli * phases)})
+        runs.append(["multiplier", "--symbol", symbol, "--phi", sides[0], "--psi", sides[1],
+                     "--verify-all", "--seed", "1"])
+    for argv in runs[::2]:  # the modules each command imports, loaded before counting
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    gc.collect()
+    found = []
+    gc.disable()
+    try:
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found[0] == found[1] and found[2] == found[3] and max(found) < 500, found
 
 
 def test_the_installed_command_and_the_main_block_run_the_same_function():

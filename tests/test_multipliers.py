@@ -527,6 +527,16 @@ def test_adjoint_route_matches_conjugate_symbol_swap(seed):
     assert np.allclose(left, right, atol=1e-13, rtol=0.0)
 
 
+def test_an_adjoint_forms_its_matrix_on_first_access():
+    rng = np.random.default_rng(8)
+    mult = mp.build(mp.Symbol(rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+                    random_frame(2, 4, rng), random_frame(2, 4, rng))
+    adj = mult.adjoint()
+    assert adj._matrix is None
+    assert np.array_equal(adj.matrix, mult.matrix.conj().T)
+    assert adj.matrix is adj._matrix
+
+
 def test_cached_inverse_still_checks_a_tighter_cond_max():
     # a multiplier and its adjoint share the last tolerance the policy
     # passed under and never remember a failure, so a pass at one

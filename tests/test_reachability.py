@@ -10,6 +10,7 @@ the CLI or deleted; reference routes that only tests need live in
 ``oracles.py``.
 """
 
+import atexit
 import contextlib
 import gc
 import inspect
@@ -108,8 +109,11 @@ def fresh_package():
         sys.modules.update(saved)
 
 
-def test_every_package_function_is_reached_by_the_cli(tmp_path):
+def test_every_package_function_is_reached_by_the_cli(tmp_path, monkeypatch):
     cases = cli_cases(str(tmp_path))
+    # the first case goes through the process entry, with the end of the process stubbed out
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)
+    monkeypatch.setattr(os, "_exit", lambda code: codes.append(code))
     entered = set()
 
     def profile(frame, event, arg):
@@ -125,14 +129,15 @@ def test_every_package_function_is_reached_by_the_cli(tmp_path):
             import framemult.cli as cli
 
             for argv in cases:
-                # the first case goes through the process entry, which freezes what it leaves
-                run = cli.entry if argv is cases[0] else cli.main
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
-                    codes.append(run(argv))
+                    if argv is cases[0]:
+                        cli.entry(argv)
+                    else:
+                        codes.append(cli.main(argv))
         finally:
             sys.setprofile(None)
-            gc.unfreeze()
+            gc.enable()
     assert codes == [0] * 2 + [2] + [0] * (len(cases) - 3)
     missed = {f"{module}.{name}" for module, name, _ in defined_functions() - entered}
     assert missed == NOT_REACHED, sorted(missed ^ NOT_REACHED)
