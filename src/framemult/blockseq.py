@@ -354,13 +354,19 @@ class InterleavedSystem(NamedTuple):
 
     # -------------------------------------------------------------- sides
 
-    def _side_params(self, side: str) -> tuple[complex, complex, complex]:
-        """(head, ratio, transient coefficient) of one weighted side."""
-        family, weight = _side_entry(side)
+    def _side_log_moduli(self, side: str) -> np.ndarray:
+        """log |head|, log |ratio|, log |transient coefficient| of one weighted side.
+
+        Each is the sum of its factors' log-moduli, the weight's and the
+        side's, never the log of their product, which may leave the double
+        range where the bounds do not.
+        """
+        family, _ = _side_entry(side)
         params = (getattr(self, f"{family}_head"), getattr(self, f"{family}_ratio"),
                   getattr(self, f"transient_{family}"))
         weights = (self.m_head, self.m_ratio, self.transient_m)
-        return tuple(complex(weight(w)) * p for w, p in zip(weights, params))
+        with np.errstate(divide="ignore"):  # -inf for a zero
+            return np.log(np.abs(weights)) + np.log(np.abs(params))
 
     def side_bounds(self, side: str, horizon: int = SWEEP_HORIZON,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SystemBounds:
@@ -368,19 +374,18 @@ class InterleavedSystem(NamedTuple):
 
         The recurrent direction accumulates sum_k |head * ratio^k|^2 over
         k = 0..horizon and every transient direction contributes
-        |transient|^2 once. Both are summed as logarithms, so a bound that
-        is a normal double is right to rounding whatever |head|^2 is; one
-        beyond the double range is inf. The classification compares the
-        limit extremes by their quotient, free of the side's scale.
+        |transient|^2 once. Both are summed as logarithms, from the
+        log-moduli of the side's factors, so a bound that is a normal double
+        is right to rounding whatever the scale of its factors; one beyond
+        the double range is inf. The classification compares the limit
+        extremes by their quotient, free of the side's scale.
         """
-        moduli = np.abs(np.array(self._side_params(side), dtype=np.complex128))
-        with np.errstate(divide="ignore"):  # logs of the squares; -inf for a zero
-            log_head, log_ratio, log_transient = (2.0 * np.log(moduli)).tolist()
-        # growth is read off the moduli; a zero head empties the direction
-        # whatever its ratio, which may have overflowed
-        growing = moduli[0] > 0.0 and moduli[1] >= 1.0
+        log_head, log_ratio, log_transient = (2.0 * self._side_log_moduli(side)).tolist()
+        # a zero head empties the direction whatever its ratio
+        nonempty = log_head > -math.inf
+        growing = nonempty and log_ratio >= 0.0
         log_partial = log_total = -math.inf
-        if moduli[0] > 0.0:
+        if nonempty:
             log_partial = log_head + _log_geometric_sum(log_ratio, horizon + 1)
             log_total = math.inf if growing else log_head - math.log(-math.expm1(log_ratio))
         with np.errstate(over="ignore"):

@@ -49,8 +49,8 @@ imports this module before it calls ``entry``, so it still collects
 during its imports. A plain import keeps the collector on, and ``main``
 switches nothing off and ends nothing, because tests and the benchmark
 worker call it in process. A run leaves the same cyclic garbage whatever
-its work (its parser, a multiplier and its adjoint), so a process that
-never collects grows by no more than that.
+its work (its parser), so a process that never collects grows by no more
+than that.
 """
 
 import gc
@@ -125,15 +125,19 @@ def _emit(args, command: str, inputs: dict, findings: list[dict]) -> int:
 def _write_stream(stream, text: str) -> str | None:
     """Write ``text`` to a standard stream and flush it; the reason it failed, if it did.
 
-    A stream that fails is closed: that drops what it still buffers, which
-    the interpreter's flush at exit would try again and fail on, printing
+    An empty ``text`` is not written, so it only flushes: an unbuffered
+    stream that has dropped a failed write has nothing left to fail on,
+    while a write of no bytes to a full device still fails. A stream that
+    fails is closed: that drops what it still buffers, which the
+    interpreter's flush at exit would try again and fail on, printing
     "Exception ignored" and exiting 120. A closed stream fails, as does
     None, the stream of a descriptor closed as the process started.
     """
     if stream is None or stream.closed:
         return os.strerror(errno.EBADF)
     try:
-        stream.write(text)
+        if text:
+            stream.write(text)
         stream.flush()
     except OSError as exc:
         with contextlib.suppress(OSError):
@@ -426,14 +430,14 @@ def entry(argv=None) -> int:
 
     The collector is off from here on. Once ``main`` is done, or argparse
     has exited, the atexit hooks run, stderr and stdout are flushed and
-    ``os._exit`` ends the process with the exit code. Two ways out still
-    return into the interpreter's exit: an exception other than
-    SystemExit, whose traceback the interpreter prints, and a stdout that
-    fails to flush what argparse printed to it (``--help``), which the
-    interpreter reports with exit 120, as before. A stderr that cannot be
-    written changes no exit code: one closed as the process started is
-    replaced by the null device, since argparse prints to stdout where
-    sys.stderr is None, and one that fails to flush is closed.
+    ``os._exit`` ends the process with the exit code. A stdout that fails
+    to flush what argparse printed to it (``--help`` into a full device or
+    a pipe whose reader has gone) gets one ``error:`` line and exit 2, as a
+    report does. Only an exception other than SystemExit still returns into
+    the interpreter's exit, which prints its traceback. A stderr that
+    cannot be written changes no exit code: one closed as the process
+    started is replaced by the null device, since argparse prints to stdout
+    where sys.stderr is None, and one that fails to flush is closed.
     """
     if sys.stderr is None:
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
@@ -444,11 +448,11 @@ def entry(argv=None) -> int:
         code = exc.code
     atexit._run_exitfuncs()  # CPython's; it clears the hooks, so the interpreter's exit runs none twice
     _write_stream(sys.stderr, "")  # argparse ignores a failed write of its usage message
-    if sys.stdout is not None and not sys.stdout.closed:  # else nothing is left to flush
-        try:
-            sys.stdout.flush()
-        except OSError:
-            return code
+    # a stdout already closed has failed and been reported, or was never open
+    failure = sys.stdout is not None and not sys.stdout.closed and _write_stream(sys.stdout, "")
+    if failure:
+        _write_stream(sys.stderr, f"error: cannot write to stdout: {failure}\n")
+        code = USAGE_ERROR
     os._exit(code)
 
 

@@ -28,19 +28,6 @@ class NotAFrame(FrameToolError):
     """The vector sequence does not span, so frame bounds do not exist."""
 
 
-class NotEquivalent(FrameToolError):
-    """No invertible operator maps one sequence onto the other, vector by vector.
-
-    ``reason`` is ``"no_linear_map"`` when no linear operator achieves the
-    mapping at all, or ``"not_invertible"`` when one exists but is singular.
-    """
-
-    def __init__(self, message: str, reason: str = "no_linear_map", residual: float | None = None):
-        super().__init__(message)
-        self.reason = reason
-        self.residual = residual
-
-
 class ZeroSymbolEntry(FrameToolError):
     """A symbol has a zero entry, or one whose reciprocal overflows, where 1/m is needed."""
 

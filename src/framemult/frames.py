@@ -8,18 +8,19 @@ product is linear in the first argument and conjugate-linear in the second:
 
 so the analysis map is the conjugate transpose of the synthesis matrix.
 Storage is 0-based; mathematical descriptions number vectors from 1.
+The tests (``is_frame``, ``is_dual``, ``is_equivalent``, ``frames_equal``,
+``is_riesz_basis``) are predicates: each returns a bool.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame, NotEquivalent, NotInvertible
+from .errors import DimensionMismatch, NotAFrame
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     adjoint,
-    check_invertible,
     frobenius,
     hermitian_extremes,
     singular_extremes,
@@ -184,37 +185,23 @@ def is_dual(candidate: FiniteFrame, frame: FiniteFrame,
                              (candidate.norm, frame.norm)))
 
 
-def equivalence_operator(phi: FiniteFrame, psi: FiniteFrame,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Invertible L with L phi_n = psi_n for every n, if one exists.
+def is_equivalent(phi: FiniteFrame, psi: FiniteFrame,
+                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True when an invertible L has L phi_n = psi_n for every n.
 
     The only possible candidate is L = Syn_Psi * pinv(Syn_Phi), and for a
     frame pinv(Syn_Phi) is the analysis matrix of the canonical dual, so L
     is formed from the cached dual (NotAFrame when ``phi`` does not span).
     The mapping property is ``tol.within`` of the residual
     ||L Syn_Phi - Syn_Psi|| at the scale ||Syn_Psi||, then L must pass
-    ``check_invertible``. Either failure raises NotEquivalent, with
-    ``reason`` saying which requirement failed.
+    ``tol.invertible`` at size max(d, N); a map that fails the first takes
+    no SVD.
     """
     _require_same_shape(phi, psi)
     candidate = psi.synthesis @ canonical_dual(phi, tol).analysis_matrix
     residual = frobenius(candidate @ phi.synthesis - psi.synthesis)
-    if not tol.within(residual, psi.norm):
-        raise NotEquivalent(
-            "no linear map sends the first sequence to the second "
-            f"(residual {residual:.3e} against norm {psi.norm:.3e})",
-            reason="no_linear_map",
-            residual=residual,
-        )
-    try:
-        check_invertible(*singular_extremes(candidate), max(phi.synthesis.shape), tol)
-    except NotInvertible as exc:
-        raise NotEquivalent(
-            "the unique mapping operator is not invertible",
-            reason="not_invertible",
-            residual=residual,
-        ) from exc
-    return candidate
+    return (tol.within(residual, psi.norm)
+            and tol.invertible(*singular_extremes(candidate), max(phi.synthesis.shape)))
 
 
 def is_riesz_basis(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -41,13 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import frames
-from .errors import (
-    DimensionMismatch,
-    ImplicationViolated,
-    NotAFrame,
-    NotEquivalent,
-    ZeroSymbolEntry,
-)
+from .errors import DimensionMismatch, ImplicationViolated, ZeroSymbolEntry
 from .frames import FiniteFrame
 from .numerics import (
     DEFAULT_TOL,
@@ -154,11 +148,11 @@ class Multiplier:
     """Realized multiplier (symbol, output side, input side) with its matrix.
 
     The extreme singular values, the inverse and its norm, the induced
-    duals, the canonical-inversion residual, the adjoint and an adjoint's
-    matrix are lazy per-instance caches, each computed at most once and
-    free of any tolerance. An adjoint takes its derived values from the
-    multiplier it came from, so the two share one SVD, one inverse and one
-    ||Minv||, which is also ||Minv*||.
+    duals, the canonical-inversion residual, the adjoint's symbol and an
+    adjoint's matrix are lazy per-instance caches, each computed at most
+    once and free of any tolerance. An adjoint takes its derived values from
+    the multiplier it came from, so the two share one SVD, one inverse and
+    one ||Minv||, which is also ||Minv*||.
     """
 
     def __init__(self, symbol: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> None:
@@ -175,8 +169,9 @@ class Multiplier:
         self._matrix = _termwise_matrices(symbol.values, phi.synthesis, psi.synthesis)
 
     # lazy caches; _origin is the multiplier an adjoint was derived from,
-    # _extremes the pair (sigma_max, sigma_min)
-    _origin = _adjoint = _matrix = _extremes = _inverse = _inverse_norm = _duals = None
+    # _conjugate the symbol conj(m) of a multiplier's adjoints, _extremes
+    # the pair (sigma_max, sigma_min)
+    _origin = _conjugate = _matrix = _extremes = _inverse = _inverse_norm = _duals = None
     _canonical_residual = None
 
     @property
@@ -195,14 +190,20 @@ class Multiplier:
         return self.phi.size
 
     def adjoint(self) -> "Multiplier":
-        """M* = M_{conj m, Psi, Phi}, derived without a factorization or a matrix loop."""
-        if self._adjoint is None:
-            adj = Multiplier.__new__(Multiplier)
-            adj.symbol = self.symbol.conjugate()
-            adj.phi, adj.psi = self.psi, self.phi
-            adj._origin = adj._adjoint = self
-            self._adjoint = adj
-        return self._adjoint
+        """M* = M_{conj m, Psi, Phi}, derived without a factorization or a matrix loop.
+
+        An adjoint's adjoint is its origin, which keeps conj(m) but not the
+        adjoint: no reference cycle, and each call builds a fresh adjoint.
+        """
+        if self._origin is not None:
+            return self._origin
+        if self._conjugate is None:
+            self._conjugate = self.symbol.conjugate()
+        adj = Multiplier.__new__(Multiplier)
+        adj.symbol = self._conjugate
+        adj.phi, adj.psi = self.psi, self.phi
+        adj._origin = self
+        return adj
 
     def _sigma_extremes(self) -> tuple[float, float]:
         """(sigma_max, sigma_min) of the matrix, measured once for a multiplier and its adjoint."""
@@ -533,21 +534,6 @@ class PropQReport(NamedTuple):
         return fields
 
 
-def _input_equiv_weighted_output(mult: Multiplier, weighted: FiniteFrame,
-                                 tol: ToleranceConfig) -> bool:
-    """Is Psi equivalent to ``weighted`` = (m_n phi_n)? On the adjoint: Phi and (conj(m_n) psi_n).
-
-    Equivalence is symmetric, so the map is sought from Psi, whose
-    canonical dual the multiplier's other checks have already cached. A Psi
-    that does not span is equivalent to no frame.
-    """
-    try:
-        frames.equivalence_operator(mult.psi, weighted, tol)
-    except (NotEquivalent, NotAFrame):
-        return False
-    return True
-
-
 def _psi_dagger_is_canonical(mult: Multiplier, tol: ToleranceConfig) -> bool:
     """Does psi_dagger equal the canonical dual of Psi? On the adjoint: phi_dagger and Phi."""
     return frames.frames_equal(induced_duals(mult, tol).psi_dagger,
@@ -574,9 +560,11 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
       agree: the constant-modulus chain, given as ``constant_modulus_chain``.
       With the two agreements above, the four non-eq1 booleans then agree.
 
-    The weighted sides m*Phi and conj(m)*Psi are built here and die with
-    the call. ZeroSymbolEntry for a symbol with a zero, NotInvertible for a
-    singular M.
+    Equivalence is symmetric, so ``frames.is_equivalent`` maps from Psi or
+    Phi, whose canonical duals the canonical inversion has already taken
+    (NotAFrame there for a side that does not span). The weighted sides
+    m*Phi and conj(m)*Psi are built here and die with the call.
+    ZeroSymbolEntry for a symbol with a zero, NotInvertible for a singular M.
     """
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("the equivalence criteria need a zero-free symbol")
@@ -584,10 +572,8 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
     adj = mult.adjoint()
     report = PropQReport(
         eq1_holds=eq1,
-        psi_equiv_mphi=_input_equiv_weighted_output(
-            mult, weighted_frame(mult.phi, mult.symbol), tol),
-        phi_equiv_mbar_psi=_input_equiv_weighted_output(
-            adj, weighted_frame(adj.phi, adj.symbol), tol),
+        psi_equiv_mphi=frames.is_equivalent(mult.psi, weighted_frame(mult.phi, mult.symbol), tol),
+        phi_equiv_mbar_psi=frames.is_equivalent(adj.psi, weighted_frame(adj.phi, adj.symbol), tol),
         psi_dagger_is_canonical=_psi_dagger_is_canonical(mult, tol),
         phi_dagger_is_canonical=_psi_dagger_is_canonical(adj, tol),
         constant_symbol=mult.symbol.is_constant(tol),

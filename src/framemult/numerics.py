@@ -1,10 +1,13 @@
 """Dense complex linear algebra with an explicit tolerance policy.
 
 Every LAPACK call of the package (svd, eigvalsh, inv) is made here but one,
-the ``np.linalg.solve`` of ``frames.canonical_dual``. ``ToleranceConfig`` is
-the only code that turns rel_eps and cond_max into a decision. Its three
-rules compare dimensionless ratios with no absolute floor such as ``1 +``,
-so rescaling the frames or the symbol moves no decision, up to rounding:
+the ``np.linalg.solve`` of ``frames.canonical_dual``. ``ToleranceConfig``
+turns rel_eps and cond_max into a decision everywhere but one place: the
+CLI's ``--verify-all`` bundle passes rel_eps, or rel_eps times the
+condition number, to ``report.finding``, which decides
+``residual <= tolerance``. The three rules compare dimensionless ratios
+with no absolute floor such as ``1 +``, so rescaling the frames or the
+symbol moves no decision, up to rounding:
 
 * ``spans(lower, upper, size)``: lower > rel_eps * upper;
 * ``invertible(sigma_max, sigma_min, size)``: sigma_min > sigma_max / cond_max;

@@ -8,6 +8,8 @@ a name or a verdict the benchmark relies on fails here. The benchmark files
 are imported, never changed.
 """
 
+import ast
+import importlib
 import inspect
 import json
 import os
@@ -139,3 +141,25 @@ def test_traced_examples_run_records_blockseq_spans(tmp_path):
     assert json.loads(result.stdout)["verdict"] == "flagged"
     summary = tracer.summarize(spans)
     assert summary["by_name"]["blockseq.run_example"]["calls"] == 4, summary["by_name"].keys()
+
+
+def test_the_benchmark_stage_names_are_the_package_functions_but_two_known_stale_ones():
+    # run.py times stages by the name of a package function; a function that
+    # is renamed or deleted reads 0 there without an error. The tables are
+    # read from the source: importing run.py sets the BLAS thread variables
+    # of this process
+    with open(os.path.join(PERFBENCH, "run.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    tables = {target.id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)
+              and target.id in ("STAGES", "COUNTED")}
+    names = {name for members in tables["STAGES"].values() for name in members}
+    names.update(tables["COUNTED"])
+
+    def defined(name):
+        module, _, function = name.partition(".")
+        return hasattr(importlib.import_module(f"framemult.{module}"), function)
+
+    missing = sorted(name for name in names if not defined(name))
+    assert missing == ["formats.frame_to_json", "multipliers.uniqueness_kernel"]

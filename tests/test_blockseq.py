@@ -459,6 +459,18 @@ def test_interleaved_bounds_beyond_the_double_range_are_inf():
     assert bounds.classification == "bessel_not_frame"
 
 
+def test_interleaved_bounds_of_a_side_whose_ratio_product_leaves_the_double_range():
+    # the side's ratio m_ratio * phi_ratio = 1e400 overflows as a product, while
+    # lambda_max = 1e-600 (1 + 1e800) = 1e200 is a normal double
+    system = bs.InterleavedSystem(1e-300, 1, 1, 1e200, 1, 1e200, 1, 1, 1, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = bs.system_frame_bounds(system, "mphi", horizon=1)
+    assert bounds.lambda_min == 1.0
+    assert bounds.lambda_max == pytest.approx(1e200, rel=1e-12)
+    assert bounds.classification == "not_bessel"
+
+
 def test_interleaved_profile_of_a_symbol_beyond_the_double_range():
     system = bs.InterleavedSystem(1, 1, 1, 1, 1, 1e10, 1, 1, 1, 0.5)
     with warnings.catch_warnings():

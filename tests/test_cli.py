@@ -738,7 +738,7 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
              for _ in range(2)]
     mult = mp.build(mp.Symbol(np.exp(2j * np.pi * rng.uniform(size=6))), *sides)
     calls = collections.Counter()
-    for module, name in ((fr, "equivalence_operator"), (fr, "is_dual")):
+    for module, name in ((fr, "is_equivalent"), (fr, "is_dual")):
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -775,7 +775,7 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
     # inversion's product once, for its finding and inside the report, next
     # to one per certificate; m*Phi once in the report and once in the
     # shortcut, conj(m)*Psi once in the report
-    assert calls == {"equivalence_operator": 2, "is_dual": 2,
+    assert calls == {"is_equivalent": 2, "is_dual": 2,
                      "canonical_inversion_product": 1, "certificate_product": 2,
                      "weighted_frame": 3}
     # no weighted side outlives the bundle
@@ -786,7 +786,9 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
 def test_verify_bundle_leaves_no_tolerance_on_the_objects_it_reached():
     # objects cache tolerance-free numbers and every tolerance test is
     # decided at each call, so after a bundle no attribute or slot of the
-    # multiplier, its adjoint or a frame they reach holds a ToleranceConfig
+    # multiplier, an adjoint of it or a frame they reach holds a
+    # ToleranceConfig; the multiplier does not refer to its adjoints, so the
+    # walk starts from one too
     import framemult.cli as cli
     import framemult.multipliers as mp
 
@@ -802,7 +804,9 @@ def test_verify_bundle_leaves_no_tolerance_on_the_objects_it_reached():
     cli._verify_bundle(mult, tol, 3, findings)
     assert cli._verdict(findings) == "pass"
 
-    reached, held, pending = {}, [], [("mult", mult)]
+    adj = mult.adjoint()
+    mp.induced_duals(adj, tol)  # the adjoint's own caches, taken from the multiplier's
+    reached, held, pending = {}, [], [("mult", mult), ("adj", adj)]
     while pending:
         path, obj = pending.pop()
         if id(obj) in reached:
@@ -820,7 +824,7 @@ def test_verify_bundle_leaves_no_tolerance_on_the_objects_it_reached():
     assert held == []
     frames_reached = [obj for obj in reached.values() if isinstance(obj, FiniteFrame)]
     # Phi, Psi, their canonical duals and the two induced duals
-    assert id(mult.adjoint()) in reached and len(frames_reached) == 6
+    assert len(frames_reached) == 6
 
 
 def test_verify_bundle_builds_one_entrywise_exact_matrix(monkeypatch):

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 
 import framemult.cli as cli
+import framemult.multipliers as mp
+from framemult.frames import FiniteFrame
 from test_reachability import PACKAGE_DIR, cli_cases, pairs, write
 
 REPO_DIR = os.path.dirname(os.path.dirname(PACKAGE_DIR))
@@ -72,9 +74,10 @@ def test_no_way_out_of_a_process_run_collects_or_tears_down_and_atexit_hooks_sti
 
 
 def test_a_run_with_the_collector_off_leaves_no_garbage_that_grows_with_the_work(tmp_path):
-    # a command leaves the same cyclic garbage (its parser, a multiplier and
-    # its adjoint) whatever the size of its work, so a process that never
-    # collects holds no more than a fixed amount of it
+    # a command leaves the same cyclic garbage (its parser) whatever the
+    # size of its work, so a process that never collects holds no more than
+    # a fixed amount of it; a multiplier does not refer to its adjoint, so
+    # no multiplier, frame, symbol or induced duals is part of it
     rng = np.random.default_rng(3)
     runs = [["examples", "run", "--all", "--horizon", "1000"],
             ["examples", "run", "--all", "--horizon", "100000"]]
@@ -92,14 +95,20 @@ def test_a_run_with_the_collector_off_leaves_no_garbage_that_grows_with_the_work
     gc.collect()
     found = []
     gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # what a collection finds stays in gc.garbage
     try:
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0
             found.append(gc.collect())
+        kinds = (mp.Multiplier, mp.InducedDuals, mp.Symbol, FiniteFrame)
+        held = sorted(type(obj).__name__ for obj in gc.garbage if isinstance(obj, kinds))
     finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
         gc.enable()
     assert found[0] == found[1] and found[2] == found[3] and max(found) < 500, found
+    assert held == []
 
 
 def test_the_installed_command_and_the_main_block_run_the_same_function():
@@ -195,6 +204,27 @@ def test_a_report_that_cannot_be_written_to_stdout_exits_2_with_one_error_line(s
         result = run_child(flags, ["examples", "list"], stdout, subprocess.PIPE)
     assert (result.returncode, result.stderr) == \
         (2, f"error: cannot write the report to stdout: {message}\n")
+
+
+@FLAGS
+@pytest.mark.parametrize("sink, message", [(pipe_without_reader, "Broken pipe"),
+                                           (full_device, "No space left on device"),
+                                           (closed_descriptor, None)])
+@pytest.mark.parametrize("argv", [["--help"], ["multiplier", "-h"]])
+def test_help_that_cannot_be_written_to_stdout_exits_2_with_one_error_line(sink, message, argv,
+                                                                          flags):
+    # buffered, the help waits in stdout's buffer and the entry's flush fails
+    # on it; unbuffered, argparse drops its own failed write and exits 0; with
+    # no stdout at all argparse prints the help to stderr
+    with sink() as stdout:
+        result = run_child(flags, argv, stdout, subprocess.PIPE)
+    if message is None:
+        assert result.returncode == 0 and result.stderr.startswith("usage: framemult")
+    elif flags:
+        assert (result.returncode, result.stderr) == (0, "")
+    else:
+        assert (result.returncode, result.stderr) == \
+            (2, f"error: cannot write to stdout: {message}\n")
 
 
 @FLAGS

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from framemult.errors import NotAFrame, NotEquivalent
+from framemult.errors import DimensionMismatch, NotAFrame
 from framemult.frames import (
     FiniteFrame,
     canonical_dual,
-    equivalence_operator,
     frame_bounds,
     frame_operator,
     frames_equal,
     is_dual,
+    is_equivalent,
     is_frame,
     is_riesz_basis,
     random_dual_synthesis,
@@ -161,28 +161,36 @@ def test_riesz_basis_has_a_unique_dual():
     assert frames_equal(dual_family(basis, h), tilde)
 
 
-def test_equivalence_operator_recovers_the_map():
+def test_a_rotated_frame_is_equivalent(svd_calls):
+    # the candidate map passes the mapping test, then one SVD finds it invertible
     phi = FiniteFrame(np.eye(2))
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     psi = FiniteFrame((rot @ phi.synthesis).T)
-    op = equivalence_operator(phi, psi)
-    assert np.allclose(op, rot, atol=1e-12, rtol=0.0)
+    assert is_equivalent(phi, psi) is True
+    assert svd_calls == [(2, 2)]
 
 
-def test_equivalence_operator_rejects_unrelated_sequences():
+def test_unrelated_sequences_are_not_equivalent_and_take_no_svd(svd_calls):
+    # no linear map sends one to the other, so invertibility is never asked
     phi = mercedes()
     psi = FiniteFrame([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
-    with pytest.raises(NotEquivalent) as info:
-        equivalence_operator(phi, psi)
-    assert info.value.reason == "no_linear_map"
+    assert is_equivalent(phi, psi) is False
+    assert svd_calls == []
 
 
-def test_equivalence_operator_rejects_singular_map():
+def test_a_singular_map_is_not_equivalent_after_one_svd(svd_calls):
+    # the map exists, and its SVD finds it singular
     phi = FiniteFrame(np.eye(2))
     psi = FiniteFrame([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(NotEquivalent) as info:
-        equivalence_operator(phi, psi)
-    assert info.value.reason == "not_invertible"
+    assert is_equivalent(phi, psi) is False
+    assert svd_calls == [(2, 2)]
+
+
+def test_equivalence_raises_for_a_first_sequence_that_does_not_span_or_a_shape_mismatch():
+    with pytest.raises(NotAFrame):
+        is_equivalent(FiniteFrame([[1.0, 0.0], [1.0, 0.0]]), FiniteFrame(np.eye(2)))
+    with pytest.raises(DimensionMismatch):
+        is_equivalent(mercedes(), FiniteFrame(np.eye(2)))
 
 
 def test_frames_equal_is_order_sensitive():
@@ -248,14 +256,13 @@ def test_an_overflowed_scale_fails_frames_equal():
 
 
 @overflow_warning
-def test_an_overflowed_scale_fails_the_mapping_test():
+def test_an_overflowed_scale_fails_the_mapping_test(svd_calls):
     # no linear map sends a frame of 5 vectors in C^2 to an unrelated one
     rng = np.random.default_rng(3)
     phi = FiniteFrame(rng.standard_normal((5, 2)))
     psi = FiniteFrame(1e160 * rng.standard_normal((5, 2)))
-    with pytest.raises(NotEquivalent) as info:
-        equivalence_operator(phi, psi)
-    assert info.value.reason == "no_linear_map"
+    assert is_equivalent(phi, psi) is False
+    assert svd_calls == []
 
 
 @overflow_warning

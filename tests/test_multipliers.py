@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from framemult.errors import (
     DimensionMismatch,
     ImplicationViolated,
     NotAFrame,
-    NotEquivalent,
     NotInvertible,
     ZeroSymbolEntry,
 )
@@ -442,25 +443,23 @@ def test_constant_modulus_chain_all_false():
     m = mp.Symbol([1.0, 1.0])
     with pytest.raises(NotInvertible):
         mp.check_prop_q(mp.build(m, phi, psi))
-    with pytest.raises(NotEquivalent):
-        fr.equivalence_operator(psi, mp.weighted_frame(phi, m))
-    with pytest.raises(NotEquivalent):
-        fr.equivalence_operator(phi, mp.weighted_frame(psi, m.conjugate()))
+    assert not fr.is_equivalent(psi, mp.weighted_frame(phi, m))
+    assert not fr.is_equivalent(phi, mp.weighted_frame(psi, m.conjugate()))
 
 
-def test_constant_modulus_chain_with_an_input_side_that_does_not_span():
+def test_constant_modulus_chain_with_an_input_side_that_does_not_span(svd_calls):
     # M has rank one; Psi is equivalent to no frame, and the only map from
-    # Phi onto the weighted Psi is singular
+    # Phi onto the weighted Psi exists but is singular
     phi = FiniteFrame(np.eye(2))
     psi = FiniteFrame([[1.0, 0.0], [1.0, 0.0]])
     m = mp.Symbol([1.0, 1.0])
     with pytest.raises(NotInvertible):
         mp.check_prop_q(mp.build(m, phi, psi))
     with pytest.raises(NotAFrame):
-        fr.equivalence_operator(psi, mp.weighted_frame(phi, m))
-    with pytest.raises(NotEquivalent) as info:
-        fr.equivalence_operator(phi, mp.weighted_frame(psi, m.conjugate()))
-    assert info.value.reason == "not_invertible"
+        fr.is_equivalent(psi, mp.weighted_frame(phi, m))
+    del svd_calls[:]
+    assert not fr.is_equivalent(phi, mp.weighted_frame(psi, m.conjugate()))
+    assert svd_calls == [(2, 2)]
 
 
 def test_constant_modulus_requires_constant_moduli():
@@ -535,6 +534,27 @@ def test_an_adjoint_forms_its_matrix_on_first_access():
     assert adj._matrix is None
     assert np.array_equal(adj.matrix, mult.matrix.conj().T)
     assert adj.matrix is adj._matrix
+
+
+def test_a_multiplier_whose_adjoint_was_taken_is_freed_without_the_collector():
+    # an adjoint refers to its multiplier, which does not refer back; every
+    # adjoint has the one conjugate symbol the multiplier keeps
+    rng = np.random.default_rng(8)
+    mult = random_invertible_multiplier(rng, 2, 4)
+    adj = mult.adjoint()
+    mp.induced_duals(adj)
+    assert adj.adjoint() is mult
+    assert mult.adjoint().symbol is adj.symbol
+    # a symbol and a frame are slotted without weak references: their arrays stand in
+    held = (mult, adj, adj.symbol.values, mp.induced_duals(mult).psi_dagger.synthesis)
+    refs = [weakref.ref(obj) for obj in held]
+    del held
+    gc.disable()
+    try:
+        del mult, adj
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 def test_cached_inverse_still_checks_a_tighter_cond_max():
