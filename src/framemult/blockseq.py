@@ -242,17 +242,34 @@ def block_frames(sys: BlockSystem, k: int) -> tuple[mp.Symbol, fr.FiniteFrame, f
     return mp.Symbol(m), fr.FiniteFrame(phi), fr.FiniteFrame(psi)
 
 
-def _closed_form_bounds(sys: BlockSystem, side: str, extremes: tuple[float, float],
-                        tol: ToleranceConfig) -> SystemBounds:
-    """Swept (least, greatest) extremes of one side, classified by its closed-form limit."""
+# A power-of-two exponent beyond every template's, which lies in
+# [-2146, 2048] (twice an np.frexp exponent): a zero template takes its
+# negative, so that it is the least exponent, and the extremes of no
+# template are (+inf, 0) at it.
+_OUTER_EXPONENT = 4096
+_NO_EXTREMES = ((math.inf, _OUTER_EXPONENT), (0.0, -_OUTER_EXPONENT))
+
+
+def _closed_form_bounds(sys: BlockSystem, side: str, extremes, tol: ToleranceConfig) -> SystemBounds:
+    """Swept extremes of one side, as ``_fold_side_extremes`` folds them, classified by its closed-form limit.
+
+    The classification is the quotient of the least lower and the greatest
+    upper extreme over the sweep and the limit system, compared at one
+    exponent, so it does not depend on the templates' scale. The bounds are
+    reported at their true scale: 0 or inf where they leave the double range.
+    """
+    swept = (_true_scale(extremes[0]), _true_scale(extremes[1]))
     base, exponents = sys._side_closed_form(side)
-    # a template that is not zero grows without bound; its square may underflow
+    # a template that is not zero grows without bound, whatever its scale
     if bool(np.any((exponents < 0) & np.any(base != 0, axis=1))):
-        return SystemBounds(*extremes, CLASS_NOT_BESSEL)
+        return SystemBounds(*swept, CLASS_NOT_BESSEL)
     # the limit system: the template slots that neither grow nor decay
-    lower, upper = _operator_extremes(base * (exponents == 0)[:, None])
-    spans = tol.spans(min(extremes[0], lower), max(extremes[1], upper), max(base.shape))
-    return SystemBounds(*extremes, CLASS_FRAME if spans else CLASS_BESSEL_NOT_FRAME)
+    (lower, low), (upper, high) = _widened(extremes, _operator_extremes(base * (exponents == 0)[:, None]))
+    # high >= low: the upper's shift to the lower's exponent overflows only
+    # when the quotient lies below 2^-1024, which spans no tolerance
+    with np.errstate(over="ignore"):
+        spans = tol.spans(lower, np.ldexp(upper, high - low), max(base.shape))
+    return SystemBounds(*swept, CLASS_FRAME if spans else CLASS_BESSEL_NOT_FRAME)
 
 
 def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
@@ -269,25 +286,75 @@ def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
     entry = _side_entry(side)  # ValueError for an unknown side
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    extremes = (math.inf, 0.0)
+    extremes = _NO_EXTREMES
     for blocks in _sweep(sys, horizon):
         extremes = _fold_side_extremes(entry, blocks, extremes)
     return _closed_form_bounds(sys, side, extremes, tol)
 
 
-def _fold_side_extremes(entry, blocks, extremes: tuple[float, float]) -> tuple[float, float]:
-    """``extremes`` widened by the block frame-operator eigenvalues of one side over a stack."""
-    lower, upper = _operator_extremes(_weighted_side(entry, *blocks))
-    # np.minimum and np.maximum keep a NaN, which Python's min and max may drop
-    return (float(np.minimum(extremes[0], np.min(lower))),
-            float(np.maximum(extremes[1], np.max(upper))))
+def _fold_side_extremes(entry, blocks, extremes):
+    """``extremes`` widened by the block frame-operator eigenvalues of one side over a stack.
+
+    Extremes are ((lower, exponent), (upper, exponent)) pairs, as
+    ``_operator_extremes`` gives them; a fold starts from _NO_EXTREMES.
+    """
+    return _widened(extremes, _operator_extremes(_weighted_side(entry, *blocks)))
+
+
+def _widened(extremes, more):
+    """The least of two lower and the greatest of two upper extremes, each a (value, exponent) pair."""
+    return (_least(*zip(extremes[0], more[0])), _greatest(*zip(extremes[1], more[1])))
 
 
 def _operator_extremes(templates: np.ndarray):
-    """Extreme eigenvalues of T^T conj(T), symmetrized, for (L, b) templates T or a stack; NaN on overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = templates.swapaxes(-1, -2) @ np.conj(templates)
-        return hermitian_extremes((s + adjoint(s)) / 2.0)
+    """Extreme eigenvalues of T^T conj(T), symmetrized, for (L, b) templates T or a stack, free of their scale.
+
+    Each template is divided by the power of two 2^e that np.frexp takes
+    from its largest modulus, so that its operator neither over- nor
+    underflows; its eigenvalues are those of the scaled operator times
+    2^(2e), and the division and the squares are exact. Returns the least
+    lower and the greatest upper eigenvalue over the templates as pairs
+    (value, exponent) for value * 2^exponent; NaN for a template that is not
+    finite.
+    """
+    templates = np.ascontiguousarray(templates)
+    modulus = np.max(np.abs(templates), axis=(-2, -1))
+    exponent = np.frexp(modulus)[1]
+    scaled = np.ldexp(templates.view(np.float64), -exponent[..., None, None]).view(np.complex128)
+    with np.errstate(invalid="ignore"):  # inf * 0 in a template that is not finite
+        s = scaled.swapaxes(-1, -2) @ np.conj(scaled)
+    lower, upper = hermitian_extremes((s + adjoint(s)) / 2.0)
+    twice = np.where(modulus > 0, 2 * exponent, -_OUTER_EXPONENT)
+    return _least(lower, twice), _greatest(upper, twice)
+
+
+def _least(values, exponents) -> tuple[float, int]:
+    """The least of values * 2^exponents, as (value, the least exponent); NaN wins.
+
+    Each value moves to the least exponent, a shift up that is exact or
+    overflows to inf, which is not the least.
+    """
+    exponents = np.asarray(exponents)
+    least = int(np.min(exponents))
+    with np.errstate(over="ignore"):
+        return float(np.min(np.ldexp(values, exponents - least))), least
+
+
+def _greatest(values, exponents) -> tuple[float, int]:
+    """The greatest of values * 2^exponents, as (value, the greatest exponent); NaN wins.
+
+    Each value moves to the greatest exponent, a shift down that is exact or
+    rounds what lies far below the greatest of the templates' extremes.
+    """
+    exponents = np.asarray(exponents)
+    greatest = int(np.max(exponents))
+    return float(np.max(np.ldexp(values, exponents - greatest))), greatest
+
+
+def _true_scale(pair: tuple[float, int]) -> float:
+    """value * 2^exponent: 0 or inf outside the double range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.ldexp(*pair))
 
 
 class InterleavedSystem(NamedTuple):
@@ -551,7 +618,7 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
     identity_worst = 0.0
     route_worst = 0.0
     duality_ok = True
-    mphi_extremes = (math.inf, 0.0)
+    mphi_extremes = _NO_EXTREMES
     eye = np.eye(sys.block_dim)
     for blocks in _sweep(sys, horizon):
         phi, psi, m = blocks

@@ -219,31 +219,3 @@ def frames_equal(f: FiniteFrame, g: FiniteFrame,
         return False
     return tol.within(frobenius(f.synthesis - g.synthesis), max(f.norm, g.norm))
 
-
-def random_dual_synthesis(frame: FiniteFrame, rng: np.random.Generator,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Synthesis matrix of a random dual frame, with no FiniteFrame built.
-
-    Every dual of Phi is Syn_tilde + H (I - Ana_Phi Syn_tilde) for a d x N
-    perturbation H, H = 0 giving the canonical dual. Here H has a standard
-    complex Gaussian direction, real parts drawn before imaginary parts,
-    and is rescaled to the Frobenius norm of the canonical dual, which
-    keeps the sampled duals reasonably conditioned and makes them scale
-    with the frame: the duals of s * Phi are those of Phi divided by s.
-
-    The dual is formed in H's own buffer as H + Syn_tilde - (H Ana_Phi)
-    Syn_tilde, so only d x d and d x N products appear, never the N x N
-    cross-correlation, and at most two d x N arrays are made at a time.
-    Only sums and real scalings are done in place; each of them gives the
-    bits of its out-of-place form.
-    """
-    tilde = canonical_dual(frame, tol)
-    h = np.empty((tilde.dim, tilde.size), dtype=np.complex128)
-    h.real = rng.standard_normal(h.shape)
-    h.imag = rng.standard_normal(h.shape)
-    h /= np.sqrt(2.0)
-    h *= tilde.norm / frobenius(h)
-    correction = (h @ frame.analysis_matrix) @ tilde.synthesis
-    h += tilde.synthesis
-    h -= correction
-    return h

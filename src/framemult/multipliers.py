@@ -16,7 +16,14 @@ Minv = Syn_{Psi_d} diag(1/m) Ana_{phi_dagger}, and for every dual Phi_d of
 Phi, Minv = Syn_{psi_dagger} diag(1/m) Ana_{Phi_d}. The for-every
 quantifier is certified exactly: the identity defect is affine in the dual
 parametrization, so vanishing at the canonical dual plus a vanishing
-linear term settles all duals at once.
+linear term settles all duals at once. Every dual of Psi is
+tilde + H (I - C) for a d x N perturbation H, and its defect is
+E0 + H B, with E0 (d x d) the defect at the canonical dual and B (N x d)
+the slope; the certificate keeps both. ``sampled_dual_residuals``
+cross-checks a certificate on random duals by reading each residual off
+that defect, ||E0 + H B|| / ||Minv||, one d x N by N x d product per draw;
+the verification bundle draws the input side's duals and then the output
+side's from one generator.
 
 The induced dual is also the only sequence with that property, for any
 zero-free symbol, semi-normalized or not. ``uniqueness_nullity`` decides
@@ -51,7 +58,6 @@ from .numerics import (
     condition_from_sigmas,
     frobenius,
     inverse,
-    relative_residual,
     relative_to,
     singular_extremes,
 )
@@ -247,16 +253,18 @@ def _termwise_matrices(values: np.ndarray, out_syn: np.ndarray, in_syn: np.ndarr
     other blocks leave partial sums untouched); a BLAS product would
     regroup the sums and lose that exactness. Reserved for matrices that
     must be entrywise exact. Candidates that only feed a relative residual
-    norm (``_inverse_residual``, ``verify_canonical_inversion``) are one
+    norm (``_inverse_defect``, ``verify_canonical_inversion``) are one
     BLAS product (Syn_out * values) @ Ana_in instead.
     """
     out = np.zeros(out_syn.shape[:-1] + in_syn.shape[-2:-1], dtype=np.complex128)
-    conj_in = np.conj(in_syn)
+    # term n reads row n of each, contiguous, not a strided column
+    out_rows = np.ascontiguousarray(np.swapaxes(out_syn, -1, -2))
+    in_rows = np.conj(np.swapaxes(in_syn, -1, -2), order="C")
     # entries beyond the double range become inf or NaN, which the
     # invertibility policy then rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(values.shape[-1]):
-            out += values[..., n, None, None] * (out_syn[..., :, n, None] * conj_in[..., None, :, n])
+            out += values[..., n, None, None] * (out_rows[..., n, :, None] * in_rows[..., n, None, :])
     return out
 
 
@@ -355,26 +363,36 @@ class MultiplierStack:
         return _induced_dual_syntheses(minv, self.values, self.phi_syn, self.psi_syn)
 
 
-def _inverse_residual(mult: Multiplier, out_side: FiniteFrame, in_analysis: np.ndarray,
-                      tol: ToleranceConfig) -> float:
-    """||Syn_out diag(1/m) Ana_in - Minv|| / ||Minv||, given Ana_in; neither side is tested for duality."""
+def _inverse_defect(mult: Multiplier, out_side: FiniteFrame, in_analysis: np.ndarray,
+                    tol: ToleranceConfig) -> np.ndarray:
+    """Syn_out diag(1/m) Ana_in - Minv (d x d), given Ana_in; neither side is tested for duality."""
     minv = invert(mult, tol)
     recip = mult.symbol.reciprocal().values
-    candidate = (out_side.synthesis * recip[None, :]) @ in_analysis
-    return relative_residual(candidate, minv, mult._minv_norm())
+    defect = (out_side.synthesis * recip[None, :]) @ in_analysis
+    defect -= minv
+    return defect
 
 
 class DualsCertificate(NamedTuple):
-    """Exact certification of an inverse identity over every dual frame.
+    """Exact certification of an inverse identity over every dual frame, with the defect it measured.
 
-    The identity defect is affine in the dual-family perturbation H:
-    checking it at H = 0 (base_residual) and checking that the linear
-    coefficient vanishes (linear_residual) covers all duals at once, which
-    is the same as probing every basis perturbation one at a time.
+    Every dual of the input side is tilde + H (I - C) for a d x N
+    perturbation H, and the identity's defect is affine in H: it is
+    ``defect`` + H ``slope``, with ``defect`` (d x d) its value at the
+    canonical dual and ``slope`` (N x d) the fixed matrix B. Checking it at
+    H = 0 (base_residual, ||defect||) and checking that the linear
+    coefficient vanishes (linear_residual, ||slope|| scaled by
+    ``dual_norm`` = ||tilde||) covers all duals at once, which is the same
+    as probing every basis perturbation one at a time. Both residuals are
+    relative to ``inverse_norm`` = ||Minv||.
     """
 
     base_residual: float
     linear_residual: float
+    defect: np.ndarray
+    slope: np.ndarray
+    dual_norm: float
+    inverse_norm: float
 
     @property
     def max_residual(self) -> float:
@@ -393,20 +411,24 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     with X = diag(1/m) Ana_{phi_dagger}, never the N x N matrix C. Both
     norms are reported relative to ||Minv||, with B additionally scaled by
     ||tilde_Psi||, the perturbation norm the sampler uses. A ||Minv|| that
-    is zero or overflows gives +inf, the rule of ``relative_to``.
+    is zero or overflows gives +inf, the rule of ``relative_to``. The
+    certificate holds defect(0) and B, an N x d array, for the sampler.
     """
     invert(mult, tol)
     recip = mult.symbol.reciprocal().values
     tilde_psi = frames.canonical_dual(mult.psi, tol)
     phi_dagger = induced_duals(mult, tol).phi_dagger
-    ana = phi_dagger.analysis_matrix  # a conjugate copy, formed once for both residuals
-    base_residual = _inverse_residual(mult, tilde_psi, ana, tol)
+    ana = phi_dagger.analysis_matrix  # a conjugate copy, formed once for the defect and the slope
+    defect = _inverse_defect(mult, tilde_psi, ana, tol)
 
     slope = recip[:, None] * ana
     del ana  # not held through the product below, the peak of the certificate
     slope -= mult.psi.analysis_matrix @ (tilde_psi.synthesis @ slope)
-    linear_residual = relative_to(frobenius(slope) * tilde_psi.norm, mult._minv_norm())
-    return DualsCertificate(base_residual=base_residual, linear_residual=linear_residual)
+    minv_norm = mult._minv_norm()
+    return DualsCertificate(
+        base_residual=relative_to(frobenius(defect), minv_norm),
+        linear_residual=relative_to(frobenius(slope) * tilde_psi.norm, minv_norm),
+        defect=defect, slope=slope, dual_norm=tilde_psi.norm, inverse_norm=minv_norm)
 
 
 def certify_minv2_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> DualsCertificate:
@@ -414,50 +436,43 @@ def certify_minv2_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     return certify_minv1_all_duals(mult.adjoint(), tol)
 
 
-def _as_rng(seed) -> np.random.Generator:
-    """The generator of an explicit seed; np.random.default_rng returns a Generator unchanged."""
+def sampling_generator(seed: int) -> np.random.Generator:
+    """The generator random duals are drawn from: np.random.default_rng of an explicit seed."""
     if seed is None:
         raise ValueError("sampling operations require an explicit seed")
     return np.random.default_rng(seed)
 
 
-def sampled_dual_residuals(mult: Multiplier, draws: int, *, seed,
-                           tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float]:
-    """Cross-check of the all-duals certificates by random dual sampling.
+def sampled_dual_residuals(certificate: DualsCertificate, draws: int,
+                           rng: np.random.Generator) -> float:
+    """Cross-check of an all-duals certificate: the worst residual over ``draws`` random duals.
 
-    Returns the worst residual of each inverse identity over ``draws``
-    random duals of the input side and of the output side respectively,
-    each relative to ||Minv||. The draws are duals by construction, so
-    they are not tested again (at a tiny rel_eps a duality test would
-    reject them).
+    Each draw is a dual tilde + H (I - C) of the certificate's input side,
+    for a d x N perturbation H of norm ||tilde||. Its identity residual,
+    relative to ||Minv||, is read off the certificate's affine defect as
+    ||defect + H slope|| / ||Minv||: one d x N by N x d product per draw,
+    and no dual, candidate or frame is formed. The draws are duals by
+    construction, so they are not tested again (at a tiny rel_eps a
+    duality test would reject them).
 
-    The work is on arrays. Per side, Minv, 1/m and the induced dual
-    phi_dagger are fetched once; each draw is one dual synthesis from
-    ``frames.random_dual_synthesis``, and its residual is taken before the
-    next draw against the multiplier's cached ||Minv||, so no frame or
-    symbol is built and no reference norm measured per draw. The generator
-    gives a dual of the input side, then one of the output side, per draw.
-
-    Each draw holds at most two d x N arrays above the cached ones: the
-    dual is built in one buffer and dropped once weighted by 1/m, and the
-    analysis matrix of phi_dagger, a conjugate copy, is formed for its one
-    product (held through the loop, the two sides' copies would add two
-    arrays to the peak). The weighting and the products are out of place,
-    since an in-place complex product does not give the same bits.
+    H is ||tilde|| G / ||G|| for a d x N complex G whose entries' real and
+    imaginary parts are standard normals, drawn in memory order: row by row,
+    the real part of an entry just before its imaginary part. G is drawn
+    into one buffer that every draw reuses, and the scale is applied to the
+    d x d product G slope, not to G. The verification bundle draws both
+    sides from one generator: the input side's duals, then the output
+    side's, from the adjoint's certificate.
     """
-    rng = _as_rng(seed)
-    sides = (mult, mult.adjoint())
-    targets = [(invert(side, tol), side._minv_norm(),
-                side.symbol.reciprocal().values[None, :], induced_duals(side, tol).phi_dagger)
-               for side in sides]
-    worst = [0.0, 0.0]
+    defect, slope = certificate.defect, certificate.slope
+    perturbation = np.empty((defect.shape[0], slope.shape[0]), dtype=np.complex128)
+    worst = 0.0
     for _ in range(draws):
-        for i, (side, (minv, minv_norm, recip, phi_dagger)) in enumerate(zip(sides, targets)):
-            # one expression, so that the dual is freed as soon as it is weighted
-            candidate = ((frames.random_dual_synthesis(side.psi, rng, tol) * recip)
-                         @ phi_dagger.analysis_matrix)
-            worst[i] = max(worst[i], relative_residual(candidate, minv, minv_norm))
-    return worst[0], worst[1]
+        rng.standard_normal(out=perturbation.view(np.float64))
+        step = perturbation @ slope
+        step *= certificate.dual_norm / frobenius(perturbation)
+        step += defect
+        worst = max(worst, relative_to(frobenius(step), certificate.inverse_norm))
+    return worst
 
 
 def uniqueness_nullity(symbol: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -499,7 +514,8 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     tilde_phi = frames.canonical_dual(mult.phi, tol)
     residual = mult._canonical_residual
     if residual is None:
-        residual = _inverse_residual(mult, tilde_psi, tilde_phi.analysis_matrix, tol)
+        defect = _inverse_defect(mult, tilde_psi, tilde_phi.analysis_matrix, tol)
+        residual = relative_to(frobenius(defect), mult._minv_norm())
         mult._canonical_residual = residual
     return residual
 

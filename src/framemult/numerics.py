@@ -212,15 +212,6 @@ def frobenius(a: np.ndarray):
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def relative_residual(actual: np.ndarray, reference: np.ndarray, reference_norm: float) -> float:
-    """Frobenius-norm residual ||actual - reference|| / ||reference||, by ``relative_to``.
-
-    Both matrices are complex128, and ``reference_norm`` is
-    ``frobenius(reference)``, measured before and used as it is.
-    """
-    return relative_to(frobenius(actual - reference), reference_norm)
-
-
 def relative_to(value: float, scale: float) -> float:
     """value / scale, or +inf unless the scale is finite and positive.
 

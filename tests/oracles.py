@@ -2,7 +2,9 @@
 
 The sampled uniqueness kernel (``multipliers.uniqueness_nullity`` decides it
 exactly), the recovery statements behind the uniqueness of the induced duals,
-the dual-family formula, random frames, the per-block embedding of a block system,
+the dual-family formula, random duals formed explicitly (the sampler reads
+them off the all-duals certificate), random frames, the column loop of the
+termwise matrix build, the per-block embedding of a block system,
 the multiplier of one block, and the extreme singular values and eigenvalues
 taken by np.linalg, 1 x 1 matrices included.
 
@@ -45,6 +47,21 @@ def dual_family(frame, h, tol=DEFAULT_TOL):
     return fr.FiniteFrame((tilde + h - (h @ frame.analysis_matrix) @ tilde).T)
 
 
+def random_dual_synthesis(frame, rng, tol=DEFAULT_TOL):
+    """Synthesis matrix of a random dual of ``frame``, formed explicitly.
+
+    The perturbation is the sampler's: H = ||tilde|| G / ||G||, with G drawn
+    by the generator calls of ``multipliers.sampled_dual_residuals`` (2dN
+    standard normals, row by row, the real part of each entry before its
+    imaginary part). The dual is formed by ``dual_family``, the route the
+    sampler's affine defect replaces.
+    """
+    normals = rng.standard_normal((frame.dim, frame.size, 2))
+    g = normals[..., 0] + 1j * normals[..., 1]
+    h = g * (fr.canonical_dual(frame, tol).norm / np.linalg.norm(g))
+    return dual_family(frame, h, tol).synthesis
+
+
 def _stacked_nullity(syntheses, recip, tol):
     stacked = np.vstack([syn * recip[None, :] for syn in syntheses])
     sigmas = np.linalg.svd(stacked, compute_uv=False)
@@ -64,11 +81,11 @@ def uniqueness_kernel(mult, dual_samples, *, seed, tol=DEFAULT_TOL):
         raise ValueError("dual_samples must be at least 1")
     mp.invert(mult, tol)
     sides = (mult, mult.adjoint())
-    rng = mp._as_rng(seed)
+    rng = mp.sampling_generator(seed)
     duals = [[fr.canonical_dual(side.psi, tol).synthesis] for side in sides]
     for _ in range(dual_samples - 1):
         for side, found in zip(sides, duals):
-            found.append(fr.random_dual_synthesis(side.psi, rng, tol))
+            found.append(random_dual_synthesis(side.psi, rng, tol))
     return max(_stacked_nullity(found, side.symbol.reciprocal().values, tol)
                for found, side in zip(duals, sides))
 
@@ -76,7 +93,8 @@ def uniqueness_kernel(mult, dual_samples, *, seed, tol=DEFAULT_TOL):
 def recover_pseudo_dual_F(mult, candidate, tol=DEFAULT_TOL):
     """If Minv = Syn_F diag(1/m) Ana_{phi_dagger} holds, whether F reconstructs Psi (it must)."""
     phi_dagger = mp.induced_duals(mult, tol).phi_dagger
-    residual = mp._inverse_residual(mult, candidate, phi_dagger.analysis_matrix, tol)
+    defect = mp._inverse_defect(mult, candidate, phi_dagger.analysis_matrix, tol)
+    residual = nu.relative_to(nu.frobenius(defect), mult._minv_norm())
     if residual > tol.rel_eps:
         raise IdentityDoesNotHold(f"inverse identity fails for the candidate (residual {residual:.3e})")
     return fr.is_dual(candidate, mult.psi, tol)
@@ -85,6 +103,20 @@ def recover_pseudo_dual_F(mult, candidate, tol=DEFAULT_TOL):
 def recover_pseudo_dual_G(mult, candidate, tol=DEFAULT_TOL):
     """If Minv = Syn_{psi_dagger} diag(1/m) Ana_G holds, whether G reconstructs Phi."""
     return recover_pseudo_dual_F(mult.adjoint(), candidate, tol)
+
+
+def termwise_columns(values, out_syn, in_syn):
+    """``multipliers._termwise_matrices`` by strided columns: term n reads column n of each stack.
+
+    The same terms in the same order with the same operands,
+    values[n] * (out_n conj(in_n)^T), as the package's row loop, so the two
+    give the same bits.
+    """
+    out = np.zeros(out_syn.shape[:-1] + in_syn.shape[-2:-1], dtype=np.complex128)
+    conj_in = np.conj(in_syn)
+    for n in range(values.shape[-1]):
+        out += values[..., n, None, None] * (out_syn[..., :, n, None] * conj_in[..., None, :, n])
+    return out
 
 
 def block_multiplier(sys, k):

@@ -291,6 +291,25 @@ def test_system_frame_bounds_classification_is_scale_free(scale):
                                       horizon=20).classification == "frame"
 
 
+@pytest.mark.parametrize("templates, extremes", [
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], (1.0, 3.0)),
+    ([[1.0], [1.0j], [-1.0]], (3.0, 3.0)),  # scalar blocks, whose extremes take no LAPACK call
+])
+def test_block_side_bounds_are_free_of_the_template_scale(templates, extremes):
+    # the operator squares the templates: divided by a power of two first,
+    # they neither under- nor overflow, and the bounds come back at their
+    # true scale, s^2 times those at s = 1 wherever that is a normal double
+    templates = np.array(templates)
+    for scale in (10.0 ** e for e in range(-300, 301, 2)):
+        system = bs.BlockSystem.constant_template(scale * templates, scale * templates, [1.0] * 3)
+        bounds = bs.system_frame_bounds(system, "mphi", horizon=3)
+        assert bounds.classification == "frame", scale
+        for got, at_one in zip(bounds[:2], extremes):
+            want = at_one * scale * scale
+            if float_info.min <= want <= float_info.max:
+                assert abs(got - want) <= 2.0 * float_info.epsilon * want, scale
+
+
 def test_interleaved_side_bounds():
     sys = interleave_demo()
     mphi = bs.system_frame_bounds(sys, "mphi", horizon=200)

@@ -29,15 +29,21 @@ def oracle_system_frame_bounds(sys, side, horizon=bs.SWEEP_HORIZON, tol=DEFAULT_
     if isinstance(sys, bs.InterleavedSystem):
         return sys.side_bounds(side, horizon, tol)
     entry = bs._side_entry(side)
-    sweep_min = math.inf
-    sweep_max = 0.0
+    lows, highs, exponents = [], [], []
     for k in range(1, horizon + 1):
         templates = bs._weighted_side(entry, *sys.block(k))
-        s_block = templates.T @ np.conj(templates)
+        # divided by the power of two of its largest modulus, a zero block
+        # taking the exponent below every other
+        modulus = float(np.max(np.abs(templates)))
+        e = math.frexp(modulus)[1]
+        scaled = np.ldexp(templates.real, -e) + 1j * np.ldexp(templates.imag, -e)
+        s_block = scaled.T @ np.conj(scaled)
         eigs = np.linalg.eigvalsh((s_block + s_block.conj().T) / 2.0)
-        sweep_min = min(sweep_min, float(eigs[0].real))
-        sweep_max = max(sweep_max, float(eigs[-1].real))
-    return bs._closed_form_bounds(sys, side, (sweep_min, sweep_max), tol)
+        lows.append(float(eigs[0].real))
+        highs.append(float(eigs[-1].real))
+        exponents.append(2 * e if modulus > 0 else -bs._OUTER_EXPONENT)
+    extremes = (bs._least(lows, exponents), bs._greatest(highs, exponents))
+    return bs._closed_form_bounds(sys, side, extremes, tol)
 
 
 def oracle_run_ex4_1(sys, tol, horizon):

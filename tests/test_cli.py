@@ -744,14 +744,14 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    original_residual = mp._inverse_residual
+    original_defect = mp._inverse_defect
 
-    def counted_residual(side, out_side, in_analysis, tol):
+    def counted_defect(side, out_side, in_analysis, tol):
         canonical = sys._getframe(1).f_code is mp.verify_canonical_inversion.__code__
         calls["canonical_inversion_product" if canonical else "certificate_product"] += 1
-        return original_residual(side, out_side, in_analysis, tol)
+        return original_defect(side, out_side, in_analysis, tol)
 
-    monkeypatch.setattr(mp, "_inverse_residual", counted_residual)
+    monkeypatch.setattr(mp, "_inverse_defect", counted_defect)
 
     # the weighted sides, held only through weak references to their arrays
     weighted_arrays = []

@@ -12,10 +12,9 @@ from framemult.frames import (
     is_equivalent,
     is_frame,
     is_riesz_basis,
-    random_dual_synthesis,
 )
 from framemult.numerics import ToleranceConfig
-from oracles import dual_family, random_frame
+from oracles import dual_family, random_dual_synthesis, random_frame
 
 
 def mercedes():
