@@ -12,9 +12,10 @@ Two shapes of infinite system are covered.
 
 Each system is its closed form: base templates and per-slot exponents for
 a block system, heads and ratios for an interleaved one. The statements
-about every k (the symbol envelope, the tail ratio, which sides are Bessel)
-are read off that closed form, with no generated prefix; only the numeric
-frame-bound extremes come from a sweep.
+about every k (the symbol envelope, the tail ratio, whether the weighted
+side m Phi is Bessel) are read off that closed form, with no generated
+prefix; only the numeric frame-bound extremes come from a sweep. The side
+conj(m) Psi is the weighted side of ``adjoint()``, M* = M_(conj m, Psi, Phi).
 
 Sweeps over blocks k = 1..horizon are stacked: ``BlockSystem.stacked``
 returns the blocks of a range as (K, L, b) and (K, L) arrays, and each
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -52,14 +54,6 @@ from .report import finding
 CLASS_FRAME = "frame"
 CLASS_NOT_BESSEL = "not_bessel"
 CLASS_BESSEL_NOT_FRAME = "bessel_not_frame"
-
-# The template family of each weighted side and its weight, m or conj(m). A
-# system's own side Phi is its "mphi" side under the unit symbol (1 * x = x).
-_SIDE_TABLE = {
-    "mphi": ("phi", lambda m: m),
-    "mbar_psi": ("psi", np.conj),
-}
-SIDES = tuple(_SIDE_TABLE)
 
 SWEEP_HORIZON = 1000        # default per-block sweep depth
 SWEEP_CHUNK = 1024          # blocks per stacked step of a sweep; bounds a sweep's memory
@@ -165,12 +159,10 @@ class BlockSystem:
             raise ValueError(f"block {first + int(np.argmin(finite))} has non-finite entries")
         return phi, psi, m
 
-    def _side_closed_form(self, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """Base vectors and exponents of the requested weighted side."""
-        family, weight = _side_entry(side)
-        base, exponents = self._closed_form[family]
-        m_b, m_e = self._closed_form["m"]
-        return weight(m_b)[:, None] * base, m_e + exponents
+    def adjoint(self) -> "BlockSystem":
+        """The system of M* = M_(conj m, Psi, Phi): Phi and Psi swap and m becomes conj(m)."""
+        (phi, phi_e), (psi, psi_e), (m, m_e) = self._parts()
+        return BlockSystem(psi, psi_e, phi, phi_e, np.conj(m), m_e)
 
     def symbol_profile(self) -> SymbolProfile:
         """Modulus envelope of the weights over every block, from the closed form.
@@ -191,20 +183,6 @@ class BlockSystem:
 def _scaled(base: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Base templates (L, b) or weights (L,) times per-slot weights (L,) or (K, L)."""
     return base * (weights if base.ndim == 1 else weights[..., None])
-
-
-def _side_entry(side: str):
-    """(template family, weight) of one side; ValueError for an unknown side."""
-    try:
-        return _SIDE_TABLE[side]
-    except KeyError:
-        raise ValueError(f"unknown side {side!r}; expected one of {SIDES}") from None
-
-
-def _weighted_side(entry, phi: np.ndarray, psi: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Templates of one side (a _SIDE_TABLE entry), for one block or a stack of blocks."""
-    family, weight = entry
-    return weight(m)[..., None] * (phi if family == "phi" else psi)
 
 
 def _sweep(sys: BlockSystem, horizon: int):
@@ -242,39 +220,39 @@ def block_frames(sys: BlockSystem, k: int) -> tuple[mp.Symbol, fr.FiniteFrame, f
     return mp.Symbol(m), fr.FiniteFrame(phi), fr.FiniteFrame(psi)
 
 
-# A power-of-two exponent beyond every template's, which lies in
-# [-2146, 2048] (twice an np.frexp exponent): a zero template takes its
-# negative, so that it is the least exponent, and the extremes of no
-# template are (+inf, 0) at it.
-_OUTER_EXPONENT = 4096
+# A power-of-two exponent beyond every slot's, the sum of two np.frexp
+# exponents in [-2146, 2048], and twice it: a zero slot takes its negative,
+# below every other, and the extremes of no block are (+inf, 0) at it.
+_OUTER_EXPONENT = 8192
 _NO_EXTREMES = ((math.inf, _OUTER_EXPONENT), (0.0, -_OUTER_EXPONENT))
 
 
-def _closed_form_bounds(sys: BlockSystem, side: str, extremes, tol: ToleranceConfig) -> SystemBounds:
-    """Swept extremes of one side, as ``_fold_side_extremes`` folds them, classified by its closed-form limit.
+def _closed_form_bounds(sys: BlockSystem, extremes, tol: ToleranceConfig) -> SystemBounds:
+    """Swept extremes of the weighted side m Phi, classified by its closed-form limit.
 
     The classification is the quotient of the least lower and the greatest
     upper extreme over the sweep and the limit system, compared at one
-    exponent, so it does not depend on the templates' scale. The bounds are
+    exponent, so it does not depend on the side's scale. The bounds are
     reported at their true scale: 0 or inf where they leave the double range.
     """
     swept = (_true_scale(extremes[0]), _true_scale(extremes[1]))
-    base, exponents = sys._side_closed_form(side)
-    # a template that is not zero grows without bound, whatever its scale
-    if bool(np.any((exponents < 0) & np.any(base != 0, axis=1))):
+    (phi, phi_e), _, (m, m_e) = sys._parts()
+    exponents = m_e + phi_e
+    # a slot whose weight and template are not zero grows without bound, whatever their scale
+    if bool(np.any((exponents < 0) & (m != 0) & np.any(phi != 0, axis=1))):
         return SystemBounds(*swept, CLASS_NOT_BESSEL)
-    # the limit system: the template slots that neither grow nor decay
-    (lower, low), (upper, high) = _widened(extremes, _operator_extremes(base * (exponents == 0)[:, None]))
+    # the limit system: the slots that neither grow nor decay
+    (lower, low), (upper, high) = _widened(extremes, _operator_extremes(phi, np.where(exponents == 0, m, 0)))
     # high >= low: the upper's shift to the lower's exponent overflows only
     # when the quotient lies below 2^-1024, which spans no tolerance
     with np.errstate(over="ignore"):
-        spans = tol.spans(lower, np.ldexp(upper, high - low), max(base.shape))
+        spans = tol.spans(lower, np.ldexp(upper, high - low), max(phi.shape))
     return SystemBounds(*swept, CLASS_FRAME if spans else CLASS_BESSEL_NOT_FRAME)
 
 
-def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
+def system_frame_bounds(sys, horizon: int = SWEEP_HORIZON,
                         tol: ToleranceConfig = DEFAULT_TOL) -> SystemBounds:
-    """Frame-bound extremes of one (possibly weighted) side plus classification.
+    """Frame-bound extremes of the weighted side m Phi plus classification.
 
     For block systems: the per-block operator extremes are swept for
     k <= horizon, and the classification (frame / not Bessel / Bessel but
@@ -282,23 +260,13 @@ def system_frame_bounds(sys, side: str, horizon: int = SWEEP_HORIZON,
     systems the directions play the role of the blocks.
     """
     if isinstance(sys, InterleavedSystem):
-        return sys.side_bounds(side, horizon, tol)
-    entry = _side_entry(side)  # ValueError for an unknown side
+        return sys.side_bounds(horizon, tol)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     extremes = _NO_EXTREMES
-    for blocks in _sweep(sys, horizon):
-        extremes = _fold_side_extremes(entry, blocks, extremes)
-    return _closed_form_bounds(sys, side, extremes, tol)
-
-
-def _fold_side_extremes(entry, blocks, extremes):
-    """``extremes`` widened by the block frame-operator eigenvalues of one side over a stack.
-
-    Extremes are ((lower, exponent), (upper, exponent)) pairs, as
-    ``_operator_extremes`` gives them; a fold starts from _NO_EXTREMES.
-    """
-    return _widened(extremes, _operator_extremes(_weighted_side(entry, *blocks)))
+    for phi, _, m in _sweep(sys, horizon):
+        extremes = _widened(extremes, _operator_extremes(phi, m))
+    return _closed_form_bounds(sys, extremes, tol)
 
 
 def _widened(extremes, more):
@@ -306,26 +274,32 @@ def _widened(extremes, more):
     return (_least(*zip(extremes[0], more[0])), _greatest(*zip(extremes[1], more[1])))
 
 
-def _operator_extremes(templates: np.ndarray):
-    """Extreme eigenvalues of T^T conj(T), symmetrized, for (L, b) templates T or a stack, free of their scale.
+def _operator_extremes(templates: np.ndarray, weights: np.ndarray):
+    """Extreme eigenvalues of (w T)^T conj(w T), symmetrized, for (L, b) templates T and (L,) weights w or stacks.
 
-    Each template is divided by the power of two 2^e that np.frexp takes
-    from its largest modulus, so that its operator neither over- nor
-    underflows; its eigenvalues are those of the scaled operator times
-    2^(2e), and the division and the squares are exact. Returns the least
-    lower and the greatest upper eigenvalue over the templates as pairs
-    (value, exponent) for value * 2^exponent; NaN for a template that is not
-    finite.
+    Templates and weights are split into mantissas and the powers of two of
+    their largest moduli, and w T is formed divided by 2^s, the largest
+    product of those over a block's slots, so no product of doubles leaves
+    the range. Returns the least lower and greatest upper eigenvalue over the
+    blocks as pairs (value, 2s) for value * 2^(2s); NaN for a block that is
+    not finite.
     """
-    templates = np.ascontiguousarray(templates)
-    modulus = np.max(np.abs(templates), axis=(-2, -1))
-    exponent = np.frexp(modulus)[1]
-    scaled = np.ldexp(templates.view(np.float64), -exponent[..., None, None]).view(np.complex128)
-    with np.errstate(invalid="ignore"):  # inf * 0 in a template that is not finite
-        s = scaled.swapaxes(-1, -2) @ np.conj(scaled)
+    templates, weights = np.ascontiguousarray(templates), np.ascontiguousarray(weights)
+    largest, moduli = np.max(np.abs(templates), axis=-1), np.abs(weights)
+    t_exp, w_exp = np.frexp(largest)[1], np.frexp(moduli)[1]
+    slots = np.where((largest > 0) & (moduli > 0), t_exp + w_exp, -_OUTER_EXPONENT)
+    # each block's largest slot, reduced along the first axis of a copy: the short last is ten times slower
+    top = np.ascontiguousarray(slots.reshape(-1, slots.shape[-1]).T).max(axis=0).reshape(slots.shape[:-1])
+    side = _ldexp(weights[..., None], slots - top[..., None] - w_exp) * _ldexp(templates, -t_exp)
+    with np.errstate(invalid="ignore"):  # inf * 0 in a block that is not finite
+        s = side.swapaxes(-1, -2) @ np.conj(side)
     lower, upper = hermitian_extremes((s + adjoint(s)) / 2.0)
-    twice = np.where(modulus > 0, 2 * exponent, -_OUTER_EXPONENT)
-    return _least(lower, twice), _greatest(upper, twice)
+    return _least(lower, 2 * top), _greatest(upper, 2 * top)
+
+
+def _ldexp(vectors: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Complex vectors (..., n) times 2^exponents (...), one exponent per vector."""
+    return np.ldexp(vectors.view(np.float64), exponents[..., None]).view(np.complex128)
 
 
 def _least(values, exponents) -> tuple[float, int]:
@@ -357,17 +331,8 @@ def _true_scale(pair: tuple[float, int]) -> float:
         return float(np.ldexp(*pair))
 
 
-class InterleavedSystem(NamedTuple):
-    """System with one recurrent direction and per-index transient terms.
-
-    The recurrent basis direction (index 0) receives term k >= 0 with
-    coefficients head * ratio^k on each of the three components; the
-    coefficient products p_k = m_k phi_k conj(psi_k) then form a geometric
-    series. Transient term j touches only basis direction j (j >= 1), with
-    fixed coefficients. ``ratio_bound`` is the certified tail ratio r < 1
-    with |p_(k+1)| <= r |p_k| for every k, which ``certify_ratio`` decides
-    from the closed form.
-    """
+class _InterleavedCoefficients(NamedTuple):
+    """The closed form of an InterleavedSystem, whose subclass has the instance dict a cache needs."""
 
     phi_head: complex
     psi_head: complex
@@ -380,18 +345,44 @@ class InterleavedSystem(NamedTuple):
     transient_m: complex
     ratio_bound: float
 
+
+class InterleavedSystem(_InterleavedCoefficients):
+    """System with one recurrent direction and per-index transient terms.
+
+    The recurrent basis direction (index 0) receives term k >= 0 with
+    coefficients head * ratio^k on each of the three components; the
+    coefficient products p_k = m_k phi_k conj(psi_k) then form a geometric
+    series. Transient term j touches only basis direction j (j >= 1), with
+    fixed coefficients. ``ratio_bound`` is the certified tail ratio r < 1
+    with |p_(k+1)| <= r |p_k| for every k, which ``certify_ratio`` decides
+    from the closed form.
+    """
+
     # -------------------------------------------------------------- series
 
+    def adjoint(self) -> "InterleavedSystem":
+        """The system of M* = M_(conj m, Psi, Phi), whose products conj(p_k) keep ``ratio_bound``."""
+        return InterleavedSystem(self.psi_head, self.phi_head, np.conj(self.m_head),
+                                 self.psi_ratio, self.phi_ratio, np.conj(self.m_ratio),
+                                 self.transient_psi, self.transient_phi, np.conj(self.transient_m),
+                                 self.ratio_bound)
+
+    @cached_property
+    def _products(self) -> tuple:
+        """p_0, rho and the transient product, each m phi conj(psi) by ``_product``, once per system."""
+        return (_product(self.m_head, self.phi_head, self.psi_head),
+                _product(self.m_ratio, self.phi_ratio, self.psi_ratio),
+                _product(self.transient_m, self.transient_phi, self.transient_psi))
+
     def recurrent_product(self, k: int) -> complex:
-        """p_k = (m coeff) * (output coeff) * conj(input coeff) of term k."""
-        rho = self.m_ratio * self.phi_ratio * np.conj(self.psi_ratio)
-        p0 = self.m_head * self.phi_head * np.conj(self.psi_head)
+        """p_k = (m coeff) * (output coeff) * conj(input coeff) of term k, that is p_0 rho^k."""
+        p0, rho, _ = self._products
         with np.errstate(over="ignore", invalid="ignore"):
             return complex(p0 * np.power(rho, k))
 
     @property
     def transient_product(self) -> complex:
-        return complex(self.transient_m * self.transient_phi * np.conj(self.transient_psi))
+        return complex(self._products[2])
 
     def certify_ratio(self) -> None:
         """Raise RatioNotCertified unless the declared tail ratio holds for every k.
@@ -403,9 +394,9 @@ class InterleavedSystem(NamedTuple):
         r = float(self.ratio_bound)
         if not r < 1.0:
             raise RatioNotCertified(f"declared ratio {r} is not below 1")
-        with np.errstate(over="ignore", invalid="ignore"):
-            rho = abs(self.m_ratio * self.phi_ratio * np.conj(self.psi_ratio))
-        if self.recurrent_product(0) != 0 and not rho <= r * (1.0 + 1e-12):
+        with np.errstate(over="ignore"):
+            rho = np.abs(self._products[1])
+        if self._products[0] != 0 and not rho <= r * (1.0 + 1e-12):
             raise RatioNotCertified(f"|p_(k+1) / p_k| = {rho:.3e} exceeds the declared ratio {r}")
 
     def symbol_profile(self) -> SymbolProfile:
@@ -421,23 +412,9 @@ class InterleavedSystem(NamedTuple):
 
     # -------------------------------------------------------------- sides
 
-    def _side_log_moduli(self, side: str) -> np.ndarray:
-        """log |head|, log |ratio|, log |transient coefficient| of one weighted side.
-
-        Each is the sum of its factors' log-moduli, the weight's and the
-        side's, never the log of their product, which may leave the double
-        range where the bounds do not.
-        """
-        family, _ = _side_entry(side)
-        params = (getattr(self, f"{family}_head"), getattr(self, f"{family}_ratio"),
-                  getattr(self, f"transient_{family}"))
-        weights = (self.m_head, self.m_ratio, self.transient_m)
-        with np.errstate(divide="ignore"):  # -inf for a zero
-            return np.log(np.abs(weights)) + np.log(np.abs(params))
-
-    def side_bounds(self, side: str, horizon: int = SWEEP_HORIZON,
+    def side_bounds(self, horizon: int = SWEEP_HORIZON,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SystemBounds:
-        """Frame-bound extremes over directions, with closed-form classification.
+        """Frame-bound extremes of the weighted side m Phi over directions, with closed-form classification.
 
         The recurrent direction accumulates sum_k |head * ratio^k|^2 over
         k = 0..horizon and every transient direction contributes
@@ -447,7 +424,14 @@ class InterleavedSystem(NamedTuple):
         the double range is inf. The classification compares the limit
         extremes by their quotient, free of the side's scale.
         """
-        log_head, log_ratio, log_transient = (2.0 * self._side_log_moduli(side)).tolist()
+        # log |head|^2, log |ratio|^2 and log |transient|^2, each from the sum of
+        # its factors' log-moduli, never the log of their product, which may
+        # leave the double range where the bounds do not
+        weights = (self.m_head, self.m_ratio, self.transient_m)
+        params = (self.phi_head, self.phi_ratio, self.transient_phi)
+        with np.errstate(divide="ignore"):  # -inf for a zero
+            logs = 2.0 * (np.log(np.abs(weights)) + np.log(np.abs(params)))
+        log_head, log_ratio, log_transient = logs.tolist()
         # a zero head empties the direction whatever its ratio
         nonempty = log_head > -math.inf
         growing = nonempty and log_ratio >= 0.0
@@ -472,6 +456,25 @@ def _log_geometric_sum(log_ratio: float, terms: int) -> float:
     shrink = -abs(log_ratio)
     return ((terms - 1) * max(log_ratio, 0.0)
             + math.log(math.expm1(terms * shrink) / math.expm1(shrink)))
+
+
+def _product(m, phi, psi):
+    """m * phi * conj(psi), real for real factors, from the factors divided by powers of two.
+
+    The plain product bit for bit where its partial products are normal, 0 or inf beyond the double range.
+    """
+    factors = (m, phi, np.conj(psi))
+    exponents = [math.frexp(max(abs(f.real), abs(f.imag)))[1] for f in factors]
+    a, b, c = (_times_power_of_two(f, -e) for f, e in zip(factors, exponents))
+    return _times_power_of_two(a * b * c, sum(exponents))
+
+
+def _times_power_of_two(value, exponent: int):
+    """value * 2^exponent in two steps by normal powers of two; a complex value part by part."""
+    if isinstance(value, complex):
+        return complex(_times_power_of_two(value.real, exponent), _times_power_of_two(value.imag, exponent))
+    first = min(max(exponent, -1022), 1023)
+    return float(value) * 2.0 ** first * 2.0 ** min(max(exponent - first, -1022), 1023)
 
 
 def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray, float]:
@@ -618,10 +621,9 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
     identity_worst = 0.0
     route_worst = 0.0
     duality_ok = True
-    mphi_extremes = _NO_EXTREMES
+    extremes = _NO_EXTREMES
     eye = np.eye(sys.block_dim)
-    for blocks in _sweep(sys, horizon):
-        phi, psi, m = blocks
+    for phi, psi, m in _sweep(sys, horizon):
         phi_syn, psi_syn = _synthesis(phi), _synthesis(psi)
         direct = mp.MultiplierStack(m, phi_syn, psi_syn)
         identity_worst = max(identity_worst, float(np.max(np.abs(direct.matrix - eye))))
@@ -632,7 +634,7 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
         # frames.is_dual on each block: one reconstruction identity decides both
         duality_ok = duality_ok and bool(np.all(
             fr.reconstructs(psi_dagger, psi_syn, tol) & fr.reconstructs(phi_dagger, phi_syn, tol)))
-        mphi_extremes = _fold_side_extremes(_SIDE_TABLE["mphi"], blocks, mphi_extremes)
+        extremes = _widened(extremes, _operator_extremes(phi, m))
 
     checks.append(finding("block_multiplier_is_identity", residual=identity_worst,
                           tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
@@ -646,7 +648,7 @@ def _run_ex4_1(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
                           value=profile.inf_modulus))
     checks.append(finding("symbol_all_nonzero", profile.all_nonzero))
 
-    bounds = _closed_form_bounds(sys, "mphi", mphi_extremes, tol)
+    bounds = _closed_form_bounds(sys, extremes, tol)
     in_window = (bounds.classification == CLASS_FRAME
                  and 1.0 < bounds.lambda_min
                  and bounds.lambda_max <= 3.0 + IDENTITY_SWEEP_TOL)
@@ -705,11 +707,11 @@ def _run_ex4_2(sys: InterleavedSystem, tol: ToleranceConfig, horizon: int) -> li
 
     checks.append(finding(
         "conjugate_weighted_input_side_not_bessel",
-        system_frame_bounds(sys, "mbar_psi", horizon, tol).classification == CLASS_NOT_BESSEL,
+        system_frame_bounds(sys.adjoint(), horizon, tol).classification == CLASS_NOT_BESSEL,
     ))
     checks.append(finding(
         "weighted_output_side_is_frame",
-        system_frame_bounds(sys, "mphi", horizon, tol).classification == CLASS_FRAME,
+        system_frame_bounds(sys, horizon, tol).classification == CLASS_FRAME,
     ))
     return checks
 
@@ -721,12 +723,10 @@ def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
                           tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
 
     symbol, phi_k, psi_k = block_frames(sys, 1)
-    dual_phi = fr.canonical_dual(phi_k, tol)
-    dual_psi = fr.canonical_dual(psi_k, tol)
     checks.append(finding(
         "canonical_duals_are_one_third_of_templates",
-        residual=max(float(np.max(np.abs(dual_phi.synthesis - phi_k.synthesis / 3.0))),
-                     float(np.max(np.abs(dual_psi.synthesis - psi_k.synthesis / 3.0)))),
+        residual=max(float(np.max(np.abs(fr.canonical_dual(frame, tol).synthesis - frame.synthesis / 3.0)))
+                     for frame in (phi_k, psi_k)),
         tolerance=REPRODUCTION_TOL,
     ))
 
@@ -767,11 +767,10 @@ def _run_ex5_final(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list
     checks.append(finding("block_multiplier_is_twice_identity", residual=worst,
                           tolerance=IDENTITY_SWEEP_TOL, detail=f"k = 1..{horizon}"))
 
+    # m Phi is Psi, and in the adjoint conj(m) Psi is Phi
     symbol, phi_k, psi_k = block_frames(sys, 1)
-    weighted_out = mp.weighted_frame(phi_k, symbol)
-    weighted_in = mp.weighted_frame(psi_k, symbol.conjugate())
-    exact = (float(np.max(np.abs(weighted_out.synthesis - psi_k.synthesis))) == 0.0
-             and float(np.max(np.abs(weighted_in.synthesis - phi_k.synthesis))) == 0.0)
+    exact = all(float(np.max(np.abs(mp.weighted_frame(out, weights).synthesis - inp.synthesis))) == 0.0
+                for weights, out, inp in ((symbol, phi_k, psi_k), block_frames(sys.adjoint(), 1)))
     checks.append(finding("weighted_sides_coincide_with_counterparts", exact,
                           detail="input side equals the weighted output side entrywise"))
 

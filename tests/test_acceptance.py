@@ -209,7 +209,7 @@ def test_c7_interleaved_tail_certified_and_departure_flagged():
 
     assert verdict(bs.run_example("ex4_2")) == "flagged"
 
-    bounds = bs.system_frame_bounds(sys, "mbar_psi")
+    bounds = bs.system_frame_bounds(sys.adjoint())
     assert bounds.classification == bs.CLASS_NOT_BESSEL
 
     profile = sys.symbol_profile()

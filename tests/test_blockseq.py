@@ -1,10 +1,13 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from sys import float_info
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import framemult.blockseq as bs
 import framemult.multipliers as mp
@@ -25,7 +28,7 @@ def harmonic_demo():
 
 
 def with_unit_symbol(system):
-    """The same templates under the symbol 1, whose "mphi" side is the system's own side Phi."""
+    """The same templates under the symbol 1, whose weighted side is the system's own side Phi."""
     if isinstance(system, bs.InterleavedSystem):
         return system._replace(m_head=1.0, m_ratio=1.0, transient_m=1.0)
     (phi, phi_e), (psi, psi_e), (m, _) = system._parts()
@@ -66,6 +69,23 @@ def test_constant_template_blocks_do_not_change():
     assert (profile.inf_modulus, profile.sup_modulus) == (2.0, 2.0)
 
 
+def closed_form(system):
+    if isinstance(system, bs.InterleavedSystem):
+        return tuple(system)
+    return tuple(array.tolist() for part in system._parts() for array in part)
+
+
+@pytest.mark.parametrize("system", [
+    harmonic_demo(),
+    bs.BlockSystem([[1 + 2j, 0], [0, 3j]], [0, 1], [[1, -1j], [2, 0]], [1, 0], [1j, 2 - 1j], [0, 2]),
+    interleave_demo(),
+    bs.InterleavedSystem(1 + 1j, 2, 0.5j, 0.5, 1j, 0.3 - 0.2j, 1j, 2, -1j, 0.5),
+], ids=["harmonic", "complex-blocks", "interleaved", "complex-interleaved"])
+def test_the_adjoint_of_the_adjoint_has_the_closed_form_of_the_system(system):
+    assert closed_form(system.adjoint().adjoint()) == closed_form(system)
+    assert closed_form(system.adjoint()) != closed_form(system)
+
+
 def test_block_multiplier_identity_for_harmonic_demo():
     sys = harmonic_demo()
     for k in (1, 2, 10, 313):
@@ -75,17 +95,10 @@ def test_block_multiplier_identity_for_harmonic_demo():
 
 def test_weighted_block_operator_oracle():
     # the weighted output side (m phi) in block k has operator 1 + 2/k^2
-    sys = harmonic_demo()
-    templates = bs._weighted_side(bs._side_entry("mphi"), *sys.block(5))
+    phi, _, m = harmonic_demo().block(5)
+    templates = m[:, None] * phi
     s = templates.T @ np.conj(templates)
     assert s[0, 0] == pytest.approx(1.0 + 2.0 / 25.0, abs=1e-14)
-
-
-def test_side_templates_reject_unknown_side():
-    with pytest.raises(ValueError):
-        bs._side_entry("nope")
-    with pytest.raises(ValueError):
-        bs.system_frame_bounds(harmonic_demo(), "nope", 5)
 
 
 def test_assemble_blocks_is_entrywise_exact():
@@ -119,12 +132,12 @@ def test_induced_duals_assemble_per_block():
 
 def test_system_frame_bounds_classifications():
     sys = harmonic_demo()
-    weighted = bs.system_frame_bounds(sys, "mphi", horizon=200)
+    weighted = bs.system_frame_bounds(sys, horizon=200)
     assert weighted.classification == "frame"
     assert weighted.lambda_min == pytest.approx(1.0 + 2.0 / 200.0 ** 2, abs=1e-12)
     assert weighted.lambda_max == pytest.approx(3.0, abs=1e-12)
 
-    constant_side = bs.system_frame_bounds(with_unit_symbol(sys), "mphi", horizon=50)
+    constant_side = bs.system_frame_bounds(with_unit_symbol(sys), horizon=50)
     assert constant_side.classification == "frame"
     assert constant_side.lambda_min == pytest.approx(3.0, abs=1e-12)
 
@@ -134,7 +147,7 @@ def test_negative_exponent_side_is_not_bessel():
         phi=[[1.0]], phi_exponents=[-1], psi=[[1.0]], psi_exponents=[0],
         m=[1.0], m_exponents=[0],
     )
-    assert bs.system_frame_bounds(sys, "mphi", horizon=10).classification == "not_bessel"
+    assert bs.system_frame_bounds(sys, horizon=10).classification == "not_bessel"
 
 
 def test_vanishing_limit_side_is_bessel_but_not_frame():
@@ -142,7 +155,7 @@ def test_vanishing_limit_side_is_bessel_but_not_frame():
         phi=[[1.0]], phi_exponents=[1], psi=[[1.0]], psi_exponents=[0],
         m=[1.0], m_exponents=[0],
     )
-    assert bs.system_frame_bounds(sys, "mphi", horizon=10).classification == "bessel_not_frame"
+    assert bs.system_frame_bounds(sys, horizon=10).classification == "bessel_not_frame"
 
 
 def test_symbol_profile_harmonic_demo():
@@ -287,41 +300,63 @@ def test_system_frame_bounds_classification_is_scale_free(scale):
         m_ratio=2.0 ** 0.5, transient_phi=scale, transient_psi=1.0, transient_m=1.0,
         ratio_bound=0.5)
     for system in (constant, interleaved):
-        assert bs.system_frame_bounds(with_unit_symbol(system), "mphi",
-                                      horizon=20).classification == "frame"
+        assert bs.system_frame_bounds(with_unit_symbol(system), horizon=20).classification == "frame"
 
 
+@pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("templates, extremes", [
     ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], (1.0, 3.0)),
     ([[1.0], [1.0j], [-1.0]], (3.0, 3.0)),  # scalar blocks, whose extremes take no LAPACK call
 ])
-def test_block_side_bounds_are_free_of_the_template_scale(templates, extremes):
-    # the operator squares the templates: divided by a power of two first,
-    # they neither under- nor overflow, and the bounds come back at their
-    # true scale, s^2 times those at s = 1 wherever that is a normal double
+def test_block_side_bounds_are_free_of_the_scale(templates, extremes, weighted):
+    # the operator squares the side: its templates and weights, each divided
+    # by a power of two before they are multiplied, neither under- nor
+    # overflow, and the bounds come back at their true scale, s^2 (templates
+    # s) or s^4 (weights s as well) times those at s = 1, wherever that is a
+    # normal double, and 0 or inf beyond the double range; the side entries
+    # s * s of the weighted case are rounded once more
     templates = np.array(templates)
-    for scale in (10.0 ** e for e in range(-300, 301, 2)):
-        system = bs.BlockSystem.constant_template(scale * templates, scale * templates, [1.0] * 3)
-        bounds = bs.system_frame_bounds(system, "mphi", horizon=3)
-        assert bounds.classification == "frame", scale
-        for got, at_one in zip(bounds[:2], extremes):
-            want = at_one * scale * scale
-            if float_info.min <= want <= float_info.max:
-                assert abs(got - want) <= 2.0 * float_info.epsilon * want, scale
+    ulps = 3 if weighted else 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (10.0 ** e for e in range(-300, 301)):
+            weights = [scale if weighted else 1.0] * 3
+            system = bs.BlockSystem.constant_template(scale * templates, scale * templates, weights)
+            bounds = bs.system_frame_bounds(system, horizon=3)
+            assert bounds.classification == "frame", scale
+            for got, at_one in zip(bounds[:2], extremes):
+                want = Fraction(at_one) * Fraction(scale) ** (4 if weighted else 2)
+                if want > float_info.max:
+                    assert got == math.inf, scale
+                elif want < float_info.min:
+                    assert 0.0 <= got < float_info.min, scale
+                else:
+                    assert abs(Fraction(got) - want) <= ulps * float_info.epsilon * want, scale
+
+
+def test_a_block_whose_weights_and_templates_scale_against_each_other_is_a_frame():
+    # slots (1, 2^-600) and (2^-600, 1): each side vector is 2^-600, though the
+    # largest weight times the largest template is 1; divided by that, the
+    # block's operator 2^-1199 would underflow to 0
+    system = bs.BlockSystem.constant_template([[2.0 ** -600], [1.0]], [[1.0], [1.0]],
+                                              [1.0, 2.0 ** -600])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bs.system_frame_bounds(system, horizon=3).classification == "frame"
 
 
 def test_interleaved_side_bounds():
     sys = interleave_demo()
-    mphi = bs.system_frame_bounds(sys, "mphi", horizon=200)
-    assert mphi.classification == "frame"
-    assert mphi.lambda_min == pytest.approx(1.0, abs=1e-12)
-    assert mphi.lambda_max == pytest.approx(2.0, abs=1e-12)
+    weighted = bs.system_frame_bounds(sys, horizon=200)
+    assert weighted.classification == "frame"
+    assert weighted.lambda_min == pytest.approx(1.0, abs=1e-12)
+    assert weighted.lambda_max == pytest.approx(2.0, abs=1e-12)
 
-    phi = bs.system_frame_bounds(with_unit_symbol(sys), "mphi", horizon=400)
+    phi = bs.system_frame_bounds(with_unit_symbol(sys), horizon=400)
     assert phi.classification == "frame"
     assert phi.lambda_max == pytest.approx(4.0 / 3.0, abs=1e-12)
 
-    conj_weighted_input = bs.system_frame_bounds(sys, "mbar_psi", horizon=50)
+    conj_weighted_input = bs.system_frame_bounds(sys.adjoint(), horizon=50)
     assert conj_weighted_input.classification == "not_bessel"
 
 
@@ -391,7 +426,7 @@ def test_interleaved_side_with_growing_ratio_is_not_bessel():
     # |ratio| > 1: the partial sum over the default horizon leaves float range
     for ratio in (2, 2.0):
         system = bs.InterleavedSystem(1, 1, 1, ratio, 1, 1, 1, 1, 1, 0.5)
-        bounds = bs.system_frame_bounds(system, "mphi")
+        bounds = bs.system_frame_bounds(system)
         assert bounds.classification == "not_bessel"
         assert bounds.lambda_max == math.inf
         assert bounds.lambda_min == 1.0
@@ -406,12 +441,12 @@ def test_a_growing_side_is_not_bessel_at_every_scale():
             scale = 10.0 ** exponent
             for system in (bs.BlockSystem([[scale]], [-1], [[1.0]], [0], [1.0], [0]),
                            bs.InterleavedSystem(scale, 1, 1, 2.0, 1, 1, 1, 1, 1, 0.5)):
-                bounds = bs.system_frame_bounds(system, "mphi")
+                bounds = bs.system_frame_bounds(system)
                 assert bounds.classification == "not_bessel", (system, scale)
 
 
 def exact_side_bounds(head, ratio, horizon):
-    """(lambda_min, lambda_max) of side "mphi" of InterleavedSystem(head, 1, 1, ratio, 1, ...), to 60 digits.
+    """(lambda_min, lambda_max) of the weighted side of InterleavedSystem(head, 1, 1, ratio, 1, ...), to 60 digits.
 
     The transient contributes 1, the recurrent direction sum_{k <= horizon} |head ratio^k|^2.
     """
@@ -445,7 +480,7 @@ def test_interleaved_side_bounds_match_the_exact_sums_at_every_head(ratio, horiz
         for exponent in range(-300, 301):
             head = 10.0 ** exponent
             system = bs.InterleavedSystem(head, 1, 1, ratio, 1, 1, 1, 1, 1, 0.5)
-            bounds = bs.system_frame_bounds(system, "mphi", horizon)
+            bounds = bs.system_frame_bounds(system, horizon)
             for value, exact in zip(bounds[:2], exact_side_bounds(head, ratio, horizon)):
                 if normal[0] <= exact <= normal[1]:
                     assert value == pytest.approx(float(exact), rel=1e-12), (head, exact)
@@ -464,7 +499,7 @@ def test_interleaved_classification_does_not_move_with_the_scale():
         for exponent in range(-300, 301):
             scale = 10.0 ** exponent
             system = bs.InterleavedSystem(scale, 1, 1, 0.5, 1, 1, scale, 1, 1, 0.5)
-            assert bs.system_frame_bounds(system, "mphi").classification == "frame", scale
+            assert bs.system_frame_bounds(system).classification == "frame", scale
 
 
 def test_interleaved_bounds_beyond_the_double_range_are_inf():
@@ -472,7 +507,7 @@ def test_interleaved_bounds_beyond_the_double_range_are_inf():
     system = bs.InterleavedSystem(1e200, 1, 1, 0.5, 1, 1, 1, 1, 1, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounds = bs.system_frame_bounds(system, "mphi")
+        bounds = bs.system_frame_bounds(system)
     assert bounds.lambda_max == math.inf
     assert bounds.lambda_min == 1.0
     assert bounds.classification == "bessel_not_frame"
@@ -484,7 +519,7 @@ def test_interleaved_bounds_of_a_side_whose_ratio_product_leaves_the_double_rang
     system = bs.InterleavedSystem(1e-300, 1, 1, 1e200, 1, 1e200, 1, 1, 1, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bounds = bs.system_frame_bounds(system, "mphi", horizon=1)
+        bounds = bs.system_frame_bounds(system, horizon=1)
     assert bounds.lambda_min == 1.0
     assert bounds.lambda_max == pytest.approx(1e200, rel=1e-12)
     assert bounds.classification == "not_bessel"
@@ -508,6 +543,57 @@ def test_recurrent_product_beyond_the_double_range_is_not_finite(m_ratio, k):
         product = system.recurrent_product(k)
         assert system.recurrent_product(1) == 2 * m_ratio
     assert not np.isfinite(product)
+
+
+def test_interleaved_coefficients_are_free_of_their_scale():
+    # m_head phi_head = 1e400 overflows as a product of doubles; p_0 = 1e100
+    system = bs.InterleavedSystem(1e200, 1e-300, 1e200, 0.5, 1, 1, 1, 1, 1, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert system.recurrent_product(0) == pytest.approx(1e100, rel=1e-15)
+        image, bound = bs.interleaved_apply(system, [1, 0], 1e-6)
+    assert bound <= 1e-6
+    assert image[0] == pytest.approx(2e100, rel=1e-15)  # p_0 / (1 - rho), rho = 1/2
+
+
+@pytest.mark.parametrize("system, certified", [
+    # rho = 1e160 * 1e160 * 1e-321 = 0.1, though m_ratio phi_ratio overflows as doubles
+    (bs.InterleavedSystem(1, 1, 1, 1e160, 1e-321, 1e160, 1, 1, 1, 0.5), True),
+    # p_0 = 1e-100, though m_head phi_head underflows as doubles, and |rho| = 1 exceeds r
+    (bs.InterleavedSystem(1e-200, 1e300, 1e-200, 1, 1, 1, 1, 1, 1, 0.5), False),
+])
+def test_certify_ratio_forms_its_products_free_of_their_scale(system, certified):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certifies(system) == certified
+
+
+def multiplication_is_normal(x, y):
+    """Every real product and sum inside the complex product x * y is an exact zero or a normal double."""
+    def normal(value, exact_zero):
+        return exact_zero or float_info.min <= abs(value) <= float_info.max
+
+    (a, b), (c, d) = ((complex(v).real, complex(v).imag) for v in (x, y))
+    products = all(normal(p * q, p == 0 or q == 0) for p, q in ((a, c), (b, d), (a, d), (b, c)))
+    return products and all(normal(v, v == 0) for v in (a * c - b * d, a * d + b * c))
+
+
+def scaled_numbers():
+    """Real or complex numbers with integer parts below 2^20 times a power of ten up to 10^200."""
+    part = st.integers(-2 ** 20, 2 ** 20)
+    return st.tuples(part, part, st.integers(-200, 200), st.booleans()).map(
+        lambda p: (complex(p[0], p[1]) if p[3] else float(p[0])) * 10.0 ** p[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=scaled_numbers(), phi=scaled_numbers(), psi=scaled_numbers())
+def test_products_are_the_plain_products_wherever_every_partial_product_is_normal(m, phi, psi):
+    with np.errstate(all="ignore"):
+        assume(multiplication_is_normal(m, phi) and multiplication_is_normal(m * phi, np.conj(psi)))
+        plain = m * phi * np.conj(psi)
+    got = bs._product(m, phi, psi)
+    assert isinstance(got, complex) == isinstance(plain, complex)
+    assert np.complex128(got).tobytes() == np.complex128(plain).tobytes()
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.25, 0.5, 0.9, 1.0 - 2.0 ** -40, 1.0, 1.0 + 2.0 ** -40,

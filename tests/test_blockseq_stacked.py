@@ -25,25 +25,34 @@ from oracles import assemble_blocks, block_multiplier
 # ------------------------------------------------------------ per-block oracle
 
 
-def oracle_system_frame_bounds(sys, side, horizon=bs.SWEEP_HORIZON, tol=DEFAULT_TOL):
+def ldexp_complex(values, exponents):
+    return np.ldexp(values.real, exponents) + 1j * np.ldexp(values.imag, exponents)
+
+
+def oracle_system_frame_bounds(sys, horizon=bs.SWEEP_HORIZON, tol=DEFAULT_TOL):
+    """The bounds of the weighted side m Phi, block by block."""
     if isinstance(sys, bs.InterleavedSystem):
-        return sys.side_bounds(side, horizon, tol)
-    entry = bs._side_entry(side)
+        return sys.side_bounds(horizon, tol)
     lows, highs, exponents = [], [], []
     for k in range(1, horizon + 1):
-        templates = bs._weighted_side(entry, *sys.block(k))
-        # divided by the power of two of its largest modulus, a zero block
-        # taking the exponent below every other
-        modulus = float(np.max(np.abs(templates)))
-        e = math.frexp(modulus)[1]
-        scaled = np.ldexp(templates.real, -e) + 1j * np.ldexp(templates.imag, -e)
-        s_block = scaled.T @ np.conj(scaled)
+        phi, _, m = sys.block(k)
+        # each weight and each template split into a mantissa and a power of
+        # two, and the block divided by the largest power over its slots, a
+        # zero slot taking the exponent below every other
+        t_exp = [math.frexp(float(np.max(np.abs(t))))[1] for t in phi]
+        w_exp = [math.frexp(abs(w))[1] for w in m]
+        slots = [te + we if np.any(t != 0) and w != 0 else -bs._OUTER_EXPONENT
+                 for t, w, te, we in zip(phi, m, t_exp, w_exp)]
+        top = max(slots)
+        side = (ldexp_complex(m, np.subtract(slots, top) - w_exp)[:, None]
+                * ldexp_complex(phi, -np.array(t_exp)[:, None]))
+        s_block = side.T @ np.conj(side)
         eigs = np.linalg.eigvalsh((s_block + s_block.conj().T) / 2.0)
         lows.append(float(eigs[0].real))
         highs.append(float(eigs[-1].real))
-        exponents.append(2 * e if modulus > 0 else -bs._OUTER_EXPONENT)
+        exponents.append(2 * top)
     extremes = (bs._least(lows, exponents), bs._greatest(highs, exponents))
-    return bs._closed_form_bounds(sys, side, extremes, tol)
+    return bs._closed_form_bounds(sys, extremes, tol)
 
 
 def oracle_run_ex4_1(sys, tol, horizon):
@@ -79,7 +88,7 @@ def oracle_run_ex4_1(sys, tol, horizon):
                           value=profile.inf_modulus))
     checks.append(finding("symbol_all_nonzero", profile.all_nonzero))
 
-    bounds = oracle_system_frame_bounds(sys, "mphi", horizon, tol)
+    bounds = oracle_system_frame_bounds(sys, horizon, tol)
     in_window = (bounds.classification == bs.CLASS_FRAME
                  and 1.0 < bounds.lambda_min
                  and bounds.lambda_max <= 3.0 + bs.IDENTITY_SWEEP_TOL)
@@ -155,12 +164,36 @@ def test_stacked_powers_equal_block_powers_for_a_single_slot(exponent):
 
 
 @settings(max_examples=30, deadline=None)
-@given(sys=harmonic_systems(), horizon=st.integers(1, 40), side=st.sampled_from(bs.SIDES))
-def test_stacked_frame_bounds_equal_the_per_block_sweep(sys, horizon, side):
+@given(sys=harmonic_systems(), horizon=st.integers(1, 40), adjoint=st.booleans())
+def test_stacked_frame_bounds_equal_the_per_block_sweep(sys, horizon, adjoint):
+    sys = sys.adjoint() if adjoint else sys
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bs, "SWEEP_CHUNK", 7)
-        got = bs.system_frame_bounds(sys, side, horizon)
-    assert got == oracle_system_frame_bounds(sys, side, horizon)
+        got = bs.system_frame_bounds(sys, horizon)
+    assert got == oracle_system_frame_bounds(sys, horizon)
+
+
+def interleaved_systems():
+    coefficients = complex_arrays((9,)).map(lambda a: a.tolist())
+    return st.builds(lambda c, r: bs.InterleavedSystem(*c, r), coefficients, st.floats(0.0, 0.99))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sys=st.one_of(harmonic_systems(), interleaved_systems()), horizon=st.integers(1, 40))
+def test_the_adjoint_bounds_the_conjugate_weighted_input_side(sys, horizon):
+    # the oracle reads the weighted side m Phi: given conj(m) Psi as that
+    # side, it bounds what the adjoint's sweep bounds
+    if isinstance(sys, bs.InterleavedSystem):
+        side = sys._replace(phi_head=sys.psi_head, phi_ratio=sys.psi_ratio,
+                            transient_phi=sys.transient_psi, m_head=np.conj(sys.m_head),
+                            m_ratio=np.conj(sys.m_ratio), transient_m=np.conj(sys.transient_m))
+    else:
+        _, (psi, psi_e), (m, m_e) = sys._parts()
+        side = bs.BlockSystem(psi, psi_e, psi, psi_e, np.conj(m), m_e)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bs, "SWEEP_CHUNK", 7)
+        got = bs.system_frame_bounds(sys.adjoint(), horizon)
+    assert got == oracle_system_frame_bounds(side, horizon)
 
 
 @settings(max_examples=30, deadline=None)
@@ -219,7 +252,7 @@ def test_overflowing_closed_form_block_is_rejected_like_a_single_block():
     with pytest.raises(ValueError, match="block 2 has non-finite entries"):
         sys.stacked(1, 3)
     with pytest.raises(ValueError, match="block 2"):
-        bs.system_frame_bounds(sys, "mphi", horizon=3)
+        bs.system_frame_bounds(sys, horizon=3)
     assert np.array_equal(sys.stacked(1, 1)[0][0], sys.block(1)[0])
 
 

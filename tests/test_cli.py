@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import pathlib
 import sys
 import weakref
 
@@ -592,6 +593,23 @@ def test_examples_runs_are_byte_identical(capsys):
     code2, out2, _ = run_cli(capsys, "examples", "run", "--all", "--horizon", "15")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["examples", "list"], "examples_list.json"),
+    *((["examples", "run", "--all", "--horizon", horizon], f"examples_run_all_h{horizon}.json")
+      for horizon in ("1", "1000", "100000")),
+])
+def test_example_reports_are_the_golden_bytes(capsys, argv, golden):
+    # the files are `python -m framemult.cli <argv> > tests/golden/<file>` at
+    # 05fab38; example reports do not depend on the BLAS thread count, so a
+    # change to one of these files is a change to a report
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("horizon", ["1", "7", "1000"])
