@@ -153,9 +153,10 @@ class BlockSystem:
         phi, psi, m = (_scaled(base, np.power(np.repeat(ks[:, None], exponents.size, axis=1),
                                               np.tile(-exponents, (count, 1))))
                        for base, exponents in self._parts())
-        finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(psi).all(axis=(1, 2))
-        finite &= np.isfinite(m).all(axis=1)
-        if not finite.all():
+        # one whole-array test each; the per-block reduction only names a bad block
+        if not (np.isfinite(phi).all() and np.isfinite(psi).all() and np.isfinite(m).all()):
+            finite = np.isfinite(phi).all(axis=(1, 2)) & np.isfinite(psi).all(axis=(1, 2))
+            finite &= np.isfinite(m).all(axis=1)
             raise ValueError(f"block {first + int(np.argmin(finite))} has non-finite entries")
         return phi, psi, m
 
@@ -235,7 +236,7 @@ def _closed_form_bounds(sys: BlockSystem, extremes, tol: ToleranceConfig) -> Sys
     exponent, so it does not depend on the side's scale. The bounds are
     reported at their true scale: 0 or inf where they leave the double range.
     """
-    swept = (_true_scale(extremes[0]), _true_scale(extremes[1]))
+    swept = [_times_power_of_two(*pair) for pair in extremes]
     (phi, phi_e), _, (m, m_e) = sys._parts()
     exponents = m_e + phi_e
     # a slot whose weight and template are not zero grows without bound, whatever their scale
@@ -245,8 +246,7 @@ def _closed_form_bounds(sys: BlockSystem, extremes, tol: ToleranceConfig) -> Sys
     (lower, low), (upper, high) = _widened(extremes, _operator_extremes(phi, np.where(exponents == 0, m, 0)))
     # high >= low: the upper's shift to the lower's exponent overflows only
     # when the quotient lies below 2^-1024, which spans no tolerance
-    with np.errstate(over="ignore"):
-        spans = tol.spans(lower, np.ldexp(upper, high - low), max(phi.shape))
+    spans = tol.spans(lower, _times_power_of_two(upper, high - low), max(phi.shape))
     return SystemBounds(*swept, CLASS_FRAME if spans else CLASS_BESSEL_NOT_FRAME)
 
 
@@ -271,7 +271,7 @@ def system_frame_bounds(sys, horizon: int = SWEEP_HORIZON,
 
 def _widened(extremes, more):
     """The least of two lower and the greatest of two upper extremes, each a (value, exponent) pair."""
-    return (_least(*zip(extremes[0], more[0])), _greatest(*zip(extremes[1], more[1])))
+    return (_extreme(np.min, *zip(extremes[0], more[0])), _extreme(np.max, *zip(extremes[1], more[1])))
 
 
 def _operator_extremes(templates: np.ndarray, weights: np.ndarray):
@@ -294,7 +294,7 @@ def _operator_extremes(templates: np.ndarray, weights: np.ndarray):
     with np.errstate(invalid="ignore"):  # inf * 0 in a block that is not finite
         s = side.swapaxes(-1, -2) @ np.conj(side)
     lower, upper = hermitian_extremes((s + adjoint(s)) / 2.0)
-    return _least(lower, 2 * top), _greatest(upper, 2 * top)
+    return _extreme(np.min, lower, 2 * top), _extreme(np.max, upper, 2 * top)
 
 
 def _ldexp(vectors: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -302,33 +302,17 @@ def _ldexp(vectors: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     return np.ldexp(vectors.view(np.float64), exponents[..., None]).view(np.complex128)
 
 
-def _least(values, exponents) -> tuple[float, int]:
-    """The least of values * 2^exponents, as (value, the least exponent); NaN wins.
+def _extreme(reduce, values, exponents) -> tuple[float, int]:
+    """np.min or np.max of values * 2^exponents, as (value, that reduce of the exponents); NaN wins.
 
-    Each value moves to the least exponent, a shift up that is exact or
-    overflows to inf, which is not the least.
+    Each value moves to the common exponent: for np.min a shift up, exact or
+    an overflow to inf, which is not the least; for np.max a shift down,
+    exact or a rounding of what lies far below the greatest.
     """
     exponents = np.asarray(exponents)
-    least = int(np.min(exponents))
+    common = int(reduce(exponents))
     with np.errstate(over="ignore"):
-        return float(np.min(np.ldexp(values, exponents - least))), least
-
-
-def _greatest(values, exponents) -> tuple[float, int]:
-    """The greatest of values * 2^exponents, as (value, the greatest exponent); NaN wins.
-
-    Each value moves to the greatest exponent, a shift down that is exact or
-    rounds what lies far below the greatest of the templates' extremes.
-    """
-    exponents = np.asarray(exponents)
-    greatest = int(np.max(exponents))
-    return float(np.max(np.ldexp(values, exponents - greatest))), greatest
-
-
-def _true_scale(pair: tuple[float, int]) -> float:
-    """value * 2^exponent: 0 or inf outside the double range."""
-    with np.errstate(over="ignore", under="ignore"):
-        return float(np.ldexp(*pair))
+        return float(reduce(np.ldexp(values, exponents - common))), common
 
 
 class _InterleavedCoefficients(NamedTuple):
@@ -470,11 +454,15 @@ def _product(m, phi, psi):
 
 
 def _times_power_of_two(value, exponent: int):
-    """value * 2^exponent in two steps by normal powers of two; a complex value part by part."""
-    if isinstance(value, complex):
-        return complex(_times_power_of_two(value.real, exponent), _times_power_of_two(value.imag, exponent))
-    first = min(max(exponent, -1022), 1023)
-    return float(value) * 2.0 ** first * 2.0 ** min(max(exponent - first, -1022), 1023)
+    """The scalar value * 2^exponent, rounded once: 0 or inf beyond the double range.
+
+    One np.ldexp scales the real and the imaginary part. A real value gives
+    a float, not a complex: ``recurrent_product`` raises rho to a power, and
+    np.power rounds a complex rho differently from a real one.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        parts = np.ldexp((value.real, value.imag), exponent)
+    return complex(*parts) if isinstance(value, complex) else float(parts[0])
 
 
 def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray, float]:
@@ -483,7 +471,9 @@ def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray
     Transient directions are exact (a single term each). The recurrent
     direction sums its geometric coefficient series until the certified
     tail bound drops to ``tol``; the returned bound is that tail estimate
-    (zero when the recurrent direction is untouched).
+    (zero when the recurrent direction is untouched). RatioNotCertified
+    when the ratio is not certified, or at once when p_0 is not finite:
+    every p_k = p_0 rho^k and every tail bound is then inf or NaN.
     """
     sys.certify_ratio()
     vec = np.asarray(f, dtype=np.complex128).reshape(-1)
@@ -492,6 +482,9 @@ def interleaved_apply(sys: InterleavedSystem, f, tol: float) -> tuple[np.ndarray
         out[1:] = sys.transient_product * vec[1:]
     if vec.size == 0 or vec[0] == 0:
         return out, 0.0
+    p_0 = sys._products[0]
+    if not np.isfinite(p_0):
+        raise RatioNotCertified(f"p_0 = {p_0} is not finite, so no tail bound reaches the tolerance")
 
     r = float(sys.ratio_bound)
     tail_factor = r / (1.0 - r)

@@ -19,12 +19,12 @@ document, valid or not, goes to ``json.loads`` and ``frame_from_json``,
 which decide it and word every ParseError. Symbol files take that route
 always.
 
-The arrays of pairs in a decoded document are checked and converted as a
-whole: one pass each over the vectors, the pairs and the numbers decides
-the structure and the element types, then one float64 array and one
-finiteness test take all the numbers. Only a document that fails those
-checks is walked pair by pair with pair_to_complex, which names the first
-bad entry.
+The plain route and a symbol document check and convert an array of
+pairs as a whole: one pass each over the pairs and the numbers decides the
+structure and the element types, then one float64 array and one finiteness
+test take all the numbers. ``frame_from_json`` walks its document pair by
+pair with pair_to_complex, which names the first bad entry; so does a
+symbol document that fails the whole-array checks.
 
 Writing goes a vector at a time too: ``frame_text`` gives a frame
 document in pieces, one per vector, each turned into nested lists and
@@ -123,11 +123,6 @@ def frame_from_json(obj) -> FiniteFrame:
     vector_docs = _require_list(doc["vectors"], "frame.vectors")
     if not vector_docs:
         raise ParseError("frame: needs at least one vector")
-    if _all_instances(vector_docs, list) and set(map(len, vector_docs)) == {dim}:
-        values = _pair_array(list(chain.from_iterable(vector_docs)))
-        if values is not None:
-            return FiniteFrame(values.reshape(len(vector_docs), dim))
-    # malformed: the pair-by-pair walk raises the ParseError naming the first bad entry
     rows = []
     for n, vec in enumerate(vector_docs):
         entries = _complex_vector(vec, f"frame.vectors[{n}]")

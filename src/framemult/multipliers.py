@@ -29,16 +29,19 @@ The induced dual is also the only sequence with that property, for any
 zero-free symbol, semi-normalized or not. ``uniqueness_nullity`` decides
 this exactly from the symbol alone.
 
-The canonical and the induced duals coincide exactly when the equivalence
-criteria hold; ``check_prop_q`` decides them once. For a symbol of one
-nonzero modulus, the chain "eq1 iff Psi ~ m Phi iff Phi ~ conj(m) Psi" is
-their corollary, asserted and given by the same report.
-
 The two formulas are one identity read through the adjoint
 M* = M_{conj m, Psi, Phi}, whose inverse is Minv* and whose induced duals
 are those of M swapped: the adjoint of the second formula is the first
 formula for M*. So every output-side check below is its input-side twin
 applied to ``Multiplier.adjoint()``.
+
+The equivalence criteria are such twins too. On the input side, the
+induced dual psi_dagger is the canonical dual of Psi exactly when
+Psi ~ m Phi; read on M*, phi_dagger is the canonical dual of Phi exactly
+when Phi ~ conj(m) Psi. ``check_prop_q`` decides the input side's pair on
+M and on M* once each. For a symbol of one nonzero modulus, the chain
+"eq1 iff Psi ~ m Phi iff Phi ~ conj(m) Psi" is their corollary, asserted
+and given by the same report.
 """
 
 from __future__ import annotations
@@ -550,27 +553,31 @@ class PropQReport(NamedTuple):
         return fields
 
 
-def _psi_dagger_is_canonical(mult: Multiplier, tol: ToleranceConfig) -> bool:
-    """Does psi_dagger equal the canonical dual of Psi? On the adjoint: phi_dagger and Phi."""
-    return frames.frames_equal(induced_duals(mult, tol).psi_dagger,
-                               frames.canonical_dual(mult.psi, tol), tol)
+def _input_side_criteria(mult: Multiplier, tol: ToleranceConfig) -> tuple[bool, bool]:
+    """(Psi ~ m Phi, psi_dagger = tilde Psi) of the input side; of the output side on the adjoint.
+
+    The weighted side m Phi is built here and dies with the call.
+    """
+    return (frames.is_equivalent(mult.psi, weighted_frame(mult.phi, mult.symbol), tol),
+            frames.frames_equal(induced_duals(mult, tol).psi_dagger,
+                                frames.canonical_dual(mult.psi, tol), tol))
 
 
 def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQReport:
     """Evaluate the equivalence criteria tied to the canonical inversion.
 
     Computes five booleans: whether the canonical-duals multiplier inverts
-    M (eq1_holds); whether the input side is equivalent to the weighted
-    output side m*Phi; whether the output side is equivalent to the
-    conjugate-weighted input side conj(m)*Psi; and whether each induced
-    dual coincides with the corresponding canonical dual. The implications
-    that must hold between them are asserted, and ImplicationViolated
-    (an implementation-bug signal) is raised on any violation:
+    M (eq1_holds); for the input side, whether it is equivalent to the
+    weighted output side m*Phi and whether its induced dual psi_dagger is
+    its canonical dual; and the same pair for the output side, which is
+    the input side of the adjoint M* = M_{conj m, Psi, Phi}: Phi against
+    conj(m)*Psi, phi_dagger against the canonical dual of Phi. The
+    implications that must hold between them are asserted, and
+    ImplicationViolated (an implementation-bug signal) is raised on any
+    violation:
 
-    * psi_equiv_mphi implies eq1_holds, and is equivalent to
-      psi_dagger_is_canonical;
-    * phi_equiv_mbar_psi implies eq1_holds, and is equivalent to
-      phi_dagger_is_canonical;
+    * on each side, the equivalence implies eq1_holds and is equivalent to
+      the induced dual being canonical;
     * for a symbol whose entries share one nonzero modulus, a constant
       symbol included, eq1_holds, psi_equiv_mphi and phi_equiv_mbar_psi
       agree: the constant-modulus chain, given as ``constant_modulus_chain``.
@@ -578,42 +585,32 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
 
     Equivalence is symmetric, so ``frames.is_equivalent`` maps from Psi or
     Phi, whose canonical duals the canonical inversion has already taken
-    (NotAFrame there for a side that does not span). The weighted sides
-    m*Phi and conj(m)*Psi are built here and die with the call.
+    (NotAFrame there for a side that does not span).
     ZeroSymbolEntry for a symbol with a zero, NotInvertible for a singular M.
     """
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("the equivalence criteria need a zero-free symbol")
     eq1 = tol.within(verify_canonical_inversion(mult, tol), 1.0)
-    adj = mult.adjoint()
-    report = PropQReport(
-        eq1_holds=eq1,
-        psi_equiv_mphi=frames.is_equivalent(mult.psi, weighted_frame(mult.phi, mult.symbol), tol),
-        phi_equiv_mbar_psi=frames.is_equivalent(adj.psi, weighted_frame(adj.phi, adj.symbol), tol),
-        psi_dagger_is_canonical=_psi_dagger_is_canonical(mult, tol),
-        phi_dagger_is_canonical=_psi_dagger_is_canonical(adj, tol),
-        constant_symbol=mult.symbol.is_constant(tol),
-        constant_modulus=mult.symbol.has_constant_modulus(tol),
-    )
+    # (psi_equiv_mphi, phi_equiv_mbar_psi) and (psi_dagger_is_canonical, phi_dagger_is_canonical)
+    equivalent, canonical = zip(*(_input_side_criteria(side, tol) for side in (mult, mult.adjoint())))
+    report = PropQReport(eq1, *equivalent, *canonical,
+                         constant_symbol=mult.symbol.is_constant(tol),
+                         constant_modulus=mult.symbol.has_constant_modulus(tol))
     _assert_prop_q_consistency(report)
     return report
 
 
 def _assert_prop_q_consistency(report: PropQReport) -> None:
-    if report.psi_equiv_mphi and not report.eq1_holds:
-        raise ImplicationViolated("input side equivalent to weighted output side, yet eq1 fails")
-    if report.phi_equiv_mbar_psi and not report.eq1_holds:
-        raise ImplicationViolated("output side equivalent to conjugate-weighted input side, yet eq1 fails")
-    if report.psi_equiv_mphi != report.psi_dagger_is_canonical:
-        raise ImplicationViolated(
-            "psi_equiv_mphi and psi_dagger_is_canonical must agree "
-            f"(got {report.psi_equiv_mphi} vs {report.psi_dagger_is_canonical})"
-        )
-    if report.phi_equiv_mbar_psi != report.phi_dagger_is_canonical:
-        raise ImplicationViolated(
-            "phi_equiv_mbar_psi and phi_dagger_is_canonical must agree "
-            f"(got {report.phi_equiv_mbar_psi} vs {report.phi_dagger_is_canonical})"
-        )
+    for equivalent, canonical, side in (
+            ("psi_equiv_mphi", "psi_dagger_is_canonical", "input side equivalent to weighted output side"),
+            ("phi_equiv_mbar_psi", "phi_dagger_is_canonical",
+             "output side equivalent to conjugate-weighted input side")):
+        equivalence, is_canonical = getattr(report, equivalent), getattr(report, canonical)
+        if equivalence and not report.eq1_holds:
+            raise ImplicationViolated(f"{side}, yet eq1 fails")
+        if equivalence != is_canonical:
+            raise ImplicationViolated(f"{equivalent} and {canonical} must agree "
+                                      f"(got {equivalence} vs {is_canonical})")
     legs = (report.eq1_holds, report.psi_equiv_mphi, report.phi_equiv_mbar_psi)
     if (report.constant_modulus or report.constant_symbol) and len(set(legs)) != 1:
         raise ImplicationViolated(

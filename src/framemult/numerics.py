@@ -160,10 +160,10 @@ def _extremes(a: np.ndarray, one_by_one, spectrum):
     1 x 1 matrix [a] gives ``one_by_one(a)`` twice. ``spectrum`` looks
     np.linalg up at each call, so that a wrapper put in its place sees it.
     """
-    finite = np.isfinite(a).all(axis=(-2, -1))
-    if not finite.all():
+    if not np.isfinite(a).all():
         if a.ndim == 2:
             return math.nan, math.nan
+        finite = np.isfinite(a).all(axis=(-2, -1))
         first, last = _extremes(np.where(finite[..., None, None], a, 0), one_by_one, spectrum)
         return np.where(finite, first, math.nan), np.where(finite, last, math.nan)
     values = one_by_one(a[..., 0]) if a.shape[-2:] == (1, 1) else spectrum(a)

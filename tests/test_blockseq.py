@@ -556,6 +556,26 @@ def test_interleaved_coefficients_are_free_of_their_scale():
     assert image[0] == pytest.approx(2e100, rel=1e-15)  # p_0 / (1 - rho), rho = 1/2
 
 
+def test_interleaved_apply_rejects_a_p0_beyond_the_double_range_at_once(monkeypatch):
+    # p_0 = 1e400: every p_k and every tail bound is inf, though the ratio is certified
+    system = bs.InterleavedSystem(1e200, 1, 1e200, 0.5, 1, 1, 1, 1, 1, 0.5)
+    system.certify_ratio()
+    calls = []
+    original = bs.InterleavedSystem.recurrent_product
+
+    def counted(self, k):
+        calls.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(bs.InterleavedSystem, "recurrent_product", counted)
+    with pytest.raises(RatioNotCertified, match=r"^p_0 = inf is not finite"):
+        bs.interleaved_apply(system, [1, 0], 1e-6)
+    assert len(calls) <= 1
+    # the transient direction alone does not need p_0
+    image, bound = bs.interleaved_apply(system, [0, 1], 1e-6)
+    assert bound == 0.0 and image[1] == 1.0
+
+
 @pytest.mark.parametrize("system, certified", [
     # rho = 1e160 * 1e160 * 1e-321 = 0.1, though m_ratio phi_ratio overflows as doubles
     (bs.InterleavedSystem(1, 1, 1, 1e160, 1e-321, 1e160, 1, 1, 1, 0.5), True),

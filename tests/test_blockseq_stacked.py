@@ -51,7 +51,7 @@ def oracle_system_frame_bounds(sys, horizon=bs.SWEEP_HORIZON, tol=DEFAULT_TOL):
         lows.append(float(eigs[0].real))
         highs.append(float(eigs[-1].real))
         exponents.append(2 * top)
-    extremes = (bs._least(lows, exponents), bs._greatest(highs, exponents))
+    extremes = (bs._extreme(np.min, lows, exponents), bs._extreme(np.max, highs, exponents))
     return bs._closed_form_bounds(sys, extremes, tol)
 
 

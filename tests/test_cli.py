@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import pathlib
+import shutil
 import sys
 import weakref
 
@@ -596,20 +597,40 @@ def test_examples_runs_are_byte_identical(capsys):
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+VERIFY_ALL = ("--verify-all", "--seed", "1")
+
+
+def multiplier_argv(*flags, symbol="symbol.json", psi="psi.json"):
+    """A multiplier run on the golden inputs, (d, N) = (3, 6): a general symbol
+    unless ``symbol`` is unimodular.json, and an input side that spans unless
+    ``psi`` is psi_plane.json, whose multiplier has an exactly zero column."""
+    return ["multiplier", "--symbol", symbol, "--phi", "phi.json", "--psi", psi, *flags]
 
 
 @pytest.mark.parametrize("argv, golden", [
     (["examples", "list"], "examples_list.json"),
     *((["examples", "run", "--all", "--horizon", horizon], f"examples_run_all_h{horizon}.json")
       for horizon in ("1", "1000", "100000")),
+    (multiplier_argv(*VERIFY_ALL), "multiplier_verify_all.json"),
+    (multiplier_argv(*VERIFY_ALL, symbol="unimodular.json"), "multiplier_unimodular_verify_all.json"),
+    (multiplier_argv("--induced-duals"), "multiplier_induced_duals.json"),
+    (multiplier_argv(*VERIFY_ALL, psi="psi_plane.json"), "multiplier_not_invertible.json"),
+    (["frame-info", "phi.json", "--dual-out", "dual.json"], "frame_info_dual_out.json"),
 ])
-def test_example_reports_are_the_golden_bytes(capsys, argv, golden):
-    # the files are `python -m framemult.cli <argv> > tests/golden/<file>` at
-    # 05fab38; example reports do not depend on the BLAS thread count, so a
-    # change to one of these files is a change to a report
+def test_example_reports_are_the_golden_bytes(capsys, monkeypatch, tmp_path, argv, golden):
+    # the files are `python -m framemult.cli <argv> > tests/golden/<file>`, run
+    # in a copy of tests/golden/inputs, at 05fab38 for the examples and at
+    # b446b13 for the rest (the written dual is frame_info_dual.json); the
+    # reports are the same under 1 and 2 BLAS threads, so a change to one of
+    # these files is a change to a report. Relative input paths keep the
+    # paths a report records fixed.
+    shutil.copytree(GOLDEN / "inputs", tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / golden).read_bytes()
+    if "--dual-out" in argv:
+        assert (tmp_path / "dual.json").read_bytes() == (GOLDEN / "frame_info_dual.json").read_bytes()
 
 
 @pytest.mark.parametrize("horizon", ["1", "7", "1000"])

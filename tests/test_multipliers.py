@@ -511,6 +511,39 @@ def test_the_constant_modulus_chain_is_asserted_from_the_report(constant_symbol,
     assert (report.constant_modulus_chain is None) == (not constant_modulus)
 
 
+def side_report(eq1_holds=True, psi=(False, False), phi=(False, False)):
+    """A general-symbol report with each side's (equivalence, induced dual is canonical)."""
+    return mp.PropQReport(eq1_holds=eq1_holds, psi_equiv_mphi=psi[0], phi_equiv_mbar_psi=phi[0],
+                          psi_dagger_is_canonical=psi[1], phi_dagger_is_canonical=phi[1],
+                          constant_symbol=False, constant_modulus=False)
+
+
+@pytest.mark.parametrize("report, message", [
+    (side_report(eq1_holds=False, psi=(True, True)),
+     "input side equivalent to weighted output side, yet eq1 fails"),
+    (side_report(eq1_holds=False, phi=(True, True)),
+     "output side equivalent to conjugate-weighted input side, yet eq1 fails"),
+    *((side_report(psi=pair), "psi_equiv_mphi and psi_dagger_is_canonical must agree "
+                              f"(got {pair[0]} vs {pair[1]})") for pair in ((True, False), (False, True))),
+    *((side_report(phi=pair), "phi_equiv_mbar_psi and phi_dagger_is_canonical must agree "
+                              f"(got {pair[0]} vs {pair[1]})") for pair in ((True, False), (False, True))),
+])
+def test_the_implications_of_each_side_are_asserted_from_the_report(report, message):
+    # on each side the equivalence implies eq1 and agrees with the induced
+    # dual being canonical; a violation names that side. The eq1 messages
+    # reach reports (inversion_equivalence_criteria), so their words stay.
+    with pytest.raises(ImplicationViolated) as raised:
+        mp._assert_prop_q_consistency(report)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("report", [
+    side_report(), side_report(psi=(True, True)), side_report(phi=(True, True)),
+    side_report(psi=(True, True), phi=(True, True)), side_report(eq1_holds=False)])
+def test_a_consistent_report_passes_its_implications(report):
+    mp._assert_prop_q_consistency(report)
+
+
 # ----------------------------------------------------------------- properties
 
 
