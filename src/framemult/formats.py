@@ -11,20 +11,24 @@ with one inner list of d pairs per vector. A symbol document is
 Anything malformed raises ParseError.
 
 A frame file is decoded one vector at a time: each vector is parsed from
-the text, converted to a complex array of d entries and its Python lists
-released before the next, so the file's numbers are never all held as
-Python objects. That route takes only a well-formed plain {"dim",
-"vectors"} object (either key order, any JSON whitespace); any other
-document, valid or not, goes to ``json.loads`` and ``frame_from_json``,
-which decide it and word every ParseError. Symbol files take that route
-always.
+the text, its numbers are appended to one float buffer and its Python
+lists are released before the next, so the file's numbers are never all
+held as Python objects. At the end one finiteness test takes the whole
+buffer and one transposed copy makes it the synthesis. That route takes
+only a well-formed plain {"dim", "vectors"} object (either key order, any
+JSON whitespace); any other document, valid or not, goes to
+``json.loads`` and ``frame_from_json``, which decide it and word every
+ParseError. Symbol files take that route always.
 
-The plain route and a symbol document check and convert an array of
-pairs as a whole: one pass each over the pairs and the numbers decides the
-structure and the element types, then one float64 array and one finiteness
-test take all the numbers. ``frame_from_json`` walks its document pair by
-pair with pair_to_complex, which names the first bad entry; so does a
-symbol document that fails the whole-array checks.
+The plain route checks a vector's structure by its pair lengths and
+leaves the element types to the float buffer, which refuses anything but
+a number or a boolean; a boolean is found in the vector's text instead.
+A symbol document checks and converts its pairs as a whole: one pass each
+over the pairs and the numbers decides the structure and the element
+types, then one float64 array and one finiteness test take all the
+numbers. ``frame_from_json`` walks its document pair by pair with
+pair_to_complex, which names the first bad entry; so does a symbol
+document that fails the whole-array checks.
 
 Writing goes a vector at a time too: ``frame_text`` gives a frame
 document in pieces, one per vector, each turned into nested lists and
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from collections.abc import Iterator
 from itertools import chain
 
@@ -230,14 +235,14 @@ def _plain_frame(text: str) -> FiniteFrame | None:
         return None
     if fields is None:
         return None
-    dim, rows = fields["dim"], fields["vectors"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or rows[0].size != dim:
+    dim, syn = fields["dim"], fields["vectors"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or syn.shape[0] != dim:
         return None
-    return FiniteFrame._adopt(np.stack(rows, axis=1))
+    return FiniteFrame._adopt(syn)
 
 
 def _plain_object(text: str) -> dict | None:
-    """{"dim": value, "vectors": rows} of a plain frame document; None when it is not one.
+    """{"dim": value, "vectors": synthesis} of a plain frame document; None when it is not one.
 
     Raises ValueError or RecursionError where the json scanner does.
     """
@@ -270,22 +275,41 @@ def _plain_object(text: str) -> dict | None:
     return fields
 
 
-def _vector_rows(text: str, pos: int) -> tuple[list | None, int]:
-    """The JSON array of vectors at ``pos`` as complex arrays of one common length, and the end.
+def _vector_rows(text: str, pos: int) -> tuple[np.ndarray | None, int]:
+    """The JSON array of vectors at ``pos`` as one d x N synthesis array, and the end.
 
-    None in place of the rows when an entry is not a number pair that
-    ``_pair_array`` takes or the lengths differ.
+    Each vector is decoded by the json scanner, checked to be a list of
+    pairs as long as the first vector, and its numbers appended to one
+    float buffer. The buffer raises TypeError for a string, array, object
+    or null and OverflowError for an integer beyond the double range, so
+    no number is type-checked on its own. It would take ``true`` and
+    ``false`` as numbers; they are found instead as a ``t`` or an ``f`` in
+    the vector's text, which no finite number has. One finiteness test and
+    one transposed copy end the decoding. None in place of the array when
+    an entry is not a finite number pair or the vectors differ in length.
     """
     if not text.startswith("[", pos):
         return None, pos
-    rows: list = []
+    numbers = array("d")
+    width = 0
     separator = ","
     while separator == ",":
-        vector, pos = _DECODER.raw_decode(text, _WHITESPACE.match(text, pos + 1).end())
-        row = _pair_array(vector) if isinstance(vector, list) else None
-        if row is None or (rows and row.size != rows[0].size):
+        start = _WHITESPACE.match(text, pos + 1).end()
+        vector, pos = _DECODER.raw_decode(text, start)
+        try:
+            if (not isinstance(vector, list) or set(map(len, vector)) != {2}
+                    or width not in (0, len(vector))
+                    or text.find("t", start, pos) >= 0 or text.find("f", start, pos) >= 0):
+                return None, pos
+            numbers.extend(chain.from_iterable(vector))
+        except (TypeError, OverflowError):  # an entry not a pair of numbers, or a huge integer
             return None, pos
-        rows.append(row)
+        width = len(vector)
         pos = _WHITESPACE.match(text, pos).end()
         separator = text[pos:pos + 1]
-    return (rows, pos + 1) if separator == "]" else (None, pos)
+    if separator != "]":
+        return None, pos
+    rows = np.frombuffer(numbers, dtype=np.complex128)
+    if not np.isfinite(rows).all():
+        return None, pos
+    return rows.reshape(-1, width).T.copy(), pos + 1

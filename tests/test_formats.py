@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -206,6 +207,23 @@ def test_vector_by_vector_decoding_matches_json_loads(tmp_path_factory, doc, vec
 PLAIN = '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[0.5, -2], [3e-310, 1e308]]]}'
 
 
+def with_bad_pair(pair: str) -> dict:
+    """Documents with ``pair`` in the first vector, and in the last after good ones."""
+    return {"first": '{"dim": 2, "vectors": [[%s, [0, 1]], [[1, 0], [0, 1]]]}' % pair,
+            "last": PLAIN[:-2] + ", [[1, 0], %s]]}" % pair}
+
+
+# entries the plain route's float buffer turns away by itself, first with no
+# numbers buffered yet and last with the good vectors' numbers already in it
+TURNED_AWAY_BY_THE_BUFFER = {
+    f"{name}-{where}": text
+    for name, pair in [("false", "[false, 0]"), ("null", "[0, null]"), ("string-pair", '"ab"'),
+                       ("object-pair", '{"re": 1, "im": 0}'),
+                       ("nested-pair", "[[1, 2], [3, 4]]"), ("minus-infinity", "[-Infinity, 0]")]
+    for where, text in with_bad_pair(pair).items()
+}
+
+
 @pytest.mark.parametrize("text", [
     '{"dim": 2, "extra": 1, "vectors": [[[1, 0], [0, 1]]]}',
     '{"dim": 1, "vectors": [[["x", 0]]], "vectors": [[[1, 0]], [[0, 1]]]}',
@@ -229,6 +247,8 @@ PLAIN = '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[0.5, -2], [3e-310, 1e308]]]}
     '{"dim": 1, "vectors": [[[1, 0]], []]}',
     '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0]]]}',
     '{"dim": 2, "vectors": [[[1, 0]], [[0, 1]]]}',
+    '{"dim": 2, "vectors": [[[1, 0]], [[0, 1], [1, 0], [1, 1]], [[1, 0], [0, 1]]]}',
+    '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0, 0], [1]]]}',
     '{"dim": 1, "vectors": [[[1, 0]],]}',
     '{"dim": 1, "vectors": [[[1, 0]]],}',
     '{"dim": 1}',
@@ -237,12 +257,72 @@ PLAIN = '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[0.5, -2], [3e-310, 1e308]]]}
     "[]",
     "",
     '{"dim": 1, "vectors": ' + "[" * 3000 + "]" * 3000 + "}",
+    *TURNED_AWAY_BY_THE_BUFFER.values(),
 ], ids=["extra-key", "duplicate-vectors", "duplicate-dim", "escaped-key", "nan", "infinity",
         "1e999", "10**400", "true", "bom", "trailing-text", "trailing-whitespace", "unclosed",
         "no-vectors", "dim-true", "dim-0", "dim-string", "dim-float", "vector-not-a-list",
-        "empty-vector", "ragged", "dim-mismatch", "trailing-comma-array",
-        "trailing-comma-object", "missing-vectors", "missing-dim", "empty-object",
-        "top-level-array", "empty-file", "nested-vectors"])
+        "empty-vector", "ragged", "dim-mismatch", "ragged-same-count", "pair-lengths-3-1",
+        "trailing-comma-array", "trailing-comma-object", "missing-vectors", "missing-dim", "empty-object",
+        "top-level-array", "empty-file", "nested-vectors", *TURNED_AWAY_BY_THE_BUFFER])
 def test_vector_by_vector_decoding_matches_json_loads_on_odd_documents(tmp_path, text):
     streamed, whole = loaded_both_ways(tmp_path, text)
     assert streamed == whole
+    plain = fmt._plain_frame(text)
+    if text in TURNED_AWAY_BY_THE_BUFFER.values():
+        assert plain is None
+    else:
+        assert plain is None or plain.synthesis.tobytes() == whole
+
+
+def plain_frame_file(tmp_path, dim: int, size: int, write) -> tuple[str, bytes]:
+    """A plain frame file of random entries written by ``write``: its path, and the synthesis
+    bytes that ``json.loads`` and ``frame_from_json`` decode from it."""
+    rng = np.random.default_rng(dim * size)
+    frame = FiniteFrame(rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
+    path = tmp_path / f"frame-{dim}x{size}.json"
+    with open(path, "w", encoding="utf-8") as handle:
+        write(frame, handle)
+    return str(path), fmt.frame_from_json(json.loads(path.read_text())).synthesis.tobytes()
+
+
+def dumped(frame, handle):
+    json.dump({"dim": frame.dim, "vectors": fmt._pairs(frame.synthesis.T)}, handle)
+
+
+def streamed_text(frame, handle):
+    handle.writelines(fmt.frame_text(frame))
+
+
+@pytest.mark.parametrize("write", [dumped, streamed_text])
+def test_plain_frame_files_never_fall_back(tmp_path, monkeypatch, write):
+    path, whole = plain_frame_file(tmp_path, 16, 64, write)
+
+    def fell_back(*args):
+        raise AssertionError("a plain frame file went to the whole-document route")
+
+    monkeypatch.setattr(fmt, "_decode", fell_back)
+    monkeypatch.setattr(fmt, "frame_from_json", fell_back)
+    frame, _ = fmt.load_frame_file(path)
+    assert frame.synthesis.shape == (16, 64)
+    assert frame.synthesis.tobytes() == whole
+
+
+def test_frame_file_decoding_holds_no_more_than_three_arrays_above_its_text(tmp_path):
+    # the read holds the file's bytes and its text together for a moment;
+    # the decode holds the float buffer and the synthesis copied from it.
+    # json.loads would hold every number as a Python float (about 13.6 arrays)
+    import tracemalloc
+
+    dim, size = 64, 256
+    path, _ = plain_frame_file(tmp_path, dim, size, dumped)
+    text_bytes = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frame, _ = fmt.load_frame_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frame.synthesis.shape == (dim, size)
+    arrays = (peak - base - text_bytes) / (dim * size * np.dtype(np.complex128).itemsize)
+    assert arrays <= 3.0, arrays
