@@ -8,32 +8,30 @@ with one inner list of d pairs per vector. A symbol document is
 
     {"values": [[re, im], ...]}
 
-Anything malformed raises ParseError.
+The readers take exactly what ``docs/schema/`` describes: an object with
+exactly those keys, in either order, each once; ``dim`` a JSON integer
+(``2``, not ``2.0``) and at least one vector, each of exactly ``dim``
+pairs; at least one symbol value; numbers that are finite and within the
+double range. Anything else raises ParseError.
 
-A frame file is decoded one vector at a time: each vector is parsed from
-the text, its numbers are appended to one float buffer and its Python
-lists are released before the next, so the file's numbers are never all
-held as Python objects. At the end one finiteness test takes the whole
-buffer and one transposed copy makes it the synthesis. That route takes
-only a well-formed plain {"dim", "vectors"} object (either key order, any
-JSON whitespace); any other document, valid or not, goes to
-``json.loads`` and ``frame_from_json``, which decide it and word every
-ParseError. Symbol files take that route always.
+One scanner decides every document. It walks the top-level object key by
+key, and each array of pairs (a frame vector, or a symbol's values) is
+decoded by the json module's own scanner, its numbers appended to one
+float buffer and its Python lists released before the next, so a file's
+numbers are never all held as Python objects. The buffer refuses a
+string, array, object or null, and an integer beyond the double range;
+``true`` and ``false`` are found instead as a ``t`` or an ``f`` in the
+array's text, which no finite number has. One finiteness test takes the
+whole buffer, and for a frame one transposed copy makes it the synthesis.
 
-The plain route checks a vector's structure by its pair lengths and
-leaves the element types to the float buffer, which refuses anything but
-a number or a boolean; a boolean is found in the vector's text instead.
-A symbol document checks and converts its pairs as a whole: one pass each
-over the pairs and the numbers decides the structure and the element
-types, then one float64 array and one finiteness test take all the
-numbers. ``frame_from_json`` walks its document pair by pair with
-pair_to_complex, which names the first bad entry; so does a symbol
-document that fails the whole-array checks.
+A document the scanner refuses is decoded once more by ``json.loads``,
+which refuses a repeated key, only to word the ParseError: a walk of it
+names the first bad location, and builds no frame and no symbol.
 
-Writing goes a vector at a time too: ``frame_text`` gives a frame
-document in pieces, one per vector, each turned into nested lists and
-encoded by ``json.dumps`` on its own, so a written frame is never held as
-Python objects nor as one string.
+Writing goes a vector at a time: ``frame_text`` gives a frame document in
+pieces, one per vector, each turned into nested lists and encoded by
+``json.dumps`` on its own, so a written frame is never held as Python
+objects nor as one string.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ import json
 from array import array
 from collections.abc import Iterator
 from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -55,40 +54,13 @@ def pair_to_complex(pair, where: str = "value") -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
         raise ParseError(f"{where}: expected a [re, im] number pair, got {pair!r}")
-    value = complex(_to_float(pair[0], where), _to_float(pair[1], where))
+    try:
+        value = complex(float(pair[0]), float(pair[1]))
+    except OverflowError:  # an integer beyond the double range
+        raise ParseError(f"{where}: number beyond the double range") from None
     if not (np.isfinite(value.real) and np.isfinite(value.imag)):
         raise ParseError(f"{where}: entries must be finite")
     return value
-
-
-def _to_float(x: int | float, where: str) -> float:
-    try:
-        return float(x)
-    except OverflowError:  # an integer beyond the double range
-        raise ParseError(f"{where}: number beyond the double range") from None
-
-
-def _all_instances(items: list, kinds) -> bool:
-    """isinstance(x, kinds) and x is not a bool, for every x; decided per distinct type."""
-    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, items)))
-
-
-def _pair_array(pairs: list) -> np.ndarray | None:
-    """The [re, im] pairs as one complex array, or None if pair_to_complex rejects any.
-
-    Every check is a whole-list pass; the numbers are flattened before
-    numpy sees them, so a ragged list never becomes an object array.
-    """
-    if not _all_instances(pairs, (list, tuple)) or set(map(len, pairs)) != {2}:
-        return None
-    numbers = list(chain.from_iterable(pairs))
-    if not _all_instances(numbers, (int, float)):
-        return None
-    try:
-        flat = np.array(numbers, dtype=np.float64)
-    except OverflowError:  # an integer beyond the double range
-        return None
-    return flat.view(np.complex128) if np.isfinite(flat).all() else None
 
 
 def _pairs(values: np.ndarray) -> list:
@@ -96,47 +68,15 @@ def _pairs(values: np.ndarray) -> list:
     return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def _require_dict(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    return obj
-
-
-def _require_list(obj, where: str) -> list:
-    if not isinstance(obj, list):
-        raise ParseError(f"{where}: expected a JSON array, got {type(obj).__name__}")
-    return obj
-
-
-def _complex_vector(obj, where: str) -> list[complex]:
-    items = _require_list(obj, where)
-    if not items:
-        raise ParseError(f"{where}: must not be empty")
-    return [pair_to_complex(p, f"{where}[{i}]") for i, p in enumerate(items)]
-
-
 # ------------------------------------------------------------------- frames
 
 
-def frame_from_json(obj) -> FiniteFrame:
-    doc = _require_dict(obj, "frame")
-    if "dim" not in doc or "vectors" not in doc:
-        raise ParseError("frame: needs 'dim' and 'vectors'")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"frame: 'dim' must be a positive integer, got {dim!r}")
-    vector_docs = _require_list(doc["vectors"], "frame.vectors")
-    if not vector_docs:
-        raise ParseError("frame: needs at least one vector")
-    rows = []
-    for n, vec in enumerate(vector_docs):
-        entries = _complex_vector(vec, f"frame.vectors[{n}]")
-        if len(entries) != dim:
-            raise ParseError(
-                f"frame.vectors[{n}]: has {len(entries)} entries, expected dim = {dim}"
-            )
-        rows.append(entries)
-    return FiniteFrame(np.array(rows, dtype=np.complex128))
+def frame_from_json(text: str, path: str = "<text>", where: str = "frame") -> FiniteFrame:
+    """The frame of a frame document's JSON text; ParseError naming ``where`` and ``path`` if none."""
+    fields = _scan(text, {"dim": _DECODER.raw_decode, "vectors": _vector_rows})
+    if fields is None or type(fields["dim"]) is not int or fields["vectors"].shape[0] != fields["dim"]:
+        _refuse(text, path, where, _walk_frame)
+    return FiniteFrame._adopt(fields["vectors"])
 
 
 def frame_text(frame: FiniteFrame) -> Iterator[str]:
@@ -156,37 +96,27 @@ def frame_text(frame: FiniteFrame) -> Iterator[str]:
 # ------------------------------------------------------------------- symbols
 
 
-def symbol_from_json(obj) -> Symbol:
-    doc = _require_dict(obj, "symbol")
-    if "values" not in doc:
-        raise ParseError("symbol: needs 'values'")
-    items = _require_list(doc["values"], "symbol.values")
-    values = _pair_array(items)
-    return Symbol(values if values is not None else _complex_vector(items, "symbol.values"))
+def symbol_from_json(text: str, path: str = "<text>", where: str = "symbol") -> Symbol:
+    """The symbol of a symbol document's JSON text; ParseError naming ``where`` and ``path`` if none."""
+    fields = _scan(text, {"values": _value_row})
+    if fields is None:
+        _refuse(text, path, where, _walk_symbol)
+    return Symbol._from_checked(fields["values"])
 
 
 # --------------------------------------------------------------------- files
 
 
-def load_json_file(path: str, where: str = "input") -> tuple[object, str]:
-    """The JSON document in a UTF-8 file and the sha256 of the bytes it was parsed from."""
-    text, digest = _read_text(path, where)
-    return _decode(text, path, where), digest
-
-
 def load_symbol_file(path: str, where: str = "symbol") -> tuple[Symbol, str]:
     """The symbol in a UTF-8 JSON file and the sha256 of its bytes."""
-    doc, digest = load_json_file(path, where)
-    return symbol_from_json(doc), digest
+    text, digest = _read_text(path, where)
+    return symbol_from_json(text, path, where), digest
 
 
 def load_frame_file(path: str, where: str = "frame") -> tuple[FiniteFrame, str]:
     """The frame in a UTF-8 JSON file and the sha256 of its bytes, decoded a vector at a time."""
     text, digest = _read_text(path, where)
-    frame = _plain_frame(text)
-    if frame is None:
-        frame = frame_from_json(_decode(text, path, where))
-    return frame, digest
+    return frame_from_json(text, path, where), digest
 
 
 def _read_text(path: str, where: str) -> tuple[str, str]:
@@ -207,86 +137,85 @@ def _read_text(path: str, where: str) -> tuple[str, str]:
         raise ParseError(f"{where}: {path} is not valid JSON: {exc}") from exc
 
 
-def _decode(text: str, path: str, where: str):
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
-        raise ParseError(f"{where}: {path} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ParseError(f"{where}: {path} nests arrays or objects too deeply") from None
-
+# ------------------------------------------------------------------ scanning
 
 _DECODER = json.JSONDecoder()
 _WHITESPACE = json.decoder.WHITESPACE
 
 
-def _plain_frame(text: str) -> FiniteFrame | None:
-    """The frame of a well-formed plain {"dim", "vectors"} document, or None for any other text.
+def _scan(text: str, readers: dict) -> dict | None:
+    """{key: value} of a JSON object with exactly the keys of ``readers``; None for any other text.
 
-    Keys, ``dim`` and each vector are decoded by the json module's own
-    scanner, so every token reads as ``json.loads`` would read it. Text
-    this route does not take (another key, a repeated key, a bad entry,
-    bad JSON, nesting past the recursion limit) gives None, and the
-    caller decodes it whole.
-    """
-    try:
-        fields = _plain_object(text)
-    except (ValueError, RecursionError):
-        return None
-    if fields is None:
-        return None
-    dim, syn = fields["dim"], fields["vectors"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or syn.shape[0] != dim:
-        return None
-    return FiniteFrame._adopt(syn)
-
-
-def _plain_object(text: str) -> dict | None:
-    """{"dim": value, "vectors": synthesis} of a plain frame document; None when it is not one.
-
-    Raises ValueError or RecursionError where the json scanner does.
+    Each key is decoded by the json scanner, so an escaped key reads as
+    ``json.loads`` reads it, and its value by its reader, which gives None
+    for a value it refuses (no key takes null). A key read twice, a key
+    not in ``readers``, bad JSON and nesting past the recursion limit give
+    None as well.
     """
     fields: dict = {}
-    pos = _WHITESPACE.match(text, 0).end()
-    if not text.startswith("{", pos):
-        return None
-    closing = ","
-    while closing == ",":
-        pos = _WHITESPACE.match(text, pos + 1).end()
-        if not text.startswith('"', pos):
+    try:
+        pos = _WHITESPACE.match(text, 0).end()
+        if not text.startswith("{", pos):
             return None
-        key, pos = _DECODER.raw_decode(text, pos)
-        if key in fields or key not in ("dim", "vectors"):
-            return None
-        pos = _WHITESPACE.match(text, pos).end()
-        if not text.startswith(":", pos):
-            return None
-        pos = _WHITESPACE.match(text, pos + 1).end()
-        if key == "dim":
-            fields[key], pos = _DECODER.raw_decode(text, pos)
-        else:
-            fields[key], pos = _vector_rows(text, pos)
+        closing = ","
+        while closing == ",":
+            pos = _WHITESPACE.match(text, pos + 1).end()
+            if not text.startswith('"', pos):
+                return None
+            key, pos = _DECODER.raw_decode(text, pos)
+            if key in fields or key not in readers:
+                return None
+            pos = _WHITESPACE.match(text, pos).end()
+            if not text.startswith(":", pos):
+                return None
+            fields[key], pos = readers[key](text, _WHITESPACE.match(text, pos + 1).end())
             if fields[key] is None:
                 return None
-        pos = _WHITESPACE.match(text, pos).end()
-        closing = text[pos:pos + 1]
-    if closing != "}" or _WHITESPACE.match(text, pos + 1).end() != len(text) or len(fields) != 2:
+            pos = _WHITESPACE.match(text, pos).end()
+            closing = text[pos:pos + 1]
+    except (ValueError, RecursionError):
+        return None
+    if closing != "}" or _WHITESPACE.match(text, pos + 1).end() != len(text) or len(fields) != len(readers):
         return None
     return fields
 
 
-def _vector_rows(text: str, pos: int) -> tuple[np.ndarray | None, int]:
-    """The JSON array of vectors at ``pos`` as one d x N synthesis array, and the end.
+def _pair_numbers(numbers: array, text: str, start: int) -> tuple[int, int]:
+    """Append the numbers of the JSON array of [re, im] pairs at ``start`` to ``numbers``.
 
-    Each vector is decoded by the json scanner, checked to be a list of
-    pairs as long as the first vector, and its numbers appended to one
-    float buffer. The buffer raises TypeError for a string, array, object
-    or null and OverflowError for an integer beyond the double range, so
-    no number is type-checked on its own. It would take ``true`` and
-    ``false`` as numbers; they are found instead as a ``t`` or an ``f`` in
-    the vector's text, which no finite number has. One finiteness test and
-    one transposed copy end the decoding. None in place of the array when
-    an entry is not a finite number pair or the vectors differ in length.
+    Gives the number of pairs, 0 when the array is empty or holds anything
+    but number pairs, and the array's end.
+    """
+    pairs, end = _DECODER.raw_decode(text, start)
+    try:
+        if (not isinstance(pairs, list) or set(map(len, pairs)) != {2}
+                or text.find("t", start, end) >= 0 or text.find("f", start, end) >= 0):
+            return 0, end
+        numbers.extend(chain.from_iterable(pairs))
+    except (TypeError, OverflowError):  # an entry not a pair of numbers, or a huge integer
+        return 0, end
+    return len(pairs), end
+
+
+def _finite(numbers: array) -> np.ndarray | None:
+    """The buffer's numbers as complex values, or None if any is not finite."""
+    values = np.frombuffer(numbers, dtype=np.complex128)
+    return values if np.isfinite(values).all() else None
+
+
+def _value_row(text: str, pos: int) -> tuple[np.ndarray | None, int]:
+    """The JSON array of pairs at ``pos`` as one complex array (None if refused), and its end."""
+    numbers = array("d")
+    count, pos = _pair_numbers(numbers, text, pos)
+    return (_finite(numbers) if count else None), pos
+
+
+def _vector_rows(text: str, pos: int) -> tuple[np.ndarray | None, int]:
+    """The JSON array of vectors at ``pos`` as one d x N synthesis array, and its end.
+
+    Every vector's numbers go to one float buffer, and each vector must
+    have as many pairs as the first. None in place of the array when a
+    vector is refused or the vectors differ in length.
     """
     if not text.startswith("[", pos):
         return None, pos
@@ -294,22 +223,81 @@ def _vector_rows(text: str, pos: int) -> tuple[np.ndarray | None, int]:
     width = 0
     separator = ","
     while separator == ",":
-        start = _WHITESPACE.match(text, pos + 1).end()
-        vector, pos = _DECODER.raw_decode(text, start)
-        try:
-            if (not isinstance(vector, list) or set(map(len, vector)) != {2}
-                    or width not in (0, len(vector))
-                    or text.find("t", start, pos) >= 0 or text.find("f", start, pos) >= 0):
-                return None, pos
-            numbers.extend(chain.from_iterable(vector))
-        except (TypeError, OverflowError):  # an entry not a pair of numbers, or a huge integer
+        count, pos = _pair_numbers(numbers, text, _WHITESPACE.match(text, pos + 1).end())
+        if not count or width not in (0, count):
             return None, pos
-        width = len(vector)
+        width = count
         pos = _WHITESPACE.match(text, pos).end()
         separator = text[pos:pos + 1]
-    if separator != "]":
-        return None, pos
-    rows = np.frombuffer(numbers, dtype=np.complex128)
-    if not np.isfinite(rows).all():
-        return None, pos
-    return rows.reshape(-1, width).T.copy(), pos + 1
+    rows = _finite(numbers) if separator == "]" else None
+    return (None if rows is None else rows.reshape(-1, width).T.copy()), pos + 1
+
+
+# ----------------------------------------------------------------- refusals
+
+
+def _refuse(text: str, path: str, where: str, walk) -> NoReturn:
+    """Raise the ParseError of a document the scanner refused, naming its first fault.
+
+    The text is decoded whole, refusing a repeated key, and ``walk``
+    raises at the first bad location of what it decodes to.
+    """
+    def unique_keys(items: list) -> dict:
+        obj: dict = {}
+        for key, value in items:
+            if key in obj:
+                raise ParseError(f"{where}: {path} repeats the key {key!r} in one object")
+            obj[key] = value
+        return obj
+
+    try:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # bad JSON, or an integer past Python's digit limit
+        raise ParseError(f"{where}: {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{where}: {path} nests arrays or objects too deeply") from None
+    walk(doc)
+    raise AssertionError(f"{where}: the scanner refused {path}, and the walk finds no fault")
+
+
+def _walk_keys(doc, where: str, keys: tuple[str, ...]) -> None:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    names = " and ".join(map(repr, keys))
+    for key in doc:
+        if key not in keys:
+            raise ParseError(f"{where}: unexpected key {key!r}; a {where} has only {names}")
+    if len(doc) != len(keys):
+        raise ParseError(f"{where}: needs {names}")
+
+
+def _walk_pairs(items, where: str) -> int:
+    """The number of [re, im] pairs in ``items``; ParseError at the first that is not one."""
+    if not isinstance(items, list):
+        raise ParseError(f"{where}: expected a JSON array, got {type(items).__name__}")
+    if not items:
+        raise ParseError(f"{where}: must not be empty")
+    for i, pair in enumerate(items):
+        pair_to_complex(pair, f"{where}[{i}]")
+    return len(items)
+
+
+def _walk_frame(doc) -> None:
+    _walk_keys(doc, "frame", ("dim", "vectors"))
+    dim = doc["dim"]
+    if type(dim) is not int or dim < 1:
+        raise ParseError(f"frame: 'dim' must be a positive integer, got {dim!r}")
+    vectors = doc["vectors"]
+    if not isinstance(vectors, list):
+        raise ParseError(f"frame.vectors: expected a JSON array, got {type(vectors).__name__}")
+    if not vectors:
+        raise ParseError("frame: needs at least one vector")
+    for n, vector in enumerate(vectors):
+        count = _walk_pairs(vector, f"frame.vectors[{n}]")
+        if count != dim:
+            raise ParseError(f"frame.vectors[{n}]: has {count} entries, expected dim = {dim}")
+
+
+def _walk_symbol(doc) -> None:
+    _walk_keys(doc, "symbol", ("values",))
+    _walk_pairs(doc["values"], "symbol.values")

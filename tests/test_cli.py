@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import pathlib
 import shutil
 import sys
@@ -88,7 +89,7 @@ def test_frame_info_writes_canonical_dual(capsys, tmp_path, mercedes_file):
     report = run_report(capsys, "frame-info", mercedes_file,
                         "--dual-out", str(dual_path))
     assert report["verdict"] == "pass"
-    dual = frame_from_json(json.loads(dual_path.read_text()))
+    dual = frame_from_json(dual_path.read_text())
     original = FiniteFrame([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     assert is_dual(dual, original)
 
@@ -140,7 +141,7 @@ def test_frame_info_dual_out_matches_the_per_entry_form(capsys, tmp_path):
     frame_path = write_json(tmp_path / "seeded.json", frame_doc(entries))
     dual_path = tmp_path / "dual.json"
     run_report(capsys, "frame-info", frame_path, "--dual-out", str(dual_path))
-    dual = canonical_dual(frame_from_json(json.loads((tmp_path / "seeded.json").read_text())))
+    dual = canonical_dual(frame_from_json((tmp_path / "seeded.json").read_text()))
     per_entry = {"dim": dual.dim,
                  "vectors": [[[complex(z).real, complex(z).imag] for z in dual.synthesis[:, n]]
                              for n in range(dual.size)]}
@@ -186,6 +187,29 @@ def test_deeply_nested_files_exit_2_with_one_error_line(capsys, tmp_path, merced
     assert code == 2
     assert err == f"error: {target}: {nested} nests arrays or objects too deeply\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], "note": "x"}', "note"),
+    ('{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], "dim": 2}', "dim"),
+], ids=["extra-key", "repeated-key"])
+def test_a_frame_with_a_key_its_schema_does_not_allow_exits_2(capsys, tmp_path, text, key):
+    path = tmp_path / "frame.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "frame-info", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: frame: ") and err.count("\n") == 1 and repr(key) in err
+    assert "Traceback" not in err
+
+
+def test_a_symbol_with_a_key_its_schema_does_not_allow_exits_2(capsys, tmp_path, mercedes_file):
+    doc = dict(symbol_doc([1.0, 2.0, 1.0]), note="x")
+    sym = write_json(tmp_path / "m.json", doc)
+    code, out, err = run_cli(capsys, "multiplier", "--symbol", sym, "--phi", mercedes_file,
+                             "--psi", mercedes_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: symbol: ") and err.count("\n") == 1 and "'note'" in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------ multiplier
@@ -925,6 +949,41 @@ def test_verify_bundle_oks_do_not_change_when_frames_or_symbol_are_rescaled(
     scaled = _asserted_oks(phi * 10.0 ** phi_exponent, psi * 10.0 ** psi_exponent,
                            m * 10.0 ** symbol_exponent, seed=3)
     assert scaled == unscaled
+
+
+def adjoint_family(seed):
+    """(m, Phi, Psi) with psi_n = L(m_n phi_n): d in 1..4, N in d..3d + 1, moduli over e^-8..e^8."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    size = int(rng.integers(dim, 3 * dim + 2))
+    gaussian = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    phi, lift = gaussian(size, dim), gaussian(dim, dim)
+    m = np.exp(rng.uniform(-8.0, 8.0, size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+    return m, phi, (m[:, None] * phi) @ lift.T
+
+
+def test_the_adjoint_swap_keeps_every_verdict_away_from_the_thresholds(capsys, tmp_path):
+    # (conj m, Psi, Phi) is the adjoint of (m, Phi, Psi): it swaps the input-side and
+    # output-side findings, so the verdict stays unless a residual lies near its tolerance.
+    # In the swapped run of seeds 0, 6, 12, 18, 22, 25, 39 and 45, (conj(m_n) psi_n) does
+    # not span: the weighted canonical shortcut, which is unasserted, must fail alone
+    compared = 0
+    for seed in range(50):
+        m, phi, psi = adjoint_family(seed)
+        reports = []
+        for symbol, output_side, input_side in ((m, phi, psi), (np.conj(m), psi, phi)):
+            argv = ["multiplier", "--symbol", write_json(tmp_path / "m.json", symbol_doc(symbol)),
+                    "--phi", write_json(tmp_path / "phi.json", frame_doc(output_side)),
+                    "--psi", write_json(tmp_path / "psi.json", frame_doc(input_side)),
+                    "--verify-all", "--seed", "1"]
+            reports.append(run_report(capsys, *argv))
+        ratios = [math.inf if f["residual"] is None else f["residual"] / f["tolerance"]
+                  for report in reports for f in report["findings"]
+                  if f["asserted"] and "residual" in f]
+        if not any(0.25 <= ratio <= 4.0 for ratio in ratios):
+            compared += 1
+            assert reports[0]["verdict"] == reports[1]["verdict"], seed
+    assert compared >= 40
 
 
 def test_verify_bundle_working_set_is_bounded():

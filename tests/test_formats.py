@@ -1,6 +1,9 @@
 import json
+import math
 import os
+import pathlib
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,18 +15,18 @@ from framemult.frames import FiniteFrame
 from framemult.multipliers import Symbol
 
 BEYOND_DOUBLE = 10**400  # a valid JSON integer that no double can hold
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schema"
 
 
 def test_frame_roundtrip():
     f = FiniteFrame([[1.0, 2.0j], [0.5, -1.0]])
-    doc = json.loads("".join(fmt.frame_text(f)))
-    back = fmt.frame_from_json(doc)
+    back = fmt.frame_from_json("".join(fmt.frame_text(f)))
     assert np.array_equal(back.synthesis, f.synthesis)
 
 
 def test_symbol_roundtrip():
     m = Symbol([1.0, -2.0j, 0.25 + 0.25j])
-    back = fmt.symbol_from_json({"values": [[z.real, z.imag] for z in m.values.tolist()]})
+    back = fmt.symbol_from_json(json.dumps({"values": [[z.real, z.imag] for z in m.values.tolist()]}))
     assert np.array_equal(back.values, m.values)
 
 
@@ -41,34 +44,36 @@ def test_symbol_roundtrip():
         {"dim": 1, "vectors": [[["x", 0]]]},
         {"dim": 1, "vectors": [[[True, 0]]]},
         {"dim": 1, "vectors": [[[BEYOND_DOUBLE, 0]]]},
+        {"dim": 1, "vectors": [[[1, 0]]], "note": "x"},
     ],
 )
 def test_frame_from_json_rejects_malformed(doc):
     with pytest.raises(ParseError):
-        fmt.frame_from_json(doc)
+        fmt.frame_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
     "doc",
     [[], {"values": []}, {"values": [[1]]}, {"values": [1, 2]}, {"wrong": []},
-     {"values": [[1, 0], [0, -BEYOND_DOUBLE]]}],
+     {"values": [[1, 0], [0, -BEYOND_DOUBLE]]}, {"values": [[1, 0]], "note": "x"}],
 )
 def test_symbol_from_json_rejects_malformed(doc):
     with pytest.raises(ParseError):
-        fmt.symbol_from_json(doc)
+        fmt.symbol_from_json(json.dumps(doc))
 
 
-def test_load_json_file_errors(tmp_path):
+@pytest.mark.parametrize("load", [fmt.load_frame_file, fmt.load_symbol_file])
+def test_load_file_errors(tmp_path, load):
     missing = tmp_path / "nope.json"
-    with pytest.raises(ParseError):
-        fmt.load_json_file(str(missing))
+    with pytest.raises(ParseError, match="cannot read"):
+        load(str(missing))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(ParseError):
-        fmt.load_json_file(str(bad))
+    with pytest.raises(ParseError, match="is not valid JSON"):
+        load(str(bad))
 
 
-# ------------------------------------------- array parsing and serialization
+# -------------------------------------------- the readers against the schemas
 
 # ints, floats, -0.0, subnormals and numbers near the ends of the double range
 numbers = st.one_of(
@@ -88,77 +93,210 @@ def frame_docs(draw):
     return {"dim": dim, "vectors": vectors}
 
 
-def synthesis_pair_by_pair(doc) -> np.ndarray:
-    rows = [[fmt.pair_to_complex(p) for p in vec] for vec in doc["vectors"]]
-    return np.array(rows, dtype=np.complex128).T
+@st.composite
+def symbol_docs(draw):
+    return {"values": draw(st.lists(pairs, min_size=1, max_size=8))}
 
 
-@settings(deadline=None, max_examples=200)
-@given(frame_docs())
-def test_array_parser_matches_pair_to_complex_bit_for_bit(doc):
-    got = fmt.frame_from_json(doc).synthesis
-    want = synthesis_pair_by_pair(doc)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    values = [pair for vec in doc["vectors"] for pair in vec]
-    symbol = fmt.symbol_from_json({"values": values})
-    assert symbol.values.tobytes() == synthesis_pair_by_pair({"vectors": [values]}).tobytes()
-
-
-def frame_errors_pair_by_pair(doc) -> str:
-    """The message the per-pair walk gives for the first bad entry of a frame's vectors."""
-    try:
-        for n, vec in enumerate(doc["vectors"]):
-            entries = fmt._complex_vector(vec, f"frame.vectors[{n}]")
-            if len(entries) != doc["dim"]:
-                raise ParseError(
-                    f"frame.vectors[{n}]: has {len(entries)} entries, expected dim = {doc['dim']}"
-                )
-    except ParseError as exc:
-        return str(exc)
-    raise AssertionError("the document is well formed")
-
-
-BAD_NUMBERS = ["1", True, None, float("inf"), float("nan"), BEYOND_DOUBLE, [1.0]]
+BAD_ENTRIES = {"number": ["1", None, [1.0], {}], "bool": [True, False],
+               "non-finite": [float("inf"), -float("inf"), float("nan")],
+               "beyond-double": [BEYOND_DOUBLE, -BEYOND_DOUBLE]}
 BAD_PAIRS = [[1.0], [1.0, 2.0, 3.0], "x", 3.0, {}, []]
 
 
-@settings(deadline=None, max_examples=200)
-@given(frame_docs(), st.data())
-def test_malformed_docs_name_the_same_location(doc, data):
-    vectors = doc["vectors"]
-    n = data.draw(st.integers(0, len(vectors) - 1))
-    i = data.draw(st.integers(0, doc["dim"] - 1))
-    kind = data.draw(st.sampled_from(["number", "pair", "vector"]))
-    if kind == "number":
-        vectors[n][i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(BAD_NUMBERS))
-        location = f"frame.vectors[{n}][{i}]:"
-    elif kind == "pair":
-        vectors[n][i] = data.draw(st.sampled_from(BAD_PAIRS))
-        location = f"frame.vectors[{n}][{i}]:"
+@st.composite
+def mutated(draw, kind: str):
+    """A document of ``kind`` with at most one fault, and the start of the message that names it.
+
+    The message start is None for a document left as drawn.
+    """
+    doc = draw(frame_docs() if kind == "frame" else symbol_docs())
+    faults = ["none"] * 3 + ["extra-key", "missing-key", "top-level", "pair", *BAD_ENTRIES]
+    faults += ["vector", "wrong-length", "dim", "vectors"] if kind == "frame" else ["values"]
+    fault = draw(st.sampled_from(faults))
+    if fault == "none":
+        return doc, None
+    if fault == "extra-key":
+        doc["note"] = draw(st.sampled_from(["x", 1, None, []]))
+        return doc, f"{kind}: unexpected key 'note'"
+    if fault == "missing-key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+        return doc, f"{kind}: needs "
+    if fault == "top-level":
+        return draw(st.sampled_from([[], 42, "x", None])), f"{kind}: expected a JSON object"
+    if fault == "values":
+        doc["values"] = draw(st.sampled_from([[], {}, "x", 3.0]))
+        return doc, "symbol.values:"
+    if fault == "dim":
+        doc["dim"] = draw(st.sampled_from([0, -1, "2", True, None, float(doc["dim"])]))
+        return doc, "frame: 'dim' must be a positive integer"
+    if fault == "vectors":
+        doc["vectors"] = draw(st.sampled_from([[], {}, "x", 3.0]))
+        return doc, "frame: needs at least one vector" if doc["vectors"] == [] else "frame.vectors:"
+    if kind == "symbol":
+        rows, where = doc["values"], "symbol.values"
     else:
-        vectors[n] = data.draw(st.sampled_from(
-            [vectors[n][:-1], vectors[n] + [[0.0, 0.0]], "abc", {"re": 1.0}]))
-        location = f"frame.vectors[{n}]:"
+        n = draw(st.integers(0, len(doc["vectors"]) - 1))
+        rows, where = doc["vectors"][n], f"frame.vectors[{n}]"
+    if fault in ("vector", "wrong-length"):
+        doc["vectors"][n] = draw(st.sampled_from(
+            ["abc", {"re": 1.0}] if fault == "vector" else [rows[:-1], rows + [[0.0, 0.0]]]))
+        return doc, f"{where}:"
+    i = draw(st.integers(0, len(rows) - 1))
+    if fault == "pair":
+        rows[i] = draw(st.sampled_from(BAD_PAIRS))
+    else:
+        rows[i][draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_ENTRIES[fault]))
+    return doc, f"{where}[{i}]:"
+
+
+VALIDATORS = {kind: jsonschema.Draft202012Validator(
+    json.loads((SCHEMAS / f"{kind}.schema.json").read_text())) for kind in ("frame", "symbol")}
+
+
+def within_the_double_range(x) -> bool:
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False
+
+
+def accepted_by_the_schema_and_the_semantic_rules(kind: str, doc) -> bool:
+    """The schema, then what it cannot say: finite numbers that a double holds, each vector
+    ``dim`` pairs long, and ``dim`` written as an integer (the schema takes 2.0 as one)."""
+    if not VALIDATORS[kind].is_valid(doc):
+        return False
+    rows = [doc["values"]] if kind == "symbol" else doc["vectors"]
+    if not all(within_the_double_range(x) for row in rows for pair in row for x in pair):
+        return False
+    return kind == "symbol" or (type(doc["dim"]) is int and all(len(row) == doc["dim"] for row in rows))
+
+
+def entries_pair_by_pair(kind: str, doc) -> bytes:
+    rows = [doc["values"]] if kind == "symbol" else doc["vectors"]
+    entries = np.array([[fmt.pair_to_complex(p) for p in row] for row in rows], dtype=np.complex128)
+    return entries.T.tobytes()
+
+
+def read(kind: str, text: str) -> bytes:
+    if kind == "symbol":
+        return fmt.symbol_from_json(text).values.tobytes()
+    return fmt.frame_from_json(text).synthesis.tobytes()
+
+
+def ordered(doc, reverse: bool):
+    return {key: doc[key] for key in sorted(doc, reverse=reverse)} if isinstance(doc, dict) else doc
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.sampled_from(["frame", "symbol"]).flatmap(
+           lambda kind: st.tuples(st.just(kind), mutated(kind))),
+       st.booleans(), st.sampled_from([None, 0, 2, "\t", " \r\n\t"]),
+       st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", "\n:\r ")]))
+def test_the_readers_accept_exactly_what_the_schemas_and_the_semantic_rules_accept(
+        case, reverse, indent, separators):
+    kind, (doc, location) = case
+    text = json.dumps(ordered(doc, reverse), indent=indent, separators=separators)
+    if accepted_by_the_schema_and_the_semantic_rules(kind, doc):
+        assert location is None
+        assert read(kind, text) == entries_pair_by_pair(kind, doc)
+    else:
+        with pytest.raises(ParseError) as caught:  # any other exception fails the test
+            read(kind, text)
+        assert location is not None and str(caught.value).startswith(location)
+
+
+PLAIN = '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[0.5, -2], [3e-310, 1e308]]]}'
+
+
+def with_bad_pair(name: str, pair: str) -> list:
+    """Documents with ``pair`` in the first vector, and in the last after good ones."""
+    return [(f"{name}-first", '{"dim": 2, "vectors": [[%s, [0, 1]], [[1, 0], [0, 1]]]}' % pair,
+             "frame.vectors[0][0]:"),
+            (f"{name}-last", PLAIN[:-2] + ", [[1, 0], %s]]}" % pair, "frame.vectors[2][1]:")]
+
+
+# entries the float buffer turns away by itself, first with no numbers
+# buffered yet and last with the good vectors' numbers already in it
+TURNED_AWAY_BY_THE_BUFFER = [
+    case
+    for name, pair in [("false", "[false, 0]"), ("null", "[0, null]"), ("string-pair", '"ab"'),
+                       ("object-pair", '{"re": 1, "im": 0}'),
+                       ("nested-pair", "[[1, 2], [3, 4]]"), ("minus-infinity", "[-Infinity, 0]")]
+    for case in with_bad_pair(name, pair)
+]
+NOT_JSON = "frame: <text> is not valid JSON"
+ODD_FRAME_DOCUMENTS = [
+    ("extra-key", '{"dim": 2, "extra": 1, "vectors": [[[1, 0], [0, 1]]]}', "frame: unexpected key 'extra'"),
+    ("duplicate-vectors", '{"dim": 1, "vectors": [[["x", 0]]], "vectors": [[[1, 0]], [[0, 1]]]}',
+     "frame: <text> repeats the key 'vectors'"),
+    ("duplicate-dim", '{"dim": 1, "dim": 1, "vectors": [[[1, 0]]]}', "frame: <text> repeats the key 'dim'"),
+    ("duplicate-in-a-pair", '{"dim": 1, "vectors": [[{"re": 1, "re": 0}]]}',
+     "frame: <text> repeats the key 're'"),
+    ("nan", '{"dim": 1, "vectors": [[[NaN, 0]]]}', "frame.vectors[0][0]: entries must be finite"),
+    ("infinity", '{"dim": 1, "vectors": [[[0, Infinity]]]}', "frame.vectors[0][0]: entries must be finite"),
+    ("1e999", '{"dim": 1, "vectors": [[[1e999, 0]]]}', "frame.vectors[0][0]: entries must be finite"),
+    ("10**400", '{"dim": 1, "vectors": [[[1, 0]], [[' + str(BEYOND_DOUBLE) + ', 0]]]}',
+     "frame.vectors[1][0]: number beyond the double range"),
+    ("true", '{"dim": 1, "vectors": [[[true, 0]]]}', "frame.vectors[0][0]: expected a [re, im]"),
+    ("bom", "\ufeff" + PLAIN, NOT_JSON),
+    ("trailing-text", PLAIN + " x", NOT_JSON),
+    ("unclosed", PLAIN[:-1], NOT_JSON),
+    ("no-vectors", '{"dim": 2, "vectors": []}', "frame: needs at least one vector"),
+    ("dim-true", '{"dim": true, "vectors": [[[1, 0]]]}', "frame: 'dim' must be"),
+    ("dim-0", '{"dim": 0, "vectors": [[[1, 0]]]}', "frame: 'dim' must be"),
+    ("dim-string", '{"dim": "2", "vectors": [[[1, 0], [0, 1]]]}', "frame: 'dim' must be"),
+    ("dim-float", '{"dim": 2.0, "vectors": [[[1, 0], [0, 1]]]}', "frame: 'dim' must be"),
+    ("vector-not-a-list", '{"dim": 1, "vectors": [[[1, 0]], 5]}', "frame.vectors[1]: expected a JSON array"),
+    ("empty-vector", '{"dim": 1, "vectors": [[[1, 0]], []]}', "frame.vectors[1]: must not be empty"),
+    ("ragged", '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0]]]}', "frame.vectors[1]: has 1 entries"),
+    ("dim-mismatch", '{"dim": 2, "vectors": [[[1, 0]], [[0, 1]]]}', "frame.vectors[0]: has 1 entries"),
+    ("ragged-same-count", '{"dim": 2, "vectors": [[[1, 0]], [[0, 1], [1, 0], [1, 1]], [[1, 0], [0, 1]]]}',
+     "frame.vectors[0]: has 1 entries"),
+    ("pair-lengths-3-1", '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0, 0], [1]]]}',
+     "frame.vectors[1][0]: expected a [re, im]"),
+    ("trailing-comma-array", '{"dim": 1, "vectors": [[[1, 0]],]}', NOT_JSON),
+    ("trailing-comma-object", '{"dim": 1, "vectors": [[[1, 0]]],}', NOT_JSON),
+    ("missing-vectors", '{"dim": 1}', "frame: needs 'dim' and 'vectors'"),
+    ("missing-dim", '{"vectors": [[[1, 0]]]}', "frame: needs 'dim' and 'vectors'"),
+    ("empty-object", "{}", "frame: needs 'dim' and 'vectors'"),
+    ("top-level-array", "[]", "frame: expected a JSON object, got list"),
+    ("empty-file", "", NOT_JSON),
+    ("nested-vectors", '{"dim": 1, "vectors": ' + "[" * 3000 + "]" * 3000 + "}",
+     "frame: <text> nests arrays or objects too deeply"),
+    *TURNED_AWAY_BY_THE_BUFFER,
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in ODD_FRAME_DOCUMENTS],
+                         ids=[case[0] for case in ODD_FRAME_DOCUMENTS])
+def test_odd_frame_documents_raise_a_parse_error_naming_their_first_fault(text, message):
     with pytest.raises(ParseError) as caught:
-        fmt.frame_from_json(doc)
-    assert str(caught.value).startswith(location)
-    assert str(caught.value) == frame_errors_pair_by_pair(doc)
-    if kind != "vector":
-        with pytest.raises(ParseError) as caught:
-            fmt.symbol_from_json({"values": vectors[n]})
-        assert str(caught.value).startswith(f"symbol.values[{i}]:")
+        fmt.frame_from_json(text)
+    assert str(caught.value).startswith(message)
 
 
-def complex_to_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+@pytest.mark.parametrize("text, message", [
+    ('{"values": [[1, 0]], "values": [[2, 0]]}', "symbol: <text> repeats the key 'values'"),
+    ('{"values": [[1, 0], [true, 0]]}', "symbol.values[1]: expected a [re, im]"),
+    ('{"values": [[1, 0], [0, -Infinity]]}', "symbol.values[1]: entries must be finite"),
+    ('{"values": [[1, 0]],}', "symbol: <text> is not valid JSON"),
+    ("\ufeff" + '{"values": [[1, 0]]}', "symbol: <text> is not valid JSON"),
+    ('{"values": ' + "[" * 3000 + "]" * 3000 + "}", "symbol: <text> nests arrays or objects too deeply"),
+], ids=["duplicate-values", "true", "minus-infinity", "trailing-comma", "bom", "nested-values"])
+def test_odd_symbol_documents_raise_a_parse_error_naming_their_first_fault(text, message):
+    with pytest.raises(ParseError) as caught:
+        fmt.symbol_from_json(text)
+    assert str(caught.value).startswith(message)
 
 
-def per_entry_frame(frame: FiniteFrame) -> dict:
-    return {"dim": frame.dim,
-            "vectors": [[complex_to_pair(z) for z in frame.synthesis[:, n]]
-                        for n in range(frame.size)]}
+@pytest.mark.parametrize("text", [
+    '{"d\\u0069m": 1, "vectors": [[[1, 0]]]}',
+    '{"vectors": [[[1, 0]]], "dim": 1}',
+    '\n {"dim":1,"vectors":[[[1,0]]]} \n\t\r',
+], ids=["escaped-key", "keys-reversed", "whitespace"])
+def test_odd_but_valid_frame_documents_are_read(text):
+    assert fmt.frame_from_json(text).synthesis.tolist() == [[1 + 0j]]
 
 
 def test_serialization_matches_the_per_entry_form_byte_for_byte():
@@ -168,121 +306,24 @@ def test_serialization_matches_the_per_entry_form_byte_for_byte():
     entries[1, 2] = complex(1.5, -0.0)
     entries[2, 1] = complex(-0.0, -0.0)
     frame = FiniteFrame(entries)
-    assert "".join(fmt.frame_text(frame)) == json.dumps(per_entry_frame(frame), sort_keys=True) + "\n"
+    per_entry = {"dim": frame.dim,
+                 "vectors": [[[complex(z).real, complex(z).imag] for z in frame.synthesis[:, n]]
+                             for n in range(frame.size)]}
+    assert "".join(fmt.frame_text(frame)) == json.dumps(per_entry, sort_keys=True) + "\n"
 
 
-# ------------------------------------------------- frame files, vector by vector
-
-
-def loaded_both_ways(tmp_path, text: str):
-    """(load_frame_file, frame_from_json of load_json_file) on one file: synthesis bytes or message."""
-    path = tmp_path / "frame.json"
-    path.write_bytes(text.encode("utf-8"))
-    outcomes = []
-    for load in (lambda: fmt.load_frame_file(str(path), "frame")[0],
-                 lambda: fmt.frame_from_json(fmt.load_json_file(str(path), "frame")[0])):
-        try:
-            outcomes.append(load().synthesis.tobytes())
-        except ParseError as exc:
-            outcomes.append(str(exc))
-    return outcomes
-
-
-def ordered(doc, vectors_first):
-    return {key: doc[key] for key in (("vectors", "dim") if vectors_first else ("dim", "vectors"))}
-
-
-@settings(deadline=None, max_examples=200, derandomize=True)
-@given(frame_docs(), st.booleans(), st.sampled_from([None, 0, 2, "\t", " \r\n\t"]),
-       st.sampled_from([(",", ":"), (", ", ": "), (" ,\t", "\n:\r ")]))
-def test_vector_by_vector_decoding_matches_json_loads(tmp_path_factory, doc, vectors_first,
-                                                      indent, separators):
-    text = json.dumps(ordered(doc, vectors_first), indent=indent, separators=separators)
-    streamed, whole = loaded_both_ways(tmp_path_factory.mktemp("doc"), text)
-    assert streamed == whole
-    # the document is plain, so the vector-by-vector route decided it
-    assert fmt._plain_frame(text).synthesis.tobytes() == whole
-
-
-PLAIN = '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[0.5, -2], [3e-310, 1e308]]]}'
-
-
-def with_bad_pair(pair: str) -> dict:
-    """Documents with ``pair`` in the first vector, and in the last after good ones."""
-    return {"first": '{"dim": 2, "vectors": [[%s, [0, 1]], [[1, 0], [0, 1]]]}' % pair,
-            "last": PLAIN[:-2] + ", [[1, 0], %s]]}" % pair}
-
-
-# entries the plain route's float buffer turns away by itself, first with no
-# numbers buffered yet and last with the good vectors' numbers already in it
-TURNED_AWAY_BY_THE_BUFFER = {
-    f"{name}-{where}": text
-    for name, pair in [("false", "[false, 0]"), ("null", "[0, null]"), ("string-pair", '"ab"'),
-                       ("object-pair", '{"re": 1, "im": 0}'),
-                       ("nested-pair", "[[1, 2], [3, 4]]"), ("minus-infinity", "[-Infinity, 0]")]
-    for where, text in with_bad_pair(pair).items()
-}
-
-
-@pytest.mark.parametrize("text", [
-    '{"dim": 2, "extra": 1, "vectors": [[[1, 0], [0, 1]]]}',
-    '{"dim": 1, "vectors": [[["x", 0]]], "vectors": [[[1, 0]], [[0, 1]]]}',
-    '{"dim": 1, "dim": 1, "vectors": [[[1, 0]]]}',
-    '{"d\\u0069m": 1, "vectors": [[[1, 0]]]}',
-    '{"dim": 1, "vectors": [[[NaN, 0]]]}',
-    '{"dim": 1, "vectors": [[[0, Infinity]]]}',
-    '{"dim": 1, "vectors": [[[1e999, 0]]]}',
-    '{"dim": 1, "vectors": [[[1, 0]], [[' + str(BEYOND_DOUBLE) + ', 0]]]}',
-    '{"dim": 1, "vectors": [[[true, 0]]]}',
-    "\ufeff" + PLAIN,
-    PLAIN + " x",
-    PLAIN + " \n\t\r",
-    PLAIN[:-1],
-    '{"dim": 2, "vectors": []}',
-    '{"dim": true, "vectors": [[[1, 0]]]}',
-    '{"dim": 0, "vectors": [[[1, 0]]]}',
-    '{"dim": "2", "vectors": [[[1, 0], [0, 1]]]}',
-    '{"dim": 2.0, "vectors": [[[1, 0], [0, 1]]]}',
-    '{"dim": 1, "vectors": [[[1, 0]], 5]}',
-    '{"dim": 1, "vectors": [[[1, 0]], []]}',
-    '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0]]]}',
-    '{"dim": 2, "vectors": [[[1, 0]], [[0, 1]]]}',
-    '{"dim": 2, "vectors": [[[1, 0]], [[0, 1], [1, 0], [1, 1]], [[1, 0], [0, 1]]]}',
-    '{"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0, 0], [1]]]}',
-    '{"dim": 1, "vectors": [[[1, 0]],]}',
-    '{"dim": 1, "vectors": [[[1, 0]]],}',
-    '{"dim": 1}',
-    '{"vectors": [[[1, 0]]]}',
-    "{}",
-    "[]",
-    "",
-    '{"dim": 1, "vectors": ' + "[" * 3000 + "]" * 3000 + "}",
-    *TURNED_AWAY_BY_THE_BUFFER.values(),
-], ids=["extra-key", "duplicate-vectors", "duplicate-dim", "escaped-key", "nan", "infinity",
-        "1e999", "10**400", "true", "bom", "trailing-text", "trailing-whitespace", "unclosed",
-        "no-vectors", "dim-true", "dim-0", "dim-string", "dim-float", "vector-not-a-list",
-        "empty-vector", "ragged", "dim-mismatch", "ragged-same-count", "pair-lengths-3-1",
-        "trailing-comma-array", "trailing-comma-object", "missing-vectors", "missing-dim", "empty-object",
-        "top-level-array", "empty-file", "nested-vectors", *TURNED_AWAY_BY_THE_BUFFER])
-def test_vector_by_vector_decoding_matches_json_loads_on_odd_documents(tmp_path, text):
-    streamed, whole = loaded_both_ways(tmp_path, text)
-    assert streamed == whole
-    plain = fmt._plain_frame(text)
-    if text in TURNED_AWAY_BY_THE_BUFFER.values():
-        assert plain is None
-    else:
-        assert plain is None or plain.synthesis.tobytes() == whole
+# ------------------------------------------------------------------ frame files
 
 
 def plain_frame_file(tmp_path, dim: int, size: int, write) -> tuple[str, bytes]:
-    """A plain frame file of random entries written by ``write``: its path, and the synthesis
-    bytes that ``json.loads`` and ``frame_from_json`` decode from it."""
+    """A frame file of random entries written by ``write``: its path, and the synthesis
+    bytes of a pair_to_complex walk of it."""
     rng = np.random.default_rng(dim * size)
     frame = FiniteFrame(rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
     path = tmp_path / f"frame-{dim}x{size}.json"
     with open(path, "w", encoding="utf-8") as handle:
         write(frame, handle)
-    return str(path), fmt.frame_from_json(json.loads(path.read_text())).synthesis.tobytes()
+    return str(path), entries_pair_by_pair("frame", json.loads(path.read_text()))
 
 
 def dumped(frame, handle):
@@ -294,17 +335,21 @@ def streamed_text(frame, handle):
 
 
 @pytest.mark.parametrize("write", [dumped, streamed_text])
-def test_plain_frame_files_never_fall_back(tmp_path, monkeypatch, write):
-    path, whole = plain_frame_file(tmp_path, 16, 64, write)
+def test_frame_and_symbol_files_never_fall_back(tmp_path, monkeypatch, write):
+    path, walked = plain_frame_file(tmp_path, 16, 64, write)
+    symbol_path = tmp_path / "symbol.json"
+    values = json.loads(pathlib.Path(path).read_text())["vectors"][0]
+    symbol_path.write_text(json.dumps({"values": values}))
 
     def fell_back(*args):
-        raise AssertionError("a plain frame file went to the whole-document route")
+        raise AssertionError("a valid file went to the whole-document decode")
 
-    monkeypatch.setattr(fmt, "_decode", fell_back)
-    monkeypatch.setattr(fmt, "frame_from_json", fell_back)
+    monkeypatch.setattr(fmt, "_refuse", fell_back)
     frame, _ = fmt.load_frame_file(path)
     assert frame.synthesis.shape == (16, 64)
-    assert frame.synthesis.tobytes() == whole
+    assert frame.synthesis.tobytes() == walked
+    symbol, _ = fmt.load_symbol_file(str(symbol_path))
+    assert symbol.values.tobytes() == entries_pair_by_pair("symbol", {"values": values})
 
 
 def test_frame_file_decoding_holds_no_more_than_three_arrays_above_its_text(tmp_path):

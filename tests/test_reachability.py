@@ -77,20 +77,21 @@ def cli_cases(directory):
                write(directory, "unimodular_symbol.json", {"values": pairs(phases)})]
     # keys reversed and indented, for the vector-by-vector decoder's whitespace and key order
     pretty = write(directory, "pretty.json", {"vectors": pairs(gaussian(3, 4)), "dim": 3}, indent=2)
+    # documents the scanner refuses, each worded by a walk of its whole-document decode
     bad = write(directory, "bad.json", {"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0], ["x", 0]]]})
-    # a key beyond dim and vectors: the whole-document decoder's success path
     extra = write(directory, "extra.json", {"dim": 3, "vectors": pairs(gaussian(3, 5)), "note": "x"})
+    bad_symbol = write(directory, "bad_symbol.json", {"values": [[1, 0], [0, 1], [1]]})
     dual = os.path.join(directory, "dual.json")
 
     cases = [["examples", "list"], ["examples", "run", "--all", "--horizon", "50"],
-             ["frame-info", bad]]
+             ["frame-info", bad], ["frame-info", extra, "--dual-out", dual],
+             ["multiplier", "--symbol", bad_symbol, "--phi", phi, "--psi", psi]]
     cases += [["frame-info", frame, "--dual-out", dual] for frame in (phi, flat, square, pretty)]
     for symbol in symbols:
         sides = ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", psi]
         cases += [sides + ["--verify-all", "--seed", "1"], sides + ["--invert", "--induced-duals"]]
     cases.append(["multiplier", "--symbol", symbols[0], "--phi", phi, "--psi", flat,
                   "--verify-all", "--seed", "1"])
-    cases.append(["frame-info", extra, "--dual-out", dual])
     return cases
 
 
@@ -138,7 +139,7 @@ def test_every_package_function_is_reached_by_the_cli(tmp_path, monkeypatch):
         finally:
             sys.setprofile(None)
             gc.enable()
-    assert codes == [0] * 2 + [2] + [0] * (len(cases) - 3)
+    assert codes == [0] * 2 + [2] * 3 + [0] * (len(cases) - 5)
     missed = {f"{module}.{name}" for module, name, _ in defined_functions() - entered}
     assert missed == NOT_REACHED, sorted(missed ^ NOT_REACHED)
 
