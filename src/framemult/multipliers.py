@@ -624,14 +624,19 @@ def check_weighted_canonical(phi: FiniteFrame, m: Symbol,
                              tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Does the canonical dual of (m_n phi_n) equal (1/conj(m_n)) tilde_phi_n?
 
-    True for unit-modulus scalings and more generally whenever the weighted
-    frame operator is a constant multiple of the original one; false in
-    general. Needs a zero-free symbol and a spanning weighted sequence.
-    The weighted sequence is built at each call.
+    With w = |m|^2 and S_w = Syn_Phi diag(w) Ana_Phi, its frame operator, it
+    does exactly when S_w tilde_phi_n = w_n phi_n for every n, as on Riesz bases
+    and for unit moduli: ``tol.within`` of ||S_w Syn_tilde - Syn_Phi diag(w)|| at
+    ||Syn_Phi diag(w)||. No weighted frame is built, since for a zero-free m it
+    spans with Phi: only Phi is tested (NotAFrame) and factorized. |m| is first
+    divided, exactly, by the power of two of its largest entry: only Phi's range matters.
     """
     if not m.all_nonzero:
         raise ZeroSymbolEntry("weighted canonical comparison needs a zero-free symbol")
-    lhs = frames.canonical_dual(weighted_frame(phi, m), tol)  # NotAFrame if m*Phi does not span
+    if len(m) != phi.size:
+        raise DimensionMismatch(f"need {phi.size} weights, got {len(m)}")
     tilde_phi = frames.canonical_dual(phi, tol)
-    rhs = FiniteFrame._adopt(tilde_phi.synthesis / np.conj(m.values)[None, :])
-    return frames.frames_equal(lhs, rhs, tol)
+    moduli = np.abs(m.values)
+    weighted = phi.synthesis * np.ldexp(moduli, -np.frexp(np.max(moduli))[1]) ** 2
+    defect = weighted @ phi.analysis_matrix @ tilde_phi.synthesis - weighted
+    return bool(tol.within(frobenius(defect), frobenius(weighted)))

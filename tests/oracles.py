@@ -5,14 +5,19 @@ exactly), the recovery statements behind the uniqueness of the induced duals,
 the dual-family formula, random duals formed explicitly (the sampler reads
 them off the all-duals certificate), random frames, the column loop of the
 termwise matrix build, the per-block embedding of a block system,
-the multiplier of one block, and the extreme singular values and eigenvalues
-taken by np.linalg, 1 x 1 matrices included.
+the multiplier of one block, the extreme singular values and eigenvalues
+taken by np.linalg, 1 x 1 matrices included, and the weighted-canonical
+shortcut decided on the canonical dual of (m_n phi_n) itself. Also the inputs
+that several test modules draw: the C5 fuzz families, the adjoint-swap family
+and the benchmark's verify-small draws.
 
 They build frames the one way the package takes them, from rows: a synthesis
 matrix S goes in as ``FiniteFrame(S.T)``, which keeps a C-ordered copy of S.
 """
 
 import contextlib
+import pathlib
+import sys
 
 import numpy as np
 
@@ -35,6 +40,80 @@ def random_frame(dim, size, rng):
         if size < dim or fr.is_frame(frame):
             return frame
     raise RuntimeError("failed to draw a spanning sequence")
+
+
+def semi_normalized_symbol(rng, size):
+    """Moduli uniform in [0.5, 2], phases uniform."""
+    moduli = rng.uniform(0.5, 2.0, size)
+    phases = np.exp(2j * np.pi * rng.uniform(size=size))
+    return mp.Symbol(moduli * phases)
+
+
+def fuzz_instance(rng, family):
+    """One multiplier from a C5 fuzz family, redrawn until well conditioned.
+
+    Families: 0 fully random, 1 constructed equivalence psi ~ m.phi,
+    2 constant symbol, 3 constant modulus, 4 Riesz pair. The conditioning
+    cap keeps boolean criteria away from their tolerance thresholds, so a
+    contradiction means a genuine logic defect rather than roundoff.
+    """
+    while True:
+        dim = int(rng.integers(1, 5))
+        size = dim if family == 4 else int(rng.integers(dim, 7))
+        phi = random_frame(dim, size, rng)
+        if family == 2:
+            head = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
+            symbol = mp.Symbol(np.full(size, head))
+        elif family == 3:
+            modulus = rng.uniform(0.5, 2.0)
+            symbol = mp.Symbol(modulus * np.exp(2j * np.pi * rng.uniform(size=size)))
+        else:
+            symbol = semi_normalized_symbol(rng, size)
+        if family == 1:
+            weighted = mp.weighted_frame(phi, symbol)
+            lift = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim))
+                                        + 1j * rng.standard_normal((dim, dim)))
+            if np.linalg.cond(lift) > 1e3:
+                continue
+            psi = fr.FiniteFrame((lift @ weighted.synthesis).T)
+        else:
+            psi = random_frame(dim, size, rng)
+        mult = mp.build(symbol, phi, psi)
+        if np.linalg.cond(mult.matrix) <= 1e6:
+            return mult
+
+
+def adjoint_family(seed):
+    """(m, Phi, Psi) with psi_n = L(m_n phi_n): d in 1..4, N in d..3d + 1, moduli over e^-8..e^8.
+
+    Phi and Psi are N x d arrays of rows, the vectors.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 5))
+    size = int(rng.integers(dim, 3 * dim + 2))
+    gaussian = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    phi, lift = gaussian(size, dim), gaussian(dim, dim)
+    m = np.exp(rng.uniform(-8.0, 8.0, size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+    return m, phi, (m[:, None] * phi) @ lift.T
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def verify_small_draws(seed, count):
+    """The first ``count`` draws (phi, psi, m, s, t, dual seed) of the benchmark's verify-small stream.
+
+    ``perfbench/worker.small_instance`` is imported, never changed, and no
+    bytecode is written under ``perfbench/``.
+    """
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import worker
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return [worker.small_instance(seed, index) for index in range(count)]
 
 
 def dual_family(frame, h, tol=DEFAULT_TOL):
@@ -103,6 +182,22 @@ def recover_pseudo_dual_F(mult, candidate, tol=DEFAULT_TOL):
 def recover_pseudo_dual_G(mult, candidate, tol=DEFAULT_TOL):
     """If Minv = Syn_{psi_dagger} diag(1/m) Ana_G holds, whether G reconstructs Phi."""
     return recover_pseudo_dual_F(mult.adjoint(), candidate, tol)
+
+
+def weighted_canonical_reference(phi, m, tol=DEFAULT_TOL):
+    """The weighted-canonical shortcut by its definition: (decision, residual / tolerance).
+
+    Forms the canonical dual of the weighted sequence (m_n phi_n), which
+    raises NotAFrame when that sequence fails the spanning test, and compares
+    it with (tilde_phi_n / conj(m_n)) by ``frames.frames_equal``: the
+    residual ||lhs - rhs|| against rel_eps max(||lhs||, ||rhs||).
+    ``multipliers.check_weighted_canonical`` decides the same identity
+    without forming that dual.
+    """
+    lhs = fr.canonical_dual(mp.weighted_frame(phi, m), tol)
+    rhs = fr.FiniteFrame((fr.canonical_dual(phi, tol).synthesis / np.conj(m.values)[None, :]).T)
+    ratio = nu.frobenius(lhs.synthesis - rhs.synthesis) / (tol.rel_eps * max(lhs.norm, rhs.norm))
+    return fr.frames_equal(lhs, rhs, tol), ratio
 
 
 def termwise_columns(values, out_syn, in_syn):

@@ -16,13 +16,13 @@ import framemult.multipliers as mp
 from framemult.errors import ImplicationViolated, NotInvertible
 from framemult.numerics import DEFAULT_TOL
 from framemult.report import verdict
-from oracles import block_multiplier, random_frame, uniqueness_kernel
-
-
-def _semi_normalized_symbol(rng, size):
-    moduli = rng.uniform(0.5, 2.0, size)
-    phases = np.exp(2j * np.pi * rng.uniform(size=size))
-    return mp.Symbol(moduli * phases)
+from oracles import (
+    block_multiplier,
+    fuzz_instance,
+    random_frame,
+    semi_normalized_symbol,
+    uniqueness_kernel,
+)
 
 
 def _random_invertible_multiplier(rng, dim, size, cond_cap=1e8):
@@ -34,7 +34,7 @@ def _random_invertible_multiplier(rng, dim, size, cond_cap=1e8):
     while True:
         phi = random_frame(dim, size, rng)
         psi = random_frame(dim, size, rng)
-        mult = mp.build(_semi_normalized_symbol(rng, size), phi, psi)
+        mult = mp.build(semi_normalized_symbol(rng, size), phi, psi)
         try:
             mp.invert(mult)
         except NotInvertible:
@@ -85,7 +85,7 @@ def test_c2_canonical_inversion_on_riesz_pairs():
         psi = random_frame(dim, dim, rng)
         while not fr.is_riesz_basis(psi):
             psi = random_frame(dim, dim, rng)
-        mult = mp.build(_semi_normalized_symbol(rng, dim), phi, psi)
+        mult = mp.build(semi_normalized_symbol(rng, dim), phi, psi)
         residual = mp.verify_canonical_inversion(mult)
         assert residual <= 1e-8 * np.linalg.cond(mult.matrix)
 
@@ -114,46 +114,12 @@ def test_c4_uniqueness_kernel_vanishes_only_with_enough_duals(invertible_batch):
     assert uniqueness_kernel(probe, 1, seed=0) > 0
 
 
-def _fuzz_instance(rng, family):
-    """One multiplier from a fuzz family, redrawn until well conditioned.
-
-    Families: 0 fully random, 1 constructed equivalence psi ~ m.phi,
-    2 constant symbol, 3 constant modulus, 4 Riesz pair. The conditioning
-    cap keeps boolean criteria away from their tolerance thresholds, so a
-    contradiction means a genuine logic defect rather than roundoff.
-    """
-    while True:
-        dim = int(rng.integers(1, 5))
-        size = dim if family == 4 else int(rng.integers(dim, 7))
-        phi = random_frame(dim, size, rng)
-        if family == 2:
-            head = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
-            symbol = mp.Symbol(np.full(size, head))
-        elif family == 3:
-            modulus = rng.uniform(0.5, 2.0)
-            symbol = mp.Symbol(modulus * np.exp(2j * np.pi * rng.uniform(size=size)))
-        else:
-            symbol = _semi_normalized_symbol(rng, size)
-        if family == 1:
-            weighted = mp.weighted_frame(phi, symbol)
-            lift = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim))
-                                        + 1j * rng.standard_normal((dim, dim)))
-            if np.linalg.cond(lift) > 1e3:
-                continue
-            psi = fr.FiniteFrame((lift @ weighted.synthesis).T)
-        else:
-            psi = random_frame(dim, size, rng)
-        mult = mp.build(symbol, phi, psi)
-        if np.linalg.cond(mult.matrix) <= 1e6:
-            return mult
-
-
 def test_c5_equivalence_criteria_never_contradict_each_other():
     rng = np.random.default_rng(5)
     violations = 0
     for trial in range(10_000):
         family = trial % 5
-        mult = _fuzz_instance(rng, family)
+        mult = fuzz_instance(rng, family)
         try:
             mp.check_prop_q(mult)
         except ImplicationViolated:

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -379,6 +380,19 @@ def test_ex5_3_symbol_envelope():
     assert profile.inf_modulus == pytest.approx((5.0 - 2.0 * sqrt5) / 5.0, abs=1e-14)
     assert profile.sup_modulus == pytest.approx((5.0 + 2.0 * sqrt5) / 5.0, abs=1e-14)
     assert profile.semi_normalized
+
+
+def test_ex5_3_solves_for_the_canonical_duals_of_its_two_sides_alone(monkeypatch):
+    # one solve per canonical dual, of Phi and of Psi, and the multiplier's
+    # inverse; the weighted-canonical shortcut reuses the dual of Phi
+    counts = collections.Counter()
+    for name in ("solve", "inv", "pinv", "svd", "eigvalsh"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert verdict(bs.run_example("ex5_3", horizon=60)) == "pass"
+    assert counts == {"solve": 2, "inv": 1}
 
 
 def test_run_example_verdicts():

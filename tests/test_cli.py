@@ -1,11 +1,11 @@
 import builtins
 import collections
 import contextlib
+import functools
 import gc
 import hashlib
 import io
 import json
-import math
 import pathlib
 import shutil
 import sys
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from framemult.cli import main
 from framemult.formats import frame_from_json
 from framemult.frames import FiniteFrame, canonical_dual, is_dual
-from oracles import through_lapack
+from oracles import adjoint_family, fuzz_instance, through_lapack
 
 
 def write_json(path, doc):
@@ -761,30 +761,40 @@ def test_verify_bundle_computes_each_derived_object_once(monkeypatch):
     for module in (nu, fr, mp):
         count_calls(module, "frobenius", "frobenius")
 
+    # the frames whose bounds or canonical dual are asked for
+    spanning_tested = []
+    for name in ("frame_bounds", "canonical_dual"):
+        def recorded(frame, *args, _original=getattr(fr, name), **kwargs):
+            spanning_tested.append(frame)
+            return _original(frame, *args, **kwargs)
+        monkeypatch.setattr(fr, name, recorded)
+
     tol = cli.ToleranceConfig()
     mp.invert(mult, tol)
     findings = []
     cli._verify_bundle(mult, tol, 3, findings)
     assert cli._verdict(findings) == "pass"
-    # frame bounds of Phi, Psi and m*Phi; canonical duals of the same three;
-    # the multiplier SVD, the uniqueness count needing none; one inverse;
-    # the weighted-side equivalence tests reuse the cached canonical duals
-    # of Psi and Phi and need no pseudoinverse
-    limits = {"eigvalsh": 3, "solve": 3, "svd": 1, "inv": 1, "pinv": 0}
+    # frame bounds of Phi and Psi; canonical duals of the same two; the
+    # multiplier SVD, the uniqueness count needing none; one inverse; the
+    # weighted-side equivalence tests and the weighted-canonical shortcut
+    # reuse the cached canonical duals of Psi and Phi and need no pseudoinverse
+    limits = {"eigvalsh": 2, "solve": 2, "svd": 1, "inv": 1, "pinv": 0}
     assert all(counts[name] <= limit for name, limit in limits.items()), dict(counts)
+    # no derived frame, (m_n phi_n) included, is tested for spanning
+    assert {id(frame) for frame in spanning_tested} == {id(mult.phi), id(mult.psi)}
     # 1/m is computed once for the symbol of each side, m and conj(m)
     assert set(reciprocals) == {id(mult.symbol), id(mult.adjoint().symbol)}
     assert all(len({id(r) for r in handed_out}) == 1 for handed_out in reciprocals.values())
     assert frames_built_while_sampling == []
     assert single_norms == []
-    # 11 norms of held objects, each measured once: ||Minv|| and the
-    # frames Phi, Psi, the two induced duals, the two canonical duals, the
-    # two weighted sides and the two sides of the weighted-canonical
-    # comparison; and 24 norms of fresh arrays: 9 identity residuals (the
+    # 9 norms of held objects, each measured once: ||Minv|| and the frames
+    # Phi, Psi, the two induced duals, the two canonical duals and the two
+    # weighted sides; and 25 norms of fresh arrays: 9 identity residuals (the
     # canonical inversion's once, for its finding and the report), 6 sampled
     # perturbations, 2 certificate slopes, 2 reconstruction residuals,
-    # 2 mapping residuals and 3 frame differences
-    assert decisions["frobenius"] == 35
+    # 2 mapping residuals, 2 frame differences, and the weighted-canonical
+    # shortcut's defect and its scale ||Syn_Phi diag(w)||
+    assert decisions["frobenius"] == 34
 
 
 def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monkeypatch):
@@ -836,14 +846,14 @@ def test_verify_bundle_decides_each_criterion_once_for_a_unimodular_symbol(monke
     assert [f["name"] for f in findings][-1] == "constant_modulus_chain"
     # one test per weighted side, one per induced dual; the canonical
     # inversion's product once, for its finding and inside the report, next
-    # to one per certificate; m*Phi once in the report and once in the
-    # shortcut, conj(m)*Psi once in the report
+    # to one per certificate; m*Phi and conj(m)*Psi once each in the report,
+    # and none in the shortcut, which builds no weighted frame
     assert calls == {"is_equivalent": 2, "is_dual": 2,
                      "canonical_inversion_product": 1, "certificate_product": 2,
-                     "weighted_frame": 3}
+                     "weighted_frame": 2}
     # no weighted side outlives the bundle
     gc.collect()
-    assert [ref() for ref in weighted_arrays] == [None, None, None]
+    assert [ref() for ref in weighted_arrays] == [None, None]
 
 
 def test_verify_bundle_leaves_no_tolerance_on_the_objects_it_reached():
@@ -951,39 +961,71 @@ def test_verify_bundle_oks_do_not_change_when_frames_or_symbol_are_rescaled(
     assert scaled == unscaled
 
 
-def adjoint_family(seed):
-    """(m, Phi, Psi) with psi_n = L(m_n phi_n): d in 1..4, N in d..3d + 1, moduli over e^-8..e^8."""
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(1, 5))
-    size = int(rng.integers(dim, 3 * dim + 2))
-    gaussian = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    phi, lift = gaussian(size, dim), gaussian(dim, dim)
-    m = np.exp(rng.uniform(-8.0, 8.0, size)) * np.exp(2j * np.pi * rng.uniform(size=size))
-    return m, phi, (m[:, None] * phi) @ lift.T
+def four_images(m, phi, psi, rng):
+    """(m, Phi, Psi) permuted, in a unitary basis, conjugated, and scaled by powers of two.
+
+    Phi and Psi are N x d arrays of rows. The three scalings, of Phi, Psi
+    and m, are independent, from 2^-30 to 2^30, and so exact.
+    """
+    order = rng.permutation(m.size)
+    unitary, _ = np.linalg.qr(rng.standard_normal((phi.shape[1],) * 2)
+                              + 1j * rng.standard_normal((phi.shape[1],) * 2))
+    a, b, c = 2.0 ** rng.integers(-30, 31, 3)
+    return [(m[order], phi[order], psi[order]),
+            (m, phi @ unitary.T, psi @ unitary.T),
+            (np.conj(m), np.conj(phi), np.conj(psi)),
+            (m * c, phi * a, psi * b)]
 
 
-def test_the_adjoint_swap_keeps_every_verdict_away_from_the_thresholds(capsys, tmp_path):
+def test_the_adjoint_swap_keeps_every_verdict_away_from_the_thresholds(capsys, monkeypatch):
     # (conj m, Psi, Phi) is the adjoint of (m, Phi, Psi): it swaps the input-side and
     # output-side findings, so the verdict stays unless a residual lies near its tolerance.
-    # In the swapped run of seeds 0, 6, 12, 18, 22, 25, 39 and 45, (conj(m_n) psi_n) does
-    # not span: the weighted canonical shortcut, which is unasserted, must fail alone
-    compared = 0
-    for seed in range(50):
-        m, phi, psi = adjoint_family(seed)
-        reports = []
-        for symbol, output_side, input_side in ((m, phi, psi), (np.conj(m), psi, phi)):
-            argv = ["multiplier", "--symbol", write_json(tmp_path / "m.json", symbol_doc(symbol)),
-                    "--phi", write_json(tmp_path / "phi.json", frame_doc(output_side)),
-                    "--psi", write_json(tmp_path / "psi.json", frame_doc(input_side)),
-                    "--verify-all", "--seed", "1"]
-            reports.append(run_report(capsys, *argv))
-        ratios = [math.inf if f["residual"] is None else f["residual"] / f["tolerance"]
-                  for report in reports for f in report["findings"]
-                  if f["asserted"] and "residual" in f]
-        if not any(0.25 <= ratio <= 4.0 for ratio in ratios):
-            compared += 1
-            assert reports[0]["verdict"] == reports[1]["verdict"], seed
-    assert compared >= 40
+    # The four images of four_images move no finding: the verdict, every asserted flag
+    # and the unasserted weighted-canonical shortcut's value stay. Under the adjoint the
+    # shortcut reads the other side, so its value may change. Inputs: the adjoint-swap
+    # family and the C5 fuzz families. The runs read the arrays without a file and
+    # share one parser
+    import framemult.cli as cli
+    import framemult.formats as formats
+    import framemult.multipliers as mp
+
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    arrays = {}
+    monkeypatch.setattr(formats, "load_symbol_file", lambda path, where: (mp.Symbol(arrays[path]), ""))
+    monkeypatch.setattr(formats, "load_frame_file", lambda path, where: (FiniteFrame(arrays[path]), ""))
+
+    def verify_all(m, phi, psi):
+        """(verdict, asserted flags, shortcut finding) of one run, None when a residual is near its tolerance."""
+        arrays.update(m=m, phi=phi, psi=psi)
+        report = run_report(capsys, "multiplier", "--symbol", "m", "--phi", "phi", "--psi", "psi",
+                            "--verify-all", "--seed", "1")
+        asserted = [f for f in report["findings"] if f["asserted"]]
+        shortcut = [f for f in report["findings"] if f["name"] == "weighted_canonical_shortcut"]
+        # the shortcut decides on Phi's own canonical dual: it carries a value whenever it runs
+        assert all(f["ok"] and isinstance(f["value"], bool) for f in shortcut), shortcut
+        if any(f["residual"] is not None and 0.25 <= f["residual"] / f["tolerance"] <= 4.0
+               for f in asserted if "residual" in f):
+            return None
+        return report["verdict"], {f["name"]: f["ok"] for f in asserted}, shortcut
+
+    inputs = [adjoint_family(seed) for seed in range(50)]
+    rng = np.random.default_rng(5)
+    for trial in range(50):
+        mult = fuzz_instance(rng, trial % 5)
+        inputs.append((mult.symbol.values, mult.phi.synthesis.T, mult.psi.synthesis.T))
+    swaps = images = 0
+    for index, (m, phi, psi) in enumerate(inputs):
+        run = verify_all(m, phi, psi)
+        swapped = verify_all(np.conj(m), psi, phi)
+        if run is not None and swapped is not None:
+            swaps += 1
+            assert run[0] == swapped[0], index
+        for kind, image in enumerate(four_images(m, phi, psi, rng)):
+            moved = verify_all(*image)
+            if run is not None and moved is not None:
+                images += 1
+                assert moved == run, (index, kind)
+    assert swaps >= 90 and images >= 360, (swaps, images)
 
 
 def test_verify_bundle_working_set_is_bounded():

@@ -22,12 +22,15 @@ from framemult.numerics import DEFAULT_TOL, frobenius
 from framemult.numerics import ToleranceConfig
 from oracles import (
     IdentityDoesNotHold,
+    adjoint_family,
     random_dual_synthesis,
     random_frame,
     recover_pseudo_dual_F,
     recover_pseudo_dual_G,
     termwise_columns,
     uniqueness_kernel,
+    verify_small_draws,
+    weighted_canonical_reference,
 )
 
 SQRT5 = math.sqrt(5.0)
@@ -440,12 +443,70 @@ def test_weighted_canonical_shortcut_for_unimodular_weights():
     assert mp.check_weighted_canonical(f, phases)
 
 
+def test_weighted_canonical_shortcut_reads_the_moduli_only_through_their_ratios():
+    # |m|^2 overflows at moduli of 2^600 and vanishes at 2^-600; the shortcut
+    # first divides them by the power of two of the largest, exactly
+    f = FiniteFrame([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    phases = np.array([1.0j, -1.0, np.exp(0.5j)])
+    scalar = scalar_example()
+    for scale in (2.0 ** -600, 2.0 ** 600):
+        assert mp.check_weighted_canonical(f, mp.Symbol(phases * scale))
+        assert not mp.check_weighted_canonical(scalar.phi, mp.Symbol(scalar.symbol.values * scale))
+
+
 def test_weighted_canonical_shortcut_fails_on_scalar_example():
     mult = scalar_example()
     assert not mp.check_weighted_canonical(mult.phi, mult.symbol)
     # the weighted frame operator moves from 3 to 23/5, and not by a constant factor
     m_phi = mp.weighted_frame(mult.phi, mult.symbol)
     assert fr.frame_operator(m_phi)[0, 0] == pytest.approx(23.0 / 5.0, abs=1e-12)
+
+
+def shortcut_inputs():
+    """(Phi, m) pairs: 300 rescaled verify-small draws, and both sides of the adjoint-swap family."""
+    for phi, psi, m, s, t, _ in verify_small_draws(1, 300):
+        yield FiniteFrame(phi * s), mp.Symbol(m * t)
+    for seed in range(50):
+        m, phi, psi = adjoint_family(seed)
+        yield FiniteFrame(phi), mp.Symbol(m)
+        yield FiniteFrame(psi), mp.Symbol(np.conj(m))
+
+
+def test_weighted_canonical_shortcut_agrees_with_the_weighted_frames_canonical_dual():
+    # the reference forms the canonical dual of (m_n phi_n); where it
+    # decides (m Phi spans) away from its threshold, both routes agree
+    compared = skipped = 0
+    for phi, m in shortcut_inputs():
+        try:
+            expected, ratio = weighted_canonical_reference(phi, m)
+        except NotAFrame:
+            skipped += 1
+            continue
+        if 0.25 <= ratio <= 4.0:
+            continue
+        compared += 1
+        assert mp.check_weighted_canonical(phi, m) == expected, (phi.synthesis, m.values)
+    # 300 verify-small draws, 77 of the adjoint-swap family; (m_n phi_n)
+    # fails the reference's spanning test on 22 sides of that family
+    assert compared >= 370 and skipped <= 25, (compared, skipped)
+
+
+def test_the_weighted_canonical_shortcut_holds_on_every_riesz_basis():
+    # on a basis <tilde_phi_n, phi_k> = delta_nk, so S_w tilde_phi_n = w_n phi_n
+    # for every zero-free m. With moduli over e^-8..e^8, (m_n phi_n) still spans
+    # but its operator is so ill conditioned that the reference route, its
+    # canonical dual, misses the identity by more than four times the tolerance
+    rng = np.random.default_rng(263)
+    phi = FiniteFrame(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    m = mp.Symbol(np.exp(rng.uniform(-8.0, 8.0, 2)) * np.exp(2j * np.pi * rng.uniform(size=2)))
+    expected, ratio = weighted_canonical_reference(phi, m)
+    assert not expected and ratio > 4.0
+    assert mp.check_weighted_canonical(phi, m)
+    for _ in range(200):
+        dim = int(rng.integers(1, 6))
+        phi = FiniteFrame(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        m = np.exp(rng.uniform(-8.0, 8.0, dim)) * np.exp(2j * np.pi * rng.uniform(size=dim))
+        assert fr.is_riesz_basis(phi) and mp.check_weighted_canonical(phi, mp.Symbol(m))
 
 
 def test_constant_modulus_chain_all_true():

@@ -153,10 +153,12 @@ def test_importing_the_package_loads_no_submodule():
 
 
 # the CLI modules a fresh interpreter holds after `import framemult.cli` and
-# one `cli.main(argv)`, with hashlib, which formats brings in, and dataclasses
+# one `cli.main(argv)`, with hashlib, which formats brings in, dataclasses
 # and copy, which no command needs: a frozen dataclass generates its methods
-# with exec at import
-WATCHED = ("hashlib", "dataclasses", "copy")
+# with exec at import, and scipy, sympy and mpmath, which may be installed
+# next to numpy but are no dependency
+FOREIGN = {"scipy", "sympy", "mpmath"}
+WATCHED = ("hashlib", "dataclasses", "copy", *sorted(FOREIGN))
 LOADED_PROBE = f"""
 import contextlib, io, sys
 import framemult.cli as cli
@@ -181,14 +183,16 @@ def test_each_cli_command_imports_only_the_modules_it_runs(tmp_path):
     multiplier = ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", phi,
                   "--verify-all", "--seed", "1"]
     file_reading = {"framemult.formats", "hashlib"}
-    code_generating = {"dataclasses", "copy"}
+    never = {"dataclasses", "copy"} | FOREIGN  # code generating, or no dependency
 
     code, modules = loaded_by([])
-    assert code == 0 and not modules & (file_reading | {"framemult.blockseq"} | code_generating), modules
+    assert code == 0 and not modules & (file_reading | {"framemult.blockseq"} | never), modules
     code, modules = loaded_by(multiplier)
     assert code == 0 and "framemult.blockseq" not in modules and file_reading <= modules, modules
-    assert not modules & code_generating, modules
+    assert not modules & never, modules
+    code, modules = loaded_by(["frame-info", phi])
+    assert code == 0 and file_reading <= modules and not modules & never, modules
     for examples in (["examples", "list"], ["examples", "run", "--all", "--horizon", "3"]):
         code, modules = loaded_by(examples)
-        assert code == 0 and not modules & (file_reading | code_generating), modules
+        assert code == 0 and not modules & (file_reading | never), modules
         assert "framemult.blockseq" in modules, modules
