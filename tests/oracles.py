@@ -101,7 +101,7 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def verify_small_draws(seed, count):
-    """The first ``count`` draws (phi, psi, m, s, t, dual seed) of the benchmark's verify-small stream.
+    """The first ``count`` draws (phi, psi, m, s, t, dual seed) of perfbench's verify-small stream.
 
     ``perfbench/worker.small_instance`` is imported, never changed, and no
     bytecode is written under ``perfbench/``.

@@ -991,11 +991,11 @@ def test_the_adjoint_swap_keeps_every_verdict_away_from_the_thresholds(capsys, m
 
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     arrays = {}
-    monkeypatch.setattr(formats, "load_symbol_file", lambda path, where: (mp.Symbol(arrays[path]), ""))
-    monkeypatch.setattr(formats, "load_frame_file", lambda path, where: (FiniteFrame(arrays[path]), ""))
+    monkeypatch.setattr(formats, "load_symbol_file", lambda path, _: (mp.Symbol(arrays[path]), ""))
+    monkeypatch.setattr(formats, "load_frame_file", lambda path, _: (FiniteFrame(arrays[path]), ""))
 
     def verify_all(m, phi, psi):
-        """(verdict, asserted flags, shortcut finding) of one run, None when a residual is near its tolerance."""
+        """(verdict, asserted flags, shortcut finding), or None when a residual is near its tolerance."""
         arrays.update(m=m, phi=phi, psi=psi)
         report = run_report(capsys, "multiplier", "--symbol", "m", "--phi", "phi", "--psi", "psi",
                             "--verify-all", "--seed", "1")
