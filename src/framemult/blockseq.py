@@ -47,7 +47,7 @@ import numpy as np
 
 from . import frames as fr
 from . import multipliers as mp
-from .errors import ImplicationViolated, RatioNotCertified, UnknownExample
+from .errors import RatioNotCertified, UnknownExample
 from .numerics import DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_extremes
 from .report import finding
 
@@ -728,16 +728,13 @@ def _run_ex5_3(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list[dic
                           residual=mp.verify_canonical_inversion(mult, tol),
                           tolerance=REPRODUCTION_TOL))
 
-    try:
-        report = mp.check_prop_q(mult, tol)
-        checks.append(finding(
-            "equivalences_fail_while_inversion_holds",
-            report.eq1_holds and not report.psi_equiv_mphi and not report.phi_equiv_mbar_psi
-            and not report.psi_dagger_is_canonical and not report.phi_dagger_is_canonical,
-            value=report.as_dict(),
-        ))
-    except ImplicationViolated as exc:
-        checks.append(finding("equivalences_fail_while_inversion_holds", False, detail=str(exc)))
+    report = mp.check_prop_q(mult, tol)
+    checks.append(report.as_finding(
+        "equivalences_fail_while_inversion_holds",
+        report.eq1_holds and not report.psi_equiv_mphi and not report.phi_equiv_mbar_psi
+        and not report.psi_dagger_is_canonical and not report.phi_dagger_is_canonical,
+        report.as_dict(),
+    ))
     checks.append(finding(
         "weighted_canonical_shortcut_fails",
         not mp.check_weighted_canonical(phi_k, symbol, tol),
@@ -768,12 +765,9 @@ def _run_ex5_final(sys: BlockSystem, tol: ToleranceConfig, horizon: int) -> list
                           detail="input side equals the weighted output side entrywise"))
 
     mult = mp.build(symbol, phi_k, psi_k)
-    try:
-        chain = mp.check_prop_q(mult, tol).constant_modulus_chain
-        checks.append(finding("constant_modulus_chain_all_equivalent", all(chain.values()),
-                              value=chain))
-    except ImplicationViolated as exc:
-        checks.append(finding("constant_modulus_chain_all_equivalent", False, detail=str(exc)))
+    report = mp.check_prop_q(mult, tol)
+    chain = report.constant_modulus_chain
+    checks.append(report.as_finding("constant_modulus_chain_all_equivalent", all(chain.values()), chain))
 
     profile = sys.symbol_profile()
     checks.append(finding("symbol_unimodular",

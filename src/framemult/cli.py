@@ -53,9 +53,9 @@ finalizers of what the run left (about 7 ms). The installed script
 imports this module before it calls ``entry``, so it still collects
 during its imports. A plain import keeps the collector on, and ``main``
 switches nothing off and ends nothing, because tests and the benchmark
-worker call it in process. A run leaves the same cyclic garbage whatever
-its work (its parser), so a process that never collects grows by no more
-than that.
+worker call it in process. The parser is built at the first call and kept
+for the process, so a process that calls ``main`` again and never
+collects does not grow: a later run leaves no cyclic garbage.
 """
 
 import gc
@@ -67,6 +67,7 @@ import argparse
 import atexit
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -76,7 +77,6 @@ from . import frames
 from . import multipliers as mp
 from .errors import (
     DimensionMismatch,
-    ImplicationViolated,
     NotAFrame,
     NotInvertible,
     ParseError,
@@ -266,21 +266,12 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
                             residual=eq1_residual, tolerance=tol.rel_eps))
 
     # one report gives both equivalence findings; the chain's stays last
-    try:
-        report = mp.check_prop_q(mult, tol)
-        criteria = finding("inversion_equivalence_criteria", True, value=report.as_dict())
-        chain = report.constant_modulus_chain
-        chain = None if chain is None else finding("constant_modulus_chain", True, value=chain)
-    except ImplicationViolated as exc:
-        criteria = finding("inversion_equivalence_criteria", False, detail=str(exc))
-        chain = (finding("constant_modulus_chain", False, detail=str(exc))
-                 if mult.symbol.has_constant_modulus(tol) else None)
-    findings.append(criteria)
-
+    report = mp.check_prop_q(mult, tol)
+    findings.append(report.as_finding("inversion_equivalence_criteria", True, report.as_dict()))
     findings.append(finding("weighted_canonical_shortcut", True, asserted=False,
                             value=mp.check_weighted_canonical(mult.phi, mult.symbol, tol)))
-    if chain is not None:
-        findings.append(chain)
+    if report.constant_modulus:
+        findings.append(report.as_finding("constant_modulus_chain", True, report.constant_modulus_chain))
 
 
 def cmd_multiplier(args) -> int:
@@ -375,7 +366,9 @@ def _int_at_least(least: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built at its first call and kept for the process."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol-rel", type=float, default=DEFAULT_REL_EPS,
                         help="relative tolerance for residual checks, in (0, 1)")

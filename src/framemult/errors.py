@@ -32,13 +32,6 @@ class ZeroSymbolEntry(FrameToolError):
     """A symbol has a zero entry, or one whose reciprocal overflows, where 1/m is needed."""
 
 
-class ImplicationViolated(FrameToolError):
-    """A logical implication that must hold between computed booleans failed.
-
-    This signals an implementation bug, not a property of the input data.
-    """
-
-
 class RatioNotCertified(FrameToolError):
     """The declared geometric tail ratio is >= 1 or below the ratio of consecutive terms."""
 

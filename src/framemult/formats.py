@@ -240,7 +240,7 @@ def _refuse(text: str, path: str, where: str, walk) -> NoReturn:
     """Raise the ParseError of a document the scanner refused, naming its first fault.
 
     The text is decoded whole, refusing a repeated key, and ``walk``
-    raises at the first bad location of what it decodes to.
+    raises at the first bad location of what it decodes to, named from ``where``.
     """
     def unique_keys(items: list) -> dict:
         obj: dict = {}
@@ -256,17 +256,17 @@ def _refuse(text: str, path: str, where: str, walk) -> NoReturn:
         raise ParseError(f"{where}: {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError(f"{where}: {path} nests arrays or objects too deeply") from None
-    walk(doc)
+    walk(doc, where)
     raise AssertionError(f"{where}: the scanner refused {path}, and the walk finds no fault")
 
 
-def _walk_keys(doc, where: str, keys: tuple[str, ...]) -> None:
+def _walk_keys(doc, where: str, kind: str, keys: tuple[str, ...]) -> None:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     names = " and ".join(map(repr, keys))
     for key in doc:
         if key not in keys:
-            raise ParseError(f"{where}: unexpected key {key!r}; a {where} has only {names}")
+            raise ParseError(f"{where}: unexpected key {key!r}; a {kind} has only {names}")
     if len(doc) != len(keys):
         raise ParseError(f"{where}: needs {names}")
 
@@ -282,22 +282,22 @@ def _walk_pairs(items, where: str) -> int:
     return len(items)
 
 
-def _walk_frame(doc) -> None:
-    _walk_keys(doc, "frame", ("dim", "vectors"))
+def _walk_frame(doc, where: str) -> None:
+    _walk_keys(doc, where, "frame", ("dim", "vectors"))
     dim = doc["dim"]
     if type(dim) is not int or dim < 1:
-        raise ParseError(f"frame: 'dim' must be a positive integer, got {dim!r}")
+        raise ParseError(f"{where}: 'dim' must be a positive integer, got {dim!r}")
     vectors = doc["vectors"]
     if not isinstance(vectors, list):
-        raise ParseError(f"frame.vectors: expected a JSON array, got {type(vectors).__name__}")
+        raise ParseError(f"{where}.vectors: expected a JSON array, got {type(vectors).__name__}")
     if not vectors:
-        raise ParseError("frame: needs at least one vector")
+        raise ParseError(f"{where}: needs at least one vector")
     for n, vector in enumerate(vectors):
-        count = _walk_pairs(vector, f"frame.vectors[{n}]")
+        count = _walk_pairs(vector, f"{where}.vectors[{n}]")
         if count != dim:
-            raise ParseError(f"frame.vectors[{n}]: has {count} entries, expected dim = {dim}")
+            raise ParseError(f"{where}.vectors[{n}]: has {count} entries, expected dim = {dim}")
 
 
-def _walk_symbol(doc) -> None:
-    _walk_keys(doc, "symbol", ("values",))
-    _walk_pairs(doc["values"], "symbol.values")
+def _walk_symbol(doc, where: str) -> None:
+    _walk_keys(doc, where, "symbol", ("values",))
+    _walk_pairs(doc["values"], f"{where}.values")

@@ -41,7 +41,11 @@ Psi ~ m Phi; read on M*, phi_dagger is the canonical dual of Phi exactly
 when Phi ~ conj(m) Psi. ``check_prop_q`` decides the input side's pair on
 M and on M* once each. For a symbol of one nonzero modulus, the chain
 "eq1 iff Psi ~ m Phi iff Phi ~ conj(m) Psi" is their corollary, asserted
-and given by the same report.
+and given by the same report. A violated implication between the criteria
+is a value of that report, its message, which the CLI and the examples
+report as a failed asserted finding with the message as its detail. Until
+no norm squares its entries, a norm that leaves the double range can give
+one on valid input: every input scaled by 1e-100 reports "yet eq1 fails".
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import frames
-from .errors import DimensionMismatch, ImplicationViolated, ZeroSymbolEntry
+from .errors import DimensionMismatch, ZeroSymbolEntry
 from .frames import FiniteFrame
 from .numerics import (
     DEFAULT_TOL,
@@ -64,6 +68,7 @@ from .numerics import (
     relative_to,
     singular_extremes,
 )
+from .report import finding
 
 
 class Symbol:
@@ -524,7 +529,11 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
 
 
 class PropQReport(NamedTuple):
-    """Joint outcome of the canonical-inversion and equivalence tests."""
+    """Joint outcome of the canonical-inversion and equivalence tests.
+
+    ``violation`` is the message of the first implication between them
+    that fails, and empty when the report is consistent.
+    """
 
     eq1_holds: bool
     psi_equiv_mphi: bool
@@ -533,6 +542,7 @@ class PropQReport(NamedTuple):
     phi_dagger_is_canonical: bool
     constant_symbol: bool
     constant_modulus: bool
+    violation: str = ""
 
     @property
     def constant_modulus_chain(self) -> dict | None:
@@ -547,10 +557,16 @@ class PropQReport(NamedTuple):
         }
 
     def as_dict(self) -> dict:
-        """Every field but ``constant_modulus``, which ``constant_modulus_chain`` reports."""
+        """Every field but ``violation``, and ``constant_modulus``, which the chain reports."""
         fields = self._asdict()
-        del fields["constant_modulus"]
+        del fields["constant_modulus"], fields["violation"]
         return fields
+
+    def as_finding(self, name: str, ok: bool, value) -> dict:
+        """The finding of ``ok`` and ``value``; a failed one whose detail is the violation, if any."""
+        if self.violation:
+            return finding(name, False, detail=self.violation)
+        return finding(name, ok, value=value)
 
 
 def _input_side_criteria(mult: Multiplier, tol: ToleranceConfig) -> tuple[bool, bool]:
@@ -572,9 +588,7 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
     its canonical dual; and the same pair for the output side, which is
     the input side of the adjoint M* = M_{conj m, Psi, Phi}: Phi against
     conj(m)*Psi, phi_dagger against the canonical dual of Phi. The
-    implications that must hold between them are asserted, and
-    ImplicationViolated (an implementation-bug signal) is raised on any
-    violation:
+    implications that must hold between them are checked:
 
     * on each side, the equivalence implies eq1_holds and is equivalent to
       the induced dual being canonical;
@@ -582,6 +596,11 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
       symbol included, eq1_holds, psi_equiv_mphi and phi_equiv_mbar_psi
       agree: the constant-modulus chain, given as ``constant_modulus_chain``.
       With the two agreements above, the four non-eq1 booleans then agree.
+
+    The message of the first that fails is the report's ``violation``, which
+    callers report as a failed asserted finding with the message as its
+    detail. Until no norm squares its entries, a norm that leaves the
+    double range can give one on valid input (every input times 1e-100).
 
     Equivalence is symmetric, so ``frames.is_equivalent`` maps from Psi or
     Phi, whose canonical duals the canonical inversion has already taken
@@ -596,28 +615,26 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
     report = PropQReport(eq1, *equivalent, *canonical,
                          constant_symbol=mult.symbol.is_constant(tol),
                          constant_modulus=mult.symbol.has_constant_modulus(tol))
-    _assert_prop_q_consistency(report)
-    return report
+    return report._replace(violation=_prop_q_violation(report))
 
 
-def _assert_prop_q_consistency(report: PropQReport) -> None:
+def _prop_q_violation(report: PropQReport) -> str:
+    """The message of the first implication the report violates; empty if none."""
     for equivalent, canonical, side in (
             ("psi_equiv_mphi", "psi_dagger_is_canonical", "input side equivalent to weighted output side"),
             ("phi_equiv_mbar_psi", "phi_dagger_is_canonical",
              "output side equivalent to conjugate-weighted input side")):
         equivalence, is_canonical = getattr(report, equivalent), getattr(report, canonical)
         if equivalence and not report.eq1_holds:
-            raise ImplicationViolated(f"{side}, yet eq1 fails")
+            return f"{side}, yet eq1 fails"
         if equivalence != is_canonical:
-            raise ImplicationViolated(f"{equivalent} and {canonical} must agree "
-                                      f"(got {equivalence} vs {is_canonical})")
+            return f"{equivalent} and {canonical} must agree (got {equivalence} vs {is_canonical})"
     legs = (report.eq1_holds, report.psi_equiv_mphi, report.phi_equiv_mbar_psi)
     if (report.constant_modulus or report.constant_symbol) and len(set(legs)) != 1:
-        raise ImplicationViolated(
-            "constant-modulus legs disagree: "
-            f"eq1={report.eq1_holds}, "
-            f"psi~mPhi={report.psi_equiv_mphi}, phi~mbarPsi={report.phi_equiv_mbar_psi}"
-        )
+        return ("constant-modulus legs disagree: "
+                f"eq1={report.eq1_holds}, "
+                f"psi~mPhi={report.psi_equiv_mphi}, phi~mbarPsi={report.phi_equiv_mbar_psi}")
+    return ""
 
 
 def check_weighted_canonical(phi: FiniteFrame, m: Symbol,

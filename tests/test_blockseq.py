@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import framemult.blockseq as bs
 import framemult.multipliers as mp
-from framemult.errors import ImplicationViolated, RatioNotCertified, UnknownExample
+from framemult.errors import RatioNotCertified, UnknownExample
 from framemult.frames import FiniteFrame, is_dual
 from framemult.numerics import DEFAULT_TOL
 from framemult.report import finding, verdict
@@ -426,8 +426,10 @@ def test_example_run_as_dict_shape():
     ("ex5_final", "constant_modulus_chain_all_equivalent"),
 ])
 def test_a_violated_implication_is_a_failing_check(monkeypatch, name, check):
+    check_prop_q = mp.check_prop_q
+
     def violated(mult, tol):
-        raise ImplicationViolated("the legs disagree")
+        return check_prop_q(mult, tol)._replace(violation="the legs disagree")
 
     monkeypatch.setattr(mp, "check_prop_q", violated)
     checks = bs.run_example(name, horizon=5)

@@ -1,7 +1,6 @@
 import builtins
 import collections
 import contextlib
-import functools
 import gc
 import hashlib
 import io
@@ -223,6 +222,22 @@ def multiplier_files(tmp_path, mercedes_file):
     return sym, mercedes_file, psi
 
 
+@pytest.mark.parametrize("side", ["phi", "psi"])
+@pytest.mark.parametrize("doc, error", [
+    ({"dim": 2, "vectors": [[[1, 0], [0, 1]], [[1, 0], ["x", 0]]]},
+     "{side}.vectors[1][1]: expected a [re, im] number pair, got ['x', 0]"),
+    ({"dim": 2, "vectors": [[[1, 0], [0, 1]]], "note": "x"},
+     "{side}: unexpected key 'note'; a frame has only 'dim' and 'vectors'"),
+], ids=["bad-pair", "extra-key"])
+def test_a_malformed_side_names_its_input_and_exits_2(capsys, tmp_path, multiplier_files,
+                                                      side, doc, error):
+    sym, phi, psi = multiplier_files
+    files = {"phi": phi, "psi": psi, side: write_json(tmp_path / "bad.json", doc)}
+    code, out, err = run_cli(capsys, "multiplier", "--symbol", sym,
+                             "--phi", files["phi"], "--psi", files["psi"])
+    assert (code, out, err) == (2, "", f"error: {error.format(side=side)}\n")
+
+
 def test_multiplier_default_report(capsys, multiplier_files):
     sym, phi, psi = multiplier_files
     report = run_report(capsys, "multiplier", "--symbol", sym, "--phi", phi, "--psi", psi)
@@ -422,7 +437,7 @@ def test_an_underflowed_inverse_norm_fails_the_identity_findings(capsys, tmp_pat
                  "sampled_input_duals_match_inverse", "sampled_output_duals_match_inverse"):
         assert not finding(report, name)["ok"]
         assert finding(report, name)["residual"] is None
-    # a consistent report with every criterion false, not ImplicationViolated
+    # a consistent report with every criterion false, not a violated implication
     criteria = finding(report, "inversion_equivalence_criteria")
     assert criteria["ok"]
     assert not any(criteria["value"].values())
@@ -655,6 +670,39 @@ def test_example_reports_are_the_golden_bytes(capsys, monkeypatch, tmp_path, arg
     assert out.encode() == (GOLDEN / golden).read_bytes()
     if "--dual-out" in argv:
         assert (tmp_path / "dual.json").read_bytes() == (GOLDEN / "frame_info_dual.json").read_bytes()
+
+
+@pytest.mark.parametrize("symbol, golden", [
+    ("symbol.json", "multiplier_verify_all.json"),
+    ("unimodular.json", "multiplier_unimodular_verify_all.json"),
+])
+def test_a_violated_implication_fails_its_findings_and_keeps_every_other_byte(
+        capsys, monkeypatch, tmp_path, symbol, golden):
+    # a violation the equivalence report carries is the detail of a failed
+    # criteria finding, and of a failed chain finding exactly when the symbol
+    # has one modulus; every other byte is the golden report's
+    import framemult.multipliers as mp
+
+    message = "input side equivalent to weighted output side, yet eq1 fails"
+    monkeypatch.setattr(mp, "_prop_q_violation", lambda report: message)
+    shutil.copytree(GOLDEN / "inputs", tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *multiplier_argv(*VERIFY_ALL, symbol=symbol))
+    assert (code, err) == (0, "")
+    report = parse_report(out)
+    failed = {"name": "inversion_equivalence_criteria", "asserted": True, "ok": False,
+              "detail": message}
+    assert finding(report, "inversion_equivalence_criteria") == failed
+    chains = [f for f in report["findings"] if f["name"] == "constant_modulus_chain"]
+    assert chains == ([dict(failed, name="constant_modulus_chain")] if symbol == "unimodular.json"
+                      else [])
+    assert report["verdict"] == "fail"
+    expected = json.loads((GOLDEN / golden).read_text())
+    expected["findings"] = [dict(failed, name=f["name"]) if f["name"] in
+                            ("inversion_equivalence_criteria", "constant_modulus_chain") else f
+                            for f in expected["findings"]]
+    expected["verdict"] = "fail"
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("horizon", ["1", "7", "1000"])
@@ -983,13 +1031,11 @@ def test_the_adjoint_swap_keeps_every_verdict_away_from_the_thresholds(capsys, m
     # The four images of four_images move no finding: the verdict, every asserted flag
     # and the unasserted weighted-canonical shortcut's value stay. Under the adjoint the
     # shortcut reads the other side, so its value may change. Inputs: the adjoint-swap
-    # family and the C5 fuzz families. The runs read the arrays without a file and
-    # share one parser
+    # family and the C5 fuzz families. The runs read the arrays without a file
     import framemult.cli as cli
     import framemult.formats as formats
     import framemult.multipliers as mp
 
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     arrays = {}
     monkeypatch.setattr(formats, "load_symbol_file", lambda path, _: (mp.Symbol(arrays[path]), ""))
     monkeypatch.setattr(formats, "load_frame_file", lambda path, _: (FiniteFrame(arrays[path]), ""))

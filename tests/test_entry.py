@@ -74,10 +74,11 @@ def test_no_way_out_of_a_process_run_collects_or_tears_down_and_atexit_hooks_sti
 
 
 def test_a_run_with_the_collector_off_leaves_no_garbage_that_grows_with_the_work(tmp_path):
-    # a command leaves the same cyclic garbage (its parser) whatever the
-    # size of its work, so a process that never collects holds no more than
-    # a fixed amount of it; a multiplier does not refer to its adjoint, so
-    # no multiplier, frame, symbol or induced duals is part of it
+    # a command leaves the same cyclic garbage whatever the size of its work
+    # (none, now that the parser is built once), so a process that never
+    # collects holds no more than a fixed amount of it; a multiplier does not
+    # refer to its adjoint, so no multiplier, frame, symbol or induced duals
+    # is part of it
     rng = np.random.default_rng(3)
     runs = [["examples", "run", "--all", "--horizon", "1000"],
             ["examples", "run", "--all", "--horizon", "100000"]]

@@ -12,7 +12,6 @@ import framemult.frames as fr
 import framemult.multipliers as mp
 from framemult.errors import (
     DimensionMismatch,
-    ImplicationViolated,
     NotAFrame,
     NotInvertible,
     ZeroSymbolEntry,
@@ -433,8 +432,11 @@ def test_check_prop_q_dict_is_json_friendly():
     import json
 
     report = mp.check_prop_q(scalar_example())
+    assert report.violation == ""
     parsed = json.loads(json.dumps(report.as_dict()))
     assert parsed["eq1_holds"] is True
+    # the violation and the modulus test stay out of the criteria's value
+    assert set(parsed) == set(report._fields) - {"violation", "constant_modulus"}
 
 
 def test_weighted_canonical_shortcut_for_unimodular_weights():
@@ -555,20 +557,17 @@ def test_constant_modulus_requires_constant_moduli():
     assert report.constant_modulus_chain["invertible_and_eq1"] == report.eq1_holds
 
 
-@pytest.mark.parametrize("constant_symbol, constant_modulus, raises", [
+@pytest.mark.parametrize("constant_symbol, constant_modulus, violated", [
     (False, False, False), (False, True, True), (True, False, True)])
 def test_the_constant_modulus_chain_is_asserted_from_the_report(constant_symbol, constant_modulus,
-                                                                raises):
+                                                                violated):
     # eq1 holds while neither weighted-side equivalence does: consistent for a
     # general symbol, a violated chain for one modulus or a constant symbol
     report = mp.PropQReport(eq1_holds=True, psi_equiv_mphi=False, phi_equiv_mbar_psi=False,
                             psi_dagger_is_canonical=False, phi_dagger_is_canonical=False,
                             constant_symbol=constant_symbol, constant_modulus=constant_modulus)
-    if raises:
-        with pytest.raises(ImplicationViolated, match="constant-modulus legs disagree"):
-            mp._assert_prop_q_consistency(report)
-    else:
-        mp._assert_prop_q_consistency(report)
+    assert mp._prop_q_violation(report) == (
+        "constant-modulus legs disagree: eq1=True, psi~mPhi=False, phi~mbarPsi=False" if violated else "")
     assert (report.constant_modulus_chain is None) == (not constant_modulus)
 
 
@@ -591,18 +590,16 @@ def side_report(eq1_holds=True, psi=(False, False), phi=(False, False)):
 ])
 def test_the_implications_of_each_side_are_asserted_from_the_report(report, message):
     # on each side the equivalence implies eq1 and agrees with the induced
-    # dual being canonical; a violation names that side. The eq1 messages
-    # reach reports (inversion_equivalence_criteria), so their words stay.
-    with pytest.raises(ImplicationViolated) as raised:
-        mp._assert_prop_q_consistency(report)
-    assert str(raised.value) == message
+    # dual being canonical; a violation names that side. The messages reach
+    # reports (inversion_equivalence_criteria), so their words stay.
+    assert mp._prop_q_violation(report) == message
 
 
 @pytest.mark.parametrize("report", [
     side_report(), side_report(psi=(True, True)), side_report(phi=(True, True)),
     side_report(psi=(True, True), phi=(True, True)), side_report(eq1_holds=False)])
 def test_a_consistent_report_passes_its_implications(report):
-    mp._assert_prop_q_consistency(report)
+    assert mp._prop_q_violation(report) == ""
 
 
 # ----------------------------------------------------------------- properties

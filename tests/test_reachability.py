@@ -10,6 +10,7 @@ the CLI or deleted; reference routes that only tests need live in
 ``oracles.py``.
 """
 
+import ast
 import atexit
 import contextlib
 import gc
@@ -142,6 +143,28 @@ def test_every_package_function_is_reached_by_the_cli(tmp_path, monkeypatch):
     assert codes == [0] * 2 + [2] * 3 + [0] * (len(cases) - 5)
     missed = {f"{module}.{name}" for module, name, _ in defined_functions() - entered}
     assert missed == NOT_REACHED, sorted(missed ^ NOT_REACHED)
+
+
+def raised_names(tree):
+    """The name of every class a ``raise`` statement in ``tree`` raises, called or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                yield exc.id if isinstance(exc, ast.Name) else exc.attr
+
+
+def test_every_error_type_is_raised_by_the_package():
+    # an error type that nothing raises any more is deleted with its last raise
+    trees = {}
+    for filename in sorted(os.listdir(PACKAGE_DIR)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as handle:
+                trees[filename] = ast.parse(handle.read(), filename)
+    errors = {node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)}
+    raised = {name for tree in trees.values() for name in raised_names(tree)}
+    assert "FrameToolError" in errors and len(errors) > 1, errors
+    assert errors - {"FrameToolError"} - raised == set()
 
 
 def test_importing_the_package_loads_no_submodule():
