@@ -41,19 +41,22 @@ each imported module is compiled from source, so source size is start-up
 time: a ``multiplier`` run does not compile ``blockseq``, and
 ``examples`` neither compiles ``formats`` nor loads the OpenSSL binding.
 
-A process runs ``entry``, not ``main``: the ``framemult`` command and
-``python -m framemult.cli`` both do. Run as ``__main__``, this module
-switches the collector off before its first import, so importing numpy
-and the package runs none of the 34 collections (about 4.5 ms) it did;
-one may still run while the interpreter compiles this module's source.
-``entry`` switches it off too, runs ``main``, then runs the atexit hooks,
-flushes stdout and stderr and ends the process with ``os._exit``,
+A process runs ``entry``, not ``main``: the ``framemult`` command (through
+``framemult.script.entry``) and ``python -m framemult.cli`` both do. Run
+as ``__main__``, this module switches the collector off and pins numpy's
+BLAS to one thread, unless the caller set a thread count
+(``script.one_blas_thread``), before its first import, so importing numpy
+and the package runs none of the 34 collections (about 4.5 ms) it did and
+does not start a BLAS thread pool; a collection may still run while the
+interpreter compiles this module's source. The installed command does the
+same in ``script.entry`` before it imports this module. ``entry``
+switches the collector off too, runs ``main``, then runs the atexit
+hooks, flushes stdout and stderr and ends the process with ``os._exit``,
 skipping the shutdown collections, the clearing of modules and the
-finalizers of what the run left (about 7 ms). The installed script
-imports this module before it calls ``entry``, so it still collects
-during its imports. A plain import keeps the collector on, and ``main``
-switches nothing off and ends nothing, because tests and the benchmark
-worker call it in process. The parser is built at the first call and kept
+finalizers of what the run left (about 7 ms). A plain import keeps the
+collector on and the environment as it is, and ``main`` switches nothing
+off and ends nothing, because tests and the benchmark worker call it in
+process. The parser is built at the first call and kept
 for the process, so a process that calls ``main`` again and never
 collects does not grow: a later run leaves no cyclic garbage.
 """
@@ -62,6 +65,9 @@ import gc
 
 if __name__ == "__main__":  # pragma: no cover - a process run collects nothing, imports included
     gc.disable()
+    from .script import one_blas_thread
+
+    one_blas_thread()  # before numpy loads
 
 import argparse
 import atexit
@@ -222,21 +228,20 @@ def cmd_frame_info(args) -> int:
 
 def _induced_dual_findings(mult: mp.Multiplier, tol: ToleranceConfig,
                            findings: list[dict]) -> None:
-    duals = mp.induced_duals(mult, tol)
-    findings.append(finding("induced_dual_of_input_side_is_dual",
-                            frames.is_dual(duals.psi_dagger, mult.psi, tol)))
-    findings.append(finding("induced_dual_of_output_side_is_dual",
-                            frames.is_dual(duals.phi_dagger, mult.phi, tol)))
+    input_side, output_side = mp.induced_duals_are_duals(mult, tol)
+    findings.append(finding("induced_dual_of_input_side_is_dual", input_side))
+    findings.append(finding("induced_dual_of_output_side_is_dual", output_side))
 
 
-def _certified_and_sampled(certify, mult: mp.Multiplier, tol: ToleranceConfig,
-                           rng) -> tuple[float, float]:
+def _certified_and_sampled(certificate: mp.DualsCertificate, rng) -> tuple[float, float]:
     """One side's certificate residual and the worst residual of three random duals of that side.
 
-    The certificate, which holds an N x d slope, dies when this returns,
-    before the other side is certified.
+    The certificate holds an N x d slope. ``mp.all_duals_certificates``
+    hands over the two sides' certificates together when both sides' d x N
+    arrays fit ``mp.SIDE_STACK_BYTES``, and one at a time above it, where
+    the first certificate dies when this returns, before the other side is
+    certified.
     """
-    certificate = certify(mult, tol)
     return certificate.max_residual, mp.sampled_dual_residuals(certificate, 3, rng)
 
 
@@ -247,8 +252,8 @@ def _verify_bundle(mult: mp.Multiplier, tol: ToleranceConfig, seed: int,
     _induced_dual_findings(mult, tol, findings)
 
     rng = mp.sampling_generator(seed)
-    cert1, worst1 = _certified_and_sampled(mp.certify_minv1_all_duals, mult, tol, rng)
-    cert2, worst2 = _certified_and_sampled(mp.certify_minv2_all_duals, mult, tol, rng)
+    (cert1, worst1), (cert2, worst2) = mp.all_duals_certificates(
+        mult, tol, lambda certificate: _certified_and_sampled(certificate, rng))
     findings.append(finding("inverse_identity_all_input_duals",
                             residual=cert1, tolerance=tol.rel_eps))
     findings.append(finding("inverse_identity_all_output_duals",

@@ -191,7 +191,7 @@ def _pair_numbers(numbers: array, text: str, start: int) -> tuple[int, int]:
         if (not isinstance(pairs, list) or set(map(len, pairs)) != {2}
                 or text.find("t", start, end) >= 0 or text.find("f", start, end) >= 0):
             return 0, end
-        numbers.extend(chain.from_iterable(pairs))
+        numbers.fromlist(list(chain.from_iterable(pairs)))  # unchanged if an entry is refused
     except (TypeError, OverflowError):  # an entry not a pair of numbers, or a huge integer
         return 0, end
     return len(pairs), end

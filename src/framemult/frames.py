@@ -8,11 +8,16 @@ product is linear in the first argument and conjugate-linear in the second:
 
 so the analysis map is the conjugate transpose of the synthesis matrix.
 Storage is 0-based; mathematical descriptions number vectors from 1.
-The tests (``is_frame``, ``is_dual``, ``is_equivalent``, ``frames_equal``,
-``is_riesz_basis``) are predicates: each returns a bool.
+The tests (``is_frame``, ``is_dual``, ``frames_equal``, ``is_riesz_basis``)
+are predicates: each returns a bool. ``canonical_duals`` takes several
+frames of one shape and ``are_equivalent`` stacks of synthesis matrices,
+such as the two sides of a multiplier: one numpy or LAPACK call per step for
+all of them, each frame decided bit for bit as it is alone.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .numerics import (
     frobenius,
     hermitian_extremes,
     singular_extremes,
+    stacked,
 )
 
 
@@ -64,8 +70,7 @@ class FiniteFrame:
         if syn.ndim != 2 or syn.shape[0] < 1 or syn.shape[1] < 1:
             raise ValueError("expected a nonempty list of equal-length vectors")
         syn = np.asarray(syn, dtype=np.complex128, order="C")
-        if not np.isfinite(syn).all():
-            raise ValueError("frame vectors must have finite entries")
+        require_finite(syn)
         syn.setflags(write=False)
         self._syn = syn
         self._operator = self._bounds = self._dual = self._norm = None
@@ -96,6 +101,13 @@ class FiniteFrame:
         """N x d matrix of the analysis map, the adjoint of synthesis."""
         return adjoint(self._syn)
 
+
+def require_finite(syn: np.ndarray) -> None:
+    """ValueError unless every entry of a synthesis matrix, or of a stack of them, is finite."""
+    if not np.isfinite(syn).all():
+        raise ValueError("frame vectors must have finite entries")
+
+
 def _require_same_shape(f: FiniteFrame, g: FiniteFrame) -> None:
     if f.dim != g.dim or f.size != g.size:
         raise DimensionMismatch(
@@ -103,15 +115,30 @@ def _require_same_shape(f: FiniteFrame, g: FiniteFrame) -> None:
         )
 
 
+def _measure(frames: Sequence[FiniteFrame]):
+    """Frame operators and bounds of the frames not yet measured, one stacked product and eigvalsh for all.
+
+    Returns the stacks (syntheses, operators) of the frames it measured, or
+    None when every frame was measured already.
+    """
+    todo = [frame for frame in frames if frame._bounds is None]
+    if not todo:
+        return None
+    syn = stacked([frame._syn for frame in todo])
+    # entries beyond the double range become inf or NaN, which
+    # frame_bounds then rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        operators = syn @ adjoint(syn)
+    operators.setflags(write=False)
+    lower, upper = hermitian_extremes(operators)
+    for frame, operator, bounds in zip(todo, operators, zip(lower.tolist(), upper.tolist())):
+        frame._operator, frame._bounds = operator, bounds
+    return syn, operators
+
+
 def frame_operator(frame: FiniteFrame) -> np.ndarray:
     """The d x d positive semidefinite operator f -> sum_n <f, phi_n> phi_n (read-only)."""
-    if frame._operator is None:
-        # entries beyond the double range become inf or NaN, which
-        # frame_bounds then rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = frame.synthesis @ frame.analysis_matrix
-        s.setflags(write=False)
-        frame._operator = s
+    _measure((frame,))
     return frame._operator
 
 
@@ -124,7 +151,7 @@ def frame_bounds(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> tupl
     construction, up to rounding, and eigvalsh reads one triangle of it.
     """
     if frame._bounds is None:
-        frame._bounds = hermitian_extremes(frame_operator(frame))
+        _measure((frame,))
     lower, upper = frame._bounds
     if not tol.spans(lower, upper, max(frame._syn.shape)):
         raise NotAFrame(
@@ -147,14 +174,40 @@ def canonical_dual(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> Fi
     NotAFrame for input that does not span, decided by ``frame_bounds``,
     or whose operator is singular to working precision all the same.
     """
-    frame_bounds(frame, tol)
-    if frame._dual is None:
+    return canonical_duals((frame,), tol)[0]
+
+
+def canonical_duals(frames: Sequence[FiniteFrame],
+                    tol: ToleranceConfig = DEFAULT_TOL) -> list[FiniteFrame]:
+    """``canonical_dual`` of each frame, those not yet solved for in one stacked eigvalsh and solve.
+
+    The frames have one shape, and the caller bounds how many it stacks.
+    NotAFrame is raised for the first frame, in order, that does not span;
+    a solve that meets a singular operator raises it for the stack.
+    """
+    todo = [frame for frame in frames if frame._dual is None]  # a frame with a dual has bounds
+    measured = _measure(todo) if todo else None
+    for frame in frames:
+        frame_bounds(frame, tol)
+    if todo:
+        if measured is None or len(measured[0]) != len(todo):  # some were measured before
+            measured = (stacked([frame._syn for frame in todo]),
+                        stacked([frame_operator(frame) for frame in todo]))
+        syn, operators = measured
         try:
-            dual_syn = np.linalg.solve(frame_operator(frame), frame.synthesis)
+            duals = np.linalg.solve(operators, syn)
         except np.linalg.LinAlgError as exc:
             raise NotAFrame(f"the frame operator is singular to working precision: {exc}") from None
-        frame._dual = FiniteFrame._adopt(dual_syn)
-    return frame._dual
+        for frame, dual_syn in zip(todo, duals):
+            frame._dual = FiniteFrame._adopt(dual_syn)
+    return [frame._dual for frame in frames]
+
+
+def reconstruction_defect(candidate_syn: np.ndarray, frame_syn: np.ndarray) -> np.ndarray:
+    """Syn_C Ana_Phi - I, the defect of the reconstruction identity, for one pair or a stack of pairs."""
+    defect = candidate_syn @ adjoint(frame_syn)
+    defect -= np.eye(defect.shape[-1])
+    return defect
 
 
 def reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: ToleranceConfig,
@@ -165,8 +218,7 @@ def reconstructs(candidate_syn: np.ndarray, frame_syn: np.ndarray, tol: Toleranc
     ``norms`` is (||Syn_C||, ||Syn_Phi||) when the caller knows them.
     Returns a bool, or one bool per matrix of a stack (..., d, N).
     """
-    product = candidate_syn @ adjoint(frame_syn)
-    residual = frobenius(product - np.eye(product.shape[-1]))
+    residual = frobenius(reconstruction_defect(candidate_syn, frame_syn))
     candidate_norm, frame_norm = norms or (frobenius(candidate_syn), frobenius(frame_syn))
     return tol.within(residual, candidate_norm * frame_norm)
 
@@ -185,23 +237,30 @@ def is_dual(candidate: FiniteFrame, frame: FiniteFrame,
                              (candidate.norm, frame.norm)))
 
 
-def is_equivalent(phi: FiniteFrame, psi: FiniteFrame,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when an invertible L has L phi_n = psi_n for every n.
+def are_equivalent(phi_syn: np.ndarray, dual_syn: np.ndarray, psi_syn: np.ndarray,
+                   tol: ToleranceConfig = DEFAULT_TOL) -> list[bool]:
+    """For each k of the stacks: does an invertible L have L phi_n = psi_n for every n?
 
-    The only possible candidate is L = Syn_Psi * pinv(Syn_Phi), and for a
-    frame pinv(Syn_Phi) is the analysis matrix of the canonical dual, so L
-    is formed from the cached dual (NotAFrame when ``phi`` does not span).
-    The mapping property is ``tol.within`` of the residual
-    ||L Syn_Phi - Syn_Psi|| at the scale ||Syn_Psi||, then L must pass
-    ``tol.invertible`` at size max(d, N); a map that fails the first takes
-    no SVD.
+    phi_syn and psi_syn are (K, d, N) stacks of synthesis matrices, and
+    dual_syn[k] that of the canonical dual of the frame phi_syn[k]. The only
+    possible candidate is L = Syn_Psi * pinv(Syn_Phi), and for a frame
+    pinv(Syn_Phi) is the analysis matrix of its canonical dual. The mapping
+    property is ``tol.within`` of the residual ||L Syn_Phi - Syn_Psi|| at
+    the scale ||Syn_Psi||, then L must pass ``tol.invertible`` at size
+    max(d, N). Each step is one call for the stack, and every norm the 2-D
+    norm of its slice, so each pair is decided as it is alone; one stacked
+    SVD takes the candidates whose mapping passed, and a candidate that
+    fails it takes none. DimensionMismatch unless the stacks have one shape.
     """
-    _require_same_shape(phi, psi)
-    candidate = psi.synthesis @ canonical_dual(phi, tol).analysis_matrix
-    residual = frobenius(candidate @ phi.synthesis - psi.synthesis)
-    return (tol.within(residual, psi.norm)
-            and tol.invertible(*singular_extremes(candidate), max(phi.synthesis.shape)))
+    if not phi_syn.shape == dual_syn.shape == psi_syn.shape:
+        raise DimensionMismatch(f"stack shapes differ: {phi_syn.shape}, {dual_syn.shape}, {psi_syn.shape}")
+    candidate = psi_syn @ adjoint(dual_syn)
+    residual = candidate @ phi_syn
+    residual -= psi_syn
+    mapped = np.array([tol.within(frobenius(r), frobenius(psi)) for r, psi in zip(residual, psi_syn)])
+    if mapped.any():
+        mapped[mapped] = tol.invertible(*singular_extremes(candidate[mapped]), max(psi_syn.shape[-2:]))
+    return mapped.tolist()
 
 
 def is_riesz_basis(frame: FiniteFrame, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

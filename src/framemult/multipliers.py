@@ -39,7 +39,20 @@ The equivalence criteria are such twins too. On the input side, the
 induced dual psi_dagger is the canonical dual of Psi exactly when
 Psi ~ m Phi; read on M*, phi_dagger is the canonical dual of Phi exactly
 when Phi ~ conj(m) Psi. ``check_prop_q`` decides the input side's pair on
-M and on M* once each. For a symbol of one nonzero modulus, the chain
+M and on M* once each.
+
+The verification bundle evaluates each such pair of twins as one pass
+over the sides M (side 0) and M* (side 1) stacked along a leading axis:
+the two duality tests of the induced duals, the two all-duals
+certificates, the canonical duals of Psi and Phi and the two sides of the
+equivalence criteria each take one numpy or LAPACK call per step for both
+sides (``_Sides``). A slice of such a stacked call is the one-side result
+bit for bit, and every norm is taken slice by slice, so the reports are
+those of the side-by-side evaluation. Memory bounds the stacking: both
+sides go in one step when two of their d x N arrays fit SIDE_STACK_BYTES
+(64 KiB, d N <= 2048), and above it one side at a time, the same code with
+a stack of one side, so that a step holds the arrays of one side only.
+For a symbol of one nonzero modulus, the chain
 "eq1 iff Psi ~ m Phi iff Phi ~ conj(m) Psi" is their corollary, asserted
 and given by the same report. A violated implication between the criteria
 is a value of that report, its message, which the CLI and the examples
@@ -50,6 +63,7 @@ one on valid input: every input scaled by 1e-100 reports "yet eq1 fails".
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +81,7 @@ from .numerics import (
     inverse,
     relative_to,
     singular_extremes,
+    stacked,
 )
 from .report import finding
 
@@ -77,13 +92,13 @@ class Symbol:
     A finite symbol is semi-normalized exactly when ``inf_modulus`` > 0
     (the finite upper bound is automatic for a finite sequence).
 
-    A symbol is immutable, so whether it is zero-free and its reciprocal
-    are lazy per-instance caches, each computed at most once; neither
-    depends on a tolerance. A failed reciprocal is not cached, so it
+    A symbol is immutable, so whether it is zero-free, its moduli and its
+    reciprocal are lazy per-instance caches, each computed at most once;
+    none depends on a tolerance. A failed reciprocal is not cached, so it
     raises ZeroSymbolEntry on every call.
     """
 
-    __slots__ = ("_values", "_nonzero", "_reciprocal")
+    __slots__ = ("_values", "_nonzero", "_moduli", "_range", "_reciprocal")
 
     def __init__(self, values) -> None:
         arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
@@ -96,7 +111,7 @@ class Symbol:
     def _set_values(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         self._values = arr
-        self._nonzero = self._reciprocal = None
+        self._nonzero = self._moduli = self._range = self._reciprocal = None
 
     @classmethod
     def _from_checked(cls, arr: np.ndarray) -> "Symbol":
@@ -119,12 +134,25 @@ class Symbol:
         return self._nonzero
 
     @property
+    def moduli(self) -> np.ndarray:
+        """|m_n| for every n (read-only)."""
+        if self._moduli is None:
+            self._moduli = np.abs(self._values)
+            self._moduli.setflags(write=False)
+        return self._moduli
+
+    def _modulus_range(self) -> tuple[float, float]:
+        if self._range is None:
+            self._range = (float(self.moduli.min()), float(self.moduli.max()))
+        return self._range
+
+    @property
     def inf_modulus(self) -> float:
-        return float(np.min(np.abs(self._values)))
+        return self._modulus_range()[0]
 
     @property
     def sup_modulus(self) -> float:
-        return float(np.max(np.abs(self._values)))
+        return self._modulus_range()[1]
 
     def reciprocal(self) -> "Symbol":
         """Entrywise 1/m_n; ZeroSymbolEntry when an entry is zero or 1/m_n overflows."""
@@ -143,7 +171,7 @@ class Symbol:
 
     def is_constant(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """All entries equal to the first: ``tol.within`` of the spread at the largest modulus."""
-        spread = float(np.max(np.abs(self._values - self._values[0])))
+        spread = float(np.abs(self._values - self._values[0]).max())
         return tol.within(spread, self.sup_modulus)
 
     def has_constant_modulus(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -186,7 +214,7 @@ class Multiplier:
     # _conjugate the symbol conj(m) of a multiplier's adjoints, _extremes
     # the pair (sigma_max, sigma_min)
     _origin = _conjugate = _matrix = _extremes = _inverse = _inverse_norm = _duals = None
-    _canonical_residual = None
+    _canonical_residual = _sides = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -371,12 +399,15 @@ class MultiplierStack:
         return _induced_dual_syntheses(minv, self.values, self.phi_syn, self.psi_syn)
 
 
-def _inverse_defect(mult: Multiplier, out_side: FiniteFrame, in_analysis: np.ndarray,
-                    tol: ToleranceConfig) -> np.ndarray:
-    """Syn_out diag(1/m) Ana_in - Minv (d x d), given Ana_in; neither side is tested for duality."""
-    minv = invert(mult, tol)
-    recip = mult.symbol.reciprocal().values
-    defect = (out_side.synthesis * recip[None, :]) @ in_analysis
+def _inverse_defect(minv: np.ndarray, recip: np.ndarray, out_syn: np.ndarray,
+                    in_analysis: np.ndarray) -> np.ndarray:
+    """Syn_out diag(1/m) Ana_in - Minv (d x d), for one multiplier or a stack of sides.
+
+    Neither side is tested for duality. Every argument may carry the same
+    leading stack axes: minv (..., d, d), recip (..., N), out_syn (..., d, N)
+    and in_analysis (..., N, d).
+    """
+    defect = (out_syn * recip[..., None, :]) @ in_analysis
     defect -= minv
     return defect
 
@@ -408,6 +439,134 @@ class DualsCertificate(NamedTuple):
         return max(self.base_residual, self.linear_residual)
 
 
+SIDE_STACK_BYTES = 1 << 16  # bytes of the d x N arrays one stacked step of the side-wise checks holds
+_ENTRY_BYTES = np.dtype(np.complex128).itemsize
+
+
+def _both_sides_fit(mult: Multiplier) -> bool:
+    """Whether the d x N arrays of both sides fit SIDE_STACK_BYTES, so that they go in one step."""
+    return 2 * mult.dim * mult.size * _ENTRY_BYTES <= SIDE_STACK_BYTES
+
+
+class _Sides:
+    """A chunk of the sides of a multiplier M: M, its adjoint M*, or both.
+
+    M* = M_{conj m, Psi, Phi} swaps the input and output sides, so each
+    side-wise check decides the input side of each side. For side k of the
+    chunk, ``frames``[k] is its input side (Psi for M, Phi for M*),
+    ``duals``[k] the induced dual of that side (psi_dagger, phi_dagger) and
+    ``symbols``[k] its symbol (m, conj m). The stacks ``in_syn`` and
+    ``out_syn`` (the input and output sides), ``in_duals`` and
+    ``out_duals`` (their induced duals) and ``minv`` (Minv, Minv*) hold
+    side k at index k. A chunk of both sides copies the input sides and
+    their duals into its stacks, and each output-side stack is its
+    input-side twin reversed; a chunk of one side stacks views. The
+    symbols, their reciprocals and the canonical duals of the input sides
+    are stacked at first use. Everything is tolerance-free; a chunk holds
+    frames, symbols and arrays but no multiplier, so it makes no reference
+    cycle.
+    """
+
+    __slots__ = ("frames", "duals", "symbols", "minv", "in_syn", "out_syn", "in_duals", "out_duals",
+                 "_values", "_recip", "_tilde")
+
+    def __init__(self, sides: tuple[Multiplier, ...], duals: tuple[FiniteFrame, ...],
+                 output_duals: tuple[FiniteFrame, ...]) -> None:
+        self.frames = tuple(side.psi for side in sides)
+        self.duals = duals
+        self.symbols = tuple(side.symbol for side in sides)
+        self.minv = stacked([side._inverse_matrix() for side in sides])
+        self.in_syn = stacked([frame.synthesis for frame in self.frames])
+        self.in_duals = stacked([dual.synthesis for dual in duals])
+        if len(sides) == 2:
+            self.out_syn, self.out_duals = self.in_syn[::-1], self.in_duals[::-1]
+        else:
+            self.out_syn = sides[0].phi.synthesis[None]
+            self.out_duals = output_duals[0].synthesis[None]
+        self._values = self._recip = self._tilde = None
+
+    def canonical_duals(self, tol: ToleranceConfig) -> tuple[list[FiniteFrame], np.ndarray]:
+        """The canonical duals of the input sides and their stack; NotAFrame for a side that does not span."""
+        tildes = frames.canonical_duals(self.frames, tol)
+        if self._tilde is None:
+            self._tilde = stacked([dual.synthesis for dual in tildes])
+        return tildes, self._tilde
+
+    def reconstruct(self, tol: ToleranceConfig) -> list[bool]:
+        """Whether each side's induced dual is a dual of its input side, the test of ``frames.is_dual``."""
+        defects = frames.reconstruction_defect(self.in_duals, self.in_syn)
+        return [bool(tol.within(frobenius(defect), dual.norm * frame.norm))
+                for defect, dual, frame in zip(defects, self.duals, self.frames)]
+
+    def certificates(self, tol: ToleranceConfig, inverse_norm: Callable[[], float]) -> list[DualsCertificate]:
+        """``certify_minv1_all_duals`` of each side, with one call per step for the chunk.
+
+        ``inverse_norm`` gives ||Minv||, which is also ||Minv*||.
+        """
+        if self._recip is None:
+            self._recip = stacked([symbol.reciprocal().values for symbol in self.symbols])
+        recip = self._recip
+        tildes, tilde = self.canonical_duals(tol)
+        # a conjugate copy of the output sides' duals, formed once for the defect and the slope
+        ana = adjoint(self.out_duals)
+        defect = _inverse_defect(self.minv, recip, tilde, ana)
+
+        slope = recip[..., None] * ana
+        del ana  # not held through the product below, the peak of the certificate
+        slope -= adjoint(self.in_syn) @ (tilde @ slope)
+        minv_norm = inverse_norm()
+        return [DualsCertificate(
+            base_residual=relative_to(frobenius(side_defect), minv_norm),
+            linear_residual=relative_to(frobenius(side_slope) * dual.norm, minv_norm),
+            defect=side_defect, slope=side_slope, dual_norm=dual.norm, inverse_norm=minv_norm)
+            for side_defect, side_slope, dual in zip(defect, slope, tildes)]
+
+    def criteria(self, tol: ToleranceConfig) -> list[tuple[bool, bool]]:
+        """(input side ~ weighted output side, induced dual = canonical dual) of each side.
+
+        The weighted sides m Phi and conj(m) Psi are built here, as one
+        stack, and die with the call.
+        """
+        tildes, tilde = self.canonical_duals(tol)
+        if self._values is None:
+            self._values = stacked([symbol.values for symbol in self.symbols])
+        weighted = self.out_syn * self._values[..., None, :]
+        frames.require_finite(weighted)  # as the frames m Phi and conj(m) Psi would be
+        equivalent = frames.are_equivalent(self.in_syn, tilde, weighted, tol)
+        canonical = [frames.frames_equal(dual, canonical_dual, tol)
+                     for dual, canonical_dual in zip(self.duals, tildes)]
+        return list(zip(equivalent, canonical))
+
+
+def _side_chunks(mult: Multiplier, tol: ToleranceConfig) -> tuple[_Sides, ...]:
+    """The sides (M, M*) of ``mult`` in chunks, after the checks of ``induced_duals``.
+
+    Both sides go in one chunk when ``_both_sides_fit``, and each step of a
+    check is then one numpy or LAPACK call for both; above it they go one
+    at a time, so a step holds the arrays of one side, as a check of one
+    multiplier does. The chunks are built once per multiplier.
+    """
+    duals = induced_duals(mult, tol)  # (psi_dagger, phi_dagger): the input-side duals of M and M*
+    if mult._sides is None:
+        sides = (mult, mult.adjoint())
+        chunks = ((0, 1),) if _both_sides_fit(mult) else ((0,), (1,))
+        mult._sides = tuple(_Sides(tuple(sides[k] for k in chunk), tuple(duals[k] for k in chunk),
+                                   tuple(duals[1 - k] for k in chunk)) for chunk in chunks)
+    return mult._sides
+
+
+def all_duals_certificates(mult: Multiplier, tol: ToleranceConfig, read: Callable) -> list:
+    """``read`` of each side's all-duals certificate, M's (all Psi_d) and then M*'s (all Phi_d).
+
+    The sides are certified in the chunks of ``_side_chunks``, and each
+    certificate is given to ``read`` as soon as its chunk is done. A
+    certificate holds an N x d slope: one side's dies before the other side
+    is certified unless both sides fit SIDE_STACK_BYTES together.
+    """
+    return [result for sides in _side_chunks(mult, tol)
+            for result in map(read, sides.certificates(tol, mult._minv_norm))]
+
+
 def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> DualsCertificate:
     """Certify Minv = Syn_{Psi_d} diag(1/m) Ana_{phi_dagger} for ALL duals Psi_d.
 
@@ -421,27 +580,26 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     ||tilde_Psi||, the perturbation norm the sampler uses. A ||Minv|| that
     is zero or overflows gives +inf, the rule of ``relative_to``. The
     certificate holds defect(0) and B, an N x d array, for the sampler.
+    The bundle certifies both sides with ``all_duals_certificates``.
     """
-    invert(mult, tol)
-    recip = mult.symbol.reciprocal().values
-    tilde_psi = frames.canonical_dual(mult.psi, tol)
-    phi_dagger = induced_duals(mult, tol).phi_dagger
-    ana = phi_dagger.analysis_matrix  # a conjugate copy, formed once for the defect and the slope
-    defect = _inverse_defect(mult, tilde_psi, ana, tol)
-
-    slope = recip[:, None] * ana
-    del ana  # not held through the product below, the peak of the certificate
-    slope -= mult.psi.analysis_matrix @ (tilde_psi.synthesis @ slope)
-    minv_norm = mult._minv_norm()
-    return DualsCertificate(
-        base_residual=relative_to(frobenius(defect), minv_norm),
-        linear_residual=relative_to(frobenius(slope) * tilde_psi.norm, minv_norm),
-        defect=defect, slope=slope, dual_norm=tilde_psi.norm, inverse_norm=minv_norm)
+    duals = induced_duals(mult, tol)
+    return _Sides((mult,), duals[:1], duals[1:]).certificates(tol, mult._minv_norm)[0]
 
 
 def certify_minv2_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> DualsCertificate:
     """Certify Minv = Syn_{psi_dagger} diag(1/m) Ana_{Phi_d} for ALL duals Phi_d."""
     return certify_minv1_all_duals(mult.adjoint(), tol)
+
+
+def induced_duals_are_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> list[bool]:
+    """Whether psi_dagger is a dual of Psi and phi_dagger one of Phi, in that order.
+
+    Each is the induced dual of one side's input side; each chunk of
+    ``_side_chunks`` takes one product for its sides, and each residual is
+    the 2-D norm of its slice, so each pair is decided as ``frames.is_dual``
+    decides it alone.
+    """
+    return [ok for sides in _side_chunks(mult, tol) for ok in sides.reconstruct(tol)]
 
 
 def sampling_generator(seed: int) -> np.random.Generator:
@@ -465,21 +623,26 @@ def sampled_dual_residuals(certificate: DualsCertificate, draws: int,
 
     H is ||tilde|| G / ||G|| for a d x N complex G whose entries' real and
     imaginary parts are standard normals, drawn in memory order: row by row,
-    the real part of an entry just before its imaginary part. G is drawn
-    into one buffer that every draw reuses, and the scale is applied to the
-    d x d product G slope, not to G. The verification bundle draws both
-    sides from one generator: the input side's duals, then the output
-    side's, from the adjoint's certificate.
+    the real part of an entry just before its imaginary part, one draw after
+    the other. The Gs are drawn into one buffer of as many draws as fit
+    SIDE_STACK_BYTES, at least one, which every batch reuses; each batch
+    takes one call of the generator and one stacked product, and the scale
+    is applied to each d x d product G slope, not to G. The verification
+    bundle draws both sides from one generator: the input side's duals,
+    then the output side's, from the adjoint's certificate.
     """
     defect, slope = certificate.defect, certificate.slope
-    perturbation = np.empty((defect.shape[0], slope.shape[0]), dtype=np.complex128)
+    shape = (defect.shape[0], slope.shape[0])
+    batch = max(1, min(draws, SIDE_STACK_BYTES // (shape[0] * shape[1] * _ENTRY_BYTES)))
+    buffer = np.empty((batch,) + shape, dtype=np.complex128)
     worst = 0.0
-    for _ in range(draws):
-        rng.standard_normal(out=perturbation.view(np.float64))
-        step = perturbation @ slope
-        step *= certificate.dual_norm / frobenius(perturbation)
-        step += defect
-        worst = max(worst, relative_to(frobenius(step), certificate.inverse_norm))
+    for first in range(0, draws, batch):
+        perturbations = buffer[:min(batch, draws - first)]
+        rng.standard_normal(out=perturbations.view(np.float64))
+        for perturbation, step in zip(perturbations, perturbations @ slope):
+            step *= certificate.dual_norm / frobenius(perturbation)
+            step += defect
+            worst = max(worst, relative_to(frobenius(step), certificate.inverse_norm))
     return worst
 
 
@@ -503,8 +666,8 @@ def uniqueness_nullity(symbol: Symbol, tol: ToleranceConfig = DEFAULT_TOL) -> in
     """
     if not symbol.all_nonzero:
         raise ZeroSymbolEntry("the uniqueness constraints need a zero-free symbol")
-    moduli = np.abs(symbol.values)
-    return int(np.count_nonzero(~tol.spans(np.min(moduli), moduli, moduli.size)))
+    moduli = symbol.moduli
+    return int(np.count_nonzero(~tol.spans(moduli.min(), moduli, moduli.size)))
 
 
 def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -517,12 +680,13 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     ``tol`` on every call; the residual itself depends on no tolerance and
     is computed once per multiplier.
     """
-    invert(mult, tol)  # NotInvertible before any NotAFrame
-    tilde_psi = frames.canonical_dual(mult.psi, tol)
-    tilde_phi = frames.canonical_dual(mult.phi, tol)
+    minv = invert(mult, tol)  # NotInvertible before any NotAFrame
+    inputs = ((mult.psi, mult.phi),) if _both_sides_fit(mult) else ((mult.psi,), (mult.phi,))
+    tilde_psi, tilde_phi = [dual for chunk in inputs for dual in frames.canonical_duals(chunk, tol)]
     residual = mult._canonical_residual
     if residual is None:
-        defect = _inverse_defect(mult, tilde_psi, tilde_phi.analysis_matrix, tol)
+        defect = _inverse_defect(minv, mult.symbol.reciprocal().values, tilde_psi.synthesis,
+                                 tilde_phi.analysis_matrix)
         residual = relative_to(frobenius(defect), mult._minv_norm())
         mult._canonical_residual = residual
     return residual
@@ -569,16 +733,6 @@ class PropQReport(NamedTuple):
         return finding(name, ok, value=value)
 
 
-def _input_side_criteria(mult: Multiplier, tol: ToleranceConfig) -> tuple[bool, bool]:
-    """(Psi ~ m Phi, psi_dagger = tilde Psi) of the input side; of the output side on the adjoint.
-
-    The weighted side m Phi is built here and dies with the call.
-    """
-    return (frames.is_equivalent(mult.psi, weighted_frame(mult.phi, mult.symbol), tol),
-            frames.frames_equal(induced_duals(mult, tol).psi_dagger,
-                                frames.canonical_dual(mult.psi, tol), tol))
-
-
 def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQReport:
     """Evaluate the equivalence criteria tied to the canonical inversion.
 
@@ -602,16 +756,17 @@ def check_prop_q(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> PropQR
     detail. Until no norm squares its entries, a norm that leaves the
     double range can give one on valid input (every input times 1e-100).
 
-    Equivalence is symmetric, so ``frames.is_equivalent`` maps from Psi or
+    Equivalence is symmetric, so ``frames.are_equivalent`` maps from Psi or
     Phi, whose canonical duals the canonical inversion has already taken
-    (NotAFrame there for a side that does not span).
+    (NotAFrame there for a side that does not span); the two sides are
+    decided in the stacked chunks of ``_side_chunks``.
     ZeroSymbolEntry for a symbol with a zero, NotInvertible for a singular M.
     """
     if not mult.symbol.all_nonzero:
         raise ZeroSymbolEntry("the equivalence criteria need a zero-free symbol")
     eq1 = tol.within(verify_canonical_inversion(mult, tol), 1.0)
     # (psi_equiv_mphi, phi_equiv_mbar_psi) and (psi_dagger_is_canonical, phi_dagger_is_canonical)
-    equivalent, canonical = zip(*(_input_side_criteria(side, tol) for side in (mult, mult.adjoint())))
+    equivalent, canonical = zip(*(pair for sides in _side_chunks(mult, tol) for pair in sides.criteria(tol)))
     report = PropQReport(eq1, *equivalent, *canonical,
                          constant_symbol=mult.symbol.is_constant(tol),
                          constant_modulus=mult.symbol.has_constant_modulus(tol))
@@ -653,7 +808,6 @@ def check_weighted_canonical(phi: FiniteFrame, m: Symbol,
     if len(m) != phi.size:
         raise DimensionMismatch(f"need {phi.size} weights, got {len(m)}")
     tilde_phi = frames.canonical_dual(phi, tol)
-    moduli = np.abs(m.values)
-    weighted = phi.synthesis * np.ldexp(moduli, -np.frexp(np.max(moduli))[1]) ** 2
+    weighted = phi.synthesis * np.ldexp(m.moduli, -np.frexp(m.sup_modulus)[1]) ** 2
     defect = weighted @ phi.analysis_matrix @ tilde_phi.synthesis - weighted
     return bool(tol.within(frobenius(defect), frobenius(weighted)))

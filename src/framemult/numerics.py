@@ -1,7 +1,7 @@
 """Dense complex linear algebra with an explicit tolerance policy.
 
 Every LAPACK call of the package (svd, eigvalsh, inv) is made here but one,
-the ``np.linalg.solve`` of ``frames.canonical_dual``. ``ToleranceConfig``
+the ``np.linalg.solve`` of ``frames.canonical_duals``. ``ToleranceConfig``
 turns rel_eps and cond_max into a decision everywhere but one place: the
 CLI's ``--verify-all`` bundle passes rel_eps, or rel_eps times the
 condition number, to ``report.finding``, which decides
@@ -25,6 +25,13 @@ is +inf (``relative_to``) and fails ``within``.
 
 Matrices are plain numpy arrays with dtype complex128. ``frobenius`` is the
 norm of every matrix, vector or stack of matrices in the package.
+
+A few matrices of equal shape, such as the two sides of a multiplier, are
+stacked (``stacked``) so that each step takes one numpy or LAPACK call for
+all of them. A slice of a stacked matmul, solve, eigvalsh or svd is the
+per-matrix result bit for bit, as long as each slice has the memory layout
+the matrix alone would have; the norms of such a stack are taken slice by
+slice with the 2-D ``frobenius``, whose sums differ from a stacked norm's.
 
 A decision reads the two ends of a spectrum: ``singular_extremes`` gives
 (sigma_max, sigma_min) and ``hermitian_extremes`` (lambda_min, lambda_max),
@@ -107,6 +114,11 @@ class ToleranceConfig(_Tolerances):
 DEFAULT_TOL = ToleranceConfig()
 
 
+def stacked(arrays) -> np.ndarray:
+    """The (K, ...) stack of K arrays of one shape: a view of the array for K = 1, else a C-ordered copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of ``a``, or of each matrix in a stack (..., m, n)."""
     return np.conj(np.asarray(a)).swapaxes(-1, -2)
@@ -156,7 +168,7 @@ def hermitian_extremes(a: np.ndarray):
 def _extremes(a: np.ndarray, one_by_one, spectrum):
     """First and last of ``spectrum(a)``, floats for one matrix, by the two rules.
 
-    In a stack a zero matrix stands in for each one that is not finite. A
+    Only the finite matrices of a stack are factorized, as one stack. A
     1 x 1 matrix [a] gives ``one_by_one(a)`` twice. ``spectrum`` looks
     np.linalg up at each call, so that a wrapper put in its place sees it.
     """
@@ -164,8 +176,10 @@ def _extremes(a: np.ndarray, one_by_one, spectrum):
         if a.ndim == 2:
             return math.nan, math.nan
         finite = np.isfinite(a).all(axis=(-2, -1))
-        first, last = _extremes(np.where(finite[..., None, None], a, 0), one_by_one, spectrum)
-        return np.where(finite, first, math.nan), np.where(finite, last, math.nan)
+        first, last = np.full(finite.shape, math.nan), np.full(finite.shape, math.nan)
+        if finite.any():
+            first[finite], last[finite] = _extremes(a[finite], one_by_one, spectrum)
+        return first, last
     values = one_by_one(a[..., 0]) if a.shape[-2:] == (1, 1) else spectrum(a)
     if a.ndim == 2:
         return float(values[0]), float(values[-1])

@@ -42,33 +42,35 @@ def random_frame(dim, size, rng):
     raise RuntimeError("failed to draw a spanning sequence")
 
 
-def semi_normalized_symbol(rng, size):
-    """Moduli uniform in [0.5, 2], phases uniform."""
-    moduli = rng.uniform(0.5, 2.0, size)
+def semi_normalized_symbol(rng, size, wide=False):
+    """Moduli uniform in [0.5, 2], or log-uniform over e^-8..e^8 when ``wide``; phases uniform."""
+    moduli = np.exp(rng.uniform(-8.0, 8.0, size)) if wide else rng.uniform(0.5, 2.0, size)
     phases = np.exp(2j * np.pi * rng.uniform(size=size))
     return mp.Symbol(moduli * phases)
 
 
-def fuzz_instance(rng, family):
+def fuzz_instance(rng, family, wide=False):
     """One multiplier from a C5 fuzz family, redrawn until well conditioned.
 
     Families: 0 fully random, 1 constructed equivalence psi ~ m.phi,
     2 constant symbol, 3 constant modulus, 4 Riesz pair. The conditioning
     cap keeps boolean criteria away from their tolerance thresholds, so a
-    contradiction means a genuine logic defect rather than roundoff.
+    contradiction means a genuine logic defect rather than roundoff. With
+    ``wide``, every modulus is drawn over e^-8..e^8 instead of [0.5, 2]:
+    one per entry, or one for a constant symbol or modulus.
     """
+    modulus = (lambda: np.exp(rng.uniform(-8.0, 8.0))) if wide else (lambda: rng.uniform(0.5, 2.0))
     while True:
         dim = int(rng.integers(1, 5))
         size = dim if family == 4 else int(rng.integers(dim, 7))
         phi = random_frame(dim, size, rng)
         if family == 2:
-            head = complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform()))
+            head = complex(modulus() * np.exp(2j * np.pi * rng.uniform()))
             symbol = mp.Symbol(np.full(size, head))
         elif family == 3:
-            modulus = rng.uniform(0.5, 2.0)
-            symbol = mp.Symbol(modulus * np.exp(2j * np.pi * rng.uniform(size=size)))
+            symbol = mp.Symbol(modulus() * np.exp(2j * np.pi * rng.uniform(size=size)))
         else:
-            symbol = semi_normalized_symbol(rng, size)
+            symbol = semi_normalized_symbol(rng, size, wide)
         if family == 1:
             weighted = mp.weighted_frame(phi, symbol)
             lift = np.eye(dim) + 0.3 * (rng.standard_normal((dim, dim))
@@ -83,10 +85,12 @@ def fuzz_instance(rng, family):
             return mult
 
 
-def adjoint_family(seed):
+def adjoint_family(seed, perturbation=0.0):
     """(m, Phi, Psi) with psi_n = L(m_n phi_n): d in 1..4, N in d..3d + 1, moduli over e^-8..e^8.
 
-    Phi and Psi are N x d arrays of rows, the vectors.
+    Phi and Psi are N x d arrays of rows, the vectors. A nonzero
+    ``perturbation`` adds to Psi a Gaussian array of that norm relative to
+    ||Psi||, drawn after everything else.
     """
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 5))
@@ -94,7 +98,11 @@ def adjoint_family(seed):
     gaussian = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     phi, lift = gaussian(size, dim), gaussian(dim, dim)
     m = np.exp(rng.uniform(-8.0, 8.0, size)) * np.exp(2j * np.pi * rng.uniform(size=size))
-    return m, phi, (m[:, None] * phi) @ lift.T
+    psi = (m[:, None] * phi) @ lift.T
+    if perturbation:
+        noise = gaussian(size, dim)
+        psi = psi + noise * (perturbation * np.linalg.norm(psi) / np.linalg.norm(noise))
+    return m, phi, psi
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -114,6 +122,12 @@ def verify_small_draws(seed, count):
     finally:
         sys.dont_write_bytecode = writes_bytecode
     return [worker.small_instance(seed, index) for index in range(count)]
+
+
+def equivalent(phis, psis, tol=DEFAULT_TOL):
+    """``frames.are_equivalent`` of the frame pairs (phis[k], psis[k]), given as the stacks it takes."""
+    stack = lambda frames: np.array([frame.synthesis for frame in frames])
+    return fr.are_equivalent(stack(phis), stack(fr.canonical_duals(phis, tol)), stack(psis), tol)
 
 
 def dual_family(frame, h, tol=DEFAULT_TOL):
@@ -172,7 +186,8 @@ def uniqueness_kernel(mult, dual_samples, *, seed, tol=DEFAULT_TOL):
 def recover_pseudo_dual_F(mult, candidate, tol=DEFAULT_TOL):
     """If Minv = Syn_F diag(1/m) Ana_{phi_dagger} holds, whether F reconstructs Psi (it must)."""
     phi_dagger = mp.induced_duals(mult, tol).phi_dagger
-    defect = mp._inverse_defect(mult, candidate, phi_dagger.analysis_matrix, tol)
+    defect = mp._inverse_defect(mp.invert(mult, tol), mult.symbol.reciprocal().values,
+                                candidate.synthesis, phi_dagger.analysis_matrix)
     residual = nu.relative_to(nu.frobenius(defect), mult._minv_norm())
     if residual > tol.rel_eps:
         raise IdentityDoesNotHold(f"inverse identity fails for the candidate (residual {residual:.3e})")

@@ -113,16 +113,71 @@ def test_a_run_with_the_collector_off_leaves_no_garbage_that_grows_with_the_work
 
 
 def test_the_installed_command_and_the_main_block_run_the_same_function():
+    # the installed command runs script.entry, which ends in cli.entry; the
+    # main block of cli runs cli.entry
+    import framemult.script as script
+
     with open(os.path.join(REPO_DIR, "pyproject.toml"), encoding="utf-8") as handle:
         pyproject = handle.read()
     with open(cli.__file__, encoding="utf-8") as handle:
         source = handle.read()
-    script = re.search(r'^\[project\.scripts\]\nframemult = "framemult\.cli:(\w+)"$',
-                       pyproject, re.MULTILINE)
+    installed = re.search(r'^\[project\.scripts\]\nframemult = "framemult\.script:(\w+)"$',
+                          pyproject, re.MULTILINE)
     main_block = re.search(r'^if __name__ == "__main__":.*\n    sys\.exit\((\w+)\(\)\)$',
                            source, re.MULTILINE)
-    assert script and main_block
-    assert script[1] == main_block[1] == "entry"
+    assert installed and main_block
+    assert installed[1] == main_block[1] == "entry"
+    ran = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "environ", os.environ.copy())
+        patch.setattr(cli, "entry", lambda argv=None: ran.append(argv) or 0)
+        try:
+            assert script.entry(["examples", "list"]) == 0
+        finally:
+            gc.enable()
+    assert ran == [["examples", "list"]]
+
+
+# records the BLAS thread variables when numpy is first imported, and what the
+# process's environment holds at its exit; the way in is argv[1]
+BLAS_PROBE = """
+import atexit, importlib.abc, os, sys
+NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = []
+class Watch(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "numpy" and not seen:
+            seen.append({n: os.environ.get(n) for n in NAMES})
+sys.meta_path.insert(0, Watch())
+atexit.register(lambda: sys.stderr.write(repr([seen, {n: os.environ.get(n) for n in NAMES}]) + "\\n"))
+how, sys.argv[1:] = sys.argv[1], ["examples", "list"]
+if how == "main block":
+    import runpy
+    runpy.run_module("framemult.cli", run_name="__main__")
+elif how == "installed":
+    from framemult.script import entry
+    sys.exit(entry())
+else:
+    import framemult.cli
+"""
+
+
+@pytest.mark.parametrize("how", ["main block", "installed", "import"])
+@pytest.mark.parametrize("callers", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+def test_a_cli_process_pins_one_blas_thread_before_numpy_loads_unless_its_caller_set_one(
+        how, callers):
+    # a process started without the variables has each set to 1 before numpy
+    # loads, by the main block of cli or by the installed command's entry; a
+    # variable the caller set keeps its value; a plain import sets nothing
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {name: value for name, value in CHILD_ENV.items() if name not in names}
+    env.update(callers)
+    result = subprocess.run([sys.executable, "-c", BLAS_PROBE, how], capture_output=True,
+                            text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    at_numpy, at_exit = eval(result.stderr.splitlines()[-1])
+    expected = {name: callers.get(name, None if how == "import" else "1") for name in names}
+    assert at_numpy == [expected] and at_exit == expected
 
 
 def take(path):

@@ -9,12 +9,11 @@ from framemult.frames import (
     frame_operator,
     frames_equal,
     is_dual,
-    is_equivalent,
     is_frame,
     is_riesz_basis,
 )
 from framemult.numerics import ToleranceConfig
-from oracles import dual_family, random_dual_synthesis, random_frame
+from oracles import dual_family, equivalent, random_dual_synthesis, random_frame
 
 
 def mercedes():
@@ -160,36 +159,51 @@ def test_riesz_basis_has_a_unique_dual():
     assert frames_equal(dual_family(basis, h), tilde)
 
 
-def test_a_rotated_frame_is_equivalent(svd_calls):
+def test_a_rotated_frame_is_equivalent(factorizations):
     # the candidate map passes the mapping test, then one SVD finds it invertible
     phi = FiniteFrame(np.eye(2))
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     psi = FiniteFrame((rot @ phi.synthesis).T)
-    assert is_equivalent(phi, psi) is True
-    assert svd_calls == [(2, 2)]
+    assert equivalent([phi], [psi]) == [True]
+    assert factorizations.matrices("svd") == [(2, 2)]
 
 
-def test_unrelated_sequences_are_not_equivalent_and_take_no_svd(svd_calls):
+def test_unrelated_sequences_are_not_equivalent_and_take_no_svd(factorizations):
     # no linear map sends one to the other, so invertibility is never asked
     phi = mercedes()
     psi = FiniteFrame([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
-    assert is_equivalent(phi, psi) is False
-    assert svd_calls == []
+    assert equivalent([phi], [psi]) == [False]
+    assert factorizations.matrices("svd") == []
 
 
-def test_a_singular_map_is_not_equivalent_after_one_svd(svd_calls):
+def test_a_singular_map_is_not_equivalent_after_one_svd(factorizations):
     # the map exists, and its SVD finds it singular
     phi = FiniteFrame(np.eye(2))
     psi = FiniteFrame([[1.0, 0.0], [1.0, 0.0]])
-    assert is_equivalent(phi, psi) is False
-    assert svd_calls == [(2, 2)]
+    assert equivalent([phi], [psi]) == [False]
+    assert factorizations.matrices("svd") == [(2, 2)]
+
+
+def test_a_stack_of_pairs_factorizes_only_the_maps_that_passed_the_mapping_test(factorizations):
+    # the pairs above, two of each shape decided together: one eigvalsh, one
+    # solve and one SVD per stack, the SVD taking only the maps that exist
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    bases = [FiniteFrame(np.eye(2)), FiniteFrame(np.eye(2))]
+    assert equivalent(bases, [FiniteFrame(rot.T), FiniteFrame([[1.0, 0.0], [1.0, 0.0]])]) == \
+        [True, False]
+    assert factorizations.matrices("svd") == [(2, 2)] * 2
+    del factorizations[:]
+    unrelated = FiniteFrame([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    assert equivalent([mercedes(), mercedes()], [unrelated, mercedes()]) == [False, True]
+    assert [(name, stack) for name, _, stack in factorizations] == \
+        [("eigvalsh", 2), ("solve", 2), ("svd", 1)]
 
 
 def test_equivalence_raises_for_a_first_sequence_that_does_not_span_or_a_shape_mismatch():
     with pytest.raises(NotAFrame):
-        is_equivalent(FiniteFrame([[1.0, 0.0], [1.0, 0.0]]), FiniteFrame(np.eye(2)))
+        equivalent([FiniteFrame([[1.0, 0.0], [1.0, 0.0]])], [FiniteFrame(np.eye(2))])
     with pytest.raises(DimensionMismatch):
-        is_equivalent(mercedes(), FiniteFrame(np.eye(2)))
+        equivalent([mercedes()], [FiniteFrame(np.eye(2))])
 
 
 def test_frames_equal_is_order_sensitive():
@@ -255,13 +269,13 @@ def test_an_overflowed_scale_fails_frames_equal():
 
 
 @overflow_warning
-def test_an_overflowed_scale_fails_the_mapping_test(svd_calls):
+def test_an_overflowed_scale_fails_the_mapping_test(factorizations):
     # no linear map sends a frame of 5 vectors in C^2 to an unrelated one
     rng = np.random.default_rng(3)
     phi = FiniteFrame(rng.standard_normal((5, 2)))
     psi = FiniteFrame(1e160 * rng.standard_normal((5, 2)))
-    assert is_equivalent(phi, psi) is False
-    assert svd_calls == []
+    assert equivalent([phi], [psi]) == [False]
+    assert factorizations.matrices("svd") == []
 
 
 @overflow_warning

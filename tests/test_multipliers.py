@@ -22,6 +22,7 @@ from framemult.numerics import ToleranceConfig
 from oracles import (
     IdentityDoesNotHold,
     adjoint_family,
+    equivalent,
     random_dual_synthesis,
     random_frame,
     recover_pseudo_dual_F,
@@ -526,11 +527,11 @@ def test_constant_modulus_chain_all_false():
     m = mp.Symbol([1.0, 1.0])
     with pytest.raises(NotInvertible):
         mp.check_prop_q(mp.build(m, phi, psi))
-    assert not fr.is_equivalent(psi, mp.weighted_frame(phi, m))
-    assert not fr.is_equivalent(phi, mp.weighted_frame(psi, m.conjugate()))
+    assert equivalent([psi], [mp.weighted_frame(phi, m)]) == [False]
+    assert equivalent([phi], [mp.weighted_frame(psi, m.conjugate())]) == [False]
 
 
-def test_constant_modulus_chain_with_an_input_side_that_does_not_span(svd_calls):
+def test_constant_modulus_chain_with_an_input_side_that_does_not_span(factorizations):
     # M has rank one; Psi is equivalent to no frame, and the only map from
     # Phi onto the weighted Psi exists but is singular
     phi = FiniteFrame(np.eye(2))
@@ -539,10 +540,10 @@ def test_constant_modulus_chain_with_an_input_side_that_does_not_span(svd_calls)
     with pytest.raises(NotInvertible):
         mp.check_prop_q(mp.build(m, phi, psi))
     with pytest.raises(NotAFrame):
-        fr.is_equivalent(psi, mp.weighted_frame(phi, m))
-    del svd_calls[:]
-    assert not fr.is_equivalent(phi, mp.weighted_frame(psi, m.conjugate()))
-    assert svd_calls == [(2, 2)]
+        equivalent([psi], [mp.weighted_frame(phi, m)])
+    del factorizations[:]
+    assert equivalent([phi], [mp.weighted_frame(psi, m.conjugate())]) == [False]
+    assert factorizations.matrices("svd") == [(2, 2)]
 
 
 def test_constant_modulus_requires_constant_moduli():

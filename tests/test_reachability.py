@@ -26,8 +26,11 @@ import numpy as np
 import framemult
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(framemult.__file__))
-# the oracle route, and numerics.condition_number, which perfbench/worker.py calls through cli
-NOT_REACHED = {"multipliers.apply_termwise", "numerics.condition_number"}
+# the oracle route; numerics.condition_number, which perfbench/worker.py calls
+# through cli; and the one-side certificates, which perfbench times by name and
+# the tests call, while the bundle certifies both sides in one stacked step
+NOT_REACHED = {"multipliers.apply_termwise", "numerics.condition_number",
+               "multipliers.certify_minv1_all_duals", "multipliers.certify_minv2_all_duals"}
 
 
 def function_codes(code, module):
@@ -113,9 +116,11 @@ def fresh_package():
 
 def test_every_package_function_is_reached_by_the_cli(tmp_path, monkeypatch):
     cases = cli_cases(str(tmp_path))
-    # the first case goes through the process entry, with the end of the process stubbed out
+    # the first case goes through the installed command's entry, with the end
+    # of the process stubbed out and its BLAS setting kept from this process
     monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)
     monkeypatch.setattr(os, "_exit", lambda code: codes.append(code))
+    monkeypatch.setattr(os, "environ", os.environ.copy())
     entered = set()
 
     def profile(frame, event, arg):
@@ -129,12 +134,13 @@ def test_every_package_function_is_reached_by_the_cli(tmp_path, monkeypatch):
         sys.setprofile(profile)
         try:
             import framemult.cli as cli
+            import framemult.script as script
 
             for argv in cases:
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
                     if argv is cases[0]:
-                        cli.entry(argv)
+                        script.entry(argv)
                     else:
                         codes.append(cli.main(argv))
         finally:
