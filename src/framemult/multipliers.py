@@ -41,18 +41,15 @@ Psi ~ m Phi; read on M*, phi_dagger is the canonical dual of Phi exactly
 when Phi ~ conj(m) Psi. ``check_prop_q`` decides the input side's pair on
 M and on M* once each.
 
-The verification bundle evaluates each such pair of twins as one pass
-over the sides M (side 0) and M* (side 1) stacked along a leading axis:
-the two duality tests of the induced duals, the two all-duals
-certificates, the canonical duals of Psi and Phi and the two sides of the
-equivalence criteria each take one numpy or LAPACK call per step for both
-sides (``_Sides``). A slice of such a stacked call is the one-side result
-bit for bit, and every norm is taken slice by slice, so the reports are
-those of the side-by-side evaluation. Memory bounds the stacking: both
-sides go in one step when two of their d x N arrays fit SIDE_STACK_BYTES
-(64 KiB, d N <= 2048), and above it one side at a time, the same code with
-a stack of one side, so that a step holds the arrays of one side only.
-For a symbol of one nonzero modulus, the chain
+The verification bundle checks the twins of M (side 0) and M* (side 1)
+stacked side by side (``_Sides``): the duality tests of the induced duals,
+the all-duals certificates, the canonical duals of Psi and Phi and the
+equivalence criteria take one numpy or LAPACK call per step for both
+sides. A slice of a stacked call is the one-side result bit for bit and
+norms are taken slice by slice, so the reports are those of side-by-side
+checks. Both sides go in one step when two of their d x N arrays fit
+SIDE_STACK_BYTES (64 KiB: d N <= 2048); above it one side at a time, so a
+step holds the arrays of one side only. For a symbol of one nonzero modulus, the chain
 "eq1 iff Psi ~ m Phi iff Phi ~ conj(m) Psi" is their corollary, asserted
 and given by the same report. A violated implication between the criteria
 is a value of that report, its message, which the CLI and the examples
@@ -439,32 +436,24 @@ class DualsCertificate(NamedTuple):
         return max(self.base_residual, self.linear_residual)
 
 
-SIDE_STACK_BYTES = 1 << 16  # bytes of the d x N arrays one stacked step of the side-wise checks holds
+SIDE_STACK_BYTES = 1 << 16  # bytes of the d x N arrays of both sides that one stacked step holds
 _ENTRY_BYTES = np.dtype(np.complex128).itemsize
 
 
 def _both_sides_fit(mult: Multiplier) -> bool:
-    """Whether the d x N arrays of both sides fit SIDE_STACK_BYTES, so that they go in one step."""
+    """Whether two d x N arrays fit SIDE_STACK_BYTES, so that both sides go in one step."""
     return 2 * mult.dim * mult.size * _ENTRY_BYTES <= SIDE_STACK_BYTES
 
 
 class _Sides:
-    """A chunk of the sides of a multiplier M: M, its adjoint M*, or both.
+    """A chunk of the sides M (side 0) and M* (side 1) of a multiplier, stacked side by side.
 
-    M* = M_{conj m, Psi, Phi} swaps the input and output sides, so each
-    side-wise check decides the input side of each side. For side k of the
-    chunk, ``frames``[k] is its input side (Psi for M, Phi for M*),
-    ``duals``[k] the induced dual of that side (psi_dagger, phi_dagger) and
-    ``symbols``[k] its symbol (m, conj m). The stacks ``in_syn`` and
-    ``out_syn`` (the input and output sides), ``in_duals`` and
-    ``out_duals`` (their induced duals) and ``minv`` (Minv, Minv*) hold
-    side k at index k. A chunk of both sides copies the input sides and
-    their duals into its stacks, and each output-side stack is its
-    input-side twin reversed; a chunk of one side stacks views. The
-    symbols, their reciprocals and the canonical duals of the input sides
-    are stacked at first use. Everything is tolerance-free; a chunk holds
-    frames, symbols and arrays but no multiplier, so it makes no reference
-    cycle.
+    Side k's input side is ``frames``[k] (Psi, Phi), its induced dual
+    ``duals``[k] (psi_dagger, phi_dagger) and its symbol ``symbols``[k]
+    (m, conj m); every stack holds side k at index k. M* swaps the sides,
+    so for both sides the output-side stacks are the input-side ones
+    reversed; a chunk of one side stacks views. Tolerance-free and built
+    once per multiplier, a chunk holds no multiplier, so no reference cycle.
     """
 
     __slots__ = ("frames", "duals", "symbols", "minv", "in_syn", "out_syn", "in_duals", "out_duals",
@@ -486,23 +475,20 @@ class _Sides:
         self._values = self._recip = self._tilde = None
 
     def canonical_duals(self, tol: ToleranceConfig) -> tuple[list[FiniteFrame], np.ndarray]:
-        """The canonical duals of the input sides and their stack; NotAFrame for a side that does not span."""
+        """The canonical duals of the input sides and their stack."""
         tildes = frames.canonical_duals(self.frames, tol)
         if self._tilde is None:
             self._tilde = stacked([dual.synthesis for dual in tildes])
         return tildes, self._tilde
 
     def reconstruct(self, tol: ToleranceConfig) -> list[bool]:
-        """Whether each side's induced dual is a dual of its input side, the test of ``frames.is_dual``."""
+        """``frames.is_dual`` of each side's induced dual and input side."""
         defects = frames.reconstruction_defect(self.in_duals, self.in_syn)
         return [bool(tol.within(frobenius(defect), dual.norm * frame.norm))
                 for defect, dual, frame in zip(defects, self.duals, self.frames)]
 
     def certificates(self, tol: ToleranceConfig, inverse_norm: Callable[[], float]) -> list[DualsCertificate]:
-        """``certify_minv1_all_duals`` of each side, with one call per step for the chunk.
-
-        ``inverse_norm`` gives ||Minv||, which is also ||Minv*||.
-        """
+        """``certify_minv1_all_duals`` of each side; ``inverse_norm`` gives ||Minv||, also ||Minv*||."""
         if self._recip is None:
             self._recip = stacked([symbol.reciprocal().values for symbol in self.symbols])
         recip = self._recip
@@ -524,8 +510,8 @@ class _Sides:
     def criteria(self, tol: ToleranceConfig) -> list[tuple[bool, bool]]:
         """(input side ~ weighted output side, induced dual = canonical dual) of each side.
 
-        The weighted sides m Phi and conj(m) Psi are built here, as one
-        stack, and die with the call.
+        The weighted sides m Phi and conj(m) Psi are one stack that dies
+        with the call.
         """
         tildes, tilde = self.canonical_duals(tol)
         if self._values is None:
@@ -539,12 +525,9 @@ class _Sides:
 
 
 def _side_chunks(mult: Multiplier, tol: ToleranceConfig) -> tuple[_Sides, ...]:
-    """The sides (M, M*) of ``mult`` in chunks, after the checks of ``induced_duals``.
+    """The chunks of the sides of ``mult``, one of both sides when ``_both_sides_fit``, else one per side.
 
-    Both sides go in one chunk when ``_both_sides_fit``, and each step of a
-    check is then one numpy or LAPACK call for both; above it they go one
-    at a time, so a step holds the arrays of one side, as a check of one
-    multiplier does. The chunks are built once per multiplier.
+    The checks of ``induced_duals`` are made at every call.
     """
     duals = induced_duals(mult, tol)  # (psi_dagger, phi_dagger): the input-side duals of M and M*
     if mult._sides is None:
@@ -556,12 +539,10 @@ def _side_chunks(mult: Multiplier, tol: ToleranceConfig) -> tuple[_Sides, ...]:
 
 
 def all_duals_certificates(mult: Multiplier, tol: ToleranceConfig, read: Callable) -> list:
-    """``read`` of each side's all-duals certificate, M's (all Psi_d) and then M*'s (all Phi_d).
+    """``read`` of each side's all-duals certificate, M's then M*'s, as soon as its chunk is done.
 
-    The sides are certified in the chunks of ``_side_chunks``, and each
-    certificate is given to ``read`` as soon as its chunk is done. A
-    certificate holds an N x d slope: one side's dies before the other side
-    is certified unless both sides fit SIDE_STACK_BYTES together.
+    Above SIDE_STACK_BYTES one side's certificate, with its N x d slope,
+    dies before the other side is certified.
     """
     return [result for sides in _side_chunks(mult, tol)
             for result in map(read, sides.certificates(tol, mult._minv_norm))]
@@ -580,7 +561,6 @@ def certify_minv1_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     ||tilde_Psi||, the perturbation norm the sampler uses. A ||Minv|| that
     is zero or overflows gives +inf, the rule of ``relative_to``. The
     certificate holds defect(0) and B, an N x d array, for the sampler.
-    The bundle certifies both sides with ``all_duals_certificates``.
     """
     duals = induced_duals(mult, tol)
     return _Sides((mult,), duals[:1], duals[1:]).certificates(tol, mult._minv_norm)[0]
@@ -592,13 +572,7 @@ def certify_minv2_all_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
 
 
 def induced_duals_are_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL) -> list[bool]:
-    """Whether psi_dagger is a dual of Psi and phi_dagger one of Phi, in that order.
-
-    Each is the induced dual of one side's input side; each chunk of
-    ``_side_chunks`` takes one product for its sides, and each residual is
-    the 2-D norm of its slice, so each pair is decided as ``frames.is_dual``
-    decides it alone.
-    """
+    """Whether psi_dagger is a dual of Psi and phi_dagger one of Phi, as ``frames.is_dual`` decides."""
     return [ok for sides in _side_chunks(mult, tol) for ok in sides.reconstruct(tol)]
 
 
@@ -624,12 +598,11 @@ def sampled_dual_residuals(certificate: DualsCertificate, draws: int,
     H is ||tilde|| G / ||G|| for a d x N complex G whose entries' real and
     imaginary parts are standard normals, drawn in memory order: row by row,
     the real part of an entry just before its imaginary part, one draw after
-    the other. The Gs are drawn into one buffer of as many draws as fit
-    SIDE_STACK_BYTES, at least one, which every batch reuses; each batch
-    takes one call of the generator and one stacked product, and the scale
-    is applied to each d x d product G slope, not to G. The verification
-    bundle draws both sides from one generator: the input side's duals,
-    then the output side's, from the adjoint's certificate.
+    the other, into one buffer of as many draws as fit SIDE_STACK_BYTES
+    (at least one), reused by every batch. The scale is applied to the
+    d x d product G slope, not to G. The verification bundle draws both
+    sides from one generator: the input side's duals, then the output
+    side's, from the adjoint's certificate.
     """
     defect, slope = certificate.defect, certificate.slope
     shape = (defect.shape[0], slope.shape[0])

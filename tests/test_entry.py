@@ -33,8 +33,9 @@ CHILD_ENV["PYTHONPATH"] = os.path.dirname(PACKAGE_DIR)
 
 # an atexit hook reports how many collections ran from the start of the
 # run, and the interpreter's teardown, where it runs, finalizes `mark`;
-# the entry is imported first, as the installed command imports it, with
-# the collector on
+# cli.entry is imported first, with the collector on, while the installed
+# command's entry imports cli, and numpy with it, after it switches the
+# collector off
 COLLECTION_PROBE = """
 import atexit, gc, os, sys
 class Mark:
@@ -46,6 +47,9 @@ how = sys.argv[1]
 if how == "runpy":
     import runpy
     sys.argv[1:] = ["examples", "list"]
+elif how == "script":  # the installed command's entry, which imports cli itself
+    from framemult.script import entry
+    assert "numpy" not in sys.modules
 else:
     from framemult.cli import entry
     assert gc.isenabled()
@@ -61,6 +65,7 @@ else:
 
 @pytest.mark.parametrize("how, argv, exit_code", [
     ("runpy", [], 0),
+    ("script", ["examples", "list"], 0),
     ("entry", ["examples", "list"], 0),
     ("entry", ["examples", "run"], 2),  # a UsageError
     ("entry", ["examples", "list", "--seed", "1"], 2),  # rejected by argparse

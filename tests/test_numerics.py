@@ -334,6 +334,10 @@ def test_a_matrix_that_is_not_finite_has_nan_extremes_with_no_lapack_call(entry,
                 alone = [extremes(a) for a in stack]
                 assert same_bits(first, [a[0] for a in alone]) and same_bits(last, [a[1] for a in alone])
             assert all(finite for _, finite in lapack_calls)
+            # a stack with no finite matrix, such as one matrix alone, takes no call
+            for extremes in (singular_extremes, hermitian_extremes):
+                first, last = extremes(matrix[None])
+                assert np.isnan(first).all() and np.isnan(last).all()
     # per function at n = 3: the stack, once, and its two finite matrices alone
     assert len(lapack_calls) == 6
 
