@@ -187,8 +187,9 @@ class Multiplier:
     """Realized multiplier (symbol, output side, input side) with its matrix.
 
     The extreme singular values, the inverse and its norm, the induced
-    duals, the canonical-inversion residual, the adjoint's symbol and an
-    adjoint's matrix are lazy per-instance caches, each computed at most
+    duals, the canonical-inversion residual, the adjoint's symbol, an
+    adjoint's matrix and the stacked chunks of the two sides (``_Sides``)
+    are lazy per-instance caches, each computed at most
     once and free of any tolerance. An adjoint takes its derived values from
     the multiplier it came from, so the two share one SVD, one inverse and
     one ||Minv||, which is also ||Minv*||.
@@ -209,7 +210,7 @@ class Multiplier:
 
     # lazy caches; _origin is the multiplier an adjoint was derived from,
     # _conjugate the symbol conj(m) of a multiplier's adjoints, _extremes
-    # the pair (sigma_max, sigma_min)
+    # the pair (sigma_max, sigma_min), _sides the chunks of _side_chunks
     _origin = _conjugate = _matrix = _extremes = _inverse = _inverse_norm = _duals = None
     _canonical_residual = _sides = None
 
