@@ -655,6 +655,7 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     is computed once per multiplier.
     """
     minv = invert(mult, tol)  # NotInvertible before any NotAFrame
+    # Psi and Phi are solved for in one step when both sides fit, as in _side_chunks
     inputs = ((mult.psi, mult.phi),) if _both_sides_fit(mult) else ((mult.psi,), (mult.phi,))
     tilde_psi, tilde_phi = [dual for chunk in inputs for dual in frames.canonical_duals(chunk, tol)]
     residual = mult._canonical_residual
