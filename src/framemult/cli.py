@@ -31,6 +31,12 @@ the exit code stays. A written dual goes to its file a vector at a time,
 so a write that fails midway (a full disk) exits 2 and leaves the part
 already written in the file, which is then not a valid document.
 
+``multiplier`` reads the symbol file, then Phi's and Psi's through
+``formats.load_frame_pair``, which may decode Psi in a forked child while
+the process decodes Phi: the report, the errors, the one reported (the
+symbol's before Phi's before Psi's) and the exit code are those of
+reading the three files one after another.
+
 Each command imports only the modules it runs. ``frames``,
 ``multipliers``, ``numerics``, ``errors`` and ``report`` load with this
 module, since every command uses them. ``formats`` (and with it
@@ -108,9 +114,9 @@ class UsageError(Exception):
 # ------------------------------------------------------------------ reporting
 
 
-def _load(path: str, where: str, load, inputs: dict):
-    """The object ``load`` reads from ``path``, recording its path and sha256 under ``where``."""
-    obj, digest = load(path, where)
+def _record(inputs: dict, where: str, path: str, loaded: tuple):
+    """The object of an (object, sha256) pair read from ``path``, its path and sha256 recorded under ``where``."""
+    obj, digest = loaded
     inputs[where] = {"path": path, "sha256": digest}
     return obj
 
@@ -193,7 +199,7 @@ def cmd_frame_info(args) -> int:
 
     tol = args.tol
     inputs: dict = {}
-    frame = _load(args.frame, "frame", formats.load_frame_file, inputs)
+    frame = _record(inputs, "frame", args.frame, formats.load_frame_file(args.frame, "frame"))
     findings = [
         finding("dimensions", True, asserted=False,
                 value={"dim": frame.dim, "size": frame.size}),
@@ -287,9 +293,10 @@ def cmd_multiplier(args) -> int:
         raise UsageError("--verify-all samples random duals and needs --seed")
 
     inputs: dict = {}
-    symbol = _load(args.symbol, "symbol", formats.load_symbol_file, inputs)
-    phi = _load(args.phi, "phi", formats.load_frame_file, inputs)
-    psi = _load(args.psi, "psi", formats.load_frame_file, inputs)
+    symbol = _record(inputs, "symbol", args.symbol, formats.load_symbol_file(args.symbol, "symbol"))
+    phi_file, psi_file = formats.load_frame_pair((args.phi, "phi"), (args.psi, "psi"))
+    phi = _record(inputs, "phi", args.phi, phi_file)
+    psi = _record(inputs, "psi", args.psi, psi_file)
     mult = mp.build(symbol, phi, psi)
 
     if args.seed is not None:

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import framemult.cli as cli
+import framemult.formats as formats
 import framemult.multipliers as mp
 from framemult.frames import FiniteFrame
 from test_reachability import PACKAGE_DIR, cli_cases, pairs, write
@@ -195,12 +196,40 @@ def take(path):
     return data
 
 
-def test_a_cli_process_writes_what_main_writes_in_process(tmp_path):
+def overlap_files(directory):
+    """A symbol and frame files above formats.OVERLAP_MIN_BYTES: valid, refused by the scanner, not JSON."""
+    rng = np.random.default_rng(35)
+    dim, size = 48, 192
+    gaussian = lambda: pairs(rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
+    phases = np.exp(2j * np.pi * rng.uniform(size=size))
+    files = {"symbol": write(directory, "big_symbol.json", {"values": pairs(rng.uniform(0.5, 2.0, size) * phases)}),
+             "phi": write(directory, "big_phi.json", {"dim": dim, "vectors": gaussian()}),
+             "psi": write(directory, "big_psi.json", {"dim": dim, "vectors": gaussian()})}
+    refused = {"dim": dim, "vectors": gaussian()}
+    refused["vectors"][-1][-1] = ["x", 0]
+    files["refused"] = write(directory, "big_refused.json", refused)
+    with open(files["phi"], encoding="utf-8") as handle:
+        text = handle.read()
+    files["not_json"] = os.path.join(directory, "big_not_json.json")
+    with open(files["not_json"], "w", encoding="utf-8") as handle:
+        handle.write(text[:-10])
+    for name in ("phi", "psi", "refused", "not_json"):
+        assert os.path.getsize(files[name]) >= formats.OVERLAP_MIN_BYTES
+    return files
+
+
+def test_a_cli_process_writes_what_main_writes_in_process(tmp_path, monkeypatch):
     # stdout is a regular file, so it is block-buffered, as for a user who
-    # sends a report to a file; --out goes into each run
+    # sends a report to a file; --out goes into each run. A process run
+    # decodes the large frame files of the last two cases in two processes,
+    # while in process the second is decoded after the first
     directory = str(tmp_path)
     out, stdout_path = os.path.join(directory, "out.json"), os.path.join(directory, "stdout")
-    for argv in cli_cases(directory):
+    big = overlap_files(directory)
+    sides = ["multiplier", "--symbol", big["symbol"], "--phi", big["phi"], "--psi"]
+    monkeypatch.setattr(formats, "OVERLAP_MIN_BYTES", 1 << 62)
+    for argv in cli_cases(directory) + [sides + [big["psi"], "--verify-all", "--seed", "1"],
+                                        sides + [big["refused"], "--invert"]]:
         dual = argv[argv.index("--dual-out") + 1] if "--dual-out" in argv else None
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -216,6 +245,115 @@ def test_a_cli_process_writes_what_main_writes_in_process(tmp_path):
         if dual:
             assert take(dual) == dual_in_process, argv
         assert take(out) == (report if code == 0 else None), argv
+
+
+# runs each case of argv[1] through cli.main in a process of one OS thread:
+# `serial` raises formats.OVERLAP_MIN_BYTES out of reach, `force` forks a
+# child for any second frame file, `crash` kills the child as it starts
+# decoding; records the forks, whether a child is left after the run, and
+# which process opened each input file. A child that returns from cli.main
+# writes to stderr
+OVERLAP_PROBE = """
+import contextlib, io, json, os, signal, sys
+from framemult.script import one_blas_thread
+one_blas_thread()
+import framemult.cli as cli
+import framemult.formats as formats
+
+cases, log_path = json.loads(sys.argv[1]), sys.argv[2]
+log = os.open(log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+watched = {arg for case in cases for arg in case["argv"] if arg.endswith(".json")}
+sys.addaudithook(lambda event, args: event == "open" and args[0] in watched
+                 and os.write(log, f"{os.getpid()} {args[0]}\\n".encode()))
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
+parent, decode, pays, least = os.getpid(), formats.load_frame_file, formats._overlap_pays, formats.OVERLAP_MIN_BYTES
+
+def crash_in_child(path, where):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return decode(path, where)
+
+results = []
+for case in cases:
+    formats.OVERLAP_MIN_BYTES = 1 << 62 if case["serial"] else least
+    formats._overlap_pays = (lambda path: True) if case["force"] and not case["serial"] else pays
+    formats.load_frame_file = crash_in_child if case["crash"] else decode
+    os.ftruncate(log, 0)
+    forks.clear()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(case["argv"])
+    if os.getpid() != parent:
+        os.write(2, b"a child returned from cli.main\\n")
+        os._exit(1)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    with open(log_path, encoding="utf-8") as handle:
+        opened = sorted((int(pid) == parent, path) for pid, path in map(str.split, handle))
+    results.append([code, stdout.getvalue(), stderr.getvalue(), len(forks), left, opened])
+print(json.dumps(results))
+"""
+
+
+def overlap_runs(directory, cases):
+    """[code, stdout, stderr, forks, child left, [(opened by the parent, path)]] of each case."""
+    env = dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", OVERLAP_PROBE, json.dumps(cases),
+                             os.path.join(directory, "opened.log")],
+                            capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (0, "")
+    return json.loads(result.stdout)
+
+
+def can_overlap():
+    """Whether this host lets a process of one thread fork a child to decode a file."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and os.path.isdir("/proc/self/task"))
+
+
+def test_the_overlapped_decode_gives_the_serial_errors_in_their_order_and_leaves_no_child(tmp_path):
+    # each run goes once with a child for a large second frame file and once
+    # with the size out of reach; the same code, stdout and stderr both ways,
+    # the symbol's error before phi's before psi's, and no child left after
+    # any run. A child that fails to open, fails to decode or dies leaves the
+    # decode to this process
+    directory = str(tmp_path)
+    big = overlap_files(directory)
+    bad_symbol = write(directory, "bad_symbol.json", {"values": [[1, 0], [0]]})
+    missing = os.path.join(directory, "missing.json")
+    runs = [  # symbol, phi, psi, force a child, crash it, the error's source
+        (big["symbol"], big["phi"], big["psi"], False, False, None),
+        (big["symbol"], big["not_json"], big["refused"], False, False, "phi"),
+        (big["symbol"], big["phi"], big["refused"], False, False, "psi"),
+        (big["symbol"], big["phi"], big["not_json"], False, False, "psi"),
+        (big["symbol"], big["refused"], big["psi"], False, False, "phi"),
+        (big["symbol"], big["phi"], missing, False, False, "psi"),
+        (big["symbol"], big["phi"], missing, True, False, "psi"),
+        (big["symbol"], big["phi"], big["psi"], False, True, None),
+        (bad_symbol, big["phi"], big["psi"], False, False, "symbol"),
+    ]
+    cases = []
+    for symbol, phi, psi, force, crash, _ in runs:
+        argv = ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", psi, "--verify-all", "--seed", "1"]
+        cases += [{"argv": argv, "serial": serial, "force": force, "crash": crash} for serial in (False, True)]
+    results = overlap_runs(directory, cases)
+    forked = can_overlap()
+    for (symbol, phi, psi, force, crash, source), overlapped, serial in zip(runs, results[::2], results[1::2]):
+        assert overlapped[:3] == serial[:3], (phi, psi)
+        code, stdout, stderr = serial[:3]
+        if source:
+            assert (code, stdout) == (2, "") and re.match(rf"error: {source}[:.]", stderr), stderr
+        else:
+            assert code == 0 and json.loads(stdout)["verdict"] == "pass" and stderr == ""
+        child = forked and symbol != bad_symbol and (psi != missing or force)
+        assert (overlapped[3], serial[3]) == (int(child), 0), (phi, psi)
+        assert not overlapped[4] and not serial[4], (phi, psi)
+        if child and not source and not crash:  # psi opened by the child alone
+            assert overlapped[5] == sorted([[True, symbol], [True, phi], [False, psi]])
 
 
 @contextlib.contextmanager

@@ -371,3 +371,69 @@ def test_frame_file_decoding_holds_no_more_than_three_arrays_above_its_text(tmp_
     assert frame.synthesis.shape == (dim, size)
     arrays = (peak - base - text_bytes) / (dim * size * np.dtype(np.complex128).itemsize)
     assert arrays <= 3.0, arrays
+
+
+def test_a_child_decodes_the_second_frame_file_only_where_that_pays_and_is_safe(tmp_path, monkeypatch):
+    # a child is forked only with os.fork, two CPUs, one OS thread and a
+    # regular file of at least OVERLAP_MIN_BYTES; a platform that shows no
+    # affinity or no threads gets none. Each condition is flipped alone
+    # against a process made to show all four
+    import threading
+
+    large, small = tmp_path / "large.json", tmp_path / "small.json"
+    large.write_bytes(b" " * fmt.OVERLAP_MIN_BYTES)
+    small.write_bytes(b" " * (fmt.OVERLAP_MIN_BYTES - 1))
+    listdir = os.listdir
+    one_thread = lambda path: ["1"] if path == "/proc/self/task" else listdir(path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "listdir", one_thread)
+    assert fmt._overlap_pays(str(large))
+    for path in (small, tmp_path, tmp_path / "missing.json"):
+        assert not fmt._overlap_pays(str(path))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not fmt._overlap_pays(str(large))
+        patch.delattr(os, "sched_getaffinity")
+        assert not fmt._overlap_pays(str(large))
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork", raising=False)
+        assert not fmt._overlap_pays(str(large))
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "listdir", lambda path: ["1", "2"] if path == "/proc/self/task" else listdir(path))
+        assert not fmt._overlap_pays(str(large))
+
+        def no_proc(path):
+            raise FileNotFoundError(path)
+
+        patch.setattr(os, "listdir", no_proc)
+        assert not fmt._overlap_pays(str(large))
+    if os.path.isdir("/proc/self/task"):  # the real listing sees a thread the process runs
+        monkeypatch.setattr(os, "listdir", listdir)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert not fmt._overlap_pays(str(large))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_a_failed_fork_decodes_the_second_frame_file_here(tmp_path, monkeypatch):
+    frames = [FiniteFrame(np.arange(6.0).reshape(2, 3) + k * 1j) for k in range(2)]
+    paths = []
+    for k, frame in enumerate(frames):
+        paths.append(str(tmp_path / f"frame{k}.json"))
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            handle.writelines(fmt.frame_text(frame))
+
+    def fails():
+        raise OSError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(fmt, "_overlap_pays", lambda path: True)
+    monkeypatch.setattr(os, "fork", fails)
+    pair = fmt.load_frame_pair((paths[0], "phi"), (paths[1], "psi"))
+    assert [(frame.synthesis.tobytes(), digest) for frame, digest in pair] == [
+        (frame.synthesis.tobytes(), fmt.load_frame_file(path)[1]) for frame, path in zip(frames, paths)]
