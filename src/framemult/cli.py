@@ -35,17 +35,25 @@ already written in the file, which is then not a valid document.
 ``formats.load_frame_pair``, which may decode Psi in a forked child while
 the process decodes Phi: the report, the errors, the one reported (the
 symbol's before Phi's before Psi's) and the exit code are those of
-reading the three files one after another.
+reading the three files one after another. Under ``--verify-all`` the
+multiplier is built by ``mp.build`` with ``mp.prepare_verification`` as
+its ``meanwhile``, so a second forked child may accumulate the matrix
+while the process fills the bundle's caches that need no matrix (the
+canonical duals and norms of the frames, and numpy.random). Those caches
+hold what the bundle would compute, and a step that would raise or warn
+is left to the bundle, so stdout, stderr and the exit code are those of a
+run without the child. Both children go through ``overlap.Child``.
 
 Each command imports only the modules it runs. ``frames``,
 ``multipliers``, ``numerics``, ``errors`` and ``report`` load with this
 module, since every command uses them. ``formats`` (and with it
-``hashlib``) loads in ``frame-info`` and ``multiplier``, the commands that
-read files, and ``blockseq`` in ``examples`` alone. Every run is a fresh
-interpreter, and where bytecode is not cached (PYTHONDONTWRITEBYTECODE)
-each imported module is compiled from source, so source size is start-up
-time: a ``multiplier`` run does not compile ``blockseq``, and
-``examples`` neither compiles ``formats`` nor loads the OpenSSL binding.
+``hashlib`` and ``overlap``) loads in ``frame-info`` and ``multiplier``,
+the commands that read files, and ``blockseq`` in ``examples`` alone.
+Every run is a fresh interpreter, and where bytecode is not cached
+(PYTHONDONTWRITEBYTECODE) each imported module is compiled from source, so
+source size is start-up time: a ``multiplier`` run does not compile
+``blockseq``, and ``examples`` neither compiles ``formats`` nor loads the
+OpenSSL binding.
 
 A process runs ``entry``, not ``main``: the ``framemult`` command (through
 ``framemult.script.entry``) and ``python -m framemult.cli`` both do. Run
@@ -297,7 +305,9 @@ def cmd_multiplier(args) -> int:
     phi_file, psi_file = formats.load_frame_pair((args.phi, "phi"), (args.psi, "psi"))
     phi = _record(inputs, "phi", args.phi, phi_file)
     psi = _record(inputs, "psi", args.psi, psi_file)
-    mult = mp.build(symbol, phi, psi)
+    # under --verify-all a child may build the matrix while this process prepares the bundle
+    prepare = functools.partial(mp.prepare_verification, phi, psi, tol) if args.verify_all else None
+    mult = mp.build(symbol, phi, psi, prepare)
 
     if args.seed is not None:
         inputs["seed"] = args.seed

@@ -34,17 +34,17 @@ pieces, one per vector, each turned into nested lists and encoded by
 objects nor as one string.
 
 ``load_frame_pair`` reads the two frames of a multiplier. Where that pays
-and is safe (``_overlap_pays``: ``fork``, two CPUs, one OS thread, a large
-second file), a forked child decodes the second file with
-``load_frame_file`` while the process decodes the first, and sends its
-sha256 and synthesis over a pipe. Any failure on the child's side leaves
-that file to the process, after the first, so what is returned or raised
-is what two calls in a row give.
+and is safe (``_overlap_pays``: ``overlap.may_fork`` and a second file of
+at least OVERLAP_MIN_BYTES), a forked child (``overlap.Child``, which the
+matrix build of ``multipliers.build`` uses too) decodes the second file
+with ``load_frame_file`` while the process decodes the first, and sends
+its synthesis and sha256 over a pipe. Any failure on the child's side
+leaves that file to the process, after the first, so what is returned or
+raised is what two calls in a row give.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import json
 import os
@@ -55,6 +55,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from . import overlap
 from .errors import ParseError
 from .frames import FiniteFrame
 from .multipliers import Symbol
@@ -147,90 +148,28 @@ def load_frame_pair(first: tuple[str, str], second: tuple[str, str]) -> tuple[
     process decodes the first (see the module's docstring). The child is
     reaped on every way out, this function's own ParseError included.
     """
-    child = _decode_in_child(*second)
-    try:
+    with overlap.Child(_overlap_pays(second[0]), _synthesis_file, *second) as child:
         loaded = load_frame_file(*first)
-    except BaseException:
-        _join(child, keep=False)
-        raise
-    return loaded, _join(child, keep=True) or load_frame_file(*second)
+        synthesis, digest = child.result()
+    return loaded, (FiniteFrame._adopt(synthesis), digest)
 
 
 def _overlap_pays(path: str) -> bool:
     """Whether a child may be forked to decode the file at ``path``, and saves time.
 
-    It needs ``os.fork``, more than one CPU in this process's affinity, a
-    process of one OS thread (forking one of more is unsafe) and a regular
-    file of at least OVERLAP_MIN_BYTES. A platform that shows no affinity
-    or no threads (no ``/proc/self/task``) gets no child.
+    It needs ``overlap.may_fork`` and a regular file of at least
+    OVERLAP_MIN_BYTES.
     """
     try:
-        return (hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
-                and len(os.listdir("/proc/self/task")) == 1
-                and os.path.isfile(path) and os.path.getsize(path) >= OVERLAP_MIN_BYTES)
-    except (AttributeError, OSError):
+        return overlap.may_fork() and os.path.isfile(path) and os.path.getsize(path) >= OVERLAP_MIN_BYTES
+    except OSError:
         return False
 
 
-def _decode_in_child(path: str, where: str):
-    """(pid, read end of its pipe) of a forked child decoding the frame file at ``path``.
-
-    None where that does not pay or the fork fails. The child sends a line
-    "sha256 dim size" and the synthesis's bytes, and ends in ``os._exit``
-    whatever happens: it never returns into the caller, runs no atexit
-    hook and flushes no buffer it inherited.
-    """
-    if not _overlap_pays(path):
-        return None
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            gc.disable()  # a collection would write to, and so copy, the parent's pages
-            os.close(read_end)
-            frame, digest = load_frame_file(path, where)
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(f"{digest} {frame.dim} {frame.size}\n".encode())
-                pipe.write(frame.synthesis)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, os.fdopen(read_end, "rb")
-
-
-def _join(child, keep: bool) -> tuple[FiniteFrame, str] | None:
-    """The (frame, sha256) the child sent, if ``keep`` and it sent them whole; None for no child.
-
-    The child is reaped in any case, and killed first unless all it sent
-    was taken.
-    """
-    if child is None:
-        return None
-    pid, pipe = child
-    received = None
-    try:
-        header = pipe.readline().split() if keep else []
-        if len(header) == 3:
-            synthesis = np.empty((int(header[1]), int(header[2])), dtype=np.complex128)
-            if pipe.readinto(synthesis) == synthesis.nbytes:
-                received = FiniteFrame._adopt(synthesis), header[0].decode("ascii")
-    except OSError:
-        pass
-    finally:
-        pipe.close()
-        if received is None:
-            import signal  # loaded only where a child is stopped
-
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    return received
+def _synthesis_file(path: str, where: str) -> tuple[np.ndarray, str]:
+    """The synthesis and sha256 of the frame file at ``path``: what a child decoding it sends."""
+    frame, digest = load_frame_file(path, where)
+    return frame.synthesis, digest
 
 
 def _read_text(path: str, where: str) -> tuple[str, str]:

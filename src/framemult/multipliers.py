@@ -56,17 +56,28 @@ is a value of that report, its message, which the CLI and the examples
 report as a failed asserted finding with the message as its detail. Until
 no norm squares its entries, a norm that leaves the double range can give
 one on valid input: every input scaled by 1e-100 reports "yet eq1 fails".
+
+The CLI's ``--verify-all`` builds its multiplier with ``build(...,
+meanwhile)``, ``meanwhile`` being ``prepare_verification``: the canonical
+duals and norms of Psi and Phi and the load of numpy.random, which need no
+matrix. Where N d^2 reaches BUILD_CHILD_MIN_TERMS and ``overlap.may_fork``,
+a forked child (``overlap.Child``) runs ``_termwise_matrices`` meanwhile and
+sends the d x d matrix back over a pipe; any failure on its side leaves the
+build to this process. Both routes compute the same bits, and a call
+without ``meanwhile``, such as the benchmark's in-process bundle, never
+forks.
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
 
 from . import frames
-from .errors import DimensionMismatch, ZeroSymbolEntry
+from .errors import DimensionMismatch, NotAFrame, ZeroSymbolEntry
 from .frames import FiniteFrame
 from .numerics import (
     DEFAULT_TOL,
@@ -195,7 +206,8 @@ class Multiplier:
     one ||Minv||, which is also ||Minv*||.
     """
 
-    def __init__(self, symbol: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> None:
+    def __init__(self, symbol: Symbol, phi: FiniteFrame, psi: FiniteFrame,
+                 meanwhile: Callable[[], object] | None = None) -> None:
         if phi.dim != psi.dim:
             raise DimensionMismatch(f"frame dims differ: {phi.dim} vs {psi.dim}")
         if len(symbol) != phi.size or len(symbol) != psi.size:
@@ -206,7 +218,9 @@ class Multiplier:
         self.symbol = symbol
         self.phi = phi
         self.psi = psi
-        self._matrix = _termwise_matrices(symbol.values, phi.synthesis, psi.synthesis)
+        arrays = (symbol.values, phi.synthesis, psi.synthesis)
+        self._matrix = (_termwise_matrices(*arrays) if meanwhile is None
+                        else _build_meanwhile(arrays, meanwhile))
 
     # lazy caches; _origin is the multiplier an adjoint was derived from,
     # _conjugate the symbol conj(m) of a multiplier's adjoints, _extremes
@@ -302,9 +316,45 @@ def _termwise_matrices(values: np.ndarray, out_syn: np.ndarray, in_syn: np.ndarr
     return out
 
 
-def build(m: Symbol, phi: FiniteFrame, psi: FiniteFrame) -> Multiplier:
-    """Assemble the multiplier for symbol ``m``, output ``phi``, input ``psi``."""
-    return Multiplier(m, phi, psi)
+def build(m: Symbol, phi: FiniteFrame, psi: FiniteFrame,
+          meanwhile: Callable[[], object] | None = None) -> Multiplier:
+    """Assemble the multiplier for symbol ``m``, output ``phi``, input ``psi``.
+
+    ``meanwhile``, a function of no argument, runs once the shapes are
+    checked and before the matrix is taken, which a forked child may
+    accumulate in the meantime (``_build_meanwhile``). Without it nothing
+    forks.
+    """
+    return Multiplier(m, phi, psi, meanwhile)
+
+
+# The smallest N d^2 whose matrix a child accumulates. In a CLI process of
+# one BLAS thread on a 2-core x86_64 host, the fork takes 1-1.8 ms, and the
+# parent then pays a page fault at its first write to each page it shares
+# with the child. `build` with `prepare_verification` as `meanwhile` took,
+# serial against overlapped, in `multiplier --verify-all` processes of
+# Gaussian frames (medians of 15 alternating runs), 13.7 -> 17.6 ms at
+# (d, N) = (32, 128), 17.0 -> 20.0 ms at (64, 256), 24.7 -> 28.7 ms at
+# (80, 320), 38.5 -> 31.6 ms at (88, 352) and 64.4 -> 45.8 ms at (128, 512):
+# the child costs time up to N d^2 of about 2.0e6 and saves 5 ms or more
+# from 2.7e6.
+BUILD_CHILD_MIN_TERMS = 1 << 21
+
+
+def _build_meanwhile(arrays: tuple[np.ndarray, ...], meanwhile: Callable[[], object]) -> np.ndarray:
+    """``_termwise_matrices(*arrays)``, taken after ``meanwhile()`` has run.
+
+    A forked child accumulates it meanwhile where N d^2 reaches
+    BUILD_CHILD_MIN_TERMS and ``overlap.may_fork``, and sends it over a
+    pipe; any failure on the child's side leaves it to this process.
+    """
+    from . import overlap  # formats has loaded it: only the multiplier command passes meanwhile
+
+    values, out_syn, _ = arrays
+    fork = values.size * out_syn.shape[0] ** 2 >= BUILD_CHILD_MIN_TERMS and overlap.may_fork()
+    with overlap.Child(fork, _termwise_matrices, *arrays) as child:
+        meanwhile()
+        return child.result()
 
 
 def apply_termwise(m: Symbol, phi: FiniteFrame, psi: FiniteFrame, f) -> np.ndarray:
@@ -441,9 +491,17 @@ SIDE_STACK_BYTES = 1 << 16  # bytes of the d x N arrays of both sides that one s
 _ENTRY_BYTES = np.dtype(np.complex128).itemsize
 
 
-def _both_sides_fit(mult: Multiplier) -> bool:
-    """Whether two d x N arrays fit SIDE_STACK_BYTES, so that both sides go in one step."""
+def _both_sides_fit(mult: Multiplier | FiniteFrame) -> bool:
+    """Whether two d x N arrays of a multiplier, or of one of its frames, fit SIDE_STACK_BYTES.
+
+    If they do, both sides go in one step.
+    """
     return 2 * mult.dim * mult.size * _ENTRY_BYTES <= SIDE_STACK_BYTES
+
+
+def _dual_chunks(psi: FiniteFrame, phi: FiniteFrame) -> tuple[tuple[FiniteFrame, ...], ...]:
+    """Psi and Phi in the chunks their canonical duals are solved in, as in ``_side_chunks``."""
+    return ((psi, phi),) if _both_sides_fit(psi) else ((psi,), (phi,))
 
 
 class _Sides:
@@ -577,6 +635,26 @@ def induced_duals_are_duals(mult: Multiplier, tol: ToleranceConfig = DEFAULT_TOL
     return [ok for sides in _side_chunks(mult, tol) for ok in sides.reconstruct(tol)]
 
 
+def prepare_verification(phi: FiniteFrame, psi: FiniteFrame, tol: ToleranceConfig) -> None:
+    """Fill what the --verify-all bundle reads and that needs neither the matrix nor a tolerance.
+
+    Loads numpy.random, which ``sampling_generator`` uses, measures ||Psi||
+    and ||Phi|| and solves for the canonical duals of Psi and Phi in the
+    chunks of ``verify_canonical_inversion``: caches that the bundle would
+    fill with the same bits. It raises and prints nothing. At the first
+    step that would raise (NotAFrame, the ValueError of a dual that is not
+    finite) or warn (a norm that overflows), it stops, and the bundle meets
+    that error or warning at its usual point.
+    """
+    import numpy.random  # noqa: F401 - 12 ms in a fresh process
+
+    with np.errstate(divide="raise", over="raise", invalid="raise"), \
+            contextlib.suppress(NotAFrame, ValueError, FloatingPointError):
+        psi.norm, phi.norm  # noqa: B018 - cached properties
+        for chunk in _dual_chunks(psi, phi):
+            frames.canonical_duals(chunk, tol)
+
+
 def sampling_generator(seed: int) -> np.random.Generator:
     """The generator random duals are drawn from: np.random.default_rng of an explicit seed."""
     if seed is None:
@@ -655,9 +733,8 @@ def verify_canonical_inversion(mult: Multiplier, tol: ToleranceConfig = DEFAULT_
     is computed once per multiplier.
     """
     minv = invert(mult, tol)  # NotInvertible before any NotAFrame
-    # Psi and Phi are solved for in one step when both sides fit, as in _side_chunks
-    inputs = ((mult.psi, mult.phi),) if _both_sides_fit(mult) else ((mult.psi,), (mult.phi,))
-    tilde_psi, tilde_phi = [dual for chunk in inputs for dual in frames.canonical_duals(chunk, tol)]
+    tilde_psi, tilde_phi = [dual for chunk in _dual_chunks(mult.psi, mult.phi)
+                            for dual in frames.canonical_duals(chunk, tol)]
     residual = mult._canonical_residual
     if residual is None:
         defect = _inverse_defect(minv, mult.symbol.reciprocal().values, tilde_psi.synthesis,

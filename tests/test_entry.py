@@ -250,40 +250,84 @@ def test_a_cli_process_writes_what_main_writes_in_process(tmp_path, monkeypatch)
 # runs each case of argv[1] through cli.main in a process of one OS thread:
 # `serial` raises formats.OVERLAP_MIN_BYTES out of reach, `force` forks a
 # child for any second frame file, `crash` kills the child as it starts
-# decoding; records the forks, whether a child is left after the run, and
-# which process opened each input file. A child that returns from cli.main
+# decoding; `build` is "off" (multipliers.BUILD_CHILD_MIN_TERMS out of
+# reach), "plain" (off, and multipliers.prepare_verification does nothing:
+# the route of a build without `meanwhile`), "force" (a build child for any
+# shape), "crash" (a forced build child killed as it starts) or "short" (a
+# forced build child that sends half the matrix's bytes). Records the forks, whether a child is left
+# after the run, which process opened each input file, the events of the
+# run (forks, factorizations, the build and the taking of each child's
+# result) and the sha256 of the built matrix. A run that raises gives its
+# traceback in place of an exit code. A child that returns from cli.main
 # writes to stderr
 OVERLAP_PROBE = """
-import contextlib, io, json, os, signal, sys
+import contextlib, hashlib, io, json, os, signal, sys, traceback, warnings
 from framemult.script import one_blas_thread
 one_blas_thread()
+import numpy as np
 import framemult.cli as cli
 import framemult.formats as formats
+import framemult.multipliers as mp
+import framemult.overlap as overlap
 
 cases, log_path = json.loads(sys.argv[1]), sys.argv[2]
 log = os.open(log_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 watched = {arg for case in cases for arg in case["argv"] if arg.endswith(".json")}
 sys.addaudithook(lambda event, args: event == "open" and args[0] in watched
                  and os.write(log, f"{os.getpid()} {args[0]}\\n".encode()))
-forks = []
-os.register_at_fork(after_in_parent=lambda: forks.append(1))
+events = []
+os.register_at_fork(after_in_parent=lambda: events.append("fork"))
 parent, decode, pays, least = os.getpid(), formats.load_frame_file, formats._overlap_pays, formats.OVERLAP_MIN_BYTES
+termwise, build, result, prepare = mp._termwise_matrices, mp.build, overlap.Child.result, mp.prepare_verification
 
 def crash_in_child(path, where):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
     return decode(path, where)
 
+def failing_build_child(*arrays):
+    if os.getpid() != parent:
+        if case["build"] == "crash":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return termwise(*arrays).astype(np.complex64)
+    return termwise(*arrays)
+
+def recorded_build(*args):
+    events.append("build")
+    mult = build(*args)
+    matrices.append(hashlib.sha256(mult.matrix.tobytes()).hexdigest())
+    events.append("built")
+    return mult
+
+def recorded_result(child):
+    events.append("result")
+    return result(child)
+
+for name in ("svd", "eigvalsh", "solve", "inv", "pinv"):
+    def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+        events.append([_name, int(np.prod(np.shape(a)[:-2], dtype=int))])
+        return _original(a, *args, **kwargs)
+    setattr(np.linalg, name, counted)
+mp.build, overlap.Child.result = recorded_build, recorded_result
+
 results = []
 for case in cases:
     formats.OVERLAP_MIN_BYTES = 1 << 62 if case["serial"] else least
     formats._overlap_pays = (lambda path: True) if case["force"] and not case["serial"] else pays
     formats.load_frame_file = crash_in_child if case["crash"] else decode
+    mp.BUILD_CHILD_MIN_TERMS = 1 << 62 if case["build"] in ("off", "plain") else 0
+    mp.prepare_verification = (lambda *args: None) if case["build"] == "plain" else prepare
+    mp._termwise_matrices = failing_build_child if case["build"] in ("crash", "short") else termwise
     os.ftruncate(log, 0)
-    forks.clear()
+    events.clear()
+    matrices = []
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli.main(case["argv"])
+    # a fresh record of the warnings shown, as each run is a process of its own
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        try:
+            code = cli.main(case["argv"])
+        except Exception:
+            code = traceback.format_exc()
     if os.getpid() != parent:
         os.write(2, b"a child returned from cli.main\\n")
         os._exit(1)
@@ -294,7 +338,8 @@ for case in cases:
         left = False
     with open(log_path, encoding="utf-8") as handle:
         opened = sorted((int(pid) == parent, path) for pid, path in map(str.split, handle))
-    results.append([code, stdout.getvalue(), stderr.getvalue(), len(forks), left, opened])
+    results.append([code, stdout.getvalue(), stderr.getvalue(), events.count("fork"), left, opened,
+                    list(events), matrices])
 print(json.dumps(results))
 """
 
@@ -339,7 +384,8 @@ def test_the_overlapped_decode_gives_the_serial_errors_in_their_order_and_leaves
     cases = []
     for symbol, phi, psi, force, crash, _ in runs:
         argv = ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", psi, "--verify-all", "--seed", "1"]
-        cases += [{"argv": argv, "serial": serial, "force": force, "crash": crash} for serial in (False, True)]
+        cases += [{"argv": argv, "serial": serial, "force": force, "crash": crash, "build": "off"}
+                  for serial in (False, True)]
     results = overlap_runs(directory, cases)
     forked = can_overlap()
     for (symbol, phi, psi, force, crash, source), overlapped, serial in zip(runs, results[::2], results[1::2]):
@@ -354,6 +400,96 @@ def test_the_overlapped_decode_gives_the_serial_errors_in_their_order_and_leaves
         assert not overlapped[4] and not serial[4], (phi, psi)
         if child and not source and not crash:  # psi opened by the child alone
             assert overlapped[5] == sorted([[True, symbol], [True, phi], [False, psi]])
+
+
+def build_files(directory):
+    """A symbol and (3, 6) frames: Gaussian, of rank one, not spanning, scaled by 1e-160 and by 1e160."""
+    rng = np.random.default_rng(36)
+    gaussian = lambda: rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    phi, psi = gaussian(), gaussian()
+    phases = np.exp(2j * np.pi * rng.uniform(size=6))
+    frames = {"phi": phi, "psi": psi, "flat": np.tile(phi[:1], (6, 1)),
+              # a synthesis condition of 1e5, so that tol.spans fails while M is invertible
+              "thin": psi * [1.0, 1.0, 1e-5],
+              "tiny_phi": phi * 1e-160, "tiny_psi": psi * 1e-160, "huge_psi": psi * 1e160}
+    files = {name: write(directory, f"{name}.json", {"dim": 3, "vectors": pairs(frame)})
+             for name, frame in frames.items()}
+    files["symbol"] = write(directory, "symbol.json", {"values": pairs(rng.uniform(0.5, 2.0, 6) * phases)})
+    return files
+
+
+def build_case(files, phi, psi, seed, build):
+    argv = ["multiplier", "--symbol", files["symbol"], "--phi", files[phi], "--psi", files[psi],
+            "--verify-all", "--seed", str(seed)]
+    return {"argv": argv, "serial": True, "force": False, "crash": False, "build": build}
+
+
+def test_the_overlapped_build_gives_the_serial_reports_and_errors_and_leaves_no_child(tmp_path):
+    # each run goes three ways: with a forked child building the matrix,
+    # whatever its shape, while the process prepares the bundle; with the
+    # child out of reach; and as a build without `meanwhile`, neither child
+    # nor preparation. The same exit code (or traceback), stdout, stderr and
+    # matrix all three ways, one fork where the host allows one, and no child
+    # left after any run. The cases: a valid multiplier at seeds 1-3, a
+    # singular M, that one with a Psi whose norm overflows (a warning the
+    # bundle never reaches), an invertible M with a side that does not span,
+    # and each side scaled by 1e-160, whose canonical dual is not finite:
+    # Psi's, or Phi's once Psi's is solved for. Those two end in the
+    # ValueError and the overflow warning of the bundle
+    directory = str(tmp_path)
+    files = build_files(directory)
+    runs = [("phi", "psi", 1, "pass"), ("phi", "psi", 2, "pass"), ("phi", "psi", 3, "pass"),
+            ("flat", "psi", 1, "invertible"), ("flat", "huge_psi", 1, "invertible"),
+            ("phi", "thin", 1, "verification_bundle"),
+            ("phi", "tiny_psi", 1, "ValueError"), ("tiny_phi", "psi", 1, "ValueError")]
+    ways = ("force", "off", "plain")
+    results = overlap_runs(directory, [build_case(files, phi, psi, seed, build)
+                                       for phi, psi, seed, _ in runs for build in ways])
+    forked = can_overlap()
+    for k, (phi, psi, seed, outcome) in enumerate(runs):
+        overlapped, serial, plain = results[len(ways) * k:len(ways) * (k + 1)]
+        assert overlapped[:3] == serial[:3] == plain[:3], (phi, psi, seed)
+        assert overlapped[7] == serial[7] == plain[7] and len(plain[7]) == 1, (phi, psi, seed)
+        code, stdout, stderr = plain[:3]
+        if outcome == "ValueError":
+            assert code.endswith("ValueError: frame vectors must have finite entries\n"), code
+            assert "RuntimeWarning: overflow encountered in dot" in stderr and stdout == ""
+        else:
+            findings = {f["name"]: f for f in json.loads(stdout)["findings"]}
+            assert code == 0 and stderr == ""
+            assert json.loads(stdout)["verdict"] == "pass" if outcome == "pass" else not findings[outcome]["ok"]
+        assert [result[3] for result in (overlapped, serial, plain)] == [int(forked), 0, 0], (phi, psi, seed)
+        assert not any(result[4] for result in (overlapped, serial, plain)), (phi, psi, seed)
+
+
+def test_a_build_child_that_dies_or_sends_too_little_leaves_the_matrix_to_the_process(tmp_path):
+    # a build child killed as it starts, or one that sends half the
+    # matrix's bytes: the process builds the matrix itself, bit for bit the
+    # matrix of a run without a child, with the same report, and reaps it
+    files = build_files(str(tmp_path))
+    results = overlap_runs(str(tmp_path), [build_case(files, "phi", "psi", 1, build)
+                                           for build in ("off", "force", "crash", "short")])
+    alone = results[0]
+    assert alone[0] == 0 and alone[3] == 0
+    for result in results[1:]:
+        assert result[:3] == alone[:3] and result[7] == alone[7]
+        assert result[3] == int(can_overlap()) and not result[4]
+
+
+def test_an_overlapped_build_computes_each_derived_object_once(tmp_path):
+    # the counts of test_cli's test_verify_bundle_computes_each_derived_object_once
+    # in a CLI run with a build child: the bounds and canonical duals of Phi
+    # and Psi are one eigvalsh and one solve of both, made by the process
+    # while the child builds the matrix and reused by the bundle, which then
+    # makes one SVD and one inverse
+    files = build_files(str(tmp_path))
+    [result] = overlap_runs(str(tmp_path), [build_case(files, "phi", "psi", 3, "force")])
+    assert result[0] == 0 and json.loads(result[1])["verdict"] == "pass"
+    events = result[6]
+    start, end = events.index("build"), events.index("built")
+    forks = ["fork"] if can_overlap() else []
+    assert events[start + 1:end] == forks + [["eigvalsh", 2], ["solve", 2], "result"]
+    assert [event for event in events[end:] if event != "result"] == ["built", ["svd", 1], ["inv", 1]]
 
 
 @contextlib.contextmanager

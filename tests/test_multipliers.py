@@ -1,5 +1,9 @@
+import contextlib
 import gc
+import io
+import json
 import math
+import os
 import warnings
 import weakref
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framemult.formats as fmt
 import framemult.frames as fr
 import framemult.multipliers as mp
 from framemult.errors import (
@@ -760,3 +765,84 @@ def test_certificate_slope_low_rank_form_matches_the_cross_correlation_form():
         linear_residual = mp.certify_minv1_all_duals(mult).linear_residual
         assert abs(linear_residual - np.linalg.norm(slope) * scale) <= (
             1e-12 * np.linalg.norm(weighted) * scale), seed
+
+
+@pytest.fixture
+def fork_attempts(monkeypatch):
+    """Every ``os.fork`` call, each failing as a fork may, in a process made to show two CPUs and one thread."""
+    attempts = []
+
+    def fork():
+        attempts.append(1)
+        raise OSError("Resource temporarily unavailable")
+
+    listdir = os.listdir
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"] if path == "/proc/self/task" else listdir(path))
+    return attempts
+
+
+def test_a_build_child_is_forked_only_where_that_pays_and_is_safe(fork_attempts, monkeypatch):
+    # a child is forked only for a build given `meanwhile`, at N d^2 of at
+    # least BUILD_CHILD_MIN_TERMS, with two CPUs and one OS thread; each
+    # condition is flipped alone. A failed fork leaves the build to this
+    # process: the matrix is, bit for bit, that of a build without
+    # `meanwhile`, which runs once in every build given it
+    rng = np.random.default_rng(36)
+    dim, size = 4, 8
+    symbol = mp.Symbol(rng.uniform(0.5, 2.0, size) * np.exp(2j * np.pi * rng.uniform(size=size)))
+    phi, psi = (FiniteFrame(rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim)))
+                for _ in range(2))
+    alone = mp.build(symbol, phi, psi).matrix.tobytes()
+    ran = []
+
+    def build_meanwhile():
+        return mp.build(symbol, phi, psi, lambda: ran.append(1)).matrix.tobytes()
+
+    monkeypatch.setattr(mp, "BUILD_CHILD_MIN_TERMS", size * dim ** 2)
+    assert build_meanwhile() == alone and fork_attempts == [1] and ran == [1]
+    assert mp.build(symbol, phi, psi).matrix.tobytes() == alone
+    monkeypatch.setattr(mp, "BUILD_CHILD_MIN_TERMS", size * dim ** 2 + 1)
+    assert build_meanwhile() == alone
+    monkeypatch.setattr(mp, "BUILD_CHILD_MIN_TERMS", 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert build_meanwhile() == alone
+    with monkeypatch.context() as patch:
+        listdir = os.listdir
+        patch.setattr(os, "listdir", lambda path: ["1", "2"] if path == "/proc/self/task" else listdir(path))
+        assert build_meanwhile() == alone
+    assert fork_attempts == [1] and ran == [1] * 4
+
+
+def test_only_verify_all_asks_for_a_build_child(tmp_path, fork_attempts, monkeypatch):
+    # with the size threshold at 0, `multiplier --verify-all` tries one fork,
+    # for the build, whose failure gives the report of a run that never
+    # forks; --invert and --induced-duals try none
+    from framemult.cli import main
+
+    rng = np.random.default_rng(37)
+    files = {}
+    for name in ("phi", "psi"):
+        files[name] = str(tmp_path / f"{name}.json")
+        frame = FiniteFrame(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        with open(files[name], "w", encoding="utf-8") as handle:
+            handle.writelines(fmt.frame_text(frame))
+    files["symbol"] = str(tmp_path / "symbol.json")
+    with open(files["symbol"], "w", encoding="utf-8") as handle:
+        json.dump({"values": [[float(x), 0.0] for x in rng.uniform(0.5, 2.0, 6)]}, handle)
+    sides = ["multiplier", "--symbol", files["symbol"], "--phi", files["phi"], "--psi", files["psi"]]
+
+    def report(argv, least):
+        monkeypatch.setattr(mp, "BUILD_CHILD_MIN_TERMS", least)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+        return stdout.getvalue()
+
+    verify_all = sides + ["--verify-all", "--seed", "1"]
+    assert report(verify_all, 0) == report(verify_all, 1 << 62)
+    assert fork_attempts == [1]
+    report(sides + ["--invert", "--induced-duals"], 0)
+    assert fork_attempts == [1]

@@ -182,7 +182,7 @@ def test_importing_the_package_loads_no_submodule():
 
 
 # the CLI modules a fresh interpreter holds after `import framemult.cli` and
-# one `cli.main(argv)`, with hashlib, which formats brings in, dataclasses
+# one `cli.main(argv)`, with hashlib, which formats brings in with overlap, dataclasses
 # and copy, which no command needs: a frozen dataclass generates its methods
 # with exec at import, and scipy, sympy and mpmath, which may be installed
 # next to numpy but are no dependency
@@ -211,7 +211,7 @@ def test_each_cli_command_imports_only_the_modules_it_runs(tmp_path):
     symbol = write(directory, "symbol.json", {"values": [[1.0, 0.0], [2.0, 0.0]]})
     multiplier = ["multiplier", "--symbol", symbol, "--phi", phi, "--psi", phi,
                   "--verify-all", "--seed", "1"]
-    file_reading = {"framemult.formats", "hashlib"}
+    file_reading = {"framemult.formats", "framemult.overlap", "hashlib"}
     never = {"dataclasses", "copy"} | FOREIGN  # code generating, or no dependency
 
     code, modules = loaded_by([])
